@@ -56,6 +56,7 @@ func main() {
 		clusterFlag = flag.Bool("cluster", false, "run the cluster campaign: kill a whole replicated potserve node mid-replication, fail over, verify acked-prefix linearizability (-nodes/-workers/-shards; -ops is per worker, -points kill points)")
 		nodes       = flag.Int("nodes", 3, "cluster campaign: member count (>= 3)")
 		mutSplit    = flag.Bool("mutate-split-brain", false, "bug injection: disable the stale-epoch fence and stage two primaries (cluster campaign must fail; pair with -expect-failure)")
+		mutAck      = flag.Bool("mutate-ack-before-quorum", false, "bug injection: coordinators answer a burst's writes before replicating them (cluster campaign must fail; pair with -expect-failure)")
 		mutStale    = flag.Bool("mutate-stale-read", false, "bug injection: freeze snapshot pins at a stale epoch (MVCC campaign must fail; pair with -expect-failure)")
 		workers     = flag.Int("workers", 4, "concurrent campaign: worker goroutines")
 		shards      = flag.Int("shards", 4, "concurrent campaign: heap lock shards")
@@ -119,6 +120,7 @@ func main() {
 		copt.Points = *points
 		copt.Policies = opt.Policies
 		copt.MutateSplitBrain = *mutSplit
+		copt.MutateAckBeforeQuorum = *mutAck
 		copt.Obs = reg
 		start := time.Now()
 		sum, err := crashtest.RunCluster(copt)

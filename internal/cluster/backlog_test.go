@@ -28,16 +28,25 @@ func seedOwnLog(m *Member, n int) {
 	}
 }
 
+// ownedKeys returns n distinct keys the given member owns under the topology.
+func ownedKeys(t *testing.T, topo Topology, id uint32, n int) []uint64 {
+	t.Helper()
+	var keys []uint64
+	for k := uint64(1); len(keys) < n && k < 100000; k++ {
+		if owner, ok := topo.Owner(k); ok && owner == id {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) < n {
+		t.Fatalf("member %d owns only %d keys", id, len(keys))
+	}
+	return keys
+}
+
 // ownedKey returns a key the given member owns under the topology.
 func ownedKey(t *testing.T, topo Topology, id uint32) uint64 {
 	t.Helper()
-	for k := uint64(1); k < 10000; k++ {
-		if owner, ok := topo.Owner(k); ok && owner == id {
-			return k
-		}
-	}
-	t.Fatal("no key owned by member")
-	return 0
+	return ownedKeys(t, topo, id, 1)[0]
 }
 
 // TestClusterDeepCatchUp: a member lagging by more than one REP frame

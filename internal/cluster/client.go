@@ -27,12 +27,18 @@ type Client struct {
 	seeds []string
 	topo  Topology
 	conns map[uint32]*potserve.Client
+
+	// Pipeline scratch, reused across calls: the request indices routed to
+	// each member, and one member's sub-batch and its responses.
+	groups map[uint32][]int
+	sub    []potserve.Request
+	resps  []potserve.Response
 }
 
 // DialCluster fetches the topology from the first reachable seed address
 // and returns a routing client.
 func DialCluster(seeds []string) (*Client, error) {
-	c := &Client{seeds: seeds, conns: make(map[uint32]*potserve.Client)}
+	c := &Client{seeds: seeds, conns: make(map[uint32]*potserve.Client), groups: make(map[uint32][]int)}
 	if err := c.Refresh(); err != nil {
 		return nil, err
 	}
@@ -288,7 +294,9 @@ func (c *Client) Pipeline(reqs []potserve.Request) ([]potserve.Response, error) 
 }
 
 func (c *Client) pipelineOnce(reqs []potserve.Request) ([]potserve.Response, error) {
-	groups := make(map[uint32][]int)
+	for id := range c.groups {
+		c.groups[id] = c.groups[id][:0]
+	}
 	for i, req := range reqs {
 		key := req.Key
 		if req.Op == potserve.OpScan || req.Op == potserve.OpPing {
@@ -297,34 +305,38 @@ func (c *Client) pipelineOnce(reqs []potserve.Request) ([]potserve.Response, err
 			if len(ids) == 0 {
 				return nil, errors.New("cluster: empty topology")
 			}
-			groups[ids[i%len(ids)]] = append(groups[ids[i%len(ids)]], i)
+			c.groups[ids[i%len(ids)]] = append(c.groups[ids[i%len(ids)]], i)
 			continue
 		}
 		id, ok := c.topo.Owner(key)
 		if !ok {
 			return nil, errors.New("cluster: empty topology")
 		}
-		groups[id] = append(groups[id], i)
+		c.groups[id] = append(c.groups[id], i)
 	}
 	out := make([]potserve.Response, len(reqs))
-	sub := make([]potserve.Request, 0, len(reqs))
-	for id, idxs := range groups {
+	for id, idxs := range c.groups {
+		if len(idxs) == 0 {
+			continue
+		}
 		pc, err := c.connTo(id)
 		if err != nil {
 			return nil, err
 		}
-		sub = sub[:0]
+		c.sub = c.sub[:0]
 		for _, i := range idxs {
-			sub = append(sub, reqs[i])
+			c.sub = append(c.sub, reqs[i])
 		}
-		resps, err := pc.Pipeline(sub)
+		c.resps, err = pc.PipelineAppend(c.sub, c.resps)
 		if err != nil {
 			c.drop(id)
 			return nil, err
 		}
 		for j, i := range idxs {
-			out[i] = resps[j]
-			if resps[j].Status == potserve.StatusNotOwner {
+			// Move, not copy: the caller keeps out, so the scratch slot must
+			// not go on aliasing a scan result it handed over.
+			out[i], c.resps[j] = c.resps[j], potserve.Response{}
+			if out[i].Status == potserve.StatusNotOwner {
 				return nil, potserve.ErrNotOwner
 			}
 		}

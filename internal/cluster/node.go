@@ -63,9 +63,10 @@ type Node struct {
 	mu   sync.Mutex
 	topo Topology
 	// wmu serializes local apply + log append on the coordinator path, so
-	// one node's per-key apply order equals its log order. It is NEVER held
-	// across a network call: the replication push runs on per-peer backlog
-	// streams instead, which is what keeps two nodes writing to each other
+	// one node's per-key apply order equals its log order. It is held per
+	// write, not per burst, and NEVER across a network call: the handler
+	// that applied a burst pushes it afterwards, holding only the per-peer
+	// stream locks, which is what keeps two nodes writing to each other
 	// deadlock-free.
 	wmu sync.Mutex
 	// repmu[origin] serializes follower applies per origin. Different
@@ -92,7 +93,7 @@ type Node struct {
 	// peers holds one replication stream per peer: a lazily-dialed client,
 	// the peer's last confirmed watermark for OUR log, and a lock
 	// serializing pushes to that peer. Every push sends the whole backlog
-	// past the confirmed watermark, so concurrent writers pushing out of
+	// past the confirmed watermark, so concurrent bursts pushing out of
 	// order still deliver the log gap-free.
 	peersMu sync.Mutex
 	peers   map[uint32]*peerStream
@@ -103,6 +104,9 @@ type Node struct {
 	// splitBrainMutation disables the stale-epoch rejection on the
 	// follower path — the seeded bug the cluster verifier must catch.
 	splitBrainMutation bool
+	// ackBeforeQuorumMutation answers a burst's writes right after the
+	// local apply, neither replicated nor settled — the other seeded bug.
+	ackBeforeQuorumMutation bool
 }
 
 // NewNode builds a cluster node over a journaled KV at the given topology.
@@ -154,6 +158,14 @@ func (n *Node) MutateSplitBrain() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.splitBrainMutation = true
+}
+
+// MutateAckBeforeQuorum makes the coordinator path acknowledge writes that
+// are durable only locally: a burst skips replicate and settle. Test-only.
+func (n *Node) MutateAckBeforeQuorum() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.ackBeforeQuorumMutation = true
 }
 
 // Watermark returns the node's applied watermark for an origin.
@@ -267,11 +279,14 @@ func (n *Node) markDead() {
 
 // peerStream is one replication stream to a peer: pushes serialize on mu,
 // conn is redialed after errors, and known tracks the peer's confirmed
-// watermark for this node's own log.
+// watermark for this node's own log. entries is the REP frame scratch;
+// sent marks a frame in flight between replicate's two passes.
 type peerStream struct {
-	mu    sync.Mutex
-	conn  *potserve.Client
-	known uint64
+	mu      sync.Mutex
+	conn    *potserve.Client
+	known   uint64
+	entries []potserve.RepEntry
+	sent    bool
 }
 
 // peer returns the stream for a peer node, creating it on first use.
@@ -304,12 +319,28 @@ func (n *Node) Close() {
 	}
 }
 
-// Exec implements potserve.Backend. Reads serve locally after an ownership
-// check; writes run the replicated commit protocol; replication ops run the
-// follower state machine. A crash signal from the heap (armed nvmsim event,
-// or any event after poisoning) is recovered here and turns into node
-// death, exactly like a process crash under a real power cut.
+// Exec implements potserve.Backend: a burst of one.
 func (n *Node) Exec(req *potserve.Request, resp *potserve.Response) {
+	reqs, resps := [1]potserve.Request{*req}, [1]potserve.Response{*resp}
+	n.ExecBurst(reqs[:], resps[:])
+	*resp = resps[0]
+}
+
+// refuse answers every request of a burst with the same error.
+func refuse(resps []potserve.Response, msg string) {
+	for i := range resps {
+		resps[i] = potserve.Response{Status: potserve.StatusErr, Msg: msg}
+	}
+}
+
+// ExecBurst implements potserve.BurstBackend. The requests run in order —
+// reads serve locally after an ownership check, replication ops run the
+// follower state machine, writes are applied locally — then the burst's
+// writes are replicated once and each is settled by its own entry. A crash
+// signal from the heap (armed nvmsim event, or any event after poisoning) is
+// recovered here and turns into node death, exactly like a process crash
+// under a real power cut.
+func (n *Node) ExecBurst(reqs []potserve.Request, resps []potserve.Response) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -319,35 +350,64 @@ func (n *Node) Exec(req *potserve.Request, resp *potserve.Response) {
 			panic(r)
 		}
 		n.markDead()
-		// The response never reaches the client: the death hook closes the
-		// server, tearing every connection down mid-flight. Fill a refusal
-		// anyway so an in-process caller sees a coherent response.
-		*resp = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: node crashed"}
+		// The responses never reach the client: the death hook closes the
+		// server, tearing every connection down mid-flight. Fill refusals
+		// anyway so an in-process caller sees coherent responses.
+		refuse(resps, "cluster: node crashed")
 	}()
-	if n.Dead() {
-		*resp = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: node is dead"}
+	n.mu.Lock()
+	dead, mutated := n.dead, n.ackBeforeQuorumMutation
+	n.mu.Unlock()
+	if dead {
+		refuse(resps, "cluster: node is dead")
 		return
 	}
-	switch req.Op {
-	case potserve.OpGet, potserve.OpScan, potserve.OpPing:
-		n.execRead(req, resp)
-	case potserve.OpPut, potserve.OpDel:
-		n.execWrite(req, resp)
-	case potserve.OpRep:
-		n.execRep(req, resp)
-	case potserve.OpSub:
-		n.execSub(req, resp)
-	case potserve.OpAck:
-		n.execAck(req, resp)
-	case potserve.OpTopo:
-		t := n.Topology()
-		*resp = potserve.Response{Status: potserve.StatusOK, Topo: t.Wire}
-	case potserve.OpTx:
-		// Multi-key transactions would need a cross-node commit protocol;
-		// the cluster tier serves single-key ops and scans only.
-		*resp = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: TX is not supported in cluster mode"}
-	default:
-		*resp = potserve.Response{Status: potserve.StatusErr, Msg: fmt.Sprintf("cluster: unhandled op %d", req.Op)}
+	var last potserve.RepEntry // the newest own-log entry the burst appended
+	for i := range reqs {
+		req, resp := &reqs[i], &resps[i]
+		switch req.Op {
+		case potserve.OpGet, potserve.OpScan, potserve.OpPing:
+			n.execRead(req, resp)
+		case potserve.OpPut, potserve.OpDel:
+			if e, ok := n.apply(req, resp); ok {
+				last = e
+			}
+		case potserve.OpRep:
+			n.execRep(req, resp)
+		case potserve.OpSub:
+			n.execSub(req, resp)
+		case potserve.OpAck:
+			n.execAck(req, resp)
+		case potserve.OpTopo:
+			t := n.Topology()
+			*resp = potserve.Response{Status: potserve.StatusOK, Topo: t.Wire}
+		case potserve.OpTx:
+			// Multi-key transactions would need a cross-node commit protocol;
+			// the cluster tier serves single-key ops and scans only.
+			*resp = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: TX is not supported in cluster mode"}
+		default:
+			*resp = potserve.Response{Status: potserve.StatusErr, Msg: fmt.Sprintf("cluster: unhandled op %d", req.Op)}
+		}
+	}
+	if last.Seq == 0 {
+		return
+	}
+	if !mutated {
+		n.replicate(last.Seq, last.Epoch)
+	}
+	for i := range reqs {
+		if op := reqs[i].Op; op != potserve.OpPut && op != potserve.OpDel {
+			continue
+		}
+		// apply left the entry's sequence in Seq, which is not part of a
+		// write's wire response.
+		seq := resps[i].Seq
+		resps[i].Seq = 0
+		if seq != 0 && !mutated && !n.tracker.Durable(seq) {
+			// The write may be durable on a minority; without quorum it is
+			// NOT acknowledged and the client must treat it as possibly-lost.
+			resps[i] = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: write did not reach quorum"}
+		}
 	}
 }
 
@@ -368,15 +428,16 @@ func (n *Node) execRead(req *potserve.Request, resp *potserve.Response) {
 	(&potserve.KVBackend{KV: n.KV}).Exec(req, resp)
 }
 
-// execWrite runs the replicated commit: ownership check, local durable
-// apply + log append under wmu, then a push to every alive peer on its
-// backlog stream, acking the client only at quorum.
-func (n *Node) execWrite(req *potserve.Request, resp *potserve.Response) {
+// apply is the first step of the replicated commit: ownership check, then
+// local durable apply + log append under wmu. It fills resp with the answer
+// the client gets if the entry reaches quorum, its sequence in resp.Seq for
+// the settle step; ok is false when the write was refused and not logged.
+func (n *Node) apply(req *potserve.Request, resp *potserve.Response) (entry potserve.RepEntry, ok bool) {
 	t := n.Topology()
 	owner, ok := t.Owner(req.Key)
 	if !ok || owner != n.ID {
 		*resp = potserve.Response{Status: potserve.StatusNotOwner}
-		return
+		return entry, false
 	}
 
 	// Local durable apply first: the entry must be on stable storage here
@@ -388,8 +449,6 @@ func (n *Node) execWrite(req *potserve.Request, resp *potserve.Response) {
 	// every later handler (and Server.Close, which waits for them) hangs.
 	del := req.Op == potserve.OpDel
 	var created, existed bool
-	var entry potserve.RepEntry
-	var epoch uint64
 	err := func() error {
 		n.wmu.Lock()
 		defer n.wmu.Unlock()
@@ -405,7 +464,7 @@ func (n *Node) execWrite(req *potserve.Request, resp *potserve.Response) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		n.seq++
-		epoch = n.topo.Epoch()
+		epoch := n.topo.Epoch()
 		entry = potserve.RepEntry{Seq: n.seq, Epoch: epoch, Key: req.Key, Val: req.Val, Del: del}
 		n.watermark[n.ID] = entry.Seq
 		n.applied[n.ID] = append(n.applied[n.ID], Applied{
@@ -415,121 +474,163 @@ func (n *Node) execWrite(req *potserve.Request, resp *potserve.Response) {
 	}()
 	if err != nil {
 		*resp = potserve.Response{Status: potserve.StatusErr, Msg: err.Error()}
-		return
+		return entry, false
 	}
 	n.tracker.Ack(entry.Seq, n.ID)
+	*resp = potserve.Response{Status: potserve.StatusOK, Created: created, Seq: entry.Seq}
+	if del && !existed {
+		resp.Status = potserve.StatusNotFound
+	}
+	return entry, true
+}
 
-	// Push the backlog to every alive peer; each REP response is that
-	// peer's durable watermark for our log — the ack.
+// replicate is the second step, once per burst: every alive peer short of
+// seq gets one REP frame carrying its whole unconfirmed suffix of this
+// node's log, and only when a frame is on the wire to each of them are the
+// acks awaited — one round trip per burst, not one per peer per write. The
+// stream locks are held across it, taken in member order (every membership
+// list is built sorted by id), so two bursts on one node cannot deadlock;
+// the one that waited finds its entries confirmed by the other's frame and
+// sends nothing.
+func (n *Node) replicate(seq, epoch uint64) {
+	t := n.Topology()
 	for _, tn := range t.Wire.Nodes {
 		if tn.ID == n.ID || !tn.Alive {
 			continue
 		}
-		n.pushBacklog(tn, entry.Seq, epoch)
+		ps := n.peer(tn.ID)
+		ps.mu.Lock()
+		ps.sent = ps.known < seq && n.repSend(ps, tn.Addr, epoch)
 	}
-
-	if !n.tracker.Durable(entry.Seq) {
-		// The write may be durable on a minority; without quorum it is NOT
-		// acknowledged and the client must treat it as possibly-lost.
-		*resp = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: write did not reach quorum"}
-		return
-	}
-	if del {
-		if existed {
-			*resp = potserve.Response{Status: potserve.StatusOK}
-		} else {
-			*resp = potserve.Response{Status: potserve.StatusNotFound}
+	for _, tn := range t.Wire.Nodes {
+		if tn.ID == n.ID || !tn.Alive {
+			continue
 		}
-		return
+		ps := n.peer(tn.ID)
+		if ps.sent && n.repRecv(ps, tn.ID) {
+			n.pushBacklog(ps, tn, seq, epoch)
+		}
+		ps.sent = false
+		ps.mu.Unlock()
 	}
-	*resp = potserve.Response{Status: potserve.StatusOK, Created: created}
 }
 
 // pushBacklog sends this node's log entries past the peer's confirmed
-// watermark until the peer confirms at least seq, chunking at
-// MaxRepEntries per REP frame, and records each returned watermark in the
-// quorum tracker. The loop matters: a backlog deeper than one frame (the
+// watermark until the peer confirms at least seq, one MaxRepEntries frame
+// per round trip. The loop matters: a backlog deeper than one frame (the
 // peer was down, or a write burst outran it) must drain fully before the
 // write is judged, or a healthy peer's ack would be missed and the client
-// would get a spurious quorum failure. Pushes to one peer serialize on
-// its stream lock; because every push resumes from the confirmed
-// watermark, two writers racing to push still deliver the log in order
-// with no gaps — whichever push lands first carries both entries, and the
-// response watermark acks both.
-func (n *Node) pushBacklog(tn potserve.TopoNode, seq, epoch uint64) {
-	ps := n.peer(tn.ID)
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for ps.known < seq {
-		n.mu.Lock()
-		log := n.applied[n.ID]
-		base := n.trimmed[n.ID]
-		from := ps.known
-		if from < base {
-			// Entries at or below the compaction floor are confirmed
-			// durable on every alive peer (the invariant compaction trims
-			// under); ps.known is merely stale. Resume at the floor and
-			// let the REP response watermark correct it.
-			from = base
-		}
-		// Own-log entries are in order with Seq == base+index+1.
-		idx := from - base
-		if idx > uint64(len(log)) {
-			idx = uint64(len(log))
-		}
-		end := uint64(len(log))
-		if end-idx > uint64(potserve.MaxRepEntries) {
-			end = idx + uint64(potserve.MaxRepEntries)
-		}
-		entries := make([]potserve.RepEntry, 0, end-idx)
-		for _, a := range log[idx:end] {
-			entries = append(entries, a.RepEntry)
-		}
-		n.mu.Unlock()
-		if len(entries) == 0 {
-			return
-		}
-		if ps.conn == nil {
-			c, err := dialPeer(tn.Addr)
-			if err != nil {
-				return
-			}
-			ps.conn = c
-		}
-		w, err := ps.conn.Rep(n.ID, epoch, entries)
-		if err != nil {
-			// Connection error or round-trip timeout: the response stream
-			// is out of sync, so drop the connection and count this round
-			// as a failed ack. The next write redials and resumes.
-			ps.conn.Close()
-			ps.conn = nil
-			return
-		}
-		n.tracker.Ack(w, tn.ID)
-		if w <= ps.known {
-			return // peer refused (stale epoch) or stalled: no progress
-		}
-		ps.known = w
+// would get a spurious quorum failure. It stops at the first round that
+// fails or makes no progress; the next burst redials and resumes. The
+// caller holds ps.mu.
+func (n *Node) pushBacklog(ps *peerStream, tn potserve.TopoNode, seq, epoch uint64) {
+	for ps.known < seq && n.repSend(ps, tn.Addr, epoch) && n.repRecv(ps, tn.ID) {
 	}
+}
+
+// repSend puts one REP frame on the wire to a peer: the log entries past its
+// confirmed watermark, at most MaxRepEntries. Resuming from the confirmed
+// watermark is what keeps racing bursts' pushes in order and gap-free —
+// whichever frame lands first carries both bursts' entries. It reports
+// whether an ack is now due; the caller holds ps.mu.
+func (n *Node) repSend(ps *peerStream, addr string, epoch uint64) bool {
+	n.mu.Lock()
+	log := n.applied[n.ID]
+	base := n.trimmed[n.ID]
+	from := ps.known
+	if from < base {
+		// Entries at or below the compaction floor are confirmed durable on
+		// every alive peer (the invariant compaction trims under); ps.known
+		// is merely stale. Resume at the floor and let the REP response
+		// watermark correct it.
+		from = base
+	}
+	// Own-log entries are in order with Seq == base+index+1.
+	idx := from - base
+	if idx > uint64(len(log)) {
+		idx = uint64(len(log))
+	}
+	end := uint64(len(log))
+	if end-idx > uint64(potserve.MaxRepEntries) {
+		end = idx + uint64(potserve.MaxRepEntries)
+	}
+	ps.entries = ps.entries[:0]
+	for _, a := range log[idx:end] {
+		ps.entries = append(ps.entries, a.RepEntry)
+	}
+	n.mu.Unlock()
+	if len(ps.entries) == 0 {
+		return false
+	}
+	if ps.conn == nil {
+		c, err := dialPeer(addr)
+		if err != nil {
+			return false
+		}
+		ps.conn = c
+	}
+	if err := ps.conn.RepSend(n.ID, epoch, ps.entries); err != nil {
+		ps.drop()
+		return false
+	}
+	return true
+}
+
+// repRecv awaits the ack of repSend's frame — the peer's durable watermark
+// for our log — and records it. It reports whether the peer made progress
+// (a stale-epoch refusal or a stall is none); the caller holds ps.mu.
+func (n *Node) repRecv(ps *peerStream, id uint32) bool {
+	w, err := ps.conn.RepRecv()
+	if err != nil {
+		ps.drop()
+		return false
+	}
+	n.tracker.Ack(w, id)
+	if w <= ps.known {
+		return false
+	}
+	ps.known = w
+	return true
+}
+
+// drop closes the stream's connection: after an error or a timeout the
+// response stream is out of sync. The round is a failed ack; the next redials.
+func (ps *peerStream) drop() {
+	ps.conn.Close()
+	ps.conn = nil
 }
 
 // originLock returns the apply lock for one origin's log.
 func (n *Node) originLock(origin uint32) *sync.Mutex {
-	v, _ := n.repmu.LoadOrStore(origin, &sync.Mutex{})
+	v, ok := n.repmu.Load(origin)
+	if !ok {
+		v, _ = n.repmu.LoadOrStore(origin, &sync.Mutex{})
+	}
 	return v.(*sync.Mutex)
 }
 
+// repChunk bounds the entries one follower transaction commits: the undo
+// log caps a transaction's size.
+const repChunk = 16
+
 // execRep is the follower state machine: apply an origin's entries in
 // sequence order exactly once, refuse stale-epoch senders, answer the
-// durable watermark.
+// durable watermark. The in-order, not-yet-applied run of a frame commits
+// through KV.Batch, repChunk entries per transaction — one undo log and one
+// fence per chunk, not per entry. A chunk is crash-atomic, and the watermark
+// and the applied log advance only once it has committed.
 func (n *Node) execRep(req *potserve.Request, resp *potserve.Response) {
 	lk := n.originLock(req.Origin)
 	lk.Lock()
 	defer lk.Unlock()
 
+	origin := req.Origin
 	n.mu.Lock()
 	nodeEpoch := n.topo.Epoch()
 	mutated := n.splitBrainMutation
+	// The origin lock makes this handler the only writer of the origin's
+	// watermark, so w stays current below.
+	w := n.watermark[origin]
 	n.mu.Unlock()
 
 	// Epoch fence: a sender below our epoch is a deposed primary (or a
@@ -542,37 +643,35 @@ func (n *Node) execRep(req *potserve.Request, resp *potserve.Response) {
 		return
 	}
 
-	origin := req.Origin
-	for _, e := range req.Entries {
-		n.mu.Lock()
-		w := n.watermark[origin]
-		n.mu.Unlock()
-		if e.Seq <= w {
-			continue // duplicate delivery; applies are exactly-once
+	var ops [repChunk]objstore.BatchOp
+	for entries := req.Entries; len(entries) > 0; {
+		if entries[0].Seq <= w {
+			entries = entries[1:] // duplicate delivery; applies are exactly-once
+			continue
 		}
-		if e.Seq != w+1 {
+		k := 0
+		for k < len(entries) && k < repChunk && entries[k].Seq == w+uint64(k)+1 {
+			ops[k] = objstore.BatchOp{Key: entries[k].Key, Val: entries[k].Val, Del: entries[k].Del}
+			k++
+		}
+		if k == 0 {
 			break // gap: answer the watermark, the sender re-sends from there
 		}
-		var err error
-		if e.Del {
-			_, err = n.KV.Delete(e.Key)
-		} else {
-			_, err = n.KV.Put(e.Key, e.Val)
-		}
-		if err != nil {
+		if err := n.KV.Batch(ops[:k]); err != nil {
 			*resp = potserve.Response{Status: potserve.StatusErr, Msg: err.Error()}
 			return
 		}
+		w += uint64(k)
 		n.mu.Lock()
-		n.watermark[origin] = e.Seq
-		n.applied[origin] = append(n.applied[origin], Applied{
-			RepEntry: e, Origin: origin, SenderEpoch: req.Epoch, NodeEpoch: nodeEpoch,
-		})
+		n.watermark[origin] = w
+		for _, e := range entries[:k] {
+			n.applied[origin] = append(n.applied[origin], Applied{
+				RepEntry: e, Origin: origin, SenderEpoch: req.Epoch, NodeEpoch: nodeEpoch,
+			})
+		}
 		n.mu.Unlock()
+		entries = entries[k:]
 	}
-	n.mu.Lock()
-	w := n.watermark[origin]
-	n.mu.Unlock()
 	*resp = potserve.Response{Status: potserve.StatusOK, Seq: w}
 }
 

@@ -2,65 +2,52 @@ package cluster
 
 import "sync"
 
-// Tracker counts per-sequence durability acks for one origin's log and
-// answers "is seq durable on a quorum?". The primary records its own local
-// commit and every follower ack; entries at or below the committed
-// watermark are forgotten, so the map holds only in-flight sequences.
+// Tracker answers "is seq of one origin's log durable on a quorum?". Acks
+// are watermarks — a member holding seq holds everything below it — so the
+// tracker keeps one per member: the primary's own local commit and every
+// follower's last acked watermark.
 type Tracker struct {
-	mu        sync.Mutex
-	quorum    int
-	acks      map[uint64]map[uint32]struct{}
-	committed uint64 // every seq <= committed reached quorum
+	mu     sync.Mutex
+	quorum int
+	held   map[uint32]uint64 // member -> highest seq it holds durably
 }
 
 // NewTracker returns a tracker requiring the given ack count per sequence.
 func NewTracker(quorum int) *Tracker {
-	return &Tracker{quorum: quorum, acks: make(map[uint64]map[uint32]struct{})}
+	return &Tracker{quorum: quorum, held: make(map[uint32]uint64)}
 }
 
-// Ack records that node holds origin's log durably through seq (a watermark:
-// it covers every sequence at or below seq).
+// Ack records that node holds origin's log durably through seq.
 func (t *Tracker) Ack(seq uint64, node uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for s := t.committed + 1; s <= seq; s++ {
-		m := t.acks[s]
-		if m == nil {
-			m = make(map[uint32]struct{})
-			t.acks[s] = m
-		}
-		m[node] = struct{}{}
-	}
-	t.advance()
-}
-
-// advance slides the committed watermark over every consecutive sequence
-// that reached quorum, releasing its ack set.
-func (t *Tracker) advance() {
-	for {
-		m, ok := t.acks[t.committed+1]
-		if !ok || len(m) < t.quorum {
-			return
-		}
-		delete(t.acks, t.committed+1)
-		t.committed++
+	if seq > t.held[node] {
+		t.held[node] = seq
 	}
 }
 
 // Durable reports whether seq has reached quorum.
-func (t *Tracker) Durable(seq uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if seq <= t.committed {
-		return true
-	}
-	return len(t.acks[seq]) >= t.quorum
-}
+func (t *Tracker) Durable(seq uint64) bool { return seq <= t.Committed() }
 
-// Committed returns the highest watermark below which every sequence is
-// durable on a quorum.
+// Committed returns the highest watermark at or below which every sequence
+// is durable on a quorum: the quorum-th highest member watermark.
 func (t *Tracker) Committed() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.committed
+	var committed uint64
+	for _, w := range t.held {
+		if w <= committed {
+			continue
+		}
+		n := 0
+		for _, h := range t.held {
+			if h >= w {
+				n++
+			}
+		}
+		if n >= t.quorum {
+			committed = w
+		}
+	}
+	return committed
 }

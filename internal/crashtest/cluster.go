@@ -11,6 +11,7 @@ import (
 	"potgo/internal/nvmsim"
 	"potgo/internal/objstore"
 	"potgo/internal/obs"
+	"potgo/internal/potserve"
 )
 
 // The cluster campaign kills a WHOLE NODE mid-replication — an armed
@@ -40,7 +41,10 @@ import (
 // The split-brain mutation disables the followers' stale-epoch fence and
 // stages a false-suspicion failover in which the deposed owner keeps
 // serving; the campaign then REQUIRES CheckCluster to reject the merged
-// logs (run under -expect-failure in CI).
+// logs (run under -expect-failure in CI). The ack-before-quorum mutation
+// makes every coordinator answer a burst's writes right after the local
+// apply and kills one; the campaign then REQUIRES CheckCluster to find the
+// acknowledged writes that no survivor holds.
 type ClusterOptions struct {
 	// Seed drives workload streams, kill-point sampling and policies.
 	Seed uint64 `json:"seed"`
@@ -53,7 +57,7 @@ type ClusterOptions struct {
 	// OpsPerWorker bounds each worker's operation count per point.
 	OpsPerWorker int `json:"ops_per_worker"`
 	// Points is the number of kill points sampled (point 0 is always the
-	// unarmed baseline that also measures the victim's event span).
+	// unarmed baseline that also measures every member's event span).
 	Points int `json:"points"`
 	// KeySpace is the key range [1, KeySpace] the workload churns.
 	KeySpace int `json:"key_space"`
@@ -63,6 +67,10 @@ type ClusterOptions struct {
 	// two-primaries scenario; the campaign then fails unless the verifier
 	// rejects the history.
 	MutateSplitBrain bool `json:"-"`
+	// MutateAckBeforeQuorum seeds the unreplicated-ack bug on every member
+	// and kills a coordinator; the campaign then fails unless the verifier
+	// misses the writes it acknowledged.
+	MutateAckBeforeQuorum bool `json:"-"`
 	// Obs, when non-nil, receives campaign counters under
 	// "crashtest.cluster.".
 	Obs *obs.Registry `json:"-"`
@@ -99,10 +107,15 @@ func clusterWorkerUID(worker, op int) uint64 {
 	return uint64(worker+1)<<24 | uint64(op+1)
 }
 
+// maxClusterBurst bounds the pipelined bursts the workers send.
+const maxClusterBurst = 8
+
 // runClusterWorkers drives concurrent routing clients against the cluster
-// until every worker finishes or gives up on the dying segment. Errors are
-// forgiven once any member is dead — the machine died under the client —
-// and fatal otherwise.
+// until every worker finishes or gives up on the dying segment. Each worker
+// sends seeded bursts of 1..maxClusterBurst pipelined ops, so a member
+// replicates several writes per round trip and a kill can land mid-burst.
+// Errors are forgiven once any member is dead — the machine died under the
+// client — and fatal otherwise.
 func runClusterWorkers(cl *cluster.Cluster, rec *lincheck.ClusterRecorder, opt ClusterOptions) error {
 	anyDead := func() bool {
 		for _, m := range cl.Members {
@@ -126,46 +139,51 @@ func runClusterWorkers(cl *cluster.Cluster, rec *lincheck.ClusterRecorder, opt C
 				return
 			}
 			defer c.Close()
-			fail := func(what string, err error) bool {
-				if err == nil {
-					return false
-				}
-				if !anyDead() {
-					errs[wi] = fmt.Errorf("worker %d %s: %w", wi, what, err)
-					return true
-				}
-				return false // casualty of the kill: unacked, keep going
-			}
 			rng := rand.New(rand.NewSource(int64(mix64(opt.Seed ^ uint64(wi+101)))))
-			for i := 0; i < opt.OpsPerWorker; i++ {
-				key := uint64(rng.Intn(opt.KeySpace) + 1)
-				switch rng.Intn(10) {
-				case 0: // delete
-					p := rec.Begin(key, 0, true)
-					_, err := c.Delete(key)
-					if err != nil {
-						if fail("delete", err) {
-							return
-						}
+			var reqs []potserve.Request
+			var pending []lincheck.ClusterPending // parallel to reqs; reads hold a zero value
+			for i := 0; i < opt.OpsPerWorker; i += len(reqs) {
+				reqs, pending = reqs[:0], pending[:0]
+				n := rng.Intn(maxClusterBurst) + 1
+				if rest := opt.OpsPerWorker - i; n > rest {
+					n = rest
+				}
+				for j := 0; j < n; j++ {
+					key := uint64(rng.Intn(opt.KeySpace) + 1)
+					switch rng.Intn(10) {
+					case 0: // delete
+						reqs = append(reqs, potserve.Request{Op: potserve.OpDel, Key: key})
+						pending = append(pending, rec.Begin(key, 0, true))
+					case 1, 2: // read
+						reqs = append(reqs, potserve.Request{Op: potserve.OpGet, Key: key})
+						pending = append(pending, lincheck.ClusterPending{})
+					default: // put, value = globally unique uid
+						uid := clusterWorkerUID(wi, i+j)
+						reqs = append(reqs, potserve.Request{Op: potserve.OpPut, Key: key, Val: uid})
+						pending = append(pending, rec.Begin(key, uid, false))
+					}
+				}
+				resps, err := c.Pipeline(reqs)
+				if err != nil {
+					if !anyDead() {
+						errs[wi] = fmt.Errorf("worker %d burst: %w", wi, err)
+						return
+					}
+					continue // casualty of the kill: the whole burst is unacked, keep going
+				}
+				for j, resp := range resps {
+					if reqs[j].Op == potserve.OpGet {
 						continue
 					}
-					rec.Acked(p)
-				case 1, 2: // read
-					if _, _, err := c.Get(key); err != nil {
-						if fail("get", err) {
+					switch resp.Status {
+					case potserve.StatusOK, potserve.StatusNotFound:
+						rec.Acked(pending[j])
+					default: // a refusal (no quorum) is unacked
+						if !anyDead() {
+							errs[wi] = fmt.Errorf("worker %d key %d: status %d %s", wi, reqs[j].Key, resp.Status, resp.Msg)
 							return
 						}
 					}
-				default: // put, value = globally unique uid
-					uid := clusterWorkerUID(wi, i)
-					p := rec.Begin(key, uid, false)
-					if _, err := c.Put(key, uid); err != nil {
-						if fail("put", err) {
-							return
-						}
-						continue
-					}
-					rec.Acked(p)
 				}
 			}
 		}(wi)
@@ -332,9 +350,10 @@ func verifyVictimLocal(victim *cluster.Member, victimIdx int, pol nvmsim.Policy,
 
 // RunCluster runs the cluster crash campaign: a fresh N-node cluster per
 // point, an armed whole-node kill mid-replication (point 0 stays unarmed
-// to measure the victim's event span), failover, and the three-layer
+// to measure the members' event spans), failover, and the three-layer
 // verification protocol. With MutateSplitBrain set it instead stages the
-// two-primaries scenario and fails unless the verifier rejects it.
+// two-primaries scenario, with MutateAckBeforeQuorum the lost-ack one, and
+// fails unless the verifier rejects it.
 func RunCluster(opt ClusterOptions) (ClusterSummary, error) {
 	if opt.Nodes < 3 {
 		return ClusterSummary{}, fmt.Errorf("crashtest: cluster campaign needs >= 3 nodes, got %d", opt.Nodes)
@@ -351,6 +370,9 @@ func RunCluster(opt ClusterOptions) (ClusterSummary, error) {
 	if opt.MutateSplitBrain {
 		return runClusterSplitBrain(opt)
 	}
+	if opt.MutateAckBeforeQuorum {
+		return runClusterAckBeforeQuorum(opt)
+	}
 	sum := ClusterSummary{Points: opt.Points}
 
 	var bump func(name string, d uint64)
@@ -360,7 +382,11 @@ func RunCluster(opt ClusterOptions) (ClusterSummary, error) {
 		bump = func(string, uint64) {}
 	}
 
-	var span uint64
+	// spans[i] is member i's event span over the workload, measured at the
+	// unarmed point 0. Members own ring segments of different sizes, so a
+	// kill point drawn from another member's span would often lie past the
+	// victim's last event and never fire.
+	spans := make([]uint64, opt.Nodes)
 	for point := 0; point < opt.Points; point++ {
 		victimIdx := point % opt.Nodes
 		cl, err := cluster.NewLocal(opt.Nodes, opt.Shards, int64(mix64(opt.Seed^uint64(point)^0xc1)), nil)
@@ -376,8 +402,12 @@ func RunCluster(opt ClusterOptions) (ClusterSummary, error) {
 		startE := h.NV.Events()
 		armAt := uint64(0)
 		if point > 0 {
-			armAt = startE + 1 + mix64(opt.Seed^uint64(point))%span
+			armAt = startE + 1 + mix64(opt.Seed^uint64(point))%spans[victimIdx]
 			h.NV.Arm(armAt)
+		} else {
+			for i, m := range cl.Members {
+				spans[i] = m.Sh.Heap().NV.Events()
+			}
 		}
 
 		rec := lincheck.NewClusterRecorder()
@@ -386,12 +416,14 @@ func RunCluster(opt ClusterOptions) (ClusterSummary, error) {
 			return sum, fmt.Errorf("point %d: %w", point, err)
 		}
 		if point == 0 {
-			span = h.NV.Events() - startE
-			sum.Span = span
-			if span == 0 {
-				cl.Close()
-				return sum, fmt.Errorf("crashtest: baseline run produced no events on the victim")
+			for i, m := range cl.Members {
+				spans[i] = m.Sh.Heap().NV.Events() - spans[i]
+				if spans[i] == 0 {
+					cl.Close()
+					return sum, fmt.Errorf("crashtest: baseline run produced no events on member %d", i)
+				}
 			}
+			sum.Span = spans[victimIdx]
 		}
 		h.NV.Disarm() // an unreached arm point must not fire during verification
 
@@ -552,6 +584,74 @@ func runClusterSplitBrain(opt ClusterOptions) (ClusterSummary, error) {
 	entries := gatherEntries(cl.Members, opt.Nodes)
 	if err := lincheck.CheckCluster(rec.Writes(), entries); err != nil {
 		return sum, fmt.Errorf("cluster verifier rejected the split-brain history (as it must): %w", err)
+	}
+	return sum, nil
+}
+
+// runClusterAckBeforeQuorum stages the lost-ack scenario over the seeded
+// settle bug: every member answers a burst's writes right after the local
+// apply, a client gets the whole keyspace acknowledged in pipelined bursts,
+// then the owner of key 1 is shut down and failed over. What it
+// acknowledged never left it, so the survivors' merged logs must FAIL the
+// verifier (acked uid missing from every surviving log). Like the
+// split-brain campaign it returns the rejection as its own error; a nil
+// return means the bug slipped through.
+func runClusterAckBeforeQuorum(opt ClusterOptions) (ClusterSummary, error) {
+	sum := ClusterSummary{Points: 1}
+	cl, err := cluster.NewLocal(opt.Nodes, opt.Shards, int64(mix64(opt.Seed^0xa9)), nil)
+	if err != nil {
+		return sum, err
+	}
+	defer cl.Close()
+	for _, m := range cl.Members {
+		m.Node.MutateAckBeforeQuorum()
+	}
+
+	rec := lincheck.NewClusterRecorder()
+	c, err := cluster.DialCluster(cl.Addrs())
+	if err != nil {
+		return sum, err
+	}
+	defer c.Close()
+	var reqs []potserve.Request
+	var pending []lincheck.ClusterPending
+	for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
+		uid := clusterWorkerUID(0, int(key))
+		reqs = append(reqs, potserve.Request{Op: potserve.OpPut, Key: key, Val: uid})
+		pending = append(pending, rec.Begin(key, uid, false))
+		if len(reqs) < maxClusterBurst && key < uint64(opt.KeySpace) {
+			continue
+		}
+		resps, err := c.Pipeline(reqs)
+		if err != nil {
+			return sum, fmt.Errorf("ack-before-quorum: burst: %w", err)
+		}
+		for j, resp := range resps {
+			if resp.Status != potserve.StatusOK {
+				return sum, fmt.Errorf("ack-before-quorum: put %d: status %d %s", reqs[j].Key, resp.Status, resp.Msg)
+			}
+			rec.Acked(pending[j])
+		}
+		reqs, pending = reqs[:0], pending[:0]
+	}
+	sum.AckedOps = uint64(opt.KeySpace)
+
+	dead, ok := cl.Topology().Owner(1)
+	if !ok {
+		return sum, fmt.Errorf("ack-before-quorum: empty topology")
+	}
+	cl.Members[dead].Srv.Close()
+	if err := cl.Failover(dead); err != nil {
+		return sum, fmt.Errorf("ack-before-quorum: failover: %w", err)
+	}
+	var survivors []*cluster.Member
+	for _, m := range cl.Members {
+		if m.Node.ID != dead {
+			survivors = append(survivors, m)
+		}
+	}
+	if err := lincheck.CheckCluster(rec.Writes(), gatherEntries(survivors, opt.Nodes)); err != nil {
+		return sum, fmt.Errorf("cluster verifier rejected the unreplicated acks (as it must): %w", err)
 	}
 	return sum, nil
 }

@@ -51,3 +51,18 @@ func TestRunClusterOptionValidation(t *testing.T) {
 		t.Fatal("2-node campaign accepted; quorum cannot survive a death")
 	}
 }
+
+// TestRunClusterAckBeforeQuorumMutationCaught: with every coordinator
+// answering a burst's writes before they are replicated, a kill loses
+// acknowledged writes and the verifier must say so.
+func TestRunClusterAckBeforeQuorumMutationCaught(t *testing.T) {
+	opt := DefaultClusterOptions()
+	opt.MutateAckBeforeQuorum = true
+	_, err := RunCluster(opt)
+	if err == nil {
+		t.Fatal("unreplicated acks slipped past the cluster verifier")
+	}
+	if !strings.Contains(err.Error(), "missing from every surviving log") {
+		t.Fatalf("verifier rejected for the wrong reason: %v", err)
+	}
+}

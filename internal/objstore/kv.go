@@ -25,9 +25,9 @@ type KV struct {
 	// mirror cannot serve a walk. On by CreateKV/OpenKV default; the
 	// latched-baseline constructors leave it off.
 	mvcc bool
-	// journaled arms the crash-verification protocol: Put/Delete append to
-	// a per-shard volatile journal under the shard lock and bump the
-	// shard's persistent op counter inside the transaction (see
+	// journaled arms the crash-verification protocol: Put/Delete/Batch
+	// append to a per-shard volatile journal under the shard lock and bump
+	// the shard's persistent op counter inside the transaction (see
 	// EnableJournal).
 	journaled bool
 	// fallbacks counts MVCC reads that could not ride the snapshot path
@@ -52,6 +52,9 @@ type kvShard struct {
 	// journal is the volatile commit-order op journal of journaled mode,
 	// appended under the shard's write lock inside the transaction.
 	journal []BatchOp
+	// jmark is the journal length when the batch now running on this shard
+	// began: an aborted batch truncates back to it.
+	jmark int
 }
 
 // kvPoolBytes sizes each shard pool. The B+-tree allocates ~72-byte nodes;
@@ -257,16 +260,18 @@ func (kv *KV) Reprime() error {
 func (kv *KV) shardOf(key uint64) *kvShard { return &kv.shards[key%uint64(len(kv.shards))] }
 
 // EnableJournal arms the crash-verification protocol: from now on every
-// Put/Delete appends its op to the owning shard's volatile journal (under
-// the shard write lock, so journal order is commit order) and bumps the
-// shard's persistent op counter inside the same transaction. After a
-// simulated crash the invariant acked <= counter <= len(journal) holds per
-// shard, and replaying the journal's counter-length prefix reproduces the
-// recovered state exactly (see internal/crashtest).
+// Put/Delete and every op of a Batch is appended to the owning shard's
+// volatile journal (under the shard write lock, so journal order is commit
+// order) and bumps the shard's persistent op counter inside the same
+// transaction. After a simulated crash the invariant
+// acked <= counter <= len(journal) holds per shard, and replaying the
+// journal's counter-length prefix reproduces the recovered state exactly
+// (see internal/crashtest).
 func (kv *KV) EnableJournal() { kv.journaled = true }
 
 // Journal returns shard i's volatile op journal (commit order; at most the
-// last entry may be uncommitted after a crash).
+// last transaction's entries may be uncommitted after a crash — one for a
+// Put or Delete, up to the batch's share of the shard for a Batch).
 func (kv *KV) Journal(i int) []BatchOp { return kv.shards[i].journal }
 
 // Counter reads shard i's persistent op counter.
@@ -533,7 +538,7 @@ func (kv *KV) Batch(ops []BatchOp) error {
 	}
 	for i := range kv.shards {
 		if involved&(1<<uint(i)) != 0 {
-			kv.shards[i].wctx.bind(t)
+			kv.shards[i].bindBatch(t)
 		}
 	}
 	err = kv.applyBatch(ops)
@@ -546,16 +551,39 @@ func (kv *KV) Batch(ops []BatchOp) error {
 	return t.Commit()
 }
 
-// applyBatch runs the ops through the already-bound per-shard write ctxs.
+// bindBatch binds the shard's write ctx to a batch transaction and marks
+// where the batch's journal entries will start.
+func (s *kvShard) bindBatch(t *pmem.Tx) {
+	s.wctx.bind(t)
+	s.jmark = len(s.journal)
+}
+
+// applyBatch runs the ops through the already-bound per-shard write ctxs,
+// journaling each one in journaled mode. On error the caller aborts the
+// transaction; the journal entries the batch appended are dropped here, for
+// the reason Put drops its own.
 func (kv *KV) applyBatch(ops []BatchOp) error {
 	for _, op := range ops {
-		s := kv.shardOf(op.Key)
-		if op.Del {
-			if _, err := s.tree.Remove(&s.wctx, op.Key); err != nil {
-				return err
+		if err := kv.applyBatchOp(op); err != nil {
+			if kv.journaled {
+				for _, op := range ops {
+					s := kv.shardOf(op.Key)
+					s.journal = s.journal[:s.jmark]
+				}
 			}
-			continue
+			return err
 		}
+	}
+	return nil
+}
+
+func (kv *KV) applyBatchOp(op BatchOp) error {
+	s := kv.shardOf(op.Key)
+	if op.Del {
+		if _, err := s.tree.Remove(&s.wctx, op.Key); err != nil {
+			return err
+		}
+	} else {
 		updated, err := s.tree.UpdateFast(&s.wctx, op.Key, op.Val)
 		if err != nil {
 			return err
@@ -565,6 +593,9 @@ func (kv *KV) applyBatch(ops []BatchOp) error {
 				return err
 			}
 		}
+	}
+	if kv.journaled {
+		return kv.journalOp(s, op)
 	}
 	return nil
 }
@@ -591,7 +622,7 @@ func (kv *KV) batchSlow(ops []BatchOp) error {
 	}
 	return kv.sh.Tx(logShard.pool, extra, func(t *pmem.Tx) error {
 		for s := range involved {
-			s.wctx.bind(t)
+			s.bindBatch(t)
 		}
 		return kv.applyBatch(ops)
 	})

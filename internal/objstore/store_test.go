@@ -448,3 +448,69 @@ func TestMultiReopen(t *testing.T) {
 		}
 	}
 }
+
+// TestKVBatchJournaled: on a journaled store a Batch journals every op and
+// bumps every involved shard's counter inside its transaction, like Put and
+// Delete do, so after a crash each recovered shard equals the replay of its
+// journal[:counter].
+func TestKVBatchJournaled(t *testing.T) {
+	const nshards = 4
+	kv := newKV(t, nshards)
+	kv.EnableJournal()
+	rng := randtest.New(t, 5)
+	for i := 0; i < 300; i++ {
+		key := func() uint64 { return uint64(rng.Intn(64) + 1) }
+		var err error
+		switch rng.Intn(3) {
+		case 0:
+			_, err = kv.Put(key(), rng.Uint64())
+		case 1:
+			_, err = kv.Delete(key())
+		default:
+			ops := make([]BatchOp, rng.Intn(12)+1)
+			for j := range ops {
+				ops[j] = BatchOp{Key: key(), Val: rng.Uint64(), Del: rng.Intn(4) == 0}
+			}
+			err = kv.Batch(ops)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+
+	if _, err := kv.Sharded().Crash(nvmsim.Policy{Kind: nvmsim.DropAll}); err != nil {
+		t.Fatalf("Crash: %v", err)
+	}
+	kv2, err := OpenKV(kv.Sharded(), "kv")
+	if err != nil {
+		t.Fatalf("OpenKV: %v", err)
+	}
+	recovered, err := kv2.Scan(0, 1<<20)
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	for i := 0; i < nshards; i++ {
+		cnt, err := kv2.Counter(i)
+		if err != nil {
+			t.Fatalf("shard %d counter: %v", i, err)
+		}
+		journal := kv.Journal(i)
+		if cnt != uint64(len(journal)) {
+			t.Fatalf("shard %d: quiesced counter %d != journaled %d", i, cnt, len(journal))
+		}
+		want := ReplayKVJournal(journal, int(cnt))
+		got := 0
+		for _, pair := range recovered {
+			if pair.Key%nshards != uint64(i) {
+				continue
+			}
+			got++
+			if v, ok := want[pair.Key]; !ok || v != pair.Val {
+				t.Fatalf("shard %d key %d: recovered %d, journal replays to %d,%v", i, pair.Key, pair.Val, v, ok)
+			}
+		}
+		if got != len(want) {
+			t.Fatalf("shard %d: recovered %d keys, journal replays to %d", i, got, len(want))
+		}
+	}
+}

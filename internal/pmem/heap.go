@@ -203,8 +203,8 @@ func (h *Heap) StatsSnapshot() HeapStats {
 		mvPub, mvRec = h.mvcc.Stats()
 	}
 	return HeapStats{
-		MVCCPublishes: mvPub,
-		MVCCReclaimed: mvRec,
+		MVCCPublishes:   mvPub,
+		MVCCReclaimed:   mvRec,
 		TxBegins:        atomic.LoadUint64(&h.Metrics.TxBegins),
 		TxCommits:       atomic.LoadUint64(&h.Metrics.TxCommits),
 		TxAborts:        atomic.LoadUint64(&h.Metrics.TxAborts),

@@ -13,8 +13,9 @@ import (
 // nondeterministic runtime allocations) out of the measurement: what is
 // left is exactly the wire codec, the server loop, the KV store and the
 // persistent heap underneath. create selects the KV flavor (snapshot
-// reads vs the latched baseline).
-func newPipeServer(t *testing.T, create func(*pmem.Sharded, string) (*objstore.KV, error)) (*Client, *pmem.Sharded) {
+// reads vs the latched baseline); wrap, when non-nil, puts another Backend
+// in front of the KVBackend.
+func newPipeServer(t *testing.T, create func(*pmem.Sharded, string) (*objstore.KV, error), wrap func(*KVBackend) Backend) (*Client, *pmem.Sharded) {
 	t.Helper()
 	sh, err := pmem.NewSharded(pmem.NewStore(), 4, 1)
 	if err != nil {
@@ -24,7 +25,11 @@ func newPipeServer(t *testing.T, create func(*pmem.Sharded, string) (*objstore.K
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{backend: &KVBackend{KV: kv}, conns: make(map[net.Conn]struct{})}
+	var backend Backend = &KVBackend{KV: kv}
+	if wrap != nil {
+		backend = wrap(&KVBackend{KV: kv})
+	}
+	s := &Server{backend: backend, conns: make(map[net.Conn]struct{})}
 	cs, ss := net.Pipe()
 	s.conns[ss] = struct{}{}
 	s.wg.Add(1)
@@ -37,9 +42,25 @@ func newPipeServer(t *testing.T, create func(*pmem.Sharded, string) (*objstore.K
 	return NewClient(cs), sh
 }
 
+// burstStub is the smallest BurstBackend: a burst is its requests run one
+// by one. maxBurst records the longest burst the server handed over.
+type burstStub struct {
+	*KVBackend
+	maxBurst int
+}
+
+func (b *burstStub) ExecBurst(reqs []Request, resps []Response) {
+	if len(reqs) > b.maxBurst {
+		b.maxBurst = len(reqs)
+	}
+	for i := range reqs {
+		b.Exec(&reqs[i], &resps[i])
+	}
+}
+
 // runServeAllocs is the zero-copy regression gate: once the per-connection
 // scratch buffers are warm, a steady-state get / put-overwrite / scan / tx
-// / ping performs zero heap allocations across the whole stack (client
+// / ping / pipelined burst performs zero heap allocations across the whole stack (client
 // encode, server decode, KV, B+-tree walk or snapshot traversal, undo log,
 // write-back model, response encode). Inserts and deletes restructure the
 // tree and are allowed to allocate; a bounded keyspace makes every gated
@@ -55,6 +76,13 @@ func runServeAllocs(t *testing.T, c *Client) {
 	txOps := []objstore.BatchOp{{Key: 3, Val: 30}, {Key: 7, Val: 70}, {Key: 11, Val: 110}}
 	scanReqs := []Request{{Op: OpScan, From: 0, Max: 16}}
 	var scanResps []Response
+	// One conn.Write of eight frames: over net.Pipe the server's first read
+	// buffers them all, so a BurstBackend gets them as one burst.
+	burstReqs := []Request{
+		{Op: OpPut, Key: 1, Val: 10}, {Op: OpGet, Key: 1}, {Op: OpPut, Key: 2, Val: 20}, {Op: OpGet, Key: keys + 1000},
+		{Op: OpPing}, {Op: OpPut, Key: 1, Val: 11}, {Op: OpScan, From: 0, Max: 4}, {Op: OpGet, Key: 2},
+	}
+	var burstResps []Response
 	var opErr error
 
 	cases := []struct {
@@ -67,6 +95,7 @@ func runServeAllocs(t *testing.T, c *Client) {
 		{"put-overwrite", func() { _, opErr = c.Put(9, 999) }},
 		{"tx-overwrite", func() { opErr = c.Tx(txOps) }},
 		{"scan", func() { scanResps, opErr = c.PipelineAppend(scanReqs, scanResps) }},
+		{"burst", func() { burstResps, opErr = c.PipelineAppend(burstReqs, burstResps) }},
 	}
 	for _, tc := range cases {
 		// Warm every scratch buffer this op touches (frame, ops, KVs,
@@ -91,7 +120,7 @@ func runServeAllocs(t *testing.T, c *Client) {
 // and must still be allocation-free. The MVCC stats prove the mirror was
 // actually live, not silently disabled.
 func TestServeAllocs(t *testing.T) {
-	c, sh := newPipeServer(t, objstore.CreateKV)
+	c, sh := newPipeServer(t, objstore.CreateKV, nil)
 	runServeAllocs(t, c)
 	if sh.MVCC() == nil {
 		t.Fatal("snapshot reads not enabled: the gate measured the latched path")
@@ -101,12 +130,27 @@ func TestServeAllocs(t *testing.T) {
 	}
 }
 
+// TestServeAllocsBurst gates the burst loop a BurstBackend is served by:
+// gathering, ExecBurst and the in-order encode must hold the same
+// zero-allocation bar as the single-request loop.
+func TestServeAllocsBurst(t *testing.T) {
+	stub := &burstStub{}
+	c, _ := newPipeServer(t, objstore.CreateKV, func(b *KVBackend) Backend {
+		stub.KVBackend = b
+		return stub
+	})
+	runServeAllocs(t, c)
+	if stub.maxBurst != 8 {
+		t.Fatalf("longest burst %d, want 8: the gate did not measure the burst loop", stub.maxBurst)
+	}
+}
+
 // TestServeAllocsLatched gates the latched baseline (CreateKVLatched, the
 // configuration potbench -latched benchmarks against): it must hold the
 // same zero-allocation bar so snapshot-vs-latched comparisons measure the
 // read protocol, not allocator noise.
 func TestServeAllocsLatched(t *testing.T) {
-	c, sh := newPipeServer(t, objstore.CreateKVLatched)
+	c, sh := newPipeServer(t, objstore.CreateKVLatched, nil)
 	runServeAllocs(t, c)
 	if sh.MVCC() != nil {
 		t.Fatal("latched baseline unexpectedly has MVCC enabled")

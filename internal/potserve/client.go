@@ -252,7 +252,30 @@ func (c *Client) Sub(origin uint32, fromSeq uint64) ([]RepEntry, error) {
 // replication ack. A watermark covering every sent entry means the peer
 // holds them durably.
 func (c *Client) Rep(origin uint32, senderEpoch uint64, entries []RepEntry) (watermark uint64, err error) {
-	resp, err := c.roundTrip(Request{Op: OpRep, Origin: origin, Epoch: senderEpoch, Entries: entries})
+	if err := c.RepSend(origin, senderEpoch, entries); err != nil {
+		return 0, err
+	}
+	return c.RepRecv()
+}
+
+// RepSend is the first half of Rep: it puts the REP frame on the wire and
+// returns without waiting, so a coordinator can have a frame in flight to
+// every peer before it awaits any ack. Each RepSend must be followed by one
+// RepRecv on the same client before any other call.
+func (c *Client) RepSend(origin uint32, senderEpoch uint64, entries []RepEntry) error {
+	if err := c.arm(); err != nil {
+		return err
+	}
+	if err := c.send(Request{Op: OpRep, Origin: origin, Epoch: senderEpoch, Entries: entries}); err != nil {
+		return err
+	}
+	return c.flush()
+}
+
+// RepRecv is the second half of Rep: it reads the ack of the frame RepSend
+// sent, under the round-trip deadline RepSend armed.
+func (c *Client) RepRecv() (watermark uint64, err error) {
+	resp, err := c.recv(OpRep)
 	if err != nil {
 		return 0, err
 	}

@@ -43,18 +43,19 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{OpScan, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	// Replication frames: truncated headers, bad counts, short entry
 	// payloads, bad entry kinds, trailing junk.
-	f.Add([]byte{OpSub, 0, 0, 0, 1})                                  // truncated fromSeq
-	f.Add([]byte{OpRep, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2})         // truncated count
-	f.Add([]byte{OpRep, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0xff, 0xff}) // count with no payload
+	f.Add([]byte{OpSub, 0, 0, 0, 1})                                                            // truncated fromSeq
+	f.Add([]byte{OpRep, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2})                                    // truncated count
+	f.Add([]byte{OpRep, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0xff, 0xff})                        // count with no payload
 	f.Add(append([]byte{OpRep, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1}, make([]byte, 32)...)) // one byte short of an entry
-	f.Add(func() []byte { // entry kind 7 (only 0/1 legal)
+	// entry kind 7 (only 0/1 legal)
+	f.Add(func() []byte {
 		b := []byte{OpRep, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1}
 		e := make([]byte, 33)
 		e[16] = 7
 		return append(b, e...)
 	}())
 	f.Add([]byte{OpAck, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0xee}) // trailing junk
-	f.Add([]byte{OpTopo, 0})                                        // TOPO carries no payload
+	f.Add([]byte{OpTopo, 0})                                       // TOPO carries no payload
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := DecodeRequest(body)
@@ -91,7 +92,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(OpGet, []byte{StatusNotOwner})
 	f.Add(OpPut, []byte{StatusNotOwner, 1}) // not-owner frames carry no payload
 	f.Add(OpRep, []byte{StatusOK, 0, 0, 0, 0, 0, 0, 0, 7})
-	f.Add(OpRep, []byte{StatusOK, 0, 0, 0, 0})    // truncated watermark
+	f.Add(OpRep, []byte{StatusOK, 0, 0, 0, 0}) // truncated watermark
 	f.Add(OpAck, []byte{StatusOK})
 	f.Add(OpSub, func() []byte { // one valid entry
 		b := []byte{StatusOK, 0, 1}
@@ -100,7 +101,8 @@ func FuzzDecodeResponse(f *testing.F) {
 		return append(b, e...)
 	}())
 	f.Add(OpSub, []byte{StatusOK, 0, 2, 0}) // count 2 with 1 payload byte
-	f.Add(OpTopo, func() []byte { // two-node topology
+	// two-node topology
+	f.Add(OpTopo, func() []byte {
 		b := []byte{StatusOK, 0, 0, 0, 0, 0, 0, 0, 5, 0, 2}
 		b = append(b, 0, 0, 0, 0, 1, 0, 3, 'a', ':', '1')
 		b = append(b, 0, 0, 0, 1, 0, 0, 3, 'b', ':', '2')

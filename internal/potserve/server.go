@@ -12,7 +12,6 @@ import (
 
 	"potgo/internal/objstore"
 	"potgo/internal/obs"
-	"potgo/internal/pds"
 	"potgo/internal/pmem"
 )
 
@@ -34,6 +33,22 @@ const flushBytes = 64 << 10
 type Backend interface {
 	Exec(req *Request, resp *Response)
 }
+
+// BurstBackend is a Backend that gains from seeing a connection's pipelined
+// requests together (a cluster node replicates a burst's writes with one
+// round trip per peer): ExecBurst executes reqs in order, filling resps[i]
+// for reqs[i] under Exec's scratch rules. The server hands it every request
+// already complete in the connection's read buffer, never waiting for more.
+// A plain Backend gets one request at a time: gathering costs the
+// single-node read path more than it saves.
+type BurstBackend interface {
+	Backend
+	ExecBurst(reqs []Request, resps []Response)
+}
+
+// maxBurst bounds the requests handed to one ExecBurst, and with it how long
+// the first response of a burst waits for the last request's execution.
+const maxBurst = 128
 
 // Server serves the potserve wire protocol over a Backend. One goroutine
 // per connection executes that connection's requests in arrival order
@@ -198,6 +213,10 @@ func (s *Server) handle(c net.Conn) {
 	defer c.Close()
 
 	br := bufio.NewReader(c)
+	if bb, ok := s.backend.(BurstBackend); ok {
+		s.handleBursts(c, br, bb)
+		return
+	}
 	// Connection-lifetime scratch: the frame buffer, the decoded request
 	// (whose Ops slice is the TX scratch), the response (whose KVs slice is
 	// the scan scratch) and the outgoing byte buffer.
@@ -228,20 +247,9 @@ func (s *Server) handle(c net.Conn) {
 		} else {
 			start := time.Now()
 			s.backend.Exec(&req, &resp)
-			s.latHist[req.Op].Observe(float64(time.Since(start).Microseconds()))
-			s.reqCount[req.Op].Add(1)
-			if resp.Status == StatusErr {
-				s.reqErrs.Add(1)
-			}
-			if resp.Status == StatusCorrupt {
-				s.corrupts.Add(1)
-			}
-			out, err = AppendResponseFrame(out, req.Op, resp)
-			if err != nil {
-				out = appendErrFrame(out, err.Error())
-			}
+			out = s.answer(out, req.Op, &resp, float64(time.Since(start).Microseconds()))
 		}
-		s.noteGrowth(&caps, frame, req.Ops, resp.KVs, out)
+		s.noteGrowth(&caps, [4]int{cap(frame), cap(req.Ops), cap(resp.KVs), cap(out)})
 		// Pipelining: only write when no further request is already
 		// buffered (a burst of N requests costs one syscall of responses,
 		// while a lone request is answered immediately), or when the
@@ -255,11 +263,106 @@ func (s *Server) handle(c net.Conn) {
 	}
 }
 
+// handleBursts is the connection loop over a BurstBackend: gather every
+// request already complete in the read buffer, execute them as one burst,
+// encode the responses in order. Same zero-allocation contract as the
+// single-request loop, with a Request/Response slot per burst position as
+// connection-lifetime scratch (decoding copies everything out of the frame,
+// so one frame buffer serves the whole burst).
+func (s *Server) handleBursts(c net.Conn, br *bufio.Reader, bb BurstBackend) {
+	var (
+		frame []byte
+		reqs  []Request
+		resps []Response
+		out   []byte
+		caps  [4]int
+	)
+	for {
+		// The first frame blocks; later ones join only while a whole frame
+		// is buffered, so a burst never waits on the network. A malformed
+		// frame ends the burst and is answered after it, in its position.
+		n := 0
+		var bad error
+		for {
+			var err error
+			frame, err = ReadFrameInto(br, frame)
+			if err != nil {
+				if !errors.Is(err, io.EOF) {
+					s.protoErrs.Add(1)
+				}
+				return
+			}
+			if n == len(reqs) {
+				reqs = append(reqs, Request{})
+				resps = append(resps, Response{})
+			}
+			if bad = DecodeRequestInto(frame, &reqs[n]); bad != nil {
+				break
+			}
+			n++
+			if n == maxBurst || !frameBuffered(br) {
+				break
+			}
+		}
+		if n > 0 {
+			start := time.Now()
+			bb.ExecBurst(reqs[:n], resps[:n])
+			// Every request of the burst is answered when the burst is, so
+			// the burst's time is each request's latency.
+			us := float64(time.Since(start).Microseconds())
+			for i := 0; i < n; i++ {
+				out = s.answer(out, reqs[i].Op, &resps[i], us)
+			}
+		}
+		if bad != nil {
+			s.protoErrs.Add(1)
+			out = appendErrFrame(out, bad.Error())
+		}
+		s.noteGrowth(&caps, [4]int{cap(frame), cap(reqs), cap(resps), cap(out)})
+		if !frameBuffered(br) || len(out) >= flushBytes {
+			if _, err := c.Write(out); err != nil {
+				return
+			}
+			out = out[:0]
+		}
+	}
+}
+
+// frameBuffered reports whether the read buffer holds a whole frame, so
+// reading it cannot block. An oversized length prefix reports false: the
+// next blocking read fails on it.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	n := binary.BigEndian.Uint32(hdr)
+	return n <= MaxFrame && br.Buffered()-4 >= int(n)
+}
+
+// answer accounts one executed request (us is its latency in microseconds)
+// and appends its response frame to out.
+func (s *Server) answer(out []byte, op byte, resp *Response, us float64) []byte {
+	s.latHist[op].Observe(us)
+	s.reqCount[op].Add(1)
+	if resp.Status == StatusErr {
+		s.reqErrs.Add(1)
+	}
+	if resp.Status == StatusCorrupt {
+		s.corrupts.Add(1)
+	}
+	out, err := AppendResponseFrame(out, op, *resp)
+	if err != nil {
+		out = appendErrFrame(out, err.Error())
+	}
+	return out
+}
+
 // noteGrowth bumps the wire-allocation counter whenever a per-connection
 // scratch buffer had to grow; in steady state every capacity is stable and
 // this observes nothing.
-func (s *Server) noteGrowth(caps *[4]int, frame []byte, ops []objstore.BatchOp, kvs []pds.KV, out []byte) {
-	for i, c := range [4]int{cap(frame), cap(ops), cap(kvs), cap(out)} {
+func (s *Server) noteGrowth(caps *[4]int, now [4]int) {
+	for i, c := range now {
 		if c > caps[i] {
 			if caps[i] > 0 {
 				s.bufGrows.Add(1)
