@@ -201,3 +201,92 @@ func BenchmarkAllocParallel(b *testing.B) {
 		}
 	})
 }
+
+// newSeededMVCC builds a sharded heap with one versioned pool and seeds the
+// mirror with n 8-byte objects at distinct offsets. The objects are raw pool
+// bytes, not allocations: the index only ever sees their OIDs.
+func newSeededMVCC(tb testing.TB, n int) (*Sharded, *Pool, []oid.OID) {
+	tb.Helper()
+	sh, err := NewSharded(NewStore(), 4, 1)
+	if err != nil {
+		tb.Fatalf("NewSharded: %v", err)
+	}
+	const base = 1 << 20
+	p, err := sh.Create("idx", 2*base+8*uint64(n))
+	if err != nil {
+		tb.Fatalf("Create: %v", err)
+	}
+	sh.EnableMVCC(p)
+	m := sh.MVCC()
+	oids := make([]oid.OID, n)
+	for i := range oids {
+		oids[i] = oid.New(p.ID(), base+8*uint32(i))
+		if err := m.Seed(sh.Heap(), p, oids[i], 8); err != nil {
+			tb.Fatalf("Seed %d: %v", i, err)
+		}
+	}
+	return sh, p, oids
+}
+
+// mvccBenchSizes are the index populations the two benchmarks below run
+// at: a toy store, the repository benchmark's serve_read store, and one
+// twenty times larger. An index that scales reads the same at all three.
+var mvccBenchSizes = []struct {
+	name string
+	n    int
+}{{"1k", 1_000}, {"44k", 44_000}, {"1M", 1_000_000}}
+
+// mvccBenchProbes is how many distinct objects a benchmark loop touches,
+// spread evenly over the population. It is the same at every size so that
+// the loop's cache footprint is too: what changes ns/op between 1k and 1M
+// is then the number of entries a look-up examines, not the cache misses
+// of a larger working set.
+const mvccBenchProbes = 512
+
+var mvccBenchSink []byte
+
+// BenchmarkMVCCSnapAt measures one snapshot resolution (stripe lock, index
+// look-up, chain walk) against a mirror of n objects. Allocation-free.
+func BenchmarkMVCCSnapAt(b *testing.B) {
+	for _, sz := range mvccBenchSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			sh, _, oids := newSeededMVCC(b, sz.n)
+			m := sh.MVCC()
+			pin := m.Pin()
+			defer m.Unpin(pin)
+			stride := len(oids) / mvccBenchProbes
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, ok := pin.SnapDeref(oids[i%mvccBenchProbes*stride])
+				if !ok {
+					b.Fatal("seeded object not visible")
+				}
+				mvccBenchSink = buf
+			}
+		})
+	}
+}
+
+// BenchmarkMVCCPublish measures what a commit pays the mirror for one
+// overwritten object (look-up, demote, push, prune, epoch advance) against
+// a mirror of n objects. Steady state recycles versions through the
+// freelist, so it is allocation-free too.
+func BenchmarkMVCCPublish(b *testing.B) {
+	for _, sz := range mvccBenchSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			sh, _, oids := newSeededMVCC(b, sz.n)
+			h := sh.Heap()
+			stride := len(oids) / mvccBenchProbes
+			st := &txState{records: []txRecord{{kind: recData, size: 8}}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.records[0].oid = oids[i%mvccBenchProbes*stride]
+				if err := h.mvccPublish(st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

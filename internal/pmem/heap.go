@@ -243,8 +243,11 @@ type HeapStats struct {
 	Persists uint64
 	// PoolsCreated / PoolsOpened count pool_create / pool_open calls.
 	PoolsCreated, PoolsOpened uint64
-	// MVCCPublishes / MVCCReclaimed count snapshot versions published by
-	// commits and freed by epoch reclamation (zero on heaps without MVCC).
+	// MVCCPublishes / MVCCReclaimed count snapshot versions entering the
+	// mirror (commits and mount-time seeds) and leaving it (epoch
+	// reclamation, and whatever a crash's reset drops); their difference
+	// is the number of versions the mirror holds (zero on heaps without
+	// MVCC).
 	MVCCPublishes, MVCCReclaimed uint64
 }
 

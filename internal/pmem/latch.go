@@ -38,16 +38,19 @@ func (lt *LatchTable) Len() int { return len(lt.mus) }
 
 // Slot returns the latch index an OID hashes to (exported for tests and
 // for deadlock-analysis tooling).
-func (lt *LatchTable) Slot(o oid.OID) int {
-	// splitmix64 finalizer: cheap and well distributed over both the pool
-	// and offset halves of the OID.
+func (lt *LatchTable) Slot(o oid.OID) int { return int(hashOID(o) & lt.mask) }
+
+// hashOID is the splitmix64 finalizer: cheap and well distributed over both
+// the pool and offset halves of the OID. The latch table and the MVCC
+// version index both slot by it.
+func hashOID(o oid.OID) uint64 {
 	x := uint64(o)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int(x & lt.mask)
+	return x
 }
 
 // slots returns the sorted, deduplicated latch indices for a set of OIDs.

@@ -20,6 +20,18 @@ import (
 // resolve every object against that epoch; superseded versions are freed
 // only once no reader pins an epoch that can still see them.
 //
+// Version index. ObjectID → chain head is a hash table whose size follows
+// its entry count, so a look-up examines one or two entries whether the
+// mirror holds a thousand objects or a million. The top bits of
+// splitmix64(OID) pick one of mvStripes lock stripes — a fixed, small set,
+// locks only — and the low bits pick a slot in that stripe's own
+// power-of-two table. A stripe whose entries outnumber its slots first
+// sweeps itself for objects that are wholly dead below the reclamation
+// horizon (freed objects nobody will look up again) and doubles its table
+// only if that did not bring the load back under 3/4; either way the work
+// happens under that one stripe's lock, so there is no global stop. Tables
+// start empty and never shrink short of Reset.
+//
 // Epoch protocol. The global epoch G starts at 1. A commit (serialized by
 // publishMu) works at D = G+1: it demotes each touched object's current
 // head (death = D), pushes the new post-image (borne = D, death = ∞), and
@@ -57,8 +69,13 @@ const (
 	// DefaultPinSlots sizes the reader pin registry. Pin returns nil when
 	// every slot is claimed; callers fall back to the latched read path.
 	DefaultPinSlots = 64
-	// mvBuckets is the version index's bucket count (power of two).
-	mvBuckets = 1024
+	// mvStripeBits fixes the version index's number of lock stripes,
+	// mvStripes. That number bounds lock contention, not look-up length:
+	// each stripe's table grows with the entries that hash to it.
+	mvStripeBits = 6
+	mvStripes    = 1 << mvStripeBits
+	// mvMinSlots is the size of a stripe's table at its first insert.
+	mvMinSlots = 4
 	// mvDeathInf marks a version that is still current.
 	mvDeathInf = ^uint64(0)
 )
@@ -74,16 +91,29 @@ type mvVersion struct {
 	next  *mvVersion // older
 }
 
-// mvEntry heads one object's version chain inside a bucket's entry list.
+// mvEntry heads one object's version chain; next links the entries that
+// share a table slot.
 type mvEntry struct {
 	oid  oid.OID
 	head *mvVersion // newest first, deaths strictly decreasing
 	next *mvEntry
 }
 
-type mvBucket struct {
-	mu   sync.Mutex
-	head *mvEntry
+// chainLen counts the entry's versions.
+func (en *mvEntry) chainLen() int {
+	n := 0
+	for v := en.head; v != nil; v = v.next {
+		n++
+	}
+	return n
+}
+
+// mvStripe is one lock of the version index plus the table it guards.
+type mvStripe struct {
+	mu      sync.Mutex
+	table   []*mvEntry // power-of-two slots, nil until the first insert
+	entries int
+	_       [24]byte // pad to a cache line: neighbouring stripes lock independently
 }
 
 // PinSlot is one reader registration: a padded epoch word (0 = free) plus
@@ -115,7 +145,7 @@ type MVCC struct {
 	stale     uint64 // nonzero: mutation mode, readers pin this frozen epoch
 	publishMu sync.Mutex
 	slots     []PinSlot
-	buckets   [mvBuckets]mvBucket
+	stripes   [mvStripes]mvStripe
 
 	// freelists recycle version nodes (with their bufs) and entries so the
 	// steady-state overwrite publish path allocates nothing.
@@ -123,8 +153,12 @@ type MVCC struct {
 	freeV  *mvVersion
 	freeE  *mvEntry
 
-	publishes uint64 // versions published, atomic
-	reclaimed uint64 // versions freed, atomic
+	// publishes - reclaimed is exactly the number of versions reachable
+	// from the index: every version that enters a chain (commit or Seed)
+	// counts as a publish, every one that leaves (prune, same-commit
+	// drop, re-seed, Reset) as reclaimed.
+	publishes uint64 // atomic
+	reclaimed uint64 // atomic
 }
 
 // NewMVCC builds a mirror with the given pin-registry size.
@@ -143,21 +177,45 @@ func NewMVCC(pinSlots int) *MVCC {
 // Epoch returns the current global epoch.
 func (m *MVCC) Epoch() uint64 { return atomic.LoadUint64(&m.g) }
 
-// Stats returns (versions published, versions reclaimed).
+// Stats returns (versions published, versions reclaimed); their difference
+// is the number of versions the mirror holds. reclaimed is loaded first: a
+// version is counted in before it is counted out, so a reading taken
+// while commits run can lag, never underflow.
 func (m *MVCC) Stats() (publishes, reclaimed uint64) {
-	return atomic.LoadUint64(&m.publishes), atomic.LoadUint64(&m.reclaimed)
+	reclaimed = atomic.LoadUint64(&m.reclaimed)
+	return atomic.LoadUint64(&m.publishes), reclaimed
 }
 
-func (m *MVCC) bucket(o oid.OID) *mvBucket {
-	// splitmix64 finalizer (see LatchTable.Slot): well distributed over
-	// both the pool and offset halves of the OID.
-	x := uint64(o)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return &m.buckets[x&(mvBuckets-1)]
+// stripe returns o's lock stripe and hash: the hash's top bits choose the
+// stripe, its low bits the slot, so the two choices stay independent
+// however far a table grows.
+func (m *MVCC) stripe(o oid.OID) (*mvStripe, uint64) {
+	h := hashOID(o)
+	return &m.stripes[h>>(64-mvStripeBits)], h
+}
+
+// find is the index's one look-up: o's entry, or nil. Caller holds st.mu.
+func (st *mvStripe) find(h uint64, o oid.OID) *mvEntry {
+	if len(st.table) == 0 {
+		return nil
+	}
+	for en := st.table[h&uint64(len(st.table)-1)]; en != nil; en = en.next {
+		if en.oid == o {
+			return en
+		}
+	}
+	return nil
+}
+
+// forEachStripe runs fn on every stripe in turn, holding that stripe's lock
+// (and no other) for the call.
+func (m *MVCC) forEachStripe(fn func(st *mvStripe)) {
+	for i := range m.stripes {
+		st := &m.stripes[i]
+		st.mu.Lock()
+		fn(st)
+		st.mu.Unlock()
+	}
 }
 
 // Pin claims a registry slot at the current epoch. Returns nil when the
@@ -205,34 +263,26 @@ func (m *MVCC) Unpin(s *PinSlot) { atomic.StoreUint64(&s.epoch, 0) }
 // snapAt resolves o at epoch e: the last chain version whose death exceeds
 // e, provided it was already borne. The returned buf is immutable while
 // any pin that can see it is held (reclamation's horizon proof covers the
-// freelist recycle), so handing it out past the bucket lock is safe.
+// freelist recycle, whether a Reclaim sweep or a growing stripe's own sweep
+// frees it), so handing it out past the stripe lock is safe.
 //
 //potlint:snapshot-read
 func (m *MVCC) snapAt(e uint64, o oid.OID) ([]byte, bool) {
-	b := m.bucket(o)
-	b.mu.Lock()
-	for en := b.head; en != nil; en = en.next {
-		if en.oid != o {
-			continue
+	st, h := m.stripe(o)
+	st.mu.Lock()
+	var vis *mvVersion
+	if en := st.find(h, o); en != nil {
+		for v := en.head; v != nil && v.death > e; v = v.next {
+			vis = v // deaths strictly decrease down the chain
 		}
-		var vis *mvVersion
-		for v := en.head; v != nil; v = v.next {
-			if v.death > e {
-				vis = v
-			} else {
-				break // deaths strictly decrease down the chain
-			}
-		}
-		if vis == nil || vis.borne > e {
-			b.mu.Unlock()
-			return nil, false
-		}
-		buf := vis.buf
-		b.mu.Unlock()
-		return buf, true
 	}
-	b.mu.Unlock()
-	return nil, false
+	if vis == nil || vis.borne > e {
+		st.mu.Unlock()
+		return nil, false
+	}
+	buf := vis.buf
+	st.mu.Unlock()
+	return buf, true
 }
 
 // minEpoch computes the reclamation horizon. The global epoch MUST be
@@ -299,13 +349,73 @@ func (m *MVCC) freeEntry(en *mvEntry) {
 
 // --- publication (called from Tx.Commit under publishMu) ---
 
-func (m *MVCC) findEntryLocked(b *mvBucket, o oid.OID) *mvEntry {
-	for en := b.head; en != nil; en = en.next {
-		if en.oid == o {
-			return en
+// entryLocked returns o's entry, linking a fresh one when the index has
+// none. A caller that adds an entry finishes with growIfFullLocked once the
+// entry holds its version. Caller holds st.mu.
+func (m *MVCC) entryLocked(st *mvStripe, h uint64, o oid.OID) *mvEntry {
+	if en := st.find(h, o); en != nil {
+		return en
+	}
+	if st.table == nil {
+		st.table = make([]*mvEntry, mvMinSlots)
+	}
+	en := m.newEntry(o)
+	slot := &st.table[h&uint64(len(st.table)-1)]
+	en.next = *slot
+	*slot = en
+	st.entries++
+	return en
+}
+
+// growIfFullLocked keeps the stripe's load factor at or below 1. A full
+// stripe first sweeps out the objects that are wholly dead below the
+// reclamation horizon — nothing else on the commit path ever unlinks a
+// freed object's entry — and doubles only when the live entries still fill
+// more than 3/4 of the table, so the table follows the live set rather
+// than every object ever seen, and at least a quarter of the table's worth
+// of inserts separates two sweeps. Caller holds st.mu; every entry it
+// added must already head a version (an empty entry is swept).
+func (m *MVCC) growIfFullLocked(st *mvStripe) {
+	if st.entries <= len(st.table) {
+		return
+	}
+	m.sweepLocked(st, m.minEpoch())
+	if 4*st.entries <= 3*len(st.table) {
+		return
+	}
+	old := st.table
+	st.table = make([]*mvEntry, 2*len(old))
+	mask := uint64(len(st.table) - 1)
+	for _, en := range old {
+		for en != nil {
+			nx := en.next
+			slot := &st.table[hashOID(en.oid)&mask]
+			en.next = *slot
+			*slot = en
+			en = nx
 		}
 	}
-	return nil
+}
+
+// sweepLocked prunes every chain of the stripe below limit and unlinks the
+// entries left without a version. Returns the number of versions freed.
+// Caller holds st.mu.
+func (m *MVCC) sweepLocked(st *mvStripe, limit uint64) int {
+	freed := 0
+	for i := range st.table {
+		link := &st.table[i]
+		for en := *link; en != nil; en = *link {
+			freed += m.pruneLocked(en, limit)
+			if en.head == nil {
+				*link = en.next
+				m.freeEntry(en)
+				st.entries--
+			} else {
+				link = &en.next
+			}
+		}
+	}
+	return freed
 }
 
 // publishRecord installs the committed post-image of [o, o+size) at epoch
@@ -314,14 +424,9 @@ func (m *MVCC) findEntryLocked(b *mvBucket, o oid.OID) *mvEntry {
 // its buf is overwritten in place, which no reader can observe because the
 // commit's epoch advance has not happened yet.
 func (m *MVCC) publishRecord(h *Heap, p *Pool, o oid.OID, size uint32, d, limit uint64) error {
-	b := m.bucket(o)
-	b.mu.Lock()
-	en := m.findEntryLocked(b, o)
-	if en == nil {
-		en = m.newEntry(o)
-		en.next = b.head
-		b.head = en
-	}
+	st, hash := m.stripe(o)
+	st.mu.Lock()
+	en := m.entryLocked(st, hash, o)
 	var v *mvVersion
 	if en.head != nil && en.head.borne == d {
 		v = en.head
@@ -341,7 +446,8 @@ func (m *MVCC) publishRecord(h *Heap, p *Pool, o oid.OID, size uint32, d, limit 
 	}
 	err := h.AS.ReadAt(p.region.Base+uint64(o.Offset()), v.buf)
 	m.pruneLocked(en, limit)
-	b.mu.Unlock()
+	m.growIfFullLocked(st)
+	st.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("pmem: mvcc publish %v: %w", o, err)
 	}
@@ -352,25 +458,26 @@ func (m *MVCC) publishRecord(h *Heap, p *Pool, o oid.OID, size uint32, d, limit 
 // (the object was freed). A head borne at d was allocated and freed inside
 // the same commit: it is dropped entirely.
 func (m *MVCC) demoteRecord(o oid.OID, d, limit uint64) {
-	b := m.bucket(o)
-	b.mu.Lock()
-	if en := m.findEntryLocked(b, o); en != nil {
+	st, h := m.stripe(o)
+	st.mu.Lock()
+	if en := st.find(h, o); en != nil {
 		if en.head != nil && en.head.death == mvDeathInf {
 			if en.head.borne == d {
 				dead := en.head
 				en.head = dead.next
 				m.freeVersion(dead)
+				atomic.AddUint64(&m.reclaimed, 1)
 			} else {
 				en.head.death = d
 			}
 		}
 		m.pruneLocked(en, limit)
 	}
-	b.mu.Unlock()
+	st.mu.Unlock()
 }
 
 // pruneLocked frees the chain suffix whose deaths are at or below limit
-// (invisible to every current and future pin). Caller holds the bucket
+// (invisible to every current and future pin). Caller holds the stripe
 // lock. Suppressed in stale-mutation mode so the seeded stale snapshot
 // keeps its versions alive.
 func (m *MVCC) pruneLocked(en *mvEntry, limit uint64) int {
@@ -404,8 +511,8 @@ func (m *MVCC) pruneLocked(en *mvEntry, limit uint64) int {
 
 // Reclaim sweeps every version chain, freeing versions no pinned or future
 // reader can see, and unlinking entries whose objects are fully dead. It
-// runs concurrently with readers and publishing commits (bucket-granular
-// locking; it does not take publishMu). Returns the number of versions
+// runs concurrently with readers and publishing commits (one stripe lock
+// at a time; it does not take publishMu). Returns the number of versions
 // freed.
 func (m *MVCC) Reclaim() int {
 	if atomic.LoadUint64(&m.stale) != 0 {
@@ -413,96 +520,89 @@ func (m *MVCC) Reclaim() int {
 	}
 	limit := m.minEpoch()
 	freed := 0
-	for i := range m.buckets {
-		b := &m.buckets[i]
-		b.mu.Lock()
-		var prev *mvEntry
-		en := b.head
-		for en != nil {
-			freed += m.pruneLocked(en, limit)
-			nx := en.next
-			if en.head == nil {
-				if prev == nil {
-					b.head = nx
-				} else {
-					prev.next = nx
-				}
-				m.freeEntry(en)
-			} else {
-				prev = en
-			}
-			en = nx
-		}
-		b.mu.Unlock()
-	}
+	m.forEachStripe(func(st *mvStripe) { freed += m.sweepLocked(st, limit) })
 	return freed
 }
 
-// ChainLen returns the version-chain length for one object (0 when the
-// mirror holds no entry). Introspection for tests and benchmarks that
-// bound memory pressure under hot-key skew.
+// ChainLen returns the length of one object's version chain (0 when the
+// mirror holds no entry for it). Introspection for tests and benchmarks
+// that bound memory pressure under hot-key skew.
 func (m *MVCC) ChainLen(o oid.OID) int {
-	b := m.bucket(o)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	en := m.findEntryLocked(b, o)
-	if en == nil {
-		return 0
+	st, h := m.stripe(o)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if en := st.find(h, o); en != nil {
+		return en.chainLen()
 	}
-	n := 0
-	for v := en.head; v != nil; v = v.next {
-		n++
-	}
-	return n
+	return 0
 }
 
-// MaxChainLen returns the longest version chain in the mirror — the
-// hot-key memory-pressure gauge: a pinned reader keeps every version
-// younger than its epoch alive, so a write-hot object's chain grows until
-// the pin releases and Reclaim prunes it back.
-func (m *MVCC) MaxChainLen() int {
-	max := 0
-	for i := range m.buckets {
-		b := &m.buckets[i]
-		b.mu.Lock()
-		for en := b.head; en != nil; en = en.next {
-			n := 0
-			for v := en.head; v != nil; v = v.next {
-				n++
-			}
-			if n > max {
-				max = n
+// MVCCIndexStats is a stripe-by-stripe walk of the version index: exact for
+// a quiescent mirror, a consistent reading per stripe otherwise.
+type MVCCIndexStats struct {
+	Entries  int // objects the index holds an entry for
+	Slots    int // table slots, summed over the stripes
+	MaxProbe int // most entries any one look-up examines (longest slot list)
+	Versions int // versions reachable from the entries
+	MaxChain int // longest version chain of any one object
+}
+
+// add folds one stripe into the walk. Caller holds st.mu.
+func (s *MVCCIndexStats) add(st *mvStripe) {
+	s.Entries += st.entries
+	s.Slots += len(st.table)
+	for _, en := range st.table {
+		probe := 0
+		for ; en != nil; en = en.next {
+			probe++
+			n := en.chainLen()
+			s.Versions += n
+			if n > s.MaxChain {
+				s.MaxChain = n
 			}
 		}
-		b.mu.Unlock()
+		if probe > s.MaxProbe {
+			s.MaxProbe = probe
+		}
 	}
-	return max
 }
+
+// IndexStats walks the whole index.
+func (m *MVCC) IndexStats() MVCCIndexStats {
+	var s MVCCIndexStats
+	m.forEachStripe(s.add)
+	return s
+}
+
+// MaxChainLen returns the longest version chain of any object in the
+// mirror — the hot-key memory-pressure gauge: a pinned reader keeps every
+// version younger than its epoch alive, so a write-hot object's chain
+// grows until the pin releases and Reclaim prunes it back.
+func (m *MVCC) MaxChainLen() int { return m.IndexStats().MaxChain }
 
 // Seed publishes the current live bytes of [o, o+size) as the object's
 // initial version (borne 0: visible at every epoch). Called at mount while
 // the store is still private; the mirror must be empty for o.
 func (m *MVCC) Seed(h *Heap, p *Pool, o oid.OID, size uint32) error {
-	b := m.bucket(o)
-	b.mu.Lock()
-	en := m.findEntryLocked(b, o)
-	if en == nil {
-		en = m.newEntry(o)
-		en.next = b.head
-		b.head = en
-	}
+	st, hash := m.stripe(o)
+	st.mu.Lock()
+	en := m.entryLocked(st, hash, o)
 	v := m.newVersion(int(size))
 	v.borne, v.death = 0, mvDeathInf
 	if en.head != nil && en.head.death == mvDeathInf {
 		// Re-seeding an object that already has a live version (Reprime
-		// after repair): replace the chain outright — the store is private
-		// during seeding, no reader holds a pin.
+		// after repair): replace the chain outright, leaving the old one
+		// to the garbage collector rather than the freelist, so a reader
+		// that resolved a buffer before the reseed keeps it intact.
+		atomic.AddUint64(&m.reclaimed, uint64(en.chainLen()))
 		en.head = nil
 	}
 	v.next = en.head
 	en.head = v
+	atomic.AddUint64(&m.publishes, 1)
 	err := h.AS.ReadAt(p.region.Base+uint64(o.Offset()), v.buf)
-	b.mu.Unlock()
+	m.growIfFullLocked(st)
+	st.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("pmem: mvcc seed %v: %w", o, err)
 	}
@@ -511,14 +611,16 @@ func (m *MVCC) Seed(h *Heap, p *Pool, o oid.OID, size uint32) error {
 
 // Reset discards the whole mirror: a crash took the volatile state with
 // it. The store is reseeded from the recovered durable bytes at remount.
+// The index returns to its empty footprint, and the versions it held count
+// as reclaimed.
 func (m *MVCC) Reset() {
 	m.publishMu.Lock()
-	for i := range m.buckets {
-		b := &m.buckets[i]
-		b.mu.Lock()
-		b.head = nil
-		b.mu.Unlock()
-	}
+	var dropped MVCCIndexStats
+	m.forEachStripe(func(st *mvStripe) {
+		dropped.add(st)
+		st.table, st.entries = nil, 0
+	})
+	atomic.AddUint64(&m.reclaimed, uint64(dropped.Versions))
 	for i := range m.slots {
 		atomic.StoreUint64(&m.slots[i].epoch, 0)
 	}

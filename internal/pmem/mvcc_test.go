@@ -311,14 +311,22 @@ func TestMVCCSeedVisible(t *testing.T) {
 // observed sequence must be monotone non-decreasing (epochs only advance)
 // and every pinned deref must succeed (the chain always has a version
 // visible at the pinned epoch once seeded).
+//
+// Between overwrites the writer allocates fresh objects — enough that every
+// stripe of the version index doubles its table several times under the
+// readers' feet — and frees half of them again, so growing stripes (and the
+// reclaimer) also unlink entries while look-ups are in flight. A second,
+// never-written object must stay resolvable through every rehash.
 func TestMVCCConcurrentReadersWritersReclaim(t *testing.T) {
 	sh, p, o := newMVCCEnv(t)
 	m := sh.MVCC()
+	still := mvccPut(t, sh, p, oid.Null, 7)
 
 	const (
-		readers = 4
-		writes  = 300
-		reads   = 600
+		readers  = 4
+		writes   = 300
+		perWrite = 6 // fresh objects per overwrite: 1800 in all, ~28 per stripe
+		reads    = 600
 	)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -329,6 +337,22 @@ func TestMVCCConcurrentReadersWritersReclaim(t *testing.T) {
 		defer stop.Store(true)
 		for i := uint64(2); i < 2+writes; i++ {
 			mvccPut(t, sh, p, o, i)
+			var fresh [perWrite]oid.OID
+			for j := range fresh {
+				fresh[j] = mvccPut(t, sh, p, oid.Null, i)
+			}
+			err := sh.Tx(p, nil, func(tx *Tx) error {
+				for _, f := range fresh[:perWrite/2] {
+					if err := tx.Free(f); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("free tx: %v", err)
+				return
+			}
 		}
 	}()
 
@@ -353,8 +377,9 @@ func TestMVCCConcurrentReadersWritersReclaim(t *testing.T) {
 					continue // registry momentarily exhausted: fallback path
 				}
 				v, ok := snapVal(t, s, o)
+				w, okStill := snapVal(t, s, still)
 				m.Unpin(s)
-				if !ok {
+				if !ok || !okStill || w != 7 {
 					errs <- "pinned deref failed on a seeded object"
 					return
 				}
@@ -375,5 +400,12 @@ func TestMVCCConcurrentReadersWritersReclaim(t *testing.T) {
 	pub, rec := m.Stats()
 	if pub == 0 || rec == 0 {
 		t.Fatalf("stress must publish and reclaim: publishes=%d reclaimed=%d", pub, rec)
+	}
+	idx := m.IndexStats()
+	if idx.Slots < 4*mvStripes*mvMinSlots {
+		t.Fatalf("index has %d slots: the stripes did not double at least twice each on average", idx.Slots)
+	}
+	if pub-rec != uint64(idx.Versions) {
+		t.Fatalf("publishes-reclaimed = %d, index holds %d versions", pub-rec, idx.Versions)
 	}
 }

@@ -41,6 +41,20 @@ func (h *Heap) PublishMetrics(reg *obs.Registry) {
 	if slots > 0 {
 		reg.Gauge("pmem.slab.occupancy").Set(float64(live) / float64(slots))
 	}
+
+	// The snapshot mirror, on heaps that enabled it: versions in and out,
+	// and a walk of the version index (how many objects it tracks, in how
+	// many table slots, and the most entries any one look-up examines).
+	if m := h.mvcc; m != nil {
+		reg.Counter("pmem.mvcc.publishes").Add(s.MVCCPublishes)
+		reg.Counter("pmem.mvcc.reclaimed").Add(s.MVCCReclaimed)
+		reg.Gauge("pmem.mvcc.versions_live").Set(float64(s.MVCCPublishes - s.MVCCReclaimed))
+		idx := m.IndexStats()
+		reg.Gauge("pmem.mvcc.index_entries").Set(float64(idx.Entries))
+		reg.Gauge("pmem.mvcc.index_slots").Set(float64(idx.Slots))
+		reg.Gauge("pmem.mvcc.max_probe").Set(float64(idx.MaxProbe))
+		reg.Gauge("pmem.mvcc.epoch").Set(float64(m.Epoch()))
+	}
 }
 
 // AttachObs hands the heap live metric handles for hot-path observations
