@@ -304,9 +304,8 @@ func benchCPUModel(b *testing.B, inorder bool) {
 
 // BenchmarkSimSpeed is the observability-overhead guard: one complete timed
 // OPT simulation per core model with every internal/obs hook left at its
-// disabled (nil) default, reporting simulated MIPS. Successive entries in
-// BENCH_simspeed.json pin this number; instrumentation changes must not
-// regress it measurably (< 2%).
+// disabled (nil) default, reporting simulated MIPS. Instrumentation changes
+// must not regress it measurably (< 2%).
 func BenchmarkSimSpeed(b *testing.B) {
 	for _, core := range []harness.CoreKind{harness.InOrder, harness.OutOfOrder} {
 		b.Run(core.String(), func(b *testing.B) {

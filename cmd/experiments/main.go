@@ -16,17 +16,15 @@
 // needs is enumerated up front (harness.SpecsFor) and executed on a bounded
 // pool of -parallel workers, then the reports render from the warm cache.
 // Each simulation is self-contained, so results are bit-identical at any
-// -parallel value. Simulator throughput is reported at the end and appended
-// to the -simspeed trajectory file (default BENCH_simspeed.json; empty
-// disables) so future changes can be checked for speed regressions.
+// -parallel value. Simulator throughput is reported on stderr at the end;
+// the run writes no file beyond -out, -metrics-out, -trace-out and the
+// profiles.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"strings"
 	"time"
@@ -67,7 +65,6 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "suppress per-run progress lines")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-		simSpeed   = flag.String("simspeed", "BENCH_simspeed.json", "append a simulator-throughput record to this trajectory file (empty disables)")
 		metricsOut = flag.String("metrics-out", "", "write a JSON metrics snapshot to this file at exit")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the harness phases (load in Perfetto)")
 		listen     = flag.String("listen", "", "serve live metrics on this address at /debug/vars (expvar JSON)")
@@ -151,7 +148,6 @@ func main() {
 		time.Since(start).Seconds(), suite.SimulatedInstructions()/1e6)
 
 	var reports []harness.Report
-	var timings []harness.ExperimentTiming
 	for _, id := range ids {
 		expStart := time.Now()
 		fmt.Fprintf(os.Stderr, "== rendering %s ==\n", id)
@@ -162,11 +158,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
 			exit(1)
 		}
-		secs := time.Since(expStart).Seconds()
-		fmt.Fprintf(os.Stderr, "== %s done in %.1fs ==\n", id, secs)
+		fmt.Fprintf(os.Stderr, "== %s done in %.1fs ==\n", id, time.Since(expStart).Seconds())
 		fmt.Println(rep.Text)
 		reports = append(reports, rep)
-		timings = append(timings, harness.ExperimentTiming{ID: id, Seconds: secs})
 	}
 
 	endSummary := tw.Span(1, "summary")
@@ -179,33 +173,6 @@ func main() {
 	mips := float64(insns) / wall / 1e6
 	fmt.Fprintf(os.Stderr, "== grid complete: %d instructions simulated in %.1fs wall (%.2f simulated MIPS, parallel=%d) ==\n",
 		insns, wall, mips, suite.Options().Parallel)
-
-	if *simSpeed != "" {
-		rec := harness.SpeedRecord{
-			Timestamp:             time.Now().UTC().Format(time.RFC3339),
-			GitSHA:                gitSHA(),
-			GoVersion:             runtime.Version(),
-			NumCPU:                runtime.NumCPU(),
-			Parallel:              suite.Options().Parallel,
-			Quick:                 *quick,
-			Experiments:           ids,
-			SimulatedInstructions: insns,
-			WallSeconds:           wall,
-			SimulatedMIPS:         mips,
-			PerExperiment:         timings,
-		}
-		switch err := harness.AppendSpeedRecord(*simSpeed, rec); {
-		case errors.Is(err, harness.ErrDuplicateSpeedRecord):
-			// Same tree, same configuration: refuse the duplicate but
-			// don't fail the run — the measurement itself succeeded.
-			fmt.Fprintf(os.Stderr, "experiments: %v; not appending\n", err)
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			exit(1)
-		default:
-			fmt.Fprintf(os.Stderr, "appended throughput record to %s\n", *simSpeed)
-		}
-	}
 
 	if tw != nil {
 		if err := tw.Close(); err != nil {
@@ -229,21 +196,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	}
 	exit(0)
-}
-
-// gitSHA identifies the working tree for the throughput trajectory:
-// the short commit hash, "-dirty" when uncommitted changes exist, or ""
-// when git is unavailable (then duplicate detection is skipped).
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	sha := strings.TrimSpace(string(out))
-	if status, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(status) > 0 {
-		sha += "-dirty"
-	}
-	return sha
 }
 
 func renderSummary(reports []harness.Report, quick bool) string {

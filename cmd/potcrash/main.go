@@ -20,9 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -46,7 +43,6 @@ func main() {
 		mutFence    = flag.Int("mutate-drop-fence", 0, "bug injection: drop every Nth store fence (1 = all)")
 		expectFail  = flag.Bool("expect-failure", false, "invert the exit status: succeed only if the campaign finds a failure")
 		jsonOut     = flag.String("json", "", "write the campaign summary as JSON to this file ('-' for stdout)")
-		benchPath   = flag.String("bench", "", "append a trajectory record to this file (e.g. BENCH_crash.json)")
 		replayTok   = flag.String("replay", "", "reproduce one case from its replay token instead of sweeping")
 		metricsOut  = flag.String("metrics-out", "", "write a JSON metrics snapshot to this file at exit")
 		listen      = flag.String("listen", "", "serve live metrics on this address at /debug/vars (expvar JSON)")
@@ -60,7 +56,7 @@ func main() {
 		mutStale    = flag.Bool("mutate-stale-read", false, "bug injection: freeze snapshot pins at a stale epoch (MVCC campaign must fail; pair with -expect-failure)")
 		workers     = flag.Int("workers", 4, "concurrent campaign: worker goroutines")
 		shards      = flag.Int("shards", 4, "concurrent campaign: heap lock shards")
-		ftOverhead  = flag.Bool("ft-overhead", false, "measure the FT checksum+parity tax on the Table 5 micros and durable TPC-C (plain vs fault-tolerant pools) and append a record to -bench")
+		ftOverhead  = flag.Bool("ft-overhead", false, "measure and print the FT checksum+parity tax on the Table 5 micros and durable TPC-C (plain vs fault-tolerant pools) and the get-path verify tax")
 		corruptK    = flag.Int("corrupt-k", 0, "repair campaign: single-bit media faults per round (>0 selects the corrupt-scrub-verify campaign)")
 		corruptMode = flag.String("corrupt-mode", "detect", "repair campaign fault flavor: detect (payload bits) or silent (checksum/parity bits)")
 		scrubCrash  = flag.Bool("scrub", false, "repair campaign: arm a power failure inside each round's scrub pass (-points rounds)")
@@ -110,36 +106,7 @@ func main() {
 		os.Exit(replay(*replayTok, opt, *expectFail))
 	}
 
-	if *clusterFlag {
-		copt := crashtest.DefaultClusterOptions()
-		copt.Seed = *seed
-		copt.Nodes = *nodes
-		copt.Workers = *workers
-		copt.Shards = *shards
-		copt.OpsPerWorker = *ops
-		copt.Points = *points
-		copt.Policies = opt.Policies
-		copt.MutateSplitBrain = *mutSplit
-		copt.MutateAckBeforeQuorum = *mutAck
-		copt.Obs = reg
-		start := time.Now()
-		sum, err := crashtest.RunCluster(copt)
-		wall := time.Since(start).Seconds()
-		if err != nil {
-			fmt.Printf("cluster campaign: FAIL after %d/%d points: %v\n", sum.Fired+sum.Completed, sum.Points, err)
-			os.Exit(status(true, *expectFail))
-		}
-		fmt.Printf("cluster campaign: %d nodes, %d workers, %d points (%d node kills fired, %d drained), %d acked writes, %d events spanned (%.1fs)\n",
-			copt.Nodes, copt.Workers, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.Span, wall)
-		if *metricsOut != "" {
-			if err := reg.WriteFile(*metricsOut); err != nil {
-				fatal(err)
-			}
-		}
-		os.Exit(status(false, *expectFail))
-	}
-
-	if *mvccFlag {
+	if *clusterFlag || *mvccFlag || *concurrent {
 		copt := crashtest.DefaultConcurrentOptions()
 		copt.Seed = *seed
 		copt.Workers = *workers
@@ -148,56 +115,25 @@ func main() {
 		copt.Points = *points
 		copt.Policies = opt.Policies
 		copt.Obs = reg
-		start := time.Now()
-		sum, err := crashtest.RunMVCC(copt, *mutStale)
-		wall := time.Since(start).Seconds()
-		if err != nil {
-			fmt.Printf("mvcc campaign: FAIL after %d/%d points: %v\n", sum.Fired+sum.Completed, sum.Points, err)
-			os.Exit(status(true, *expectFail))
+		kind := "concurrent"
+		switch {
+		case *clusterFlag:
+			kind = "cluster"
+		case *mvccFlag:
+			kind = "mvcc"
 		}
-		fmt.Printf("mvcc campaign: %d workers on %d shards, %d points (%d fired, %d drained), %d acked ops, %d snapshot reads, %d reclaim sweeps, %d events spanned (%.1fs)\n",
-			copt.Workers, copt.Shards, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.SnapshotReads, sum.Reclaims, sum.Span, wall)
-		if *metricsOut != "" {
-			if err := reg.WriteFile(*metricsOut); err != nil {
-				fatal(err)
-			}
-		}
-		os.Exit(status(false, *expectFail))
-	}
-
-	if *concurrent {
-		copt := crashtest.DefaultConcurrentOptions()
-		copt.Seed = *seed
-		copt.Workers = *workers
-		copt.Shards = *shards
-		copt.OpsPerWorker = *ops
-		copt.Points = *points
-		copt.Policies = opt.Policies
-		copt.Obs = reg
-		start := time.Now()
-		sum, err := crashtest.RunConcurrent(copt)
-		wall := time.Since(start).Seconds()
-		if err != nil {
-			fmt.Printf("concurrent campaign: FAIL after %d/%d points: %v\n", sum.Fired+sum.Completed, sum.Points, err)
-			os.Exit(status(true, *expectFail))
-		}
-		fmt.Printf("concurrent campaign: %d workers on %d shards, %d points (%d fired, %d drained), %d acked ops, %d events spanned (%.1fs)\n",
-			copt.Workers, copt.Shards, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.Span, wall)
-		if *metricsOut != "" {
-			if err := reg.WriteFile(*metricsOut); err != nil {
-				fatal(err)
-			}
-		}
-		os.Exit(status(false, *expectFail))
+		c, verdict := runCampaign(kind, copt, *nodes, *mutSplit, *mutAck, *mutStale)
+		c.Policies = polNames
+		os.Exit(finishCampaign(kind, verdict, c, reg, *jsonOut, *metricsOut, *expectFail))
 	}
 
 	if *ftOverhead {
-		os.Exit(runFTOverhead(*seed, *ops, *benchPath))
+		os.Exit(runFTOverhead(*seed, *ops))
 	}
 
 	if *corruptK > 0 || *mutNoParity || *scrubCrash {
-		os.Exit(runRepair(reg, opt, *corruptK, *corruptMode, *scrubCrash, *mutNoParity,
-			*shards, *ops, *points, *expectFail, *benchPath, *metricsOut))
+		os.Exit(runRepair(reg, opt, polNames, *corruptK, *corruptMode, *scrubCrash, *mutNoParity,
+			*shards, *ops, *points, *expectFail, *jsonOut, *metricsOut))
 	}
 
 	targets, err := selectTargets(*targetsFlag, *seed)
@@ -218,7 +154,6 @@ func main() {
 		})
 	var (
 		summaries []crashtest.Summary
-		names     []string
 		failures  int
 	)
 	for _, tg := range targets {
@@ -227,7 +162,6 @@ func main() {
 			fatal(err)
 		}
 		summaries = append(summaries, sum)
-		names = append(names, sum.Target)
 		failures += len(sum.Failures)
 		printSummary(sum)
 	}
@@ -245,38 +179,10 @@ func main() {
 		len(summaries), span, pointsTotal, cases, failures, wall)
 
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, opt, polNames, summaries, wall); err != nil {
+		if err := writeJSON(*jsonOut, campaign{Options: opt, Policies: polNames, Summaries: summaries, Wall: wall}); err != nil {
 			fatal(err)
 		}
 	}
-	if *benchPath != "" {
-		sort.Strings(names)
-		rec := harness.CrashRecord{
-			Timestamp: time.Now().UTC().Format(time.RFC3339),
-			GitSHA:    gitSHA(),
-			GoVersion: runtime.Version(),
-			NumCPU:    runtime.NumCPU(),
-			Seed:      opt.Seed,
-			Ops:       opt.Ops,
-			MaxPoints: opt.MaxPoints,
-			Policies:  polNames,
-			Targets:   names,
-			EventSpan: span,
-			Points:    pointsTotal,
-			Cases:     cases,
-			Failures:  failures,
-		}
-		rec.WallSeconds = wall
-		switch err := harness.AppendCrashRecord(*benchPath, rec); {
-		case err == nil:
-			fmt.Printf("appended trajectory record to %s\n", *benchPath)
-		case strings.Contains(err.Error(), harness.ErrDuplicateCrashRecord.Error()):
-			fmt.Fprintf(os.Stderr, "potcrash: %v (not recording)\n", err)
-		default:
-			fatal(err)
-		}
-	}
-
 	if *metricsOut != "" {
 		if err := reg.WriteFile(*metricsOut); err != nil {
 			fatal(err)
@@ -287,12 +193,73 @@ func main() {
 	os.Exit(status(failures > 0, *expectFail))
 }
 
+// runCampaign runs one whole-world campaign — kind is "cluster", "mvcc" or
+// "concurrent", all three sized by the same flags, gathered in copt — and
+// returns what finishCampaign reports: the -json document (its Error set
+// when the campaign failed) and the verdict line.
+func runCampaign(kind string, copt crashtest.ConcurrentOptions, nodes int, mutSplit, mutAck, mutStale bool) (c campaign, verdict string) {
+	var (
+		done, points int
+		err          error
+	)
+	c.Options = copt
+	start := time.Now()
+	switch kind {
+	case "cluster":
+		o := crashtest.DefaultClusterOptions()
+		o.Seed, o.Workers, o.Shards, o.OpsPerWorker = copt.Seed, copt.Workers, copt.Shards, copt.OpsPerWorker
+		o.Points, o.Policies, o.Obs = copt.Points, copt.Policies, copt.Obs
+		o.Nodes, o.MutateSplitBrain, o.MutateAckBeforeQuorum = nodes, mutSplit, mutAck
+		var sum crashtest.ClusterSummary
+		sum, err = crashtest.RunCluster(o)
+		c.Options, c.Summaries, done, points = o, []crashtest.ClusterSummary{sum}, sum.Fired+sum.Completed, sum.Points
+		verdict = fmt.Sprintf("%d nodes, %d workers, %d points (%d node kills fired, %d drained), %d acked writes, %d events spanned",
+			o.Nodes, o.Workers, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.Span)
+	case "mvcc":
+		var sum crashtest.MVCCSummary
+		sum, err = crashtest.RunMVCC(copt, mutStale)
+		c.Summaries, done, points = []crashtest.MVCCSummary{sum}, sum.Fired+sum.Completed, sum.Points
+		verdict = fmt.Sprintf("%d workers on %d shards, %d points (%d fired, %d drained), %d acked ops, %d snapshot reads, %d reclaim sweeps, %d events spanned",
+			copt.Workers, copt.Shards, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.SnapshotReads, sum.Reclaims, sum.Span)
+	default:
+		var sum crashtest.ConcurrentSummary
+		sum, err = crashtest.RunConcurrent(copt)
+		c.Summaries, done, points = []crashtest.ConcurrentSummary{sum}, sum.Fired+sum.Completed, sum.Points
+		verdict = fmt.Sprintf("%d workers on %d shards, %d points (%d fired, %d drained), %d acked ops, %d events spanned",
+			copt.Workers, copt.Shards, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.Span)
+	}
+	c.Wall = time.Since(start).Seconds()
+	if err != nil {
+		c.Error = err.Error()
+		return c, fmt.Sprintf("FAIL after %d/%d points: %v", done, points, err)
+	}
+	return c, fmt.Sprintf("%s (%.1fs)", verdict, c.Wall)
+}
+
+// finishCampaign is the end the whole-world campaigns share: print the
+// verdict, write -json and -metrics-out, and return the exit status (the
+// campaign failed if c carries an error) with -expect-failure folded in.
+func finishCampaign(kind, verdict string, c campaign, reg *obs.Registry, jsonOut, metricsOut string, expectFail bool) int {
+	fmt.Printf("%s campaign: %s\n", kind, verdict)
+	if jsonOut != "" {
+		if err := writeJSON(jsonOut, c); err != nil {
+			fatal(err)
+		}
+	}
+	if metricsOut != "" {
+		if err := reg.WriteFile(metricsOut); err != nil {
+			fatal(err)
+		}
+	}
+	return status(c.Error != "", expectFail)
+}
+
 // runRepair drives the media-fault repair campaign: inject -corrupt-k
 // single-bit faults per round, scrub, and verify byte-exact recovery
 // (crashing mid-scrub when -scrub is set). It returns the process exit
 // status with -expect-failure folded in.
-func runRepair(reg *obs.Registry, opt crashtest.Options, k int, mode string, scrubCrash, noParity bool,
-	shards, ops, points int, expectFail bool, benchPath, metricsOut string) int {
+func runRepair(reg *obs.Registry, opt crashtest.Options, polNames []string, k int, mode string, scrubCrash, noParity bool,
+	shards, ops, points int, expectFail bool, jsonOut, metricsOut string) int {
 	ropt := crashtest.DefaultRepairOptions()
 	ropt.Seed = opt.Seed
 	ropt.Shards = shards
@@ -321,67 +288,21 @@ func runRepair(reg *obs.Registry, opt crashtest.Options, k int, mode string, scr
 
 	start := time.Now()
 	sum, err := crashtest.RunRepair(ropt)
-	wall := time.Since(start).Seconds()
-	failed := err != nil
-	if failed {
-		fmt.Printf("repair campaign: FAIL: %v (summary %+v)\n", err, sum)
-	} else {
-		fmt.Printf("repair campaign: %d rounds x %d faults (%s), %d repaired + %d parity, %d crashes fired, scrub span %d events (%.1fs)\n",
-			sum.Rounds, ropt.K, mode, sum.Repaired, sum.ParityRepaired, sum.Fired, sum.ScrubSpan, wall)
+	c := campaign{Options: ropt, Policies: polNames, Summaries: []crashtest.RepairSummary{sum}, Wall: time.Since(start).Seconds()}
+	verdict := fmt.Sprintf("%d rounds x %d faults (%s), %d repaired + %d parity, %d crashes fired, scrub span %d events (%.1fs)",
+		sum.Rounds, ropt.K, mode, sum.Repaired, sum.ParityRepaired, sum.Fired, sum.ScrubSpan, c.Wall)
+	if err != nil {
+		c.Error = err.Error()
+		verdict = fmt.Sprintf("FAIL: %v (summary %+v)", err, sum)
 	}
-
-	if benchPath != "" && !failed {
-		plainNs, verifyNs, err := harness.MeasureVerifyOverhead(ropt.Keys, 50000, ropt.Seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("get path: %.0f ns plain, %.0f ns verified (+%.1f%%)\n",
-			plainNs, verifyNs, 100*(verifyNs-plainNs)/plainNs)
-		rec := harness.RepairRecord{
-			Timestamp:      time.Now().UTC().Format(time.RFC3339),
-			GitSHA:         gitSHA(),
-			GoVersion:      runtime.Version(),
-			NumCPU:         runtime.NumCPU(),
-			Seed:           ropt.Seed,
-			K:              ropt.K,
-			Mode:           mode,
-			Rounds:         ropt.Rounds,
-			Keys:           ropt.Keys,
-			Ops:            ropt.Ops,
-			CrashMidScrub:  ropt.CrashMidScrub,
-			Injected:       sum.Injected,
-			Repaired:       sum.Repaired,
-			ParityRepaired: sum.ParityRepaired,
-			Unrepairable:   sum.Unrepairable,
-			Fired:          sum.Fired,
-			ScrubSpan:      sum.ScrubSpan,
-			WallSeconds:    wall,
-			GetNsPlain:     plainNs,
-			GetNsVerify:    verifyNs,
-		}
-		switch err := harness.AppendRepairRecord(benchPath, rec); {
-		case err == nil:
-			fmt.Printf("appended trajectory record to %s\n", benchPath)
-		case strings.Contains(err.Error(), harness.ErrDuplicateRepairRecord.Error()):
-			fmt.Fprintf(os.Stderr, "potcrash: %v (not recording)\n", err)
-		default:
-			fatal(err)
-		}
-	}
-	if metricsOut != "" {
-		if err := reg.WriteFile(metricsOut); err != nil {
-			fatal(err)
-		}
-	}
-	return status(failed, expectFail)
+	return finishCampaign("repair", verdict, c, reg, jsonOut, metricsOut, expectFail)
 }
 
 // runFTOverhead prices media-fault tolerance on whole benchmarks: every
 // Table 5 micro (durable) and the durable TPC-C mix run over plain and
-// fault-tolerant pools, and the per-op wall-time pairs land in one
-// BENCH_repair.json record (mode "ft-overhead") next to the KV get-path
-// verify numbers.
-func runFTOverhead(seed uint64, ops int, benchPath string) int {
+// fault-tolerant pools, and the per-op wall-time pairs are printed next to
+// the KV get-path verify numbers.
+func runFTOverhead(seed uint64, ops int) int {
 	// The crash campaigns default -ops to a per-case transaction count
 	// far too small to time; below that threshold use measurement-sized
 	// runs instead.
@@ -390,46 +311,20 @@ func runFTOverhead(seed uint64, ops int, benchPath string) int {
 		microOps = ops
 		tpccOps = ops / 20
 	}
-	start := time.Now()
 	rows, err := harness.MeasureFTOverhead(nil, microOps, tpccOps, int64(seed))
 	if err != nil {
 		fatal(err)
 	}
-	wall := time.Since(start).Seconds()
 	for _, r := range rows {
-		fmt.Printf("%-4s %6d ops: %8.0f ns/op plain, %8.0f ns/op FT (+%.1f%%)\n",
+		fmt.Printf("%-4s %6d ops: %8.0f ns/op plain, %8.0f ns/op FT (%+.1f%%)\n",
 			r.Bench, r.Ops, r.PlainNs, r.FTNs, 100*r.Overhead())
 	}
 	plainNs, verifyNs, err := harness.MeasureVerifyOverhead(2048, 50000, seed)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("get path: %.0f ns plain, %.0f ns verified (+%.1f%%)\n",
+	fmt.Printf("get path: %.0f ns plain, %.0f ns verified (%+.1f%%)\n",
 		plainNs, verifyNs, 100*(verifyNs-plainNs)/plainNs)
-
-	if benchPath != "" {
-		rec := harness.RepairRecord{
-			Timestamp:   time.Now().UTC().Format(time.RFC3339),
-			GitSHA:      gitSHA(),
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			Seed:        seed,
-			Mode:        "ft-overhead",
-			Ops:         microOps,
-			WallSeconds: wall,
-			GetNsPlain:  plainNs,
-			GetNsVerify: verifyNs,
-			Workloads:   rows,
-		}
-		switch err := harness.AppendRepairRecord(benchPath, rec); {
-		case err == nil:
-			fmt.Printf("appended trajectory record to %s\n", benchPath)
-		case strings.Contains(err.Error(), harness.ErrDuplicateRepairRecord.Error()):
-			fmt.Fprintf(os.Stderr, "potcrash: %v (not recording)\n", err)
-		default:
-			fatal(err)
-		}
-	}
 	return 0
 }
 
@@ -489,16 +384,18 @@ func printSummary(sum crashtest.Summary) {
 	}
 }
 
-// campaign is the -json output shape.
+// campaign is the -json output shape: the per-target sweep's summaries, or
+// the one summary of a whole-world campaign with the error it ended on.
 type campaign struct {
-	Options   crashtest.Options   `json:"options"`
-	Policies  []string            `json:"policies"`
-	Summaries []crashtest.Summary `json:"summaries"`
-	Wall      float64             `json:"wall_seconds"`
+	Options   any      `json:"options"`
+	Policies  []string `json:"policies"`
+	Summaries any      `json:"summaries"`
+	Wall      float64  `json:"wall_seconds"`
+	Error     string   `json:"error,omitempty"`
 }
 
-func writeJSON(path string, opt crashtest.Options, pols []string, sums []crashtest.Summary, wall float64) error {
-	data, err := json.MarshalIndent(campaign{Options: opt, Policies: pols, Summaries: sums, Wall: wall}, "", "  ")
+func writeJSON(path string, c campaign) error {
+	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -519,20 +416,6 @@ func status(failed, expectFail bool) int {
 		return 1
 	}
 	return 0
-}
-
-// gitSHA identifies the working tree for trajectory records, with a "-dirty"
-// suffix when uncommitted changes are present; "" if git is unavailable.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	sha := strings.TrimSpace(string(out))
-	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(strings.TrimSpace(string(st))) > 0 {
-		sha += "-dirty"
-	}
-	return sha
 }
 
 func fatal(err error) {

@@ -5,8 +5,7 @@
 // one connection are pipelined.
 //
 // The store lives in the in-memory NVM simulation, so potserve is a
-// workload vehicle (drive it with potbench), not a database: its contents
-// vanish with the process.
+// workload vehicle, not a database: its contents vanish with the process.
 //
 // Usage:
 //
@@ -22,7 +21,7 @@
 //	potserve -node 1 -peers '0=127.0.0.1:7070,1=127.0.0.1:7071,2=127.0.0.1:7072'
 //	potserve -node 2 -peers '0=127.0.0.1:7070,1=127.0.0.1:7071,2=127.0.0.1:7072'
 //
-// and point clients (potbench -addr, or cluster.DialCluster) at any member.
+// and point clients (cluster.DialCluster) at any member.
 package main
 
 import (

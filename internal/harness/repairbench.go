@@ -1,11 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"strings"
 	"time"
 
 	"potgo/internal/objstore"
@@ -14,55 +10,15 @@ import (
 	"potgo/internal/workloads"
 )
 
-// RepairRecord is one media-fault repair campaign result, appended to a
-// trajectory file (BENCH_repair.json) by cmd/potcrash. Besides the
-// campaign outcome it records the read-path cost of checksum
-// verification, so VerifyOnRead's overhead is tracked as its own series
-// instead of silently regressing BENCH_serve.json.
-type RepairRecord struct {
-	// Timestamp is RFC 3339 UTC.
-	Timestamp string `json:"timestamp"`
-	// GitSHA identifies the tree ("" when unknown, "-dirty" suffix for
-	// uncommitted changes); used to refuse duplicate campaign records.
-	GitSHA string `json:"git_sha,omitempty"`
-	// GoVersion and NumCPU describe the machine.
-	GoVersion string `json:"go_version"`
-	NumCPU    int    `json:"num_cpu"`
-	// Campaign configuration.
-	Seed          uint64 `json:"seed"`
-	K             int    `json:"k"`
-	Mode          string `json:"mode"`
-	Rounds        int    `json:"rounds"`
-	Keys          int    `json:"keys"`
-	Ops           int    `json:"ops"`
-	CrashMidScrub bool   `json:"crash_mid_scrub"`
-	// Results.
-	Injected       int     `json:"injected"`
-	Repaired       int     `json:"repaired"`
-	ParityRepaired int     `json:"parity_repaired"`
-	Unrepairable   int     `json:"unrepairable"`
-	Fired          int     `json:"fired"`
-	ScrubSpan      uint64  `json:"scrub_event_span"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	// VerifyOnRead overhead: mean Get latency with verification off and
-	// on, over the same fault-free fault-tolerant store.
-	GetNsPlain  float64 `json:"get_ns_plain"`
-	GetNsVerify float64 `json:"get_ns_verify"`
-	// Workloads is the whole-benchmark FT tax (Table 5 micros + durable
-	// TPC-C over plain vs fault-tolerant pools); empty on campaign-only
-	// records.
-	Workloads []FTBenchOverhead `json:"workloads,omitempty"`
-}
-
 // FTBenchOverhead is one benchmark's media-fault-tolerance overhead:
 // the same durable workload run functionally over plain pools and over
 // fault-tolerant pools (CRC32C per object, parity column, VerifyOnRead),
 // as mean wall nanoseconds per operation.
 type FTBenchOverhead struct {
-	Bench   string  `json:"bench"`
-	Ops     int     `json:"ops"`
-	PlainNs float64 `json:"plain_ns_op"`
-	FTNs    float64 `json:"ft_ns_op"`
+	Bench   string
+	Ops     int
+	PlainNs float64 // ns/op over plain pools
+	FTNs    float64 // ns/op over fault-tolerant pools
 }
 
 // Overhead is the relative FT tax ((ft-plain)/plain).
@@ -123,45 +79,6 @@ func MeasureFTOverhead(benches []string, ops, tpccOps int, seed int64) ([]FTBenc
 		out = append(out, FTBenchOverhead{Bench: bench, Ops: spec.Ops, PlainNs: plainNs, FTNs: ftNs})
 	}
 	return out, nil
-}
-
-// ErrDuplicateRepairRecord reports that the trajectory file already holds
-// a campaign of the same tree and configuration.
-var ErrDuplicateRepairRecord = errors.New("duplicate repair record for this git SHA and configuration")
-
-func sameRepairConfig(a, b RepairRecord) bool {
-	return a.GitSHA == b.GitSHA && a.Seed == b.Seed && a.K == b.K &&
-		a.Mode == b.Mode && a.Rounds == b.Rounds && a.Keys == b.Keys &&
-		a.Ops == b.Ops && a.CrashMidScrub == b.CrashMidScrub
-}
-
-// AppendRepairRecord appends rec to the JSON-array trajectory file at
-// path, creating it if absent, with the same duplicate-refusal rule as
-// AppendCrashRecord: a clean tree may record each configuration once;
-// dirty trees are exempt.
-func AppendRepairRecord(path string, rec RepairRecord) error {
-	var records []RepairRecord
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &records); err != nil {
-			return fmt.Errorf("harness: %s holds invalid trajectory data: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("harness: %w", err)
-	}
-	if rec.GitSHA != "" && !strings.HasSuffix(rec.GitSHA, "-dirty") {
-		for _, r := range records {
-			if sameRepairConfig(r, rec) {
-				return fmt.Errorf("harness: %s: %w (sha %s, recorded %s)",
-					path, ErrDuplicateRepairRecord, rec.GitSHA, r.Timestamp)
-			}
-		}
-	}
-	records = append(records, rec)
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return fmt.Errorf("harness: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // MeasureVerifyOverhead times the KV get path over a fault-free

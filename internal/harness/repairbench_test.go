@@ -1,9 +1,6 @@
 package harness
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestMeasureFTOverhead runs a micro and TPC-C at test scale over plain
 // and fault-tolerant pools: both must complete, agree functionally, and
@@ -24,6 +21,9 @@ func TestMeasureFTOverhead(t *testing.T) {
 			t.Errorf("%s: ops = %d", r.Bench, r.Ops)
 		}
 	}
+	if got := (FTBenchOverhead{PlainNs: 10, FTNs: 12}).Overhead(); got < 0.19 || got > 0.21 {
+		t.Errorf("Overhead() = %v, want 0.2", got)
+	}
 }
 
 // TestMeasureFTOverheadValidates rejects non-positive op counts and
@@ -34,28 +34,5 @@ func TestMeasureFTOverheadValidates(t *testing.T) {
 	}
 	if _, err := MeasureFTOverhead([]string{"NOPE"}, 10, 10, 1); err == nil {
 		t.Error("unknown bench must fail")
-	}
-}
-
-// TestRepairRecordWorkloadsRoundTrip appends a record carrying the
-// workload overhead rows and reads it back through the duplicate check.
-func TestRepairRecordWorkloadsRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_repair.json")
-	rec := RepairRecord{
-		Timestamp: "2026-01-01T00:00:00Z",
-		GitSHA:    "abc123",
-		Seed:      9,
-		K:         2,
-		Mode:      "ft-overhead",
-		Workloads: []FTBenchOverhead{{Bench: "LL", Ops: 100, PlainNs: 10, FTNs: 12}},
-	}
-	if err := AppendRepairRecord(path, rec); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := AppendRepairRecord(path, rec); err == nil {
-		t.Fatal("duplicate config must be refused")
-	}
-	if got := rec.Workloads[0].Overhead(); got < 0.19 || got > 0.21 {
-		t.Errorf("Overhead() = %v, want 0.2", got)
 	}
 }

@@ -67,8 +67,8 @@ type RunSpec struct {
 	Tx bool
 	// FT runs the workload over fault-tolerant pools: per-object CRC32C
 	// checksums and a parity column maintained at every commit. Used to
-	// price the media-fault-tolerance tax on whole benchmarks (the
-	// BENCH_repair.json workload series), not just the KV get path.
+	// price the media-fault-tolerance tax on whole benchmarks
+	// (MeasureFTOverhead), not just the KV get path.
 	// VerifyOnRead stays off — workload setup writes outside
 	// transactions, so read-side verification is priced separately by
 	// MeasureVerifyOverhead.

@@ -22,8 +22,8 @@ type KV struct {
 	// mvcc routes Get/Scan through the epoch-versioned snapshot path:
 	// readers pin an epoch and traverse committed post-images without
 	// latches or shard locks, falling back to the latched path when the
-	// mirror cannot serve a walk. On by CreateKV/OpenKV default; the
-	// latched-baseline constructors leave it off.
+	// mirror cannot serve a walk. On for every store but fault-tolerant
+	// stores, whose reads must stay on the verified latched path.
 	mvcc bool
 	// journaled arms the crash-verification protocol: Put/Delete/Batch
 	// append to a per-shard volatile journal under the shard lock and bump
@@ -134,46 +134,29 @@ func (kv *KV) seedShard(s *kvShard) error {
 
 // CreateKV creates one pool per heap shard (named prefix-0 … prefix-N-1)
 // and plants an empty B+-tree in each. Snapshot (MVCC) reads are enabled:
-// Get/Scan pin an epoch and traverse latch-free. CreateKVLatched builds
-// the latched baseline.
+// Get/Scan pin an epoch and traverse latch-free.
 func CreateKV(sh *pmem.Sharded, prefix string) (*KV, error) {
-	kv, err := CreateKVLatched(sh, prefix)
-	if err != nil {
-		return nil, err
-	}
-	if err := kv.enableSnapshots(); err != nil {
-		return nil, err
-	}
-	return kv, nil
-}
-
-// CreateKVLatched is CreateKV without the snapshot-read path: every Get
-// and Scan takes shard read locks. The read-heavy benchmark baseline.
-func CreateKVLatched(sh *pmem.Sharded, prefix string) (*KV, error) {
-	kv := &KV{sh: sh, shards: make([]kvShard, sh.Shards())}
-	for i := range kv.shards {
-		p, err := sh.CreateSized(kvPoolName(prefix, i), kvPoolBytes, kvLogBytes)
-		if err != nil {
-			return nil, err
-		}
-		s, err := kvBind(sh, p)
-		if err != nil {
-			return nil, err
-		}
-		kv.shards[i] = s
-	}
-	return kv, nil
+	return createKV(sh, prefix, false)
 }
 
 // CreateKVFT is CreateKV with media-fault tolerance: every shard pool
 // carries per-object checksums and a parity column, and the derived state
 // is rebuilt once after the non-transactional root setup so VerifyOnRead
 // and scrubbing can be enabled immediately. Subsequent Puts/Deletes
-// maintain checksums and parity inside their commit fences.
+// maintain checksums and parity inside their commit fences. Reads stay on
+// the latched, verified path (see enableSnapshots).
 func CreateKVFT(sh *pmem.Sharded, prefix string) (*KV, error) {
+	return createKV(sh, prefix, true)
+}
+
+func createKV(sh *pmem.Sharded, prefix string, ft bool) (*KV, error) {
+	create := sh.CreateSized
+	if ft {
+		create = sh.CreateSizedFT
+	}
 	kv := &KV{sh: sh, shards: make([]kvShard, sh.Shards())}
 	for i := range kv.shards {
-		p, err := sh.CreateSizedFT(kvPoolName(prefix, i), kvPoolBytes, kvLogBytes)
+		p, err := create(kvPoolName(prefix, i), kvPoolBytes, kvLogBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -182,8 +165,10 @@ func CreateKVFT(sh *pmem.Sharded, prefix string) (*KV, error) {
 			return nil, err
 		}
 		kv.shards[i] = s
-		if err := sh.RebuildFT(p); err != nil {
-			return nil, err
+		if ft {
+			if err := sh.RebuildFT(p); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := kv.enableSnapshots(); err != nil {
@@ -296,7 +281,7 @@ func ReplayKVJournal(j []BatchOp, n int) map[uint64]uint64 {
 
 // SnapshotFallbacks returns how many MVCC reads fell back to the latched
 // path (pin registry exhausted, or a version-mirror miss mid-walk). Zero
-// on latched-baseline stores, which never take the snapshot path at all.
+// on fault-tolerant stores, which never take the snapshot path at all.
 func (kv *KV) SnapshotFallbacks() uint64 { return atomic.LoadUint64(&kv.fallbacks) }
 
 // journalOp records op in the shard journal and bumps the persistent

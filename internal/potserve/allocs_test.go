@@ -2,6 +2,7 @@ package potserve
 
 import (
 	"net"
+	"slices"
 	"testing"
 
 	"potgo/internal/objstore"
@@ -12,16 +13,15 @@ import (
 // over an in-memory net.Pipe, taking the network stack (and its
 // nondeterministic runtime allocations) out of the measurement: what is
 // left is exactly the wire codec, the server loop, the KV store and the
-// persistent heap underneath. create selects the KV flavor (snapshot
-// reads vs the latched baseline); wrap, when non-nil, puts another Backend
-// in front of the KVBackend.
-func newPipeServer(t *testing.T, create func(*pmem.Sharded, string) (*objstore.KV, error), wrap func(*KVBackend) Backend) (*Client, *pmem.Sharded) {
+// persistent heap underneath. wrap, when non-nil, puts another Backend in
+// front of the KVBackend.
+func newPipeServer(t *testing.T, wrap func(*KVBackend) Backend) (*Client, *objstore.KV) {
 	t.Helper()
 	sh, err := pmem.NewSharded(pmem.NewStore(), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv, err := create(sh, "allocs")
+	kv, err := objstore.CreateKV(sh, "allocs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func newPipeServer(t *testing.T, create func(*pmem.Sharded, string) (*objstore.K
 		ss.Close()
 		s.wg.Wait()
 	})
-	return NewClient(cs), sh
+	return NewClient(cs), kv
 }
 
 // burstStub is the smallest BurstBackend: a burst is its requests run one
@@ -64,8 +64,8 @@ func (b *burstStub) ExecBurst(reqs []Request, resps []Response) {
 // encode, server decode, KV, B+-tree walk or snapshot traversal, undo log,
 // write-back model, response encode). Inserts and deletes restructure the
 // tree and are allowed to allocate; a bounded keyspace makes every gated
-// put an overwrite.
-func runServeAllocs(t *testing.T, c *Client) {
+// put an overwrite. only, when non-empty, names the cases to gate.
+func runServeAllocs(t *testing.T, c *Client, only ...string) {
 	const keys = 64
 	for k := uint64(0); k < keys; k++ {
 		if _, err := c.Put(k, k*3); err != nil {
@@ -98,6 +98,9 @@ func runServeAllocs(t *testing.T, c *Client) {
 		{"burst", func() { burstResps, opErr = c.PipelineAppend(burstReqs, burstResps) }},
 	}
 	for _, tc := range cases {
+		if len(only) > 0 && !slices.Contains(only, tc.name) {
+			continue
+		}
 		// Warm every scratch buffer this op touches (frame, ops, KVs,
 		// response accumulator, undo-log arena) before measuring.
 		for i := 0; i < 3; i++ {
@@ -120,13 +123,16 @@ func runServeAllocs(t *testing.T, c *Client) {
 // and must still be allocation-free. The MVCC stats prove the mirror was
 // actually live, not silently disabled.
 func TestServeAllocs(t *testing.T) {
-	c, sh := newPipeServer(t, objstore.CreateKV, nil)
+	c, kv := newPipeServer(t, nil)
 	runServeAllocs(t, c)
-	if sh.MVCC() == nil {
+	if kv.Sharded().MVCC() == nil {
 		t.Fatal("snapshot reads not enabled: the gate measured the latched path")
 	}
-	if pub, _ := sh.MVCC().Stats(); pub == 0 {
+	if pub, _ := kv.Sharded().MVCC().Stats(); pub == 0 {
 		t.Fatal("no versions published: the workload never reached the snapshot mirror")
+	}
+	if n := kv.SnapshotFallbacks(); n != 0 {
+		t.Fatalf("%d reads fell back to the latched path: the gate did not measure snapshot reads alone", n)
 	}
 }
 
@@ -135,7 +141,7 @@ func TestServeAllocs(t *testing.T) {
 // zero-allocation bar as the single-request loop.
 func TestServeAllocsBurst(t *testing.T) {
 	stub := &burstStub{}
-	c, _ := newPipeServer(t, objstore.CreateKV, func(b *KVBackend) Backend {
+	c, _ := newPipeServer(t, func(b *KVBackend) Backend {
 		stub.KVBackend = b
 		return stub
 	})
@@ -145,14 +151,20 @@ func TestServeAllocsBurst(t *testing.T) {
 	}
 }
 
-// TestServeAllocsLatched gates the latched baseline (CreateKVLatched, the
-// configuration potbench -latched benchmarks against): it must hold the
-// same zero-allocation bar so snapshot-vs-latched comparisons measure the
-// read protocol, not allocator noise.
+// TestServeAllocsLatched gates the latched walk where production still
+// reaches it: a default store whose pin registry is saturated, so every
+// Get and Scan falls back from the snapshot path. Reads must hold the same
+// zero-allocation bar there. Writes are left to TestServeAllocs: while the
+// stale pins block version recycling every overwrite allocates its new
+// version.
 func TestServeAllocsLatched(t *testing.T) {
-	c, sh := newPipeServer(t, objstore.CreateKVLatched, nil)
-	runServeAllocs(t, c)
-	if sh.MVCC() != nil {
-		t.Fatal("latched baseline unexpectedly has MVCC enabled")
+	c, kv := newPipeServer(t, nil)
+	sh := kv.Sharded()
+	for p := sh.Pin(); p != nil; p = sh.Pin() {
+		defer sh.Unpin(p)
+	}
+	runServeAllocs(t, c, "ping", "get-hit", "get-miss", "scan")
+	if kv.SnapshotFallbacks() == 0 {
+		t.Fatal("no read fell back: the gate measured the snapshot path, not the latched walk")
 	}
 }
