@@ -17,10 +17,19 @@ import (
 // way applications hold their root TOID in a register/local: the anchor
 // cell is only re-read after the cache is dropped (fresh handle) and only
 // re-written when a split or collapse moves the root.
+//
+// Insert, Update and Remove decode the nodes they visit into a scratch arena
+// the tree owns and reuses, so a structural change allocates nothing once the
+// arena has reached the tree's depth. The root cache holds an ObjectID, never
+// a node, so nothing decoded outlives the operation that decoded it. Mutating
+// operations already require exclusive use of the tree; the read-only ones
+// (Find, Scan, CheckInvariants, VisitNodes) may share it and so keep their
+// nodes to themselves.
 type BPlus struct {
 	root      Cell
 	cached    oid.OID
 	haveCache bool
+	sc        bpScratch
 }
 
 const (
@@ -80,6 +89,10 @@ type KV struct {
 	Val uint64
 }
 
+// bpNode is the decoded, volatile image of one node. Its slices live in its
+// own fixed arrays — one entry more than a node may hold, for the overfull
+// node an insert builds just before splitting it — so a node is used through
+// a pointer and never copied.
 type bpNode struct {
 	oid  oid.OID
 	leaf bool
@@ -87,58 +100,94 @@ type bpNode struct {
 	kids []oid.OID // internal
 	vals []uint64  // leaf
 	next oid.OID   // leaf chain
+
+	keyBuf [bpMaxKeys + 1]uint64
+	valBuf [bpMaxKeys + 1]uint64
+	kidBuf [bpOrder + 1]oid.OID
 }
 
-func (t *BPlus) read(ctx Ctx, o oid.OID, dep isa.Reg) (*bpNode, error) {
+// init makes nd an empty node with the given identity.
+func (nd *bpNode) init(o oid.OID, leaf bool) *bpNode {
+	nd.oid, nd.leaf, nd.next = o, leaf, oid.Null
+	nd.keys, nd.vals, nd.kids = nd.keyBuf[:0], nd.valBuf[:0], nd.kidBuf[:0]
+	return nd
+}
+
+// bpScratch is the node and path storage of one tree operation: the tree's
+// own for the mutating operations, a fresh one for the read-only ones.
+type bpScratch struct {
+	nodes []*bpNode
+	used  int
+	path  []bpStep
+}
+
+// node returns the next unused scratch node, growing the arena on demand.
+func (sc *bpScratch) node() *bpNode {
+	if sc.used == len(sc.nodes) {
+		sc.nodes = append(sc.nodes, new(bpNode))
+	}
+	sc.used++
+	return sc.nodes[sc.used-1]
+}
+
+// scratch recycles the tree's arena for a new mutating operation.
+func (t *BPlus) scratch() *bpScratch {
+	t.sc.used = 0
+	return &t.sc
+}
+
+// read decodes node o into nd.
+func (t *BPlus) read(ctx Ctx, o oid.OID, dep isa.Reg, nd *bpNode) error {
 	ref, err := ctx.Heap().Deref(o, dep)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	leafW, err := ref.Load64(bpLeafOff)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nW, err := ref.Load64(bpNOff)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := int(nW.V)
 	if n > bpMaxKeys {
-		return nil, fmt.Errorf("pds: corrupt b+tree node %v: n=%d", o, n)
+		return fmt.Errorf("pds: corrupt b+tree node %v: n=%d", o, n)
 	}
-	nd := &bpNode{oid: o, leaf: leafW.V != 0, keys: make([]uint64, n)}
+	nd.init(o, leafW.V != 0)
+	nd.keys = nd.keyBuf[:n]
 	for i := 0; i < n; i++ {
 		w, err := ref.Load64(uint32(bpKeysOff + 8*i))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nd.keys[i] = w.V
 	}
 	if nd.leaf {
-		nd.vals = make([]uint64, n)
+		nd.vals = nd.valBuf[:n]
 		for i := 0; i < n; i++ {
 			w, err := ref.Load64(uint32(bpValsOff + 8*i))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			nd.vals[i] = w.V
 		}
 		w, err := ref.Load64(bpNextOff)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nd.next = w.OID()
 	} else {
-		nd.kids = make([]oid.OID, n+1)
+		nd.kids = nd.kidBuf[:n+1]
 		for i := 0; i <= n; i++ {
 			w, err := ref.Load64(uint32(bpKidsOff + 8*i))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			nd.kids[i] = w.OID()
 		}
 	}
-	return nd, nil
+	return nil
 }
 
 func (t *BPlus) write(ctx Ctx, nd *bpNode) error {
@@ -188,8 +237,9 @@ type bpStep struct {
 	idx  int // child index taken (internal) / key position (leaf)
 }
 
-// descend walks root→leaf for key, returning the path.
-func (t *BPlus) descend(ctx Ctx, key uint64) ([]bpStep, error) {
+// descend walks root→leaf for key, returning the path; its nodes and the
+// path itself live in sc.
+func (t *BPlus) descend(ctx Ctx, key uint64, sc *bpScratch) ([]bpStep, error) {
 	rootW, err := t.rootOID()
 	if err != nil {
 		return nil, err
@@ -198,11 +248,11 @@ func (t *BPlus) descend(ctx Ctx, key uint64) ([]bpStep, error) {
 		return nil, nil
 	}
 	e := ctx.Heap().Emit
-	var path []bpStep
+	path := sc.path[:0]
 	cur, dep := rootW.OID(), rootW.Reg
 	for {
-		nd, err := t.read(ctx, cur, dep)
-		if err != nil {
+		nd := sc.node()
+		if err := t.read(ctx, cur, dep, nd); err != nil {
 			return nil, err
 		}
 		if nd.leaf {
@@ -213,6 +263,7 @@ func (t *BPlus) descend(ctx Ctx, key uint64) ([]bpStep, error) {
 			e.Compute(nodeWork)
 			e.Branch("bp.leafpos", i < len(nd.keys))
 			path = append(path, bpStep{nd, i})
+			sc.path = path // keep the grown array for the next operation
 			return path, nil
 		}
 		i := 0
@@ -228,7 +279,7 @@ func (t *BPlus) descend(ctx Ctx, key uint64) ([]bpStep, error) {
 
 // Find returns the value stored under key.
 func (t *BPlus) Find(ctx Ctx, key uint64) (uint64, bool, error) {
-	path, err := t.descend(ctx, key)
+	path, err := t.descend(ctx, key, new(bpScratch))
 	if err != nil || path == nil {
 		return 0, false, err
 	}
@@ -241,6 +292,7 @@ func (t *BPlus) Find(ctx Ctx, key uint64) (uint64, bool, error) {
 
 // Insert adds key→val; inserting an existing key is an error.
 func (t *BPlus) Insert(ctx Ctx, key, val uint64) error {
+	sc := t.scratch()
 	rootW, err := t.rootOID()
 	if err != nil {
 		return err
@@ -250,13 +302,14 @@ func (t *BPlus) Insert(ctx Ctx, key, val uint64) error {
 		if err != nil {
 			return err
 		}
-		nd := &bpNode{oid: o, leaf: true, keys: []uint64{key}, vals: []uint64{val}}
+		nd := sc.node().init(o, true)
+		nd.keys, nd.vals = append(nd.keys, key), append(nd.vals, val)
 		if err := t.write(ctx, nd); err != nil {
 			return err
 		}
 		return t.setRootOID(ctx, o)
 	}
-	path, err := t.descend(ctx, key)
+	path, err := t.descend(ctx, key, sc)
 	if err != nil {
 		return err
 	}
@@ -286,7 +339,7 @@ func (t *BPlus) Insert(ctx Ctx, key, val uint64) error {
 		if err != nil {
 			return err
 		}
-		right := &bpNode{oid: rightOID, leaf: nd.leaf}
+		right := sc.node().init(rightOID, nd.leaf)
 		if nd.leaf {
 			// Leaf split: right keeps the upper half; the first key
 			// of the right leaf is copied up.
@@ -322,7 +375,8 @@ func (t *BPlus) Insert(ctx Ctx, key, val uint64) error {
 		if err != nil {
 			return err
 		}
-		newRoot := &bpNode{oid: newRootOID, keys: []uint64{carryKey}, kids: []oid.OID{oldRoot, carryKid}}
+		newRoot := sc.node().init(newRootOID, false)
+		newRoot.keys, newRoot.kids = append(newRoot.keys, carryKey), append(newRoot.kids, oldRoot, carryKid)
 		if err := t.write(ctx, newRoot); err != nil {
 			return err
 		}
@@ -333,7 +387,7 @@ func (t *BPlus) Insert(ctx Ctx, key, val uint64) error {
 
 // Update overwrites the value under an existing key.
 func (t *BPlus) Update(ctx Ctx, key, val uint64) (bool, error) {
-	path, err := t.descend(ctx, key)
+	path, err := t.descend(ctx, key, t.scratch())
 	if err != nil || path == nil {
 		return false, err
 	}
@@ -348,7 +402,7 @@ func (t *BPlus) Update(ctx Ctx, key, val uint64) (bool, error) {
 // Remove deletes key, rebalancing with borrow/merge, and reports whether it
 // was present.
 func (t *BPlus) Remove(ctx Ctx, key uint64) (bool, error) {
-	path, err := t.descend(ctx, key)
+	path, err := t.descend(ctx, key, t.scratch())
 	if err != nil || path == nil {
 		return false, err
 	}
@@ -397,12 +451,13 @@ func (t *BPlus) Remove(ctx Ctx, key uint64) (bool, error) {
 
 // fixUnderflow restores the fill of parent.kids[ci] (already read as child)
 // by borrowing from a sibling or merging. parent is modified in place (the
-// caller continues rebalancing with it).
+// caller continues rebalancing with it). Siblings are decoded into the tree's
+// scratch arena: only Remove comes here.
 func (t *BPlus) fixUnderflow(ctx Ctx, parent *bpNode, ci int, child *bpNode) error {
 	// Try borrowing from the left sibling.
 	if ci > 0 {
-		left, err := t.read(ctx, parent.kids[ci-1], isa.RZ)
-		if err != nil {
+		left := t.sc.node()
+		if err := t.read(ctx, parent.kids[ci-1], isa.RZ, left); err != nil {
 			return err
 		}
 		if len(left.keys) > bpMinKeys {
@@ -432,8 +487,8 @@ func (t *BPlus) fixUnderflow(ctx Ctx, parent *bpNode, ci int, child *bpNode) err
 	}
 	// Try borrowing from the right sibling.
 	if ci < len(parent.kids)-1 {
-		right, err := t.read(ctx, parent.kids[ci+1], isa.RZ)
-		if err != nil {
+		right := t.sc.node()
+		if err := t.read(ctx, parent.kids[ci+1], isa.RZ, right); err != nil {
 			return err
 		}
 		if len(right.keys) > bpMinKeys {
@@ -465,17 +520,15 @@ func (t *BPlus) fixUnderflow(ctx Ctx, parent *bpNode, ci int, child *bpNode) err
 	var leftNode, rightNode *bpNode
 	var sep int
 	if ci > 0 {
-		l, err := t.read(ctx, parent.kids[ci-1], isa.RZ)
-		if err != nil {
+		leftNode, rightNode, sep = t.sc.node(), child, ci-1
+		if err := t.read(ctx, parent.kids[ci-1], isa.RZ, leftNode); err != nil {
 			return err
 		}
-		leftNode, rightNode, sep = l, child, ci-1
 	} else {
-		r, err := t.read(ctx, parent.kids[ci+1], isa.RZ)
-		if err != nil {
+		leftNode, rightNode, sep = child, t.sc.node(), ci
+		if err := t.read(ctx, parent.kids[ci+1], isa.RZ, rightNode); err != nil {
 			return err
 		}
-		leftNode, rightNode, sep = child, r, ci
 	}
 	if leftNode.leaf {
 		leftNode.keys = append(leftNode.keys, rightNode.keys...)
@@ -500,7 +553,7 @@ func (t *BPlus) fixUnderflow(ctx Ctx, parent *bpNode, ci int, child *bpNode) err
 // Scan returns up to max pairs with key >= from, in key order, following
 // the leaf chain.
 func (t *BPlus) Scan(ctx Ctx, from uint64, max int) ([]KV, error) {
-	path, err := t.descend(ctx, from)
+	path, err := t.descend(ctx, from, new(bpScratch))
 	if err != nil || path == nil {
 		return nil, err
 	}
@@ -514,7 +567,7 @@ func (t *BPlus) Scan(ctx Ctx, from uint64, max int) ([]KV, error) {
 		if len(out) >= max || nd.next.IsNull() {
 			break
 		}
-		if nd, err = t.read(ctx, nd.next, isa.RZ); err != nil {
+		if err = t.read(ctx, nd.next, isa.RZ, nd); err != nil {
 			return nil, err
 		}
 		i = 0
@@ -537,8 +590,8 @@ func (t *BPlus) CheckInvariants(ctx Ctx) (int, error) {
 	count := 0
 	var walk func(o oid.OID, depth int, lo, hi uint64, isRoot bool) error
 	walk = func(o oid.OID, depth int, lo, hi uint64, isRoot bool) error {
-		nd, err := t.read(ctx, o, isa.RZ)
-		if err != nil {
+		var nd bpNode
+		if err := t.read(ctx, o, isa.RZ, &nd); err != nil {
 			return err
 		}
 		if len(nd.keys) > bpMaxKeys {
@@ -585,16 +638,15 @@ func (t *BPlus) CheckInvariants(ctx Ctx) (int, error) {
 		return 0, err
 	}
 	// The leaf chain must visit exactly the leaves, left to right.
-	first := leaves[0]
-	nd, err := t.read(ctx, first, isa.RZ)
-	if err != nil {
+	var nd bpNode
+	if err := t.read(ctx, leaves[0], isa.RZ, &nd); err != nil {
 		return 0, err
 	}
 	for i := 1; i < len(leaves); i++ {
 		if nd.next != leaves[i] {
 			return 0, fmt.Errorf("b+tree: leaf chain broken at %d: %v -> %v, want %v", i, nd.oid, nd.next, leaves[i])
 		}
-		if nd, err = t.read(ctx, nd.next, isa.RZ); err != nil {
+		if err := t.read(ctx, nd.next, isa.RZ, &nd); err != nil {
 			return 0, err
 		}
 	}

@@ -724,3 +724,58 @@ func TestBTreeTransactionalRemoveAborts(t *testing.T) {
 		t.Errorf("abort leaked: %d -> %d keys", nBefore, nAfter)
 	}
 }
+
+// The B+ tree's scratch arena is sized by the deepest structural change, not
+// by the tree: whole-tree walks (CheckInvariants, VisitNodes, Scan) keep
+// their nodes to themselves, and once the arena is warm Insert and Remove
+// decode into it without allocating.
+func TestBPlusScratchArena(t *testing.T) {
+	c, cell := newCtx(t, 1, false)
+	bp := NewBPlus(cell)
+	const n = 2000
+	for k := uint64(0); k < n; k++ {
+		if err := bp.Insert(c, k*2, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := bp.CheckInvariants(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.VisitNodes(c, func(oid.OID) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if kvs, err := bp.Scan(c, 0, n); err != nil || len(kvs) != n {
+		t.Fatalf("scan: %d pairs, %v", len(kvs), err)
+	}
+	for k := uint64(0); k < n; k += 3 {
+		if ok, err := bp.Remove(c, k*2); err != nil || !ok {
+			t.Fatalf("remove %d: %t %v", k*2, ok, err)
+		}
+	}
+	// A root-to-leaf path plus at most three sibling reads per level, in a
+	// tree of some nine hundred nodes.
+	if got := len(bp.sc.nodes); got > 32 {
+		t.Errorf("scratch arena holds %d nodes for a %d-key tree", got, n)
+	}
+
+	// Structural churn in steady state: odd keys go in and come out again.
+	k := uint64(1)
+	churn := func() {
+		if err := bp.Insert(c, k, k); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := bp.Remove(c, k); err != nil || !ok {
+			t.Fatalf("remove %d: %t %v", k, ok, err)
+		}
+		k = (k + 202) % (2 * n)
+	}
+	for i := 0; i < 50; i++ {
+		churn()
+	}
+	if avg := testing.AllocsPerRun(200, churn); avg != 0 {
+		t.Errorf("insert+remove: %.2f allocs/op, want 0", avg)
+	}
+	if _, err := bp.CheckInvariants(c); err != nil {
+		t.Fatal(err)
+	}
+}

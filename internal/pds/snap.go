@@ -193,8 +193,8 @@ func (t *BPlus) VisitNodes(ctx Ctx, visit func(o oid.OID) error) error {
 		if err := visit(o); err != nil {
 			return err
 		}
-		nd, err := t.read(ctx, o, isa.RZ)
-		if err != nil {
+		var nd bpNode
+		if err := t.read(ctx, o, isa.RZ, &nd); err != nil {
 			return err
 		}
 		if nd.leaf {

@@ -8,6 +8,7 @@ import (
 
 	"potgo/internal/isa"
 	"potgo/internal/oid"
+	"potgo/internal/vm"
 )
 
 // Emitted-cost constants for the allocator and transaction machinery,
@@ -566,5 +567,5 @@ func (h *Heap) repair64(p *Pool, off uint32, v uint64) {
 	if err := h.AS.Write64(p.region.Base+uint64(off), v); err != nil {
 		panic(fmt.Sprintf("pmem: pool %q header unmapped: %v", p.b.name, err))
 	}
-	binary.LittleEndian.PutUint64(p.b.data[off:], v)
+	binary.LittleEndian.PutUint64(p.b.pageForWrite(off)[off&vm.PageMask:], v)
 }

@@ -187,7 +187,7 @@ func durableSnapshot(t *testing.T, store *Store, name string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append([]byte(nil), b.data...)
+	return b.bytes()
 }
 
 // TestRecoverIdempotence: recovery must converge to the same durable bytes

@@ -11,6 +11,7 @@ import (
 
 	"potgo/internal/nvmsim"
 	"potgo/internal/oid"
+	"potgo/internal/vm"
 )
 
 // Media-fault tolerance (Pangolin-style, see DESIGN.md §5i). A pool created
@@ -109,25 +110,7 @@ func (h *Heap) CreateSizedFT(name string, size, logBytes uint64) (*Pool, error) 
 		return nil, fmt.Errorf("pmem: pool size %d below fault-tolerant minimum %d",
 			size, MinPoolBytes(logBytes)+parityBytes)
 	}
-	b, err := h.Store.create(name, size, logBytes, parityBytes)
-	if err != nil {
-		return nil, err
-	}
-	p, err := h.mapPool(b)
-	if err != nil {
-		return nil, err
-	}
-	h.mustWrite64(p, offMagic, poolMagic)
-	h.mustWrite64(p, offSize, size)
-	h.mustWrite64(p, offBump, p.dataStart())
-	h.mustWrite64(p, offLogBytes, logBytes)
-	h.mustWrite64(p, offParityBytes, parityBytes)
-	if err := h.SyncPool(p); err != nil {
-		return nil, err
-	}
-	h.Emit.Compute(openCost)
-	atomic.AddUint64(&h.Metrics.PoolsCreated, 1)
-	return p, nil
+	return h.createPool(name, size, logBytes, parityBytes)
 }
 
 // SetFTDefault makes every subsequent Create/CreateSized produce a
@@ -467,7 +450,7 @@ func (h *Heap) RebuildFT(p *Pool) error {
 			if err := h.AS.WriteAt(p.region.Base+uint64(wordOff), buf[:]); err != nil {
 				return err
 			}
-			copy(p.b.data[wordOff:wordOff+8], buf[:])
+			copy(p.b.pageForWrite(wordOff)[wordOff&vm.PageMask:], buf[:])
 		}
 	}
 	if h.ftNoParity {
@@ -483,7 +466,7 @@ func (h *Heap) RebuildFT(p *Pool) error {
 		if err := h.AS.WriteAt(p.region.Base+uint64(off), xor[:]); err != nil {
 			return err
 		}
-		copy(p.b.data[off:off+nvmsim.LineBytes], xor[:])
+		copy(p.b.pageForWrite(off)[off&vm.PageMask:], xor[:])
 	}
 	return nil
 }

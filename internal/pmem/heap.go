@@ -47,6 +47,9 @@ type Heap struct {
 	Metrics HeapStats
 
 	open map[oid.PoolID]*Pool
+	// byBase finds an open pool from the base of its mapped region, so a
+	// virtual address resolves through the address space's region index.
+	byBase map[uint64]*Pool
 	// txs tracks the live transaction per pool (an undo log is singular).
 	// Guarded by txMu; independent pools commit in parallel.
 	txMu sync.Mutex
@@ -257,13 +260,14 @@ func NewHeap(as *vm.AddressSpace, store *Store, em *emit.Emitter, soft *emit.Sof
 		return nil, fmt.Errorf("pmem: BASE mode requires a software translator")
 	}
 	h := &Heap{
-		AS:    as,
-		Store: store,
-		Emit:  em,
-		Soft:  soft,
-		NV:    nvmsim.NewDomain(),
-		open:  make(map[oid.PoolID]*Pool),
-		txs:   make(map[oid.PoolID]*Tx),
+		AS:     as,
+		Store:  store,
+		Emit:   em,
+		Soft:   soft,
+		NV:     nvmsim.NewDomain(),
+		open:   make(map[oid.PoolID]*Pool),
+		byBase: make(map[uint64]*Pool),
+		txs:    make(map[oid.PoolID]*Tx),
 	}
 	em.SetPersistObserver(h)
 	return h, nil
@@ -312,12 +316,19 @@ func (h *Heap) CreateSized(name string, size, logBytes uint64) (*Pool, error) {
 	if size < MinPoolBytes(logBytes) {
 		return nil, fmt.Errorf("pmem: pool size %d below minimum %d", size, MinPoolBytes(logBytes))
 	}
-	b, err := h.Store.create(name, size, logBytes, 0)
+	return h.createPool(name, size, logBytes, 0)
+}
+
+// createPool makes, maps and initialises a pool whose size has been checked.
+func (h *Heap) createPool(name string, size, logBytes, parityBytes uint64) (*Pool, error) {
+	b, err := h.Store.create(name, size, logBytes, parityBytes)
 	if err != nil {
 		return nil, err
 	}
 	p, err := h.mapPool(b)
 	if err != nil {
+		// The backing was never initialised; leave the name free.
+		_ = h.Store.Delete(name)
 		return nil, err
 	}
 	// Initialize the header (functional writes; creation is setup, the
@@ -328,6 +339,9 @@ func (h *Heap) CreateSized(name string, size, logBytes uint64) (*Pool, error) {
 	h.mustWrite64(p, offSize, size)
 	h.mustWrite64(p, offBump, p.dataStart())
 	h.mustWrite64(p, offLogBytes, logBytes)
+	if parityBytes != 0 {
+		h.mustWrite64(p, offParityBytes, parityBytes)
+	}
 	if err := h.SyncPool(p); err != nil {
 		return nil, err
 	}
@@ -355,6 +369,9 @@ func (h *Heap) Open(name string) (*Pool, error) {
 	return p, nil
 }
 
+// mapPool maps a pool and registers its translations. Everything that can
+// fail comes before the pool is entered in the heap's tables, and each
+// failure undoes the steps before it, so an error leaves no trace.
 func (h *Heap) mapPool(b *backing) (*Pool, error) {
 	if b.open {
 		return nil, fmt.Errorf("pmem: pool %q already open", b.name)
@@ -363,28 +380,40 @@ func (h *Heap) mapPool(b *backing) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := h.AS.WriteAt(region.Base, b.data); err != nil {
-		return nil, err
-	}
-	p := &Pool{h: h, b: b, region: region, alloc: &allocState{}}
-	b.open = true
-	h.open[b.id] = p
-	if b.parityBytes != 0 {
-		h.ftPools++
-	}
-	h.NV.AddPool(uint32(b.id), b.size)
 	if h.Soft != nil {
 		if err := h.Soft.Register(b.id, region.Base); err != nil {
+			_ = h.AS.Unmap(region)
 			return nil, err
 		}
 	}
 	if h.POT != nil {
 		if err := h.POT.Insert(b.id, region.Base); err != nil {
+			if h.Soft != nil {
+				_ = h.Soft.Unregister(b.id)
+			}
+			_ = h.AS.Unmap(region)
 			return nil, err
 		}
 	}
+	// Copy in every durable page that exists (the map-time invariant, see
+	// backing.pages); the rest of the region stays demand-zero.
+	for i, pg := range b.pages {
+		if pg != nil {
+			if err := h.AS.WriteAt(region.Base+uint64(i)<<vm.PageShift, pg[:]); err != nil {
+				panic(fmt.Sprintf("pmem: pool %q unmapped under mapPool: %v", b.name, err))
+			}
+		}
+	}
+	p := &Pool{h: h, b: b, region: region, alloc: &allocState{}}
+	b.open = true
+	h.open[b.id] = p
+	h.byBase[region.Base] = p
+	if b.parityBytes != 0 {
+		h.ftPools++
+	}
+	h.NV.AddPool(uint32(b.id), b.size)
 	// Rebuild the volatile slab index from the durable span chains. A
-	// freshly created backing has no magic yet (CreateSized initializes the
+	// freshly created backing has no magic yet (createPool initializes the
 	// header after mapping and starts with no spans); Open re-checks the
 	// magic and fails cleanly.
 	if h.read64(p, offMagic) == poolMagic {
@@ -396,12 +425,25 @@ func (h *Heap) mapPool(b *backing) (*Pool, error) {
 	return p, nil
 }
 
+// writeBack makes the pool's durable image equal to its cache view, page by
+// page: a frame that was written is copied; a frame that never was reads as
+// zeros, so its durable page is absent (by the map-time invariant it already
+// was, and only the touched frames cost anything).
+func (h *Heap) writeBack(p *Pool) {
+	for i := range p.b.pages {
+		off := uint32(i) << vm.PageShift
+		if pg := h.AS.ResidentPage(p.region.Base + uint64(off)); pg != nil {
+			*p.b.pageForWrite(off) = *pg
+		} else {
+			p.b.pages[i] = nil
+		}
+	}
+}
+
 func (h *Heap) unmapPool(p *Pool) error {
 	// A clean unmap flushes the mapped bytes back to the durable store
 	// (the OS writes dirty pages back on munmap of a file mapping).
-	if err := h.AS.ReadAt(p.region.Base, p.b.data); err != nil {
-		return err
-	}
+	h.writeBack(p)
 	return h.discardPool(p)
 }
 
@@ -413,6 +455,7 @@ func (h *Heap) discardPool(p *Pool) error {
 	}
 	p.b.open = false
 	delete(h.open, p.b.id)
+	delete(h.byBase, p.region.Base)
 	if p.b.parityBytes != 0 {
 		h.ftPools--
 	}
@@ -440,9 +483,7 @@ func (h *Heap) discardPool(p *Pool) error {
 // population) end with a SyncPool, so the crash engine's adversary only
 // operates on the stores made after it.
 func (h *Heap) SyncPool(p *Pool) error {
-	if err := h.AS.ReadAt(p.region.Base, p.b.data); err != nil {
-		return err
-	}
+	h.writeBack(p)
 	h.NV.Clean(uint32(p.b.id))
 	return nil
 }
@@ -591,15 +632,18 @@ func (h *Heap) poolOf(va uint64) *Pool {
 			return p
 		}
 	}
-	for _, p := range h.open {
-		if va >= p.region.Base && va < p.region.Base+p.b.size {
-			if !h.concurrent {
-				h.clwbPool = p
-			}
-			return p
-		}
+	r, ok := h.AS.RegionOf(va)
+	if !ok {
+		return nil
 	}
-	return nil
+	p := h.byBase[r.Base]
+	if p == nil || va >= r.Base+p.b.size {
+		return nil
+	}
+	if !h.concurrent {
+		h.clwbPool = p
+	}
+	return p
 }
 
 // ObserveCLWB feeds every emitted cache-line write-back into the volatile
@@ -641,9 +685,10 @@ func (h *Heap) WriteDurableWords(pool, off uint32, src *[nvmsim.LineBytes]byte, 
 	if !ok {
 		return
 	}
+	line := p.b.pageForWrite(off)[off&vm.PageMask:][:nvmsim.LineBytes]
 	for w := 0; w < nvmsim.LineBytes/8; w++ {
 		if mask&(1<<w) != 0 {
-			copy(p.b.data[int(off)+w*8:int(off)+w*8+8], src[w*8:(w+1)*8])
+			copy(line[w*8:w*8+8], src[w*8:(w+1)*8])
 		}
 	}
 }
@@ -652,10 +697,14 @@ func (h *Heap) WriteDurableWords(pool, off uint32, src *[nvmsim.LineBytes]byte, 
 // the media-fault injector flips bits in what it reads here.
 func (h *Heap) ReadDurableLine(pool, off uint32, dst *[nvmsim.LineBytes]byte) bool {
 	p, ok := h.open[oid.PoolID(pool)]
-	if !ok || int(off)+nvmsim.LineBytes > len(p.b.data) {
+	if !ok || uint64(off)+nvmsim.LineBytes > p.b.size {
 		return false
 	}
-	copy(dst[:], p.b.data[off:int(off)+nvmsim.LineBytes])
+	if pg := p.b.page(off); pg != nil {
+		copy(dst[:], pg[off&vm.PageMask:])
+	} else {
+		*dst = [nvmsim.LineBytes]byte{}
+	}
 	return true
 }
 

@@ -42,6 +42,13 @@ func (h *Heap) PublishMetrics(reg *obs.Registry) {
 		reg.Gauge("pmem.slab.occupancy").Set(float64(live) / float64(slots))
 	}
 
+	// Where the memory is: what the address space maps against what it has
+	// paid for (pages are demand-zero, so resident is the part that was
+	// written), and the durable pages of every pool in the store.
+	reg.Gauge("vm.mapped_bytes").Set(float64(h.AS.MappedBytes()))
+	reg.Gauge("vm.resident_bytes").Set(float64(h.AS.ResidentBytes()))
+	reg.Gauge("pmem.store.resident_bytes").Set(float64(h.Store.ResidentBytes()))
+
 	// The snapshot mirror, on heaps that enabled it: versions in and out,
 	// and a walk of the version index (how many objects it tracks, in how
 	// many table slots, and the most entries any one look-up examines).

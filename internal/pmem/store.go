@@ -10,24 +10,35 @@
 //   - OPT: every persistent dereference emits nvld/nvst instructions that
 //     the hardware POLB/POT translate.
 //
-// All data is functionally real: pools are byte arrays mapped into the
-// simulated address space, allocator metadata and undo logs live inside the
-// pools, and crash recovery replays the persisted log bytes.
+// All data is functionally real: pools are sparse, page-granular byte images
+// mapped into the simulated address space, allocator metadata and undo logs
+// live inside the pools, and crash recovery replays the persisted log bytes.
 package pmem
 
 import (
 	"fmt"
 
 	"potgo/internal/oid"
+	"potgo/internal/vm"
 )
 
 // backing is the "file" behind a pool: the durable bytes that survive
 // pool_close/pool_open cycles (and simulated crashes), plus the pool's
 // system-wide identity.
 type backing struct {
-	name     string
-	id       oid.PoolID
-	data     []byte
+	name string
+	id   oid.PoolID
+	// pages is the durable image, one entry per 4 KiB of the pool. Like a
+	// sparse file it is demand-zero: a nil page is all zeros and costs
+	// nothing, and a page is allocated by the first durable write into it.
+	// A line or an 8-byte word never straddles a page, so every accessor
+	// resolves its page once.
+	//
+	// Map-time invariant: mapPool copies every existing page into the
+	// pool's frames, so while a pool is mapped an untouched frame implies an
+	// absent (all-zero) durable page, and SyncPool and unmapPool copy back
+	// only the frames that were written (see writeBack).
+	pages    []*vm.Page
 	size     uint64
 	logBytes uint64
 	// parityBytes is the size of the XOR-parity column between the undo
@@ -69,7 +80,7 @@ func (s *Store) create(name string, size, logBytes, parityBytes uint64) (*backin
 	b := &backing{
 		name:        name,
 		id:          oid.PoolID(s.nextID),
-		data:        make([]byte, size),
+		pages:       make([]*vm.Page, (size+vm.PageMask)>>vm.PageShift),
 		size:        size,
 		logBytes:    logBytes,
 		parityBytes: parityBytes,
@@ -77,6 +88,46 @@ func (s *Store) create(name string, size, logBytes, parityBytes uint64) (*backin
 	s.nextID++
 	s.byName[name] = b
 	return b, nil
+}
+
+// page returns the durable page holding byte offset off, or nil if nothing
+// was ever written there (it reads as zeros).
+func (b *backing) page(off uint32) *vm.Page { return b.pages[off>>vm.PageShift] }
+
+// pageForWrite returns the durable page holding byte offset off, allocating
+// it on first use.
+func (b *backing) pageForWrite(off uint32) *vm.Page {
+	pg := b.pages[off>>vm.PageShift]
+	if pg == nil {
+		pg = new(vm.Page)
+		b.pages[off>>vm.PageShift] = pg
+	}
+	return pg
+}
+
+// bytes materialises the durable image as flat bytes.
+func (b *backing) bytes() []byte {
+	out := make([]byte, b.size)
+	for i, pg := range b.pages {
+		if pg != nil {
+			copy(out[i<<vm.PageShift:], pg[:])
+		}
+	}
+	return out
+}
+
+// ResidentBytes returns the memory held by the durable pages of every pool in
+// the store that have been written.
+func (s *Store) ResidentBytes() uint64 {
+	var n uint64
+	for _, b := range s.byName {
+		for _, pg := range b.pages {
+			if pg != nil {
+				n += vm.PageSize
+			}
+		}
+	}
+	return n
 }
 
 func (s *Store) lookup(name string) (*backing, error) {
@@ -95,7 +146,7 @@ func (s *Store) lookup(name string) (*backing, error) {
 func (s *Store) DumpBytes() map[string][]byte {
 	out := make(map[string][]byte, len(s.byName))
 	for name, b := range s.byName {
-		out[name] = append([]byte(nil), b.data...)
+		out[name] = b.bytes()
 	}
 	return out
 }

@@ -213,9 +213,11 @@ func (t *Table) Remove(pool oid.PoolID) error {
 }
 
 // backwardShift compacts the probe chain after deleting the entry at hole.
+// The chain ends at the first invalid entry — or, in a table that was full,
+// when the scan comes round to the hole itself.
 func (t *Table) backwardShift(hole uint32) {
 	idx := (hole + 1) & t.mask
-	for {
+	for idx != hole {
 		p, v := t.readEntry(idx)
 		if p == oid.NullPool {
 			break

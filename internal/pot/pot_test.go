@@ -113,6 +113,22 @@ func TestFull(t *testing.T) {
 	if _, _, err := tab.Walk(99); !errors.Is(err, ErrNoTranslation) {
 		t.Errorf("walk on full table for absent pool: %v", err)
 	}
+	// So must a removal: with no invalid entry to end the chain, the
+	// backward shift stops when it comes round to the hole.
+	for victim := oid.PoolID(1); victim <= 4; victim++ {
+		if err := tab.Remove(victim); err != nil {
+			t.Fatal(err)
+		}
+		for p := oid.PoolID(1); p <= 4; p++ {
+			v, ok := tab.Lookup(p)
+			if ok != (p != victim) || (ok && v != uint64(p)*0x1000) {
+				t.Errorf("after removing %d from a full table: pool %d = %#x, %t", victim, p, v, ok)
+			}
+		}
+		if err := tab.Insert(victim, uint64(victim)*0x1000); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestRemoveBackwardShift(t *testing.T) {

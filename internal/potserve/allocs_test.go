@@ -84,6 +84,25 @@ func runServeAllocs(t *testing.T, c *Client, only ...string) {
 	}
 	var burstResps []Response
 	var opErr error
+	// put-insert adds a key the store does not hold and delete takes the
+	// same keys out again, newest first, so both restructure the tree:
+	// leaves split and merge, nodes are allocated and freed. One such cycle
+	// up front is the warm-up: it leaves the slab spans carved and the
+	// version mirror's entries on its free lists, as any store that has
+	// shrunk once has them.
+	const runs = 100
+	const churn = 3 + 1 + runs // each case: our warm-up, AllocsPerRun's own, the runs
+	fresh := uint64(keys + 2000)
+	for k := fresh; k < fresh+churn; k++ {
+		if _, err := c.Put(k, 1); err != nil {
+			t.Fatalf("churn put %d: %v", k, err)
+		}
+	}
+	for k := fresh + churn; k > fresh; k-- {
+		if _, err := c.Delete(k - 1); err != nil {
+			t.Fatalf("churn delete %d: %v", k-1, err)
+		}
+	}
 
 	cases := []struct {
 		name string
@@ -93,6 +112,8 @@ func runServeAllocs(t *testing.T, c *Client, only ...string) {
 		{"get-hit", func() { _, _, opErr = c.Get(5) }},
 		{"get-miss", func() { _, _, opErr = c.Get(keys + 1000) }},
 		{"put-overwrite", func() { _, opErr = c.Put(9, 999) }},
+		{"put-insert", func() { _, opErr = c.Put(fresh, 1); fresh++ }},
+		{"delete", func() { fresh--; _, opErr = c.Delete(fresh) }},
 		{"tx-overwrite", func() { opErr = c.Tx(txOps) }},
 		{"scan", func() { scanResps, opErr = c.PipelineAppend(scanReqs, scanResps) }},
 		{"burst", func() { burstResps, opErr = c.PipelineAppend(burstReqs, burstResps) }},
@@ -109,7 +130,7 @@ func runServeAllocs(t *testing.T, c *Client, only ...string) {
 				t.Fatalf("%s warmup: %v", tc.name, opErr)
 			}
 		}
-		if avg := testing.AllocsPerRun(100, tc.fn); avg != 0 {
+		if avg := testing.AllocsPerRun(runs, tc.fn); avg != 0 {
 			t.Errorf("%s: %.2f allocs/op, want 0", tc.name, avg)
 		}
 		if opErr != nil {

@@ -5,9 +5,13 @@
 // entirety, somewhere in a process's virtual address space (at an
 // ASLR-randomized location — relocatability under ASLR is the whole point of
 // ObjectIDs), and each 4 KB virtual page is individually mapped to a physical
-// frame by a conventional page table. Physical frames carry real bytes, so
-// functional execution (allocator metadata, undo logs, serialized objects)
-// happens in this memory.
+// frame number by a conventional page table. Frame numbers are assigned when
+// a region is mapped, because the physical address (PFN << 12) feeds cache
+// indexing and Parallel-POLB tags and so must not depend on access order; the
+// bytes behind a frame are demand-zero, as under a real mmap: a page costs
+// memory from its first write on, and a page never written reads as zeros.
+// Resident frames carry real bytes, so functional execution (allocator
+// metadata, undo logs, serialized objects) happens in this memory.
 package vm
 
 import (
@@ -15,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 )
 
 // Page geometry shared with the cache/TLB models.
@@ -137,28 +142,25 @@ type Region struct {
 // End returns the first address past the region.
 func (r Region) End() uint64 { return r.Base + r.Size }
 
-func (r Region) contains(va uint64) bool { return va >= r.Base && va < r.End() }
-
 func (r Region) overlaps(o Region) bool { return r.Base < o.End() && o.Base < r.End() }
+
+// Page is the bytes of one resident page. The persistent-memory library keeps
+// a pool's durable image in the same unit, so the two views of a pool are
+// copied page for page.
+type Page [PageSize]byte
 
 // AddressSpace is one process's virtual address space plus the physical
 // memory behind it.
 type AddressSpace struct {
 	rng       *rand.Rand
 	pageTable pageTable
-	frames    [][]byte // physical frames by PFN
-	freePFNs  []uint32
-	regions   []Region // sorted by Base
-
-	// Fresh frames are carved from slabs so backing a region costs one
-	// allocation per frameSlabPages pages instead of one per page.
-	slab    []byte
-	slabOff int
+	// frames holds the page behind each PFN, nil until the frame's first
+	// write. A page is published with one compare-and-swap, so first touches
+	// of distinct frames may run concurrently (SetConcurrent).
+	frames   []atomic.Pointer[Page]
+	freePFNs []uint32
+	regions  []Region // sorted by Base; mappings never overlap, so by End too
 }
-
-// frameSlabPages is the number of physical frames carved from one backing
-// slab allocation.
-const frameSlabPages = 64
 
 // NewAddressSpace creates an empty address space. The seed drives ASLR
 // placement so runs are reproducible.
@@ -183,8 +185,9 @@ func (as *AddressSpace) SetConcurrent() {
 }
 
 // Map allocates a page-aligned virtual region of at least size bytes at an
-// ASLR-randomized address, backs every page with a zeroed physical frame,
-// and returns the region.
+// ASLR-randomized address, assigns every page a physical frame number, and
+// returns the region. The region reads as zeros and holds no memory until it
+// is written.
 func (as *AddressSpace) Map(size uint64) (Region, error) {
 	if size == 0 {
 		return Region{}, fmt.Errorf("vm: cannot map empty region")
@@ -232,14 +235,8 @@ func (as *AddressSpace) MapFixed(base, size uint64) (Region, error) {
 
 // Unmap removes a previously mapped region and frees its frames.
 func (as *AddressSpace) Unmap(r Region) error {
-	idx := -1
-	for i, reg := range as.regions {
-		if reg == r {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	idx := as.regionAfter(r.Base)
+	if idx == len(as.regions) || as.regions[idx] != r {
 		return fmt.Errorf("vm: Unmap of unknown region %#x+%#x", r.Base, r.Size)
 	}
 	as.regions = append(as.regions[:idx], as.regions[idx+1:]...)
@@ -248,8 +245,8 @@ func (as *AddressSpace) Unmap(r Region) error {
 		if !ok {
 			continue
 		}
-		// The frame's slab memory is shared with neighbouring frames, so
-		// keep the subslice and zero it on reuse (allocFrame).
+		// Dropping the page is what makes the recycled frame read as zeros.
+		as.frames[pfn].Store(nil)
 		as.freePFNs = append(as.freePFNs, pfn)
 	}
 	return nil
@@ -281,33 +278,69 @@ func (as *AddressSpace) MappedBytes() uint64 {
 	return n
 }
 
+// ResidentBytes returns the memory held by pages that have been written.
+func (as *AddressSpace) ResidentBytes() uint64 {
+	var n uint64
+	for i := range as.frames {
+		if as.frames[i].Load() != nil {
+			n += PageSize
+		}
+	}
+	return n
+}
+
 // ReadAt copies len(buf) bytes starting at virtual address va into buf,
-// crossing page boundaries as needed.
+// crossing page boundaries as needed. Reading a page that was never written
+// yields zeros and leaves it non-resident.
 func (as *AddressSpace) ReadAt(va uint64, buf []byte) error {
 	for len(buf) > 0 {
-		frame, off, err := as.frameFor(va)
+		slot, off, err := as.frameFor(va)
 		if err != nil {
 			return err
 		}
-		n := copy(buf, frame[off:])
+		var n int
+		if pg := slot.Load(); pg != nil {
+			n = copy(buf, pg[off:])
+		} else {
+			n = min(len(buf), PageSize-int(off))
+			clear(buf[:n])
+		}
 		buf = buf[n:]
 		va += uint64(n)
 	}
 	return nil
 }
 
-// WriteAt copies data into memory starting at virtual address va.
+// WriteAt copies data into memory starting at virtual address va, making
+// every page it touches resident.
 func (as *AddressSpace) WriteAt(va uint64, data []byte) error {
 	for len(data) > 0 {
-		frame, off, err := as.frameFor(va)
+		slot, off, err := as.frameFor(va)
 		if err != nil {
 			return err
 		}
-		n := copy(frame[off:], data)
+		pg := slot.Load()
+		if pg == nil {
+			pg = new(Page)
+			if !slot.CompareAndSwap(nil, pg) {
+				pg = slot.Load()
+			}
+		}
+		n := copy(pg[off:], data)
 		data = data[n:]
 		va += uint64(n)
 	}
 	return nil
+}
+
+// ResidentPage returns the page behind the page-aligned address va for
+// reading, or nil if it is unmapped or was never written.
+func (as *AddressSpace) ResidentPage(va uint64) *Page {
+	slot, _, err := as.frameFor(va)
+	if err != nil {
+		return nil
+	}
+	return slot.Load()
 }
 
 // Read64 reads a little-endian uint64 at va.
@@ -342,51 +375,50 @@ func (as *AddressSpace) Write32(va uint64, v uint32) error {
 	return as.WriteAt(va, b[:])
 }
 
-func (as *AddressSpace) frameFor(va uint64) ([]byte, uint64, error) {
+// frameFor returns the frame slot and in-page offset behind va.
+func (as *AddressSpace) frameFor(va uint64) (*atomic.Pointer[Page], uint64, error) {
 	pfn, ok := as.pageTable.lookup(va >> PageShift)
 	if !ok {
 		return nil, 0, fmt.Errorf("vm: access to unmapped address %#x", va)
 	}
-	return as.frames[pfn], va & PageMask, nil
+	return &as.frames[pfn], va & PageMask, nil
 }
 
+// allocFrame hands out a frame number: the most recently freed one, else the
+// next never-used one. The order is part of every simulated statistic.
 func (as *AddressSpace) allocFrame() uint32 {
 	if n := len(as.freePFNs); n > 0 {
 		pfn := as.freePFNs[n-1]
 		as.freePFNs = as.freePFNs[:n-1]
-		clear(as.frames[pfn])
 		return pfn
 	}
-	if as.slabOff == len(as.slab) {
-		as.slab = make([]byte, frameSlabPages*PageSize)
-		as.slabOff = 0
-	}
-	frame := as.slab[as.slabOff : as.slabOff+PageSize : as.slabOff+PageSize]
-	as.slabOff += PageSize
-	as.frames = append(as.frames, frame)
+	as.frames = append(as.frames, atomic.Pointer[Page]{})
 	return uint32(len(as.frames) - 1)
 }
 
-func (as *AddressSpace) overlapsAny(r Region) bool {
-	for _, reg := range as.regions {
-		if reg.overlaps(r) {
-			return true
-		}
-	}
-	return false
+// regionAfter returns the index of the first region that ends past va — the
+// only region that can contain va — or len(as.regions).
+func (as *AddressSpace) regionAfter(va uint64) int {
+	return sort.Search(len(as.regions), func(i int) bool { return as.regions[i].End() > va })
 }
 
+func (as *AddressSpace) overlapsAny(r Region) bool {
+	i := as.regionAfter(r.Base)
+	return i < len(as.regions) && as.regions[i].overlaps(r)
+}
+
+// insertRegion adds a region that overlaps no existing one.
 func (as *AddressSpace) insertRegion(r Region) {
-	as.regions = append(as.regions, r)
-	sort.Slice(as.regions, func(i, j int) bool { return as.regions[i].Base < as.regions[j].Base })
+	i := as.regionAfter(r.Base)
+	as.regions = append(as.regions, Region{})
+	copy(as.regions[i+1:], as.regions[i:])
+	as.regions[i] = r
 }
 
 // RegionOf returns the mapped region containing va, if any.
 func (as *AddressSpace) RegionOf(va uint64) (Region, bool) {
-	for _, r := range as.regions {
-		if r.contains(va) {
-			return r, true
-		}
+	if i := as.regionAfter(va); i < len(as.regions) && as.regions[i].Base <= va {
+		return as.regions[i], true
 	}
 	return Region{}, false
 }

@@ -90,6 +90,8 @@ func NewEnv(h *pmem.Heap, cfg Config) (*Env, error) {
 		Master: master,
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		// Membership only, order never observed; Begin empties it.
+		touched: make(map[oid.OID]bool, 16),
 	}
 	if cfg.Pattern == Random {
 		// The master pool is pool 0 of the 32, so the RANDOM working
@@ -171,7 +173,7 @@ func (env *Env) Begin() error {
 	if !env.cfg.Tx {
 		return nil
 	}
-	env.touched = make(map[oid.OID]bool, 16)
+	clear(env.touched)
 	return env.H.TxBegin(env.Master)
 }
 
