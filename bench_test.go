@@ -21,7 +21,6 @@ import (
 	"potgo/internal/polb"
 	"potgo/internal/pot"
 	"potgo/internal/tpcc"
-	"potgo/internal/trace"
 	"potgo/internal/vm"
 	"potgo/internal/workloads"
 )
@@ -260,7 +259,8 @@ func BenchmarkHierarchy(b *testing.B) {
 }
 
 // BenchmarkInOrderModel measures in-order simulation throughput
-// (instructions simulated per second on an ALU-heavy trace).
+// (instructions simulated per second on an ALU-heavy trace, handed to a
+// fresh model as one chunk).
 func BenchmarkInOrderModel(b *testing.B) {
 	benchCPUModel(b, true)
 }
@@ -289,14 +289,15 @@ func benchCPUModel(b *testing.B, inorder bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := &trace.BufferSource{Instrs: instrs}
-		var err error
+		var model interface {
+			Consume([]isa.Instr)
+			Result() (cpu.Result, error)
+		} = cpu.NewOutOfOrder(cpu.DefaultConfig(), machine)
 		if inorder {
-			_, err = cpu.RunInOrder(cpu.DefaultConfig(), machine, src)
-		} else {
-			_, err = cpu.RunOutOfOrder(cpu.DefaultConfig(), machine, src)
+			model = cpu.NewInOrder(cpu.DefaultConfig(), machine)
 		}
-		if err != nil {
+		model.Consume(instrs)
+		if _, err := model.Result(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -331,8 +332,9 @@ func BenchmarkSimSpeed(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEnd measures one complete timed simulation (trace generation
-// running in lockstep with the in-order timing model) and reports simulator
+// BenchmarkEndToEnd measures one complete timed simulation (the workload's
+// emitter handing each trace chunk to the in-order timing model on the same
+// goroutine) and reports simulator
 // throughput as simMIPS plus steady-state allocation cost; insns/op makes the
 // allocs/op figure comparable across changes to the workload generator.
 func BenchmarkEndToEnd(b *testing.B) {
@@ -357,7 +359,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 }
 
 // BenchmarkWorkloadEmission measures trace-generation (functional execution
-// + instruction emission) throughput.
+// + instruction emission into a discarded chunk) throughput.
 func BenchmarkWorkloadEmission(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -77,6 +77,7 @@ func main() {
 	if _, err := spec.Run(env, *ops, spec.DefaultKeyRange); err != nil {
 		fail(err)
 	}
+	em.Flush()
 
 	fmt.Printf("%s / RANDOM / %s — %d instructions total; dumping [%d, %d)\n\n",
 		spec.Abbr, m, len(buf.Instrs), *skip, *skip+*n)

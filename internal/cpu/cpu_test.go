@@ -9,7 +9,6 @@ import (
 	"potgo/internal/oid"
 	"potgo/internal/polb"
 	"potgo/internal/pot"
-	"potgo/internal/trace"
 	"potgo/internal/vm"
 )
 
@@ -51,16 +50,25 @@ func newFixture(t *testing.T, trCfg *core.Config) *fixture {
 	return f
 }
 
+// timingModel is what the tests drive of InOrder and OutOfOrder.
+type timingModel interface {
+	Consume(chunk []isa.Instr)
+	Result() (Result, error)
+}
+
+// simulate feeds instrs to c as one chunk and returns its result.
+func simulate(c timingModel, instrs []isa.Instr) (Result, error) {
+	c.Consume(instrs)
+	return c.Result()
+}
+
 func run(t *testing.T, model string, f *fixture, instrs []isa.Instr) Result {
 	t.Helper()
-	src := &trace.BufferSource{Instrs: instrs}
-	var res Result
-	var err error
+	var c timingModel = NewOutOfOrder(DefaultConfig(), f.m)
 	if model == "inorder" {
-		res, err = RunInOrder(DefaultConfig(), f.m, src)
-	} else {
-		res, err = RunOutOfOrder(DefaultConfig(), f.m, src)
+		c = NewInOrder(DefaultConfig(), f.m)
 	}
+	res, err := simulate(c, instrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,25 +279,31 @@ func TestPOLBMissStallsInOrder(t *testing.T) {
 
 func TestNVWithoutHardwareErrors(t *testing.T) {
 	f := newFixture(t, nil)
-	src := &trace.BufferSource{Instrs: nvldTrace(&fixture{poolID: 7}, 0, 1)}
-	if _, err := RunInOrder(DefaultConfig(), f.m, src); err == nil {
+	if _, err := simulate(NewInOrder(DefaultConfig(), f.m), nvldTrace(&fixture{poolID: 7}, 0, 1)); err == nil {
 		t.Error("nvld without translation hardware must error")
 	}
-	src = &trace.BufferSource{Instrs: []isa.Instr{{Op: isa.NVStore, Addr: uint64(oid.New(7, 0)), Size: 8}}}
-	if _, err := RunOutOfOrder(DefaultConfig(), f.m, src); err == nil {
+	nvst := []isa.Instr{{Op: isa.NVStore, Addr: uint64(oid.New(7, 0)), Size: 8}}
+	if _, err := simulate(NewOutOfOrder(DefaultConfig(), f.m), nvst); err == nil {
 		t.Error("nvst without translation hardware must error")
 	}
 }
 
 func TestUnmappedLoadErrors(t *testing.T) {
 	f := newFixture(t, nil)
-	src := &trace.BufferSource{Instrs: []isa.Instr{{Op: isa.Load, Dst: 1, Addr: 0xbad000, Size: 8}}}
-	if _, err := RunInOrder(DefaultConfig(), f.m, src); err == nil {
+	ld := []isa.Instr{{Op: isa.Load, Dst: 1, Addr: 0xbad000, Size: 8}}
+	if _, err := simulate(NewInOrder(DefaultConfig(), f.m), ld); err == nil {
 		t.Error("unmapped load must error (in-order)")
 	}
-	src = &trace.BufferSource{Instrs: []isa.Instr{{Op: isa.Load, Dst: 1, Addr: 0xbad000, Size: 8}}}
-	if _, err := RunOutOfOrder(DefaultConfig(), f.m, src); err == nil {
+	if _, err := simulate(NewOutOfOrder(DefaultConfig(), f.m), ld); err == nil {
 		t.Error("unmapped load must error (OoO)")
+	}
+	// After the error a model times nothing more.
+	for _, c := range []timingModel{NewInOrder(DefaultConfig(), f.m), NewOutOfOrder(DefaultConfig(), f.m)} {
+		c.Consume(ld)
+		c.Consume(aluChain(10))
+		if res, err := c.Result(); err == nil || res.Mix.ByOp[isa.ALU] != 0 {
+			t.Errorf("%T timed %d instructions past its error (err %v)", c, res.Mix.ByOp[isa.ALU], err)
+		}
 	}
 }
 

@@ -2,11 +2,11 @@ package cpu
 
 import (
 	"potgo/internal/isa"
-	"potgo/internal/trace"
 )
 
-// RunInOrder executes a trace on the five-stage in-order pipeline of paper
-// §4.5 (IF ID EX MEM WB) and returns the timing result.
+// InOrder is the five-stage in-order pipeline of paper §4.5 (IF ID EX MEM
+// WB) as a trace.Consumer: it times each chunk of the trace as it arrives,
+// and Result reports the run once the trace has ended.
 //
 // Model summary:
 //
@@ -26,22 +26,49 @@ import (
 //     their address); SFENCE drains the buffer.
 //   - Conditional branches consult a bimodal predictor; a misprediction
 //     costs the fixed redirect penalty (8 cycles).
-func RunInOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
-	var (
-		res       Result
-		pred      = newPredictor(cfg.PredictorEntries)
-		regReady  [isa.NumRegs]uint64
-		cycle     uint64 // next issue slot
-		storeDone uint64 // completion of last buffered store/CLWB
-		l1Lat     = m.Hier.Config().L1Latency
-	)
+type InOrder struct {
+	cfg      Config
+	m        *Machine
+	pred     *predictor
+	regReady [isa.NumRegs]uint64
+	l1Lat    uint64
 
-	for {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		res.Instructions++
+	cycle     uint64 // next issue slot
+	storeDone uint64 // completion of last buffered store/CLWB
+
+	res Result
+	err error
+}
+
+// NewInOrder builds an in-order core over m.
+func NewInOrder(cfg Config, m *Machine) *InOrder {
+	return &InOrder{
+		cfg:   cfg,
+		m:     m,
+		pred:  newPredictor(cfg.PredictorEntries),
+		l1Lat: m.Hier.Config().L1Latency,
+	}
+}
+
+// Consume implements trace.Consumer. After a simulation error (an unmapped
+// address, a NULL ObjectID, a POT miss) it ignores every further chunk;
+// Result reports the error.
+func (c *InOrder) Consume(chunk []isa.Instr) {
+	if c.err != nil {
+		return
+	}
+	var (
+		cfg       = &c.cfg
+		m         = c.m
+		regReady  = &c.regReady
+		res       = &c.res
+		l1Lat     = c.l1Lat
+		cycle     = c.cycle
+		storeDone = c.storeDone
+	)
+loop:
+	for i := range chunk {
+		in := &chunk[i]
 		res.Mix.Record(in)
 
 		start := cycle
@@ -70,15 +97,16 @@ func RunInOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
 			// Direct jumps/calls are BTB hits: no penalty.
 
 		case isa.Branch:
-			if pred.predict(in.PC, in.Taken) {
+			if c.pred.predict(in.PC, in.Taken) {
 				cycle = start + 1 + cfg.MispredictPenalty
 				res.BranchStallCycles += cfg.MispredictPenalty
 			}
 
 		case isa.Load, isa.NVLoad:
-			acc, err := m.resolve(in)
+			acc, err := m.resolve(in.Op, in.Addr)
 			if err != nil {
-				return res, err
+				c.err = err
+				break loop
 			}
 			// Blocking portion: POT walk, TLB miss, sub-L1 misses.
 			block := acc.walkLat + acc.tlbLat
@@ -95,9 +123,10 @@ func RunInOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
 			res.TransStallCycles += acc.transLat()
 
 		case isa.Store, isa.NVStore:
-			acc, err := m.resolve(in)
+			acc, err := m.resolve(in.Op, in.Addr)
 			if err != nil {
-				return res, err
+				c.err = err
+				break loop
 			}
 			// Address generation must complete before the store can
 			// enter the buffer; the write itself is buffered.
@@ -113,9 +142,10 @@ func RunInOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
 			res.TransStallCycles += acc.transLat()
 
 		case isa.CLWB:
-			acc, err := m.resolve(in)
+			acc, err := m.resolve(in.Op, in.Addr)
 			if err != nil {
-				return res, err
+				c.err = err
+				break loop
 			}
 			done := start + acc.cacheLat
 			if done > storeDone {
@@ -137,10 +167,14 @@ func RunInOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
 			m.Tracer.InOrder(in.Op.String(), start, done)
 		}
 	}
+	c.cycle, c.storeDone = cycle, storeDone
+}
 
-	res.Cycles = cycle
-	res.BranchLookups = pred.lookups
-	res.Mispredicts = pred.mispredicts
-	res.finish(m)
-	return res, nil
+// Result returns the timing of the trace consumed so far, or the simulation
+// error that stopped it.
+func (c *InOrder) Result() (Result, error) {
+	res := c.res
+	res.Cycles = c.cycle
+	res.finish(c.m, c.pred)
+	return res, c.err
 }

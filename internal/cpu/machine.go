@@ -47,23 +47,24 @@ func (a access) total() uint64 { return a.camLat + a.walkLat + a.tlbLat + a.cach
 // transLat is the hardware-translation portion of the cost.
 func (a access) transLat() uint64 { return a.camLat + a.walkLat }
 
-// resolve charges one memory instruction against the hierarchy and
-// translation hardware and returns its cost decomposition.
-func (m *Machine) resolve(in isa.Instr) (access, error) {
-	switch in.Op {
+// resolve charges one memory instruction — its op and its address or
+// ObjectID — against the hierarchy and translation hardware and returns its
+// cost decomposition.
+func (m *Machine) resolve(op isa.Op, addr uint64) (access, error) {
+	switch op {
 	case isa.Load, isa.Store:
-		tlbLat := m.Hier.DataTLB(in.Addr)
-		pa, ok := m.Hier.Translate(in.Addr)
+		tlbLat := m.Hier.DataTLB(addr)
+		pa, ok := m.Hier.Translate(addr)
 		if !ok {
-			return access{}, fmt.Errorf("cpu: %v: unmapped address %#x", in.Op, in.Addr)
+			return access{}, fmt.Errorf("cpu: %v: unmapped address %#x", op, addr)
 		}
-		return access{tlbLat: tlbLat, cacheLat: m.Hier.CacheAccess(pa), va: in.Addr}, nil
+		return access{tlbLat: tlbLat, cacheLat: m.Hier.CacheAccess(pa), va: addr}, nil
 
 	case isa.NVLoad, isa.NVStore:
 		if m.Translator == nil {
-			return access{}, fmt.Errorf("cpu: %v in trace but no translation hardware configured", in.Op)
+			return access{}, fmt.Errorf("cpu: %v in trace but no translation hardware configured", op)
 		}
-		res, err := m.Translator.Translate(oid.OID(in.Addr))
+		res, err := m.Translator.Translate(oid.OID(addr))
 		if err != nil {
 			return access{}, err
 		}
@@ -85,18 +86,18 @@ func (m *Machine) resolve(in isa.Instr) (access, error) {
 		tlbLat := m.Hier.DataTLB(res.VA)
 		pa, ok := m.Hier.Translate(res.VA)
 		if !ok {
-			return access{}, fmt.Errorf("cpu: %v: pool page unmapped at %#x", in.Op, res.VA)
+			return access{}, fmt.Errorf("cpu: %v: pool page unmapped at %#x", op, res.VA)
 		}
 		return access{camLat: res.CAMLat, walkLat: res.WalkLat, tlbLat: tlbLat, cacheLat: m.Hier.CacheAccess(pa), va: res.VA}, nil
 
 	case isa.CLWB:
-		lat, err := m.Hier.CLWB(in.Addr)
+		lat, err := m.Hier.CLWB(addr)
 		if err != nil {
 			return access{}, err
 		}
-		return access{cacheLat: lat, va: in.Addr}, nil
+		return access{cacheLat: lat, va: addr}, nil
 
 	default:
-		return access{}, fmt.Errorf("cpu: resolve called on non-memory op %v", in.Op)
+		return access{}, fmt.Errorf("cpu: resolve called on non-memory op %v", op)
 	}
 }

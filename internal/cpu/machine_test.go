@@ -9,14 +9,13 @@ import (
 	"potgo/internal/oid"
 	"potgo/internal/polb"
 	"potgo/internal/pot"
-	"potgo/internal/trace"
 	"potgo/internal/vm"
 )
 
 func TestResolveRejectsNonMemoryOps(t *testing.T) {
 	as := vm.NewAddressSpace(1)
 	m := &Machine{Hier: mem.New(mem.DefaultConfig(), as)}
-	if _, err := m.resolve(isa.Instr{Op: isa.ALU}); err == nil {
+	if _, err := m.resolve(isa.ALU, 0); err == nil {
 		t.Error("resolve of ALU must error")
 	}
 }
@@ -31,16 +30,14 @@ func TestNVAccessToUnmappedPoolSurfacesException(t *testing.T) {
 	m := &Machine{Hier: mem.New(mem.DefaultConfig(), as), Translator: tr}
 	// Pool 9 was never inserted into the POT: the hardware raises the
 	// paper's exception, surfaced as a simulation error.
-	src := &trace.BufferSource{Instrs: []isa.Instr{
+	if _, err := simulate(NewInOrder(DefaultConfig(), m), []isa.Instr{
 		{Op: isa.NVLoad, Dst: 1, Addr: uint64(oid.New(9, 0)), Size: 8},
-	}}
-	if _, err := RunInOrder(DefaultConfig(), m, src); err == nil {
+	}); err == nil {
 		t.Error("POT miss must surface")
 	}
-	src = &trace.BufferSource{Instrs: []isa.Instr{
+	if _, err := simulate(NewOutOfOrder(DefaultConfig(), m), []isa.Instr{
 		{Op: isa.NVStore, Addr: uint64(oid.Null), Size: 8},
-	}}
-	if _, err := RunOutOfOrder(DefaultConfig(), m, src); err == nil {
+	}); err == nil {
 		t.Error("null ObjectID dereference must surface")
 	}
 }
@@ -48,12 +45,11 @@ func TestNVAccessToUnmappedPoolSurfacesException(t *testing.T) {
 func TestSFenceWithNoStoresIsFree(t *testing.T) {
 	as := vm.NewAddressSpace(3)
 	m := &Machine{Hier: mem.New(mem.DefaultConfig(), as)}
-	src := &trace.BufferSource{Instrs: []isa.Instr{
+	res, err := simulate(NewInOrder(DefaultConfig(), m), []isa.Instr{
 		{Op: isa.ALU, Dst: 1},
 		{Op: isa.SFence},
 		{Op: isa.ALU, Dst: 2},
-	}}
-	res, err := RunInOrder(DefaultConfig(), m, src)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +61,9 @@ func TestSFenceWithNoStoresIsFree(t *testing.T) {
 func TestCLWBUnmappedLineErrors(t *testing.T) {
 	as := vm.NewAddressSpace(4)
 	m := &Machine{Hier: mem.New(mem.DefaultConfig(), as)}
-	src := &trace.BufferSource{Instrs: []isa.Instr{
+	if _, err := simulate(NewInOrder(DefaultConfig(), m), []isa.Instr{
 		{Op: isa.CLWB, Addr: 0xdead000, Size: 64},
-	}}
-	if _, err := RunInOrder(DefaultConfig(), m, src); err == nil {
+	}); err == nil {
 		t.Error("CLWB of unmapped line must error")
 	}
 }
@@ -87,7 +82,7 @@ func TestParallelDesignChargesTLBPerPaperMethodology(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ins = append(ins, isa.Instr{Op: isa.NVLoad, Dst: 1, Addr: uint64(oid.New(3, uint32(i*8))), Size: 8})
 	}
-	res, err := RunInOrder(DefaultConfig(), m, &trace.BufferSource{Instrs: ins})
+	res, err := simulate(NewInOrder(DefaultConfig(), m), ins)
 	if err != nil {
 		t.Fatal(err)
 	}

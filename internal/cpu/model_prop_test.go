@@ -4,31 +4,59 @@ import (
 	"math/rand"
 	"testing"
 
+	"potgo/internal/core"
 	"potgo/internal/isa"
 	"potgo/internal/mem"
-	"potgo/internal/trace"
+	"potgo/internal/oid"
+	"potgo/internal/polb"
+	"potgo/internal/pot"
 	"potgo/internal/vm"
 )
 
-// randomTrace builds a mixed but well-formed trace over a mapped region.
+// propPool is the persistent pool runChunks maps behind Pipelined
+// translation hardware, so random traces can carry nvld/nvst.
+const propPool oid.PoolID = 5
+
+// randomTrace builds a mixed but well-formed trace of every instruction
+// class. Memory addresses are offsets into a 64 KiB region (runChunks
+// rebases them onto its mapping) and nvld/nvst carry ObjectIDs in propPool.
 func randomTrace(seed int64, n int, base uint64) []isa.Instr {
 	rng := rand.New(rand.NewSource(seed))
 	ins := make([]isa.Instr, 0, n)
-	for i := 0; i < n; i++ {
-		switch rng.Intn(10) {
-		case 0, 1:
-			ins = append(ins, isa.Instr{Op: isa.Load, Dst: isa.Reg(1 + rng.Intn(15)),
-				Src1: isa.Reg(rng.Intn(16)), Addr: base + uint64(rng.Intn(1<<14))&^7, Size: 8})
-		case 2:
-			ins = append(ins, isa.Instr{Op: isa.Store, Src1: isa.Reg(rng.Intn(16)),
-				Src2: isa.Reg(rng.Intn(16)), Addr: base + uint64(rng.Intn(1<<14))&^7, Size: 8})
-		case 3:
+	addr := func() uint64 { return base + uint64(rng.Intn(1<<14))&^7 }
+	reg := func() isa.Reg { return isa.Reg(rng.Intn(16)) }
+	dst := func() isa.Reg { return isa.Reg(1 + rng.Intn(15)) }
+	for len(ins) < n {
+		switch rng.Intn(20) {
+		case 0, 1, 2, 3:
+			ins = append(ins, isa.Instr{Op: isa.Load, Dst: dst(), Src1: reg(), Addr: addr(), Size: 8})
+		case 4, 5:
+			ins = append(ins, isa.Instr{Op: isa.Store, Src1: reg(), Src2: reg(), Addr: addr(), Size: 8})
+		case 6, 7:
 			ins = append(ins, isa.Instr{Op: isa.Branch, PC: uint64(rng.Intn(64) * 4), Taken: rng.Intn(2) == 0})
-		case 4:
-			ins = append(ins, isa.Instr{Op: isa.Mul, Dst: isa.Reg(1 + rng.Intn(15)), Src1: isa.Reg(rng.Intn(16))})
+		case 8, 9:
+			ins = append(ins, isa.Instr{Op: isa.Mul, Dst: dst(), Src1: reg()})
+		case 10:
+			ins = append(ins, isa.Instr{Op: isa.NVLoad, Dst: dst(), Src1: reg(),
+				Addr: uint64(oid.New(propPool, uint32(addr()))), Size: 8})
+		case 11:
+			ins = append(ins, isa.Instr{Op: isa.NVStore, Src1: reg(), Src2: reg(),
+				Addr: uint64(oid.New(propPool, uint32(addr()))), Size: 8})
+		case 12:
+			switch rng.Intn(5) {
+			case 0:
+				ins = append(ins, isa.Instr{Op: isa.Div, Dst: dst(), Src1: reg()})
+			case 1:
+				ins = append(ins, isa.Instr{Op: isa.CLWB, Addr: addr() &^ 63, Size: 64})
+			case 2:
+				ins = append(ins, isa.Instr{Op: isa.SFence})
+			case 3:
+				ins = append(ins, isa.Instr{Op: isa.Jump})
+			default:
+				ins = append(ins, isa.Instr{Op: isa.Nop})
+			}
 		default:
-			ins = append(ins, isa.Instr{Op: isa.ALU, Dst: isa.Reg(1 + rng.Intn(15)),
-				Src1: isa.Reg(rng.Intn(16)), Src2: isa.Reg(rng.Intn(16))})
+			ins = append(ins, isa.Instr{Op: isa.ALU, Dst: dst(), Src1: reg(), Src2: reg()})
 		}
 	}
 	return ins
@@ -36,30 +64,101 @@ func randomTrace(seed int64, n int, base uint64) []isa.Instr {
 
 func runTrace(t *testing.T, inorder bool, memCfg mem.Config, coreCfg Config, instrs []isa.Instr) Result {
 	t.Helper()
+	return runChunks(t, inorder, memCfg, coreCfg, instrs, []int{len(instrs)})
+}
+
+// runChunks times instrs on a fresh machine, handing them to the model as
+// consecutive chunks of the given sizes.
+func runChunks(t *testing.T, inorder bool, memCfg mem.Config, coreCfg Config, instrs []isa.Instr, sizes []int) Result {
+	t.Helper()
 	as := vm.NewAddressSpace(9)
 	r, err := as.Map(1 << 16)
 	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := as.Map(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := pot.New(as, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := table.Insert(propPool, pool.Base); err != nil {
 		t.Fatal(err)
 	}
 	// Rebase addresses onto this mapping.
 	rebased := make([]isa.Instr, len(instrs))
 	copy(rebased, instrs)
 	for i := range rebased {
-		if rebased[i].Op.IsMem() {
-			rebased[i].Addr = r.Base + (rebased[i].Addr & 0xffff & ^uint64(7))
+		if in := &rebased[i]; in.Op.IsMem() && !in.Op.IsPersistent() {
+			in.Addr = r.Base + (in.Addr & 0xffff & ^uint64(7))
 		}
 	}
-	m := &Machine{Hier: mem.New(memCfg, as)}
-	var res Result
+	m := &Machine{Hier: mem.New(memCfg, as), Translator: core.New(core.DefaultConfig(polb.Pipelined), table, as)}
+	var c timingModel = NewOutOfOrder(coreCfg, m)
 	if inorder {
-		res, err = RunInOrder(coreCfg, m, &trace.BufferSource{Instrs: rebased})
-	} else {
-		res, err = RunOutOfOrder(coreCfg, m, &trace.BufferSource{Instrs: rebased})
+		c = NewInOrder(coreCfg, m)
 	}
+	for _, n := range sizes {
+		c.Consume(rebased[:n])
+		rebased = rebased[n:]
+	}
+	if len(rebased) != 0 {
+		t.Fatalf("chunk sizes leave %d instructions unconsumed", len(rebased))
+	}
+	res, err := c.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// randomPartition cuts n instructions into chunks: empty ones,
+// one-instruction ones, short ones and long ones, in random order.
+func randomPartition(rng *rand.Rand, n int) []int {
+	var sizes []int
+	for n > 0 {
+		var k int
+		switch rng.Intn(5) {
+		case 0:
+			k = 0
+		case 1:
+			k = 1
+		case 2:
+			k = 2 + rng.Intn(40)
+		default:
+			k = 1 + rng.Intn(1500)
+		}
+		k = min(k, n)
+		sizes = append(sizes, k)
+		n -= k
+	}
+	return append(sizes, 0)
+}
+
+// resultFields prints a Result field by field rather than through its
+// String method.
+type resultFields Result
+
+// Property: how the trace is cut into chunks never changes the result. The
+// models carry all of their state across chunk boundaries, so any partition
+// must reproduce feeding the trace as one chunk, in every Result field.
+func TestChunkingInvariance(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		instrs := randomTrace(seed, 8000, 0)
+		for _, inorder := range []bool{true, false} {
+			whole := runTrace(t, inorder, mem.DefaultConfig(), DefaultConfig(), instrs)
+			for trial := int64(0); trial < 3; trial++ {
+				sizes := randomPartition(rand.New(rand.NewSource(seed*10+trial)), len(instrs))
+				split := runChunks(t, inorder, mem.DefaultConfig(), DefaultConfig(), instrs, sizes)
+				if split != whole {
+					t.Fatalf("seed %d inorder=%t: %d chunks diverge from one chunk:\n got  %+v\n want %+v",
+						seed, inorder, len(sizes), resultFields(split), resultFields(whole))
+				}
+			}
+		}
+	}
 }
 
 // Property: slower memory never makes execution faster, on either model.

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"potgo/internal/isa"
-	"potgo/internal/trace"
 )
 
 // slotClock enforces a per-cycle width limit on a pipeline stage: each slot
@@ -12,18 +11,16 @@ type slotClock []uint64
 func newSlotClock(width int) slotClock { return make(slotClock, width) }
 
 // take claims the earliest slot at or after `earliest` and returns the cycle
-// granted.
+// granted. Of equally early slots it claims the first.
 func (s slotClock) take(earliest uint64) uint64 {
-	best := 0
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[best] {
+	best, free := 0, s[0]
+	for i, v := range s {
+		if v < free {
 			best = i
 		}
+		free = min(free, v)
 	}
-	t := earliest
-	if s[best] > t {
-		t = s[best]
-	}
+	t := max(earliest, free)
 	s[best] = t + 1
 	return t
 }
@@ -36,9 +33,10 @@ type sqEntry struct {
 	valid bool
 }
 
-// RunOutOfOrder executes a trace on the out-of-order superscalar model of
-// paper §4.4 using the timestamp ("instruction-window-centric") approach of
-// Sniper's ROB core model, which is the simulator the paper extends.
+// OutOfOrder is the out-of-order superscalar model of paper §4.4 as a
+// trace.Consumer, using the timestamp ("instruction-window-centric")
+// approach of Sniper's ROB core model, which is the simulator the paper
+// extends.
 //
 // Per instruction the model derives dispatch, issue, completion and commit
 // times constrained by:
@@ -61,57 +59,95 @@ type sqEntry struct {
 // Stores and CLWBs drain to the cache after commit and hold their SQ entry
 // until the line is written; SFENCE completes only after every prior
 // store/CLWB has drained.
-func RunOutOfOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
+type OutOfOrder struct {
+	cfg      Config
+	m        *Machine
+	pred     *predictor
+	regReady [isa.NumRegs]uint64
+	l1Lat    uint64
+
+	fetchSlots, issueSlots, commitSlots slotClock
+
+	// The window rings hold each entry's release cycle; robPos, lqPos and
+	// sqPos are the entries the next instruction, load and store/CLWB
+	// occupy. sq is the store queue itself, indexed like sqRing.
+	robRing, lqRing, sqRing []uint64
+	sq                      []sqEntry
+	robPos, lqPos, sqPos    int
+
+	dispatchFloor uint64 // branch-redirect floor
+	lastCommit    uint64
+	storeDrainMax uint64
+
+	res Result
+	err error
+}
+
+// NewOutOfOrder builds an out-of-order core over m.
+func NewOutOfOrder(cfg Config, m *Machine) *OutOfOrder {
+	return &OutOfOrder{
+		cfg:         cfg,
+		m:           m,
+		pred:        newPredictor(cfg.PredictorEntries),
+		l1Lat:       m.Hier.Config().L1Latency,
+		fetchSlots:  newSlotClock(cfg.FetchWidth),
+		issueSlots:  newSlotClock(cfg.IssueWidth),
+		commitSlots: newSlotClock(cfg.CommitWidth),
+		robRing:     make([]uint64, cfg.ROB),
+		lqRing:      make([]uint64, cfg.LQ),
+		sqRing:      make([]uint64, cfg.SQ),
+		sq:          make([]sqEntry, cfg.SQ),
+	}
+}
+
+// Consume implements trace.Consumer. After a simulation error it ignores
+// every further chunk; Result reports the error.
+func (c *OutOfOrder) Consume(chunk []isa.Instr) {
+	if c.err != nil {
+		return
+	}
 	var (
-		res  Result
-		pred = newPredictor(cfg.PredictorEntries)
-
-		regReady [isa.NumRegs]uint64
-
-		fetchSlots  = newSlotClock(cfg.FetchWidth)
-		issueSlots  = newSlotClock(cfg.IssueWidth)
-		commitSlots = newSlotClock(cfg.CommitWidth)
-
-		robRing = make([]uint64, cfg.ROB)
-		lqRing  = make([]uint64, cfg.LQ)
-		sqRing  = make([]uint64, cfg.SQ)
-
-		sq       = make([]sqEntry, cfg.SQ)
-		storeSeq uint64 // count of stores/CLWBs processed
-		loadSeq  uint64
-
-		dispatchFloor uint64 // branch-redirect floor
-		lastCommit    uint64
-		storeDrainMax uint64
-		l1Lat         = m.Hier.Config().L1Latency
-
-		idx uint64
+		cfg           = &c.cfg
+		m             = c.m
+		regReady      = &c.regReady
+		res           = &c.res
+		l1Lat         = c.l1Lat
+		fetchSlots    = c.fetchSlots
+		issueSlots    = c.issueSlots
+		commitSlots   = c.commitSlots
+		robRing       = c.robRing
+		lqRing        = c.lqRing
+		sqRing        = c.sqRing
+		sq            = c.sq
+		robPos        = c.robPos
+		lqPos         = c.lqPos
+		sqPos         = c.sqPos
+		dispatchFloor = c.dispatchFloor
+		lastCommit    = c.lastCommit
+		storeDrainMax = c.storeDrainMax
 	)
-
-	for {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		res.Instructions++
+loop:
+	for i := range chunk {
+		in := &chunk[i]
 		res.Mix.Record(in)
+		isLoad, isStore := in.Op.IsLoad(), in.Op.IsStore()
 
 		// Dispatch: front-end pacing, redirect floor, window occupancy.
 		// Each window structure is charged the cycles by which it alone
 		// pushes the dispatch floor past all earlier constraints.
 		floor := dispatchFloor
-		if t := robRing[idx%uint64(cfg.ROB)]; t > floor {
+		if t := robRing[robPos]; t > floor {
 			res.ROBStallCycles += t - floor
 			floor = t
 		}
-		if in.Op.IsLoad() {
-			if t := lqRing[loadSeq%uint64(cfg.LQ)]; t > floor {
+		if isLoad {
+			if t := lqRing[lqPos]; t > floor {
 				res.LQStallCycles += t - floor
 				floor = t
 			}
 		}
-		if in.Op.IsStore() {
-			if t := sqRing[storeSeq%uint64(cfg.SQ)]; t > floor {
+		if isStore {
+			if t := sqRing[sqPos]; t > floor {
 				res.SQStallCycles += t - floor
 				floor = t
 			}
@@ -140,7 +176,7 @@ func RunOutOfOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
 
 		case isa.Branch:
 			complete = issue + 1
-			if pred.predict(in.PC, in.Taken) {
+			if c.pred.predict(in.PC, in.Taken) {
 				redirect := complete + cfg.MispredictPenalty
 				if redirect > dispatchFloor {
 					dispatchFloor = redirect
@@ -149,17 +185,15 @@ func RunOutOfOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
 			}
 
 		case isa.Load, isa.NVLoad:
-			acc, err := m.resolve(in)
+			acc, err := m.resolve(in.Op, in.Addr)
 			if err != nil {
-				return res, err
+				c.err = err
+				break loop
 			}
 			agenDone := issue + 1 + acc.transLat()
-			if st, hit := youngestConflict(sq, storeSeq, acc.va, uint64(in.Size)); hit {
+			if stReady, hit := youngestConflict(sq, sqPos, acc.va, uint64(in.Size)); hit {
 				// Store-to-load forwarding out of the SQ.
-				complete = agenDone
-				if st.ready+1 > complete {
-					complete = st.ready + 1
-				}
+				complete = max(agenDone, stReady+1)
 			} else {
 				complete = agenDone + acc.tlbLat + acc.cacheLat
 			}
@@ -168,16 +202,16 @@ func RunOutOfOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
 			if acc.cacheLat > l1Lat {
 				res.MemStallCycles += acc.cacheLat - l1Lat
 			}
-			loadSeq++
 
 		case isa.Store, isa.NVStore, isa.CLWB:
-			acc, err := m.resolve(in)
+			acc, err := m.resolve(in.Op, in.Addr)
 			if err != nil {
-				return res, err
+				c.err = err
+				break loop
 			}
 			agenDone := issue + 1 + acc.transLat() + acc.tlbLat
 			complete = agenDone // address+data in SQ: eligible to retire
-			sq[storeSeq%uint64(cfg.SQ)] = sqEntry{va: acc.va, size: uint64(in.Size), ready: agenDone, valid: in.Op != isa.CLWB}
+			sq[sqPos] = sqEntry{va: acc.va, size: uint64(in.Size), ready: agenDone, valid: in.Op != isa.CLWB}
 			drainLat = acc.cacheLat
 			res.TransStallCycles += acc.transLat()
 			res.MemStallCycles += acc.tlbLat
@@ -194,11 +228,7 @@ func RunOutOfOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
 		}
 
 		// In-order commit, width-limited.
-		floor = complete
-		if lastCommit > floor {
-			floor = lastCommit
-		}
-		commit := commitSlots.take(floor)
+		commit := commitSlots.take(max(complete, lastCommit))
 		lastCommit = commit
 
 		if m.Tracer != nil {
@@ -206,43 +236,58 @@ func RunOutOfOrder(cfg Config, m *Machine, src trace.Source) (Result, error) {
 		}
 
 		// Release window entries.
-		robRing[idx%uint64(cfg.ROB)] = commit
-		if in.Op.IsLoad() {
-			lqRing[(loadSeq-1)%uint64(cfg.LQ)] = commit
+		robRing[robPos] = commit
+		if robPos++; robPos == len(robRing) {
+			robPos = 0
 		}
-		if in.Op.IsStore() {
+		if isLoad {
+			lqRing[lqPos] = commit
+			if lqPos++; lqPos == len(lqRing) {
+				lqPos = 0
+			}
+		}
+		if isStore {
 			drain := commit + drainLat
-			sqRing[storeSeq%uint64(cfg.SQ)] = drain
+			sqRing[sqPos] = drain
 			if drain > storeDrainMax {
 				storeDrainMax = drain
 			}
-			storeSeq++
+			if sqPos++; sqPos == len(sqRing) {
+				sqPos = 0
+			}
 		}
-		idx++
 	}
+	c.robPos, c.lqPos, c.sqPos = robPos, lqPos, sqPos
+	c.dispatchFloor, c.lastCommit, c.storeDrainMax = dispatchFloor, lastCommit, storeDrainMax
+}
 
-	res.Cycles = lastCommit
-	res.BranchLookups = pred.lookups
-	res.Mispredicts = pred.mispredicts
-	res.finish(m)
-	return res, nil
+// Result returns the timing of the trace consumed so far, or the simulation
+// error that stopped it.
+func (c *OutOfOrder) Result() (Result, error) {
+	res := c.res
+	res.Cycles = c.lastCommit
+	res.finish(c.m, c.pred)
+	return res, c.err
 }
 
 // youngestConflict searches the store queue for the youngest store whose
-// byte range overlaps [va, va+size). Addresses in the SQ are
-// post-translation virtual addresses, so nvst→ld and st→nvld forwarding
-// work exactly as the paper's Pipelined design intends.
-func youngestConflict(sq []sqEntry, storeSeq, va, size uint64) (sqEntry, bool) {
-	n := uint64(len(sq))
-	window := storeSeq
-	if window > n {
-		window = n
-	}
-	for k := uint64(1); k <= window; k++ {
-		e := sq[(storeSeq-k)%n]
-		if e.valid && e.va < va+size && va < e.va+e.size {
-			return e, true
+// byte range overlaps [va, va+size) and returns the cycle its data is ready.
+// next is the entry the next store will occupy, so the youngest stores sit
+// at next-1 down to 0 and then, once the ring has wrapped, at len(sq)-1
+// down to next; entries never written are invalid and match nothing.
+// Addresses in the SQ are post-translation virtual addresses, so nvst→ld
+// and st→nvld forwarding work exactly as the paper's Pipelined design
+// intends.
+func youngestConflict(sq []sqEntry, next int, va, size uint64) (ready uint64, hit bool) {
+	for i := next - 1; i >= 0; i-- {
+		if e := &sq[i]; e.valid && e.va < va+size && va < e.va+e.size {
+			return e.ready, true
 		}
 	}
-	return sqEntry{}, false
+	for i := len(sq) - 1; i >= next; i-- {
+		if e := &sq[i]; e.valid && e.va < va+size && va < e.va+e.size {
+			return e.ready, true
+		}
+	}
+	return 0, false
 }

@@ -5,7 +5,6 @@ import (
 
 	"potgo/internal/isa"
 	"potgo/internal/mem"
-	"potgo/internal/trace"
 	"potgo/internal/vm"
 )
 
@@ -24,7 +23,7 @@ func oooRun(t *testing.T, cfg Config, instrs []isa.Instr) Result {
 		}
 	}
 	m := &Machine{Hier: mem.New(mem.DefaultConfig(), as)}
-	res, err := RunOutOfOrder(cfg, m, &trace.BufferSource{Instrs: rebased})
+	res, err := simulate(NewOutOfOrder(cfg, m), rebased)
 	if err != nil {
 		t.Fatal(err)
 	}

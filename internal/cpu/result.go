@@ -99,8 +99,11 @@ func (r Result) String() string {
 		r.Cycles, r.Instructions, r.IPC(), 100*r.MispredictRate(), 100*r.POLB.MissRate())
 }
 
-// finish copies end-of-run machine counters into the result.
-func (r *Result) finish(m *Machine) {
+// finish fills in the counters both models derive the same way: the
+// instruction count from the mix, the predictor's, and the machine's.
+func (r *Result) finish(m *Machine, p *predictor) {
+	r.Instructions = r.Mix.Total
+	r.BranchLookups, r.Mispredicts = p.lookups, p.mispredicts
 	r.Mem = m.Hier.Stats()
 	if m.Translator != nil {
 		r.Translation = m.Translator.Stats()

@@ -49,6 +49,7 @@ func TestEmitPrimitives(t *testing.T) {
 	e.NVStore(8, oid.New(3, 24), 8, 7)
 	e.CLWB(0x1234)
 	e.SFence()
+	e.Flush()
 	if e.Count() != 12 || len(buf.Instrs) != 12 {
 		t.Fatalf("count = %d, buffered = %d", e.Count(), len(buf.Instrs))
 	}
@@ -69,6 +70,7 @@ func TestBranchPCStable(t *testing.T) {
 	e.Branch("site", true)
 	e.Branch("site", false)
 	e.Branch("other", true)
+	e.Flush()
 	if buf.Instrs[0].PC != buf.Instrs[1].PC {
 		t.Error("same label must map to same PC")
 	}
@@ -81,6 +83,7 @@ func TestComputeChains(t *testing.T) {
 	var buf trace.Buffer
 	e := New(&buf, Opt)
 	r := e.Compute(12, 3)
+	e.Flush()
 	if len(buf.Instrs) != 12 {
 		t.Fatalf("Compute(12) emitted %d", len(buf.Instrs))
 	}
@@ -117,6 +120,7 @@ func TestComputeChains(t *testing.T) {
 	// Small and degenerate forms.
 	before := len(buf.Instrs)
 	e.Compute(2, 4)
+	e.Flush()
 	if len(buf.Instrs)-before != 2 {
 		t.Error("Compute(2) emits 2 instructions")
 	}
@@ -132,6 +136,7 @@ func TestComputeChains(t *testing.T) {
 		var b2 trace.Buffer
 		e2 := New(&b2, Opt)
 		e2.Compute(n, 1)
+		e2.Flush()
 		if len(b2.Instrs) != n {
 			t.Fatalf("Compute(%d) emitted %d", n, len(b2.Instrs))
 		}

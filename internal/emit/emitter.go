@@ -3,7 +3,7 @@
 //
 // The persistent-memory library (internal/pmem) and the workloads execute
 // functionally in Go; every operation they perform is mirrored, instruction
-// by instruction, into a trace.Sink through an Emitter. This is the same
+// by instruction, into a trace chunk through an Emitter. This is the same
 // division of labour as the paper's methodology (§5.1), where Pin observes a
 // functionally executing x86 binary and feeds a dynamic instruction stream
 // to Sniper.
@@ -58,9 +58,12 @@ func (m Mode) String() string {
 	}
 }
 
-// Emitter writes instructions to a sink and manages temporary registers.
+// Emitter writes instructions into a chunk it owns, hands each full chunk
+// to its consumer, and manages temporary registers.
 type Emitter struct {
-	sink     trace.Sink
+	out      trace.Consumer
+	chunk    []isa.Instr // trace.ChunkSize entries, allocated at the first emit
+	n        int         // instructions in chunk not yet handed over
 	mode     Mode
 	next     int
 	count    uint64
@@ -98,9 +101,9 @@ type PersistObserver interface {
 // SetPersistObserver installs (or, with nil, removes) the observer.
 func (e *Emitter) SetPersistObserver(o PersistObserver) { e.persistObs = o }
 
-// New creates an Emitter in the given mode.
-func New(sink trace.Sink, mode Mode) *Emitter {
-	return &Emitter{sink: sink, mode: mode, next: tempLo}
+// New creates an Emitter in the given mode whose instructions go to out.
+func New(out trace.Consumer, mode Mode) *Emitter {
+	return &Emitter{out: out, mode: mode, next: tempLo}
 }
 
 // Temporary registers rotate through r16..r63; r1..r15 are reserved for
@@ -150,7 +153,7 @@ func (e *Emitter) Resume() { e.paused = false }
 func (e *Emitter) Paused() bool { return e.paused }
 
 // Detach permanently turns the emitter into a no-op shell: no instruction
-// is recorded, counted, or handed to the sink, and Temp stops rotating
+// is recorded, counted, or handed to the consumer, and Temp stops rotating
 // registers so the emitter carries no mutable state on the emission path.
 // Persist observation (CLWB/SFence) still fires — durability is a property
 // of the simulated machine, not of the trace.
@@ -167,7 +170,13 @@ func (e *Emitter) Detached() bool { return e.detached }
 // Dropped returns the number of instructions suppressed while paused.
 func (e *Emitter) Dropped() uint64 { return e.dropped }
 
-func (e *Emitter) emit(in isa.Instr) {
+// emit writes one instruction into the chunk, field by field, and hands the
+// chunk to the consumer the moment it holds trace.ChunkSize instructions —
+// before control returns to the workload, so the consumer always sees the
+// simulator state of exactly that point in the run.
+//
+//potlint:noalloc
+func (e *Emitter) emit(op isa.Op, dst, src1, src2 isa.Reg, addr, pc uint64, size uint8, taken bool) {
 	if e.detached {
 		return
 	}
@@ -176,64 +185,84 @@ func (e *Emitter) emit(in isa.Instr) {
 		return
 	}
 	e.count++
-	e.sink.Emit(in)
+	if e.chunk == nil {
+		e.chunk = make([]isa.Instr, trace.ChunkSize) //potlint:allow noalloc once per emitter, at its first instruction; every later chunk reuses it
+	}
+	in := &e.chunk[e.n]
+	in.Addr, in.PC = addr, pc
+	in.Op, in.Dst, in.Src1, in.Src2, in.Size, in.Taken = op, dst, src1, src2, size, taken
+	e.n++
+	if e.n == len(e.chunk) {
+		e.Flush()
+	}
+}
+
+// Flush hands the instructions emitted since the last hand-off to the
+// consumer. The emitter does so by itself every trace.ChunkSize
+// instructions; the owner calls Flush once at the end of the run.
+func (e *Emitter) Flush() {
+	if e.n == 0 {
+		return
+	}
+	e.out.Consume(e.chunk[:e.n])
+	e.n = 0
 }
 
 // Nop emits a pipeline bubble.
-func (e *Emitter) Nop() { e.emit(isa.Instr{Op: isa.Nop}) }
+func (e *Emitter) Nop() { e.emit(isa.Nop, 0, 0, 0, 0, 0, 0, false) }
 
 // ALU emits a single-cycle integer op dst = f(src1, src2).
 func (e *Emitter) ALU(dst, src1, src2 isa.Reg) {
-	e.emit(isa.Instr{Op: isa.ALU, Dst: dst, Src1: src1, Src2: src2})
+	e.emit(isa.ALU, dst, src1, src2, 0, 0, 0, false)
 }
 
 // Mul emits a 3-cycle multiply.
 func (e *Emitter) Mul(dst, src1, src2 isa.Reg) {
-	e.emit(isa.Instr{Op: isa.Mul, Dst: dst, Src1: src1, Src2: src2})
+	e.emit(isa.Mul, dst, src1, src2, 0, 0, 0, false)
 }
 
 // Div emits a 20-cycle divide.
 func (e *Emitter) Div(dst, src1, src2 isa.Reg) {
-	e.emit(isa.Instr{Op: isa.Div, Dst: dst, Src1: src1, Src2: src2})
+	e.emit(isa.Div, dst, src1, src2, 0, 0, 0, false)
 }
 
 // Branch emits a conditional branch. The label identifies the static branch
 // site (hashed to a stable synthetic PC); taken is the resolved direction.
 func (e *Emitter) Branch(label string, taken bool, deps ...isa.Reg) {
-	in := isa.Instr{Op: isa.Branch, PC: labelPC(label), Taken: taken}
+	var src1, src2 isa.Reg
 	if len(deps) > 0 {
-		in.Src1 = deps[0]
+		src1 = deps[0]
 	}
 	if len(deps) > 1 {
-		in.Src2 = deps[1]
+		src2 = deps[1]
 	}
-	e.emit(in)
+	e.emit(isa.Branch, 0, src1, src2, 0, labelPC(label), 0, taken)
 }
 
 // Jump emits an unconditional direct jump/call/return (predicted, free
 // beyond its slot).
-func (e *Emitter) Jump() { e.emit(isa.Instr{Op: isa.Jump}) }
+func (e *Emitter) Jump() { e.emit(isa.Jump, 0, 0, 0, 0, 0, 0, false) }
 
 // Load emits a load of size bytes at virtual address va into dst. addrReg
 // (may be RZ) is the register the address was computed from, establishing
 // the dependency for pointer chasing.
 func (e *Emitter) Load(dst isa.Reg, addrReg isa.Reg, va uint64, size uint8) {
-	e.emit(isa.Instr{Op: isa.Load, Dst: dst, Src1: addrReg, Addr: va, Size: size})
+	e.emit(isa.Load, dst, addrReg, 0, va, 0, size, false)
 }
 
 // Store emits a store of size bytes of register data at virtual address va.
 func (e *Emitter) Store(addrReg isa.Reg, va uint64, size uint8, data isa.Reg) {
-	e.emit(isa.Instr{Op: isa.Store, Src1: addrReg, Src2: data, Addr: va, Size: size})
+	e.emit(isa.Store, 0, addrReg, data, va, 0, size, false)
 }
 
 // NVLoad emits the paper's nvld: dst = MEM[Lookup(oid)+0].
 func (e *Emitter) NVLoad(dst isa.Reg, oidReg isa.Reg, o oid.OID, size uint8) {
-	e.emit(isa.Instr{Op: isa.NVLoad, Dst: dst, Src1: oidReg, Addr: uint64(o), Size: size})
+	e.emit(isa.NVLoad, dst, oidReg, 0, uint64(o), 0, size, false)
 }
 
 // NVStore emits the paper's nvst: MEM[Lookup(oid)+0] = data.
 func (e *Emitter) NVStore(oidReg isa.Reg, o oid.OID, size uint8, data isa.Reg) {
-	e.emit(isa.Instr{Op: isa.NVStore, Src1: oidReg, Src2: data, Addr: uint64(o), Size: size})
+	e.emit(isa.NVStore, 0, oidReg, data, uint64(o), 0, size, false)
 }
 
 // CLWB emits a cache-line write-back of the line containing va.
@@ -241,7 +270,7 @@ func (e *Emitter) CLWB(va uint64) {
 	if e.persistObs != nil {
 		e.persistObs.ObserveCLWB(va &^ 63)
 	}
-	e.emit(isa.Instr{Op: isa.CLWB, Addr: va &^ 63, Size: 64})
+	e.emit(isa.CLWB, 0, 0, 0, va&^63, 0, 64, false)
 }
 
 // SFence emits a store fence.
@@ -249,7 +278,7 @@ func (e *Emitter) SFence() {
 	if e.persistObs != nil {
 		e.persistObs.ObserveSFence()
 	}
-	e.emit(isa.Instr{Op: isa.SFence})
+	e.emit(isa.SFence, 0, 0, 0, 0, 0, 0, false)
 }
 
 // computeILP is the instruction-level parallelism of emitted straight-line

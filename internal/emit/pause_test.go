@@ -21,6 +21,7 @@ func TestPauseSuppressesEmission(t *testing.T) {
 		t.Error("Resume must clear paused")
 	}
 	e.ALU(1, 2, 3)
+	e.Flush()
 	if len(buf.Instrs) != 2 {
 		t.Errorf("buffered %d instructions, want 2", len(buf.Instrs))
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"math"
@@ -8,6 +9,10 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"potgo/internal/cpu"
+	"potgo/internal/polb"
+	"potgo/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment snapshots")
@@ -47,6 +52,81 @@ func TestGoldenNumbers(t *testing.T) {
 			want := readGolden(t, path)
 			compareGolden(t, rep.Values, want)
 		})
+	}
+}
+
+// goldenResultSpecs are the sim_grid machine configurations (in-order BASE,
+// Pipelined and Parallel OPT; out-of-order BASE and Pipelined OPT) on LL and
+// BT under EACH and RANDOM.
+func goldenResultSpecs() []RunSpec {
+	configs := []RunSpec{
+		{Core: InOrder},
+		{Core: InOrder, Opt: true, Design: polb.Pipelined},
+		{Core: InOrder, Opt: true, Design: polb.Parallel},
+		{Core: OutOfOrder},
+		{Core: OutOfOrder, Opt: true, Design: polb.Pipelined},
+	}
+	var specs []RunSpec
+	for _, bench := range []string{"LL", "BT"} {
+		for _, pat := range []workloads.Pattern{workloads.Each, workloads.Random} {
+			for _, c := range configs {
+				c.Bench, c.Pattern, c.Tx, c.Ops, c.Seed = bench, pat, true, 300, 6
+				specs = append(specs, c)
+			}
+		}
+	}
+	return specs
+}
+
+// TestGoldenResults pins every counter of every run, not just the ratios the
+// experiment goldens keep: cycles, instructions, the mix, branch counters,
+// each stall bucket and the memory, translation and POLB statistics. The
+// file must stay byte-identical across any change that claims not to move a
+// simulated number.
+func TestGoldenResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs twenty small simulations")
+	}
+	got := map[string]cpu.Result{}
+	for _, sp := range goldenResultSpecs() {
+		r, err := Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[sp.Label()] = r.CPU
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, '\n')
+	path := filepath.Join("testdata", "golden", "results.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	wantData, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/harness -run TestGoldenResults -update` to create it)", err)
+	}
+	if bytes.Equal(data, wantData) {
+		return
+	}
+	var want map[string]cpu.Result
+	if err := json.Unmarshal(wantData, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	for label, r := range got {
+		if w, ok := want[label]; !ok || r != w {
+			// The conversions print every field, not Result's summary.
+			type fields cpu.Result
+			t.Errorf("%s:\n got  %+v\n want %+v", label, fields(r), fields(w))
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden has %d runs, got %d", len(want), len(got))
 	}
 }
 

@@ -54,8 +54,8 @@ func measureRecovery(mode emit.Mode, n int, seed int64) (insns, clwbs uint64, er
 	as := vm.NewAddressSpace(seed ^ 0xec0)
 	store := pmem.NewStore()
 
-	build := func(sink trace.Sink) (*pmem.Heap, *emit.Emitter, error) {
-		em := emit.New(sink, mode)
+	build := func() (*pmem.Heap, *emit.Emitter, error) {
+		em := emit.New(trace.Discard{}, mode)
 		var soft *emit.SoftTranslator
 		if mode == emit.Base {
 			var err error
@@ -68,7 +68,7 @@ func measureRecovery(mode emit.Mode, n int, seed int64) (insns, clwbs uint64, er
 	}
 
 	// Process 1: log n records, then crash.
-	h, _, err := build(trace.Discard{})
+	h, _, err := build()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -108,7 +108,7 @@ func measureRecovery(mode emit.Mode, n int, seed int64) (insns, clwbs uint64, er
 	}
 
 	// Process 2: recover, counting emitted work.
-	h2, em2, err := build(trace.Discard{})
+	h2, em2, err := build()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,9 +1,9 @@
 // Package harness drives the paper's experiments: it assembles a simulated
 // machine (memory hierarchy, optional POLB/POT translation hardware, an
 // in-order or out-of-order core), runs a workload against the persistent
-// memory library in BASE or OPT mode, feeds the emitted instruction stream
-// to the timing model in lockstep, and collects the statistics every table
-// and figure of the evaluation needs.
+// memory library in BASE or OPT mode, hands the emitted instruction stream
+// to the timing model chunk by chunk on the workload's own goroutine, and
+// collects the statistics every table and figure of the evaluation needs.
 package harness
 
 import (
@@ -163,6 +163,13 @@ func Run(spec RunSpec) (RunResult, error) {
 // statistics are published into ro.Metrics and (when ro.Trace is set)
 // sampled per-instruction pipeline timestamps stream into the trace. A
 // zero RunObs makes it exactly Run.
+//
+// The workload runs on the calling goroutine. Its emitter is the timing
+// model's only feed: every trace.ChunkSize instructions, and once at the
+// end, it hands the model the whole chunk and waits for it to be timed, so
+// the model sees the address space, POT and POLB exactly as the workload
+// left them at that point. A model error (an unmapped address, a NULL ObjectID, a POT miss) stops the
+// timing; the run then fails with a "simulation" error.
 func RunObserved(spec RunSpec, ro RunObs) (RunResult, error) {
 	ops, keyRange, err := spec.opsAndRange()
 	if err != nil {
@@ -207,104 +214,28 @@ func RunObserved(spec RunSpec, ro RunObs) (RunResult, error) {
 		machine.Translator = tr
 	}
 
-	out := RunResult{Spec: spec}
-	var prodErr error
-	// heapRef is set by the producer goroutine and read only after
-	// ls.Close() joins it, so the handoff is race-free.
-	var heapRef *pmem.Heap
-	ls := trace.GenerateLockstep(func(sink trace.Sink) {
-		mode := emit.Base
-		switch {
-		case spec.Opt:
-			mode = emit.Opt
-		case spec.FixedMap:
-			mode = emit.Fixed
-		}
-		em := emit.New(sink, mode)
-		if stack, err := as.Map(64 * 1024); err == nil {
-			em.AttachStack(stack.Base, stack.Size)
-		}
-		var soft *emit.SoftTranslator
-		if mode == emit.Base {
-			soft, prodErr = emit.NewSoftTranslator(em, as, 1024)
-			if prodErr != nil {
-				return
-			}
-		}
-		h, err := pmem.NewHeap(as, pmem.NewStore(), em, soft)
-		if err != nil {
-			prodErr = err
-			return
-		}
-		h.POT = potTable
-		h.HW = tr
-		heapRef = h
-		if spec.FT {
-			h.SetFTDefault(true)
-		}
-
-		if spec.Bench == TPCCBench {
-			cfg := tpcc.SpecConfig(spec.Seed)
-			if spec.TPCC != nil {
-				cfg = *spec.TPCC
-				cfg.Seed = spec.Seed
-			}
-			place := tpcc.PlaceAll
-			if spec.Pattern == workloads.Each {
-				place = tpcc.PlaceEach
-			}
-			db, err := tpcc.NewDB(h, cfg, place)
-			if err != nil {
-				prodErr = err
-				return
-			}
-			if err := db.RunMix(ops); err != nil {
-				prodErr = err
-				return
-			}
-			st := db.Stats()
-			out.Checksum = st.Total()<<8 ^ st.Rollbacks
-			out.Pools = h.OpenPools()
-		} else {
-			w, _ := workloads.ByAbbr(spec.Bench)
-			env, err := workloads.NewEnv(h, workloads.Config{
-				Pattern: spec.Pattern,
-				Tx:      spec.Tx,
-				Seed:    spec.Seed,
-			})
-			if err != nil {
-				prodErr = err
-				return
-			}
-			sum, err := w.Run(env, ops, keyRange)
-			if err != nil {
-				prodErr = err
-				return
-			}
-			out.Checksum = sum
-			out.Pools = env.PoolsCreated()
-		}
-		if soft != nil {
-			out.Soft = soft.Stats()
-		}
-	})
-
-	var res cpu.Result
+	var model timingModel = cpu.NewOutOfOrder(cpu.DefaultConfig(), machine)
 	if spec.Core == InOrder {
-		res, err = cpu.RunInOrder(cpu.DefaultConfig(), machine, ls)
-	} else {
-		res, err = cpu.RunOutOfOrder(cpu.DefaultConfig(), machine, ls)
+		model = cpu.NewInOrder(cpu.DefaultConfig(), machine)
 	}
-	ls.Close() // releases (and joins) the producer in every path
-	if prodErr != nil {
-		return RunResult{}, fmt.Errorf("harness: %s: workload: %w", spec.Label(), prodErr)
-	}
+	out, h, werr := runWorkload(spec, ops, keyRange, as, model, potTable, tr)
+	res, err := model.Result()
 	if err != nil {
 		return RunResult{}, fmt.Errorf("harness: %s: simulation: %w", spec.Label(), err)
 	}
+	if werr != nil {
+		return RunResult{}, fmt.Errorf("harness: %s: workload: %w", spec.Label(), werr)
+	}
 	out.CPU = res
-	out.publish(ro.Metrics, tr, heapRef)
+	out.publish(ro.Metrics, tr, h)
 	return out, nil
+}
+
+// timingModel is what a run needs of cpu.InOrder and cpu.OutOfOrder: the
+// emitter's chunks in, the timing out.
+type timingModel interface {
+	trace.Consumer
+	Result() (cpu.Result, error)
 }
 
 // RunFunctional executes the workload without a timing model (the trace is
@@ -346,6 +277,17 @@ func runFunctional(spec RunSpec) (RunResult, *pmem.Heap, error) {
 		return RunResult{}, nil, err
 	}
 	as := vm.NewAddressSpace(spec.Seed ^ 0x5eed)
+	return runWorkload(spec, ops, keyRange, as, trace.Discard{}, nil, nil)
+}
+
+// runWorkload executes spec's benchmark on a fresh heap over as, with the
+// given POT and translation hardware (nil for BASE and functional runs). It
+// runs on the caller's goroutine and emits into an emitter that hands its
+// chunks to c, flushing the last one before it returns, and it fills in the
+// result's checksum, pool count, oid_direct statistics and instruction
+// count.
+func runWorkload(spec RunSpec, ops int, keyRange uint64, as *vm.AddressSpace, c trace.Consumer,
+	potTable *pot.Table, tr *core.Translator) (RunResult, *pmem.Heap, error) {
 	mode := emit.Base
 	switch {
 	case spec.Opt:
@@ -353,12 +295,14 @@ func runFunctional(spec RunSpec) (RunResult, *pmem.Heap, error) {
 	case spec.FixedMap:
 		mode = emit.Fixed
 	}
-	em := emit.New(trace.Discard{}, mode)
+	em := emit.New(c, mode)
+	defer em.Flush()
 	if stack, err := as.Map(64 * 1024); err == nil {
 		em.AttachStack(stack.Base, stack.Size)
 	}
 	var soft *emit.SoftTranslator
 	if mode == emit.Base {
+		var err error
 		if soft, err = emit.NewSoftTranslator(em, as, 1024); err != nil {
 			return RunResult{}, nil, err
 		}
@@ -367,6 +311,8 @@ func runFunctional(spec RunSpec) (RunResult, *pmem.Heap, error) {
 	if err != nil {
 		return RunResult{}, nil, err
 	}
+	h.POT = potTable
+	h.HW = tr
 	if spec.FT {
 		h.SetFTDefault(true)
 	}
@@ -388,11 +334,11 @@ func runFunctional(spec RunSpec) (RunResult, *pmem.Heap, error) {
 		if err := db.RunMix(ops); err != nil {
 			return RunResult{}, nil, err
 		}
+		st := db.Stats()
+		out.Checksum = st.Total()<<8 ^ st.Rollbacks
+		out.Pools = h.OpenPools()
 	} else {
-		w, ok := workloads.ByAbbr(spec.Bench)
-		if !ok {
-			return RunResult{}, nil, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-		}
+		w, _ := workloads.ByAbbr(spec.Bench)
 		env, err := workloads.NewEnv(h, workloads.Config{Pattern: spec.Pattern, Tx: spec.Tx, Seed: spec.Seed})
 		if err != nil {
 			return RunResult{}, nil, err

@@ -44,6 +44,13 @@ func attach(t *testing.T, as *vm.AddressSpace, store *Store, mode emit.Mode) *en
 	return &env{as: as, store: store, buf: buf, h: h}
 }
 
+// instrs hands the emitter's pending chunk over and returns every
+// instruction emitted so far.
+func (e *env) instrs() []isa.Instr {
+	e.h.Emit.Flush()
+	return e.buf.Instrs
+}
+
 const testPoolBytes = 256 * 1024
 
 func (e *env) create(t *testing.T, name string) *Pool {
@@ -159,13 +166,13 @@ func TestDerefModes(t *testing.T) {
 	e := newEnv(t, emit.Opt)
 	p := e.create(t, "p")
 	o, _ := e.h.Alloc(p, 32)
-	before := len(e.buf.Instrs)
+	before := len(e.instrs())
 	ref, _ := e.h.Deref(o, isa.RZ)
-	if len(e.buf.Instrs) != before {
+	if len(e.instrs()) != before {
 		t.Error("OPT Deref must emit nothing")
 	}
 	ref.Store64(8, 42, isa.RZ)
-	last := e.buf.Instrs[len(e.buf.Instrs)-1]
+	last := e.instrs()[len(e.instrs())-1]
 	if last.Op != isa.NVStore || last.Addr != uint64(o.FieldAt(8)) {
 		t.Errorf("OPT store = %v", last)
 	}
@@ -173,7 +180,7 @@ func TestDerefModes(t *testing.T) {
 	if w.V != 42 {
 		t.Errorf("functional readback = %d", w.V)
 	}
-	last = e.buf.Instrs[len(e.buf.Instrs)-1]
+	last = e.instrs()[len(e.instrs())-1]
 	if last.Op != isa.NVLoad {
 		t.Errorf("OPT load = %v", last)
 	}
@@ -182,16 +189,16 @@ func TestDerefModes(t *testing.T) {
 	eb := newEnv(t, emit.Base)
 	pb := eb.create(t, "p")
 	ob, _ := eb.h.Alloc(pb, 32)
-	before = len(eb.buf.Instrs)
+	before = len(eb.instrs())
 	refb, err := eb.h.Deref(ob, isa.RZ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(eb.buf.Instrs) == before {
+	if len(eb.instrs()) == before {
 		t.Error("BASE Deref must emit the translation sequence")
 	}
 	refb.Store64(8, 43, isa.RZ)
-	last = eb.buf.Instrs[len(eb.buf.Instrs)-1]
+	last = eb.instrs()[len(eb.instrs())-1]
 	if last.Op != isa.Store {
 		t.Errorf("BASE store = %v", last)
 	}
@@ -367,12 +374,12 @@ func TestPersistEmitsCLWBs(t *testing.T) {
 	e := newEnv(t, emit.Opt)
 	p := e.create(t, "p")
 	o, _ := e.h.Alloc(p, 256)
-	before := len(e.buf.Instrs)
+	before := len(e.instrs())
 	if err := e.h.Persist(o, 200); err != nil {
 		t.Fatal(err)
 	}
 	var clwbs, fences int
-	for _, in := range e.buf.Instrs[before:] {
+	for _, in := range e.instrs()[before:] {
 		switch in.Op {
 		case isa.CLWB:
 			clwbs++
@@ -389,9 +396,9 @@ func TestPersistEmitsCLWBs(t *testing.T) {
 		t.Errorf("fences = %d", fences)
 	}
 	// Zero-size persist is a fence only.
-	before = len(e.buf.Instrs)
+	before = len(e.instrs())
 	e.h.Persist(o, 0)
-	if n := len(e.buf.Instrs) - before; n != 1 {
+	if n := len(e.instrs()) - before; n != 1 {
 		t.Errorf("zero persist emitted %d instructions", n)
 	}
 }

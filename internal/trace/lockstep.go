@@ -2,13 +2,17 @@ package trace
 
 import "potgo/internal/isa"
 
-// Lockstep is a Source whose producer and consumer strictly alternate: the
-// producer fills one chunk and then blocks until the consumer has finished
-// executing it. This matters because the two sides share simulator state —
-// the producing workload maps pools into the address space and inserts POT
-// entries while the consuming CPU model walks the same structures — so they
-// must never run concurrently. The chunk hand-off is the only
-// synchronization point, and exactly one side is ever active.
+// Sink receives emitted instructions one at a time. Only Lockstep's
+// producer side uses it.
+type Sink interface {
+	Emit(isa.Instr)
+}
+
+// Lockstep runs a producer on its own goroutine and hands its instructions
+// one at a time, through Next, to a consumer on another; the two strictly
+// alternate, one chunk per turn. Simulations do not use it: it is kept only
+// because the benchmark module (bench/trace_sim.go) still times this
+// hand-off.
 type Lockstep struct {
 	ch   chan []isa.Instr
 	ack  chan struct{}
@@ -19,8 +23,14 @@ type Lockstep struct {
 	opened bool
 }
 
+// streamClosed is the panic that unwinds a producer whose consumer called
+// Close.
+type streamClosed struct{}
+
+var errStreamClosed = streamClosed{}
+
 // GenerateLockstep runs producer in its own goroutine under the alternation
-// protocol and returns the consumer's Source.
+// protocol and returns the consumer's side.
 func GenerateLockstep(producer func(Sink)) *Lockstep {
 	l := &Lockstep{
 		ch:   make(chan []isa.Instr),
@@ -85,8 +95,8 @@ func (s *lockSink) flush() {
 	s.buf, s.spare = s.spare[:0], s.buf
 }
 
-// Next implements Source. Exhausting a chunk acks the producer before
-// blocking for the next one.
+// Next returns the next instruction; ok is false at the end of the trace.
+// Exhausting a chunk acks the producer before blocking for the next one.
 func (l *Lockstep) Next() (isa.Instr, bool) {
 	for l.pos >= len(l.cur) {
 		if l.opened {

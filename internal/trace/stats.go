@@ -19,7 +19,7 @@ type Stats struct {
 }
 
 // Record accounts for one instruction.
-func (s *Stats) Record(in isa.Instr) {
+func (s *Stats) Record(in *isa.Instr) {
 	s.Total++
 	s.ByOp[in.Op]++
 	if in.Op == isa.Branch {

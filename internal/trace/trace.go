@@ -3,163 +3,41 @@
 //
 // A full trace for one experiment can run to tens of millions of
 // instructions, so streams are chunked: the producer (a functionally
-// executing workload) fills fixed-size slices of instructions and hands them
-// to the consumer (a CPU timing model) over a channel. This bounds memory to
-// a few chunks regardless of trace length and keeps per-instruction overhead
-// negligible.
+// executing workload, through its emit.Emitter) fills a fixed-size slice of
+// instructions in place and, every ChunkSize instructions and once at the
+// end, hands the whole slice to a Consumer (a CPU timing model) on its own
+// goroutine. The hand-off is a plain call: there is no channel, memory stays
+// bounded to one chunk regardless of trace length, and the consumer runs
+// while the producer is suspended at a fixed point, so the two never touch
+// shared simulator state at the same time.
 package trace
 
 import (
 	"potgo/internal/isa"
 )
 
-// ChunkSize is the number of instructions per streamed chunk.
+// ChunkSize is the number of instructions per chunk hand-off.
 const ChunkSize = 1 << 14
 
-// Sink receives emitted instructions one at a time.
-type Sink interface {
-	Emit(isa.Instr)
+// Consumer receives the instruction stream one chunk at a time. The chunk
+// is only valid during the call: the producer refills it afterwards.
+type Consumer interface {
+	Consume(chunk []isa.Instr)
 }
 
-// Discard is a Sink that drops every instruction. It is used when a workload
-// is executed purely functionally (e.g. to warm a heap or verify behaviour)
-// with no timing run attached.
+// Discard is a Consumer that drops every instruction. It is used when a
+// workload is executed purely functionally (e.g. to warm a heap or verify
+// behaviour) with no timing run attached.
 type Discard struct{}
 
-// Emit implements Sink.
-func (Discard) Emit(isa.Instr) {}
+// Consume implements Consumer.
+func (Discard) Consume([]isa.Instr) {}
 
-// Counting wraps statistics gathering as a Sink.
-type Counting struct{ Stats Stats }
-
-// Emit implements Sink.
-func (c *Counting) Emit(in isa.Instr) { c.Stats.Record(in) }
-
-// Tee duplicates emitted instructions to multiple sinks.
-type Tee []Sink
-
-// Emit implements Sink.
-func (t Tee) Emit(in isa.Instr) {
-	for _, s := range t {
-		s.Emit(in)
-	}
-}
-
-// Buffer is a Sink that materializes the whole trace in memory. Intended for
-// tests and small runs.
+// Buffer is a Consumer that materializes the whole trace in memory.
+// Intended for tests and small runs.
 type Buffer struct {
 	Instrs []isa.Instr
 }
 
-// Emit implements Sink.
-func (b *Buffer) Emit(in isa.Instr) { b.Instrs = append(b.Instrs, in) }
-
-// Source yields instructions to a timing model.
-type Source interface {
-	// Next returns the next instruction. ok is false at end of trace.
-	Next() (in isa.Instr, ok bool)
-}
-
-// BufferSource adapts a materialized instruction slice to a Source.
-type BufferSource struct {
-	Instrs []isa.Instr
-	pos    int
-}
-
-// Next implements Source.
-func (b *BufferSource) Next() (isa.Instr, bool) {
-	if b.pos >= len(b.Instrs) {
-		return isa.Instr{}, false
-	}
-	in := b.Instrs[b.pos]
-	b.pos++
-	return in, true
-}
-
-// Stream is a chunked, concurrently produced Source.
-type Stream struct {
-	ch   chan []isa.Instr
-	done chan struct{}
-	cur  []isa.Instr
-	pos  int
-}
-
-// Generate runs producer in its own goroutine, giving it a Sink whose
-// instructions arrive at the returned Stream. The producer goroutine exits
-// when it returns or when the consumer calls Close.
-func Generate(producer func(Sink)) *Stream {
-	s := &Stream{
-		ch:   make(chan []isa.Instr, 4),
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(s.ch)
-		sink := &chunkSink{stream: s, buf: make([]isa.Instr, 0, ChunkSize)}
-		defer func() {
-			// A closed consumer aborts the producer via panic; turn
-			// that into a clean goroutine exit.
-			if r := recover(); r != nil && r != errStreamClosed {
-				panic(r)
-			}
-		}()
-		producer(sink)
-		sink.flush()
-	}()
-	return s
-}
-
-type streamClosed struct{}
-
-var errStreamClosed = streamClosed{}
-
-type chunkSink struct {
-	stream *Stream
-	buf    []isa.Instr
-}
-
-// Emit implements Sink.
-func (c *chunkSink) Emit(in isa.Instr) {
-	c.buf = append(c.buf, in)
-	if len(c.buf) == ChunkSize {
-		c.flush()
-	}
-}
-
-func (c *chunkSink) flush() {
-	if len(c.buf) == 0 {
-		return
-	}
-	select {
-	case c.stream.ch <- c.buf:
-	case <-c.stream.done:
-		panic(errStreamClosed)
-	}
-	c.buf = make([]isa.Instr, 0, ChunkSize)
-}
-
-// Next implements Source.
-func (s *Stream) Next() (isa.Instr, bool) {
-	for s.pos >= len(s.cur) {
-		chunk, ok := <-s.ch
-		if !ok {
-			return isa.Instr{}, false
-		}
-		s.cur, s.pos = chunk, 0
-	}
-	in := s.cur[s.pos]
-	s.pos++
-	return in, true
-}
-
-// Close releases the producer goroutine if the consumer stops early. It is
-// safe to call multiple times and after the trace is exhausted.
-func (s *Stream) Close() {
-	select {
-	case <-s.done:
-	default:
-		close(s.done)
-	}
-	// Drain so a producer blocked on send can observe done.
-	for range s.ch {
-	}
-}
+// Consume implements Consumer.
+func (b *Buffer) Consume(chunk []isa.Instr) { b.Instrs = append(b.Instrs, chunk...) }

@@ -8,109 +8,38 @@ import (
 
 func TestBufferRoundTrip(t *testing.T) {
 	var b Buffer
+	chunk := make([]isa.Instr, 0, 7)
 	for i := 0; i < 100; i++ {
-		b.Emit(isa.Instr{Op: isa.ALU, PC: uint64(i)})
-	}
-	src := &BufferSource{Instrs: b.Instrs}
-	for i := 0; i < 100; i++ {
-		in, ok := src.Next()
-		if !ok {
-			t.Fatalf("trace ended early at %d", i)
+		chunk = append(chunk, isa.Instr{Op: isa.ALU, PC: uint64(i)})
+		if len(chunk) == cap(chunk) {
+			b.Consume(chunk)
+			chunk = chunk[:0] // the producer refills the chunk it handed over
 		}
+	}
+	b.Consume(chunk)
+	if len(b.Instrs) != 100 {
+		t.Fatalf("buffered %d instructions, want 100", len(b.Instrs))
+	}
+	for i, in := range b.Instrs {
 		if in.PC != uint64(i) {
 			t.Fatalf("instruction %d has PC %d", i, in.PC)
 		}
-	}
-	if _, ok := src.Next(); ok {
-		t.Error("source must end after 100 instructions")
-	}
-}
-
-func TestStreamDeliversAllInOrder(t *testing.T) {
-	const n = ChunkSize*3 + 17 // multiple chunks plus a partial tail
-	s := Generate(func(sink Sink) {
-		for i := 0; i < n; i++ {
-			sink.Emit(isa.Instr{Op: isa.ALU, PC: uint64(i)})
-		}
-	})
-	for i := 0; i < n; i++ {
-		in, ok := s.Next()
-		if !ok {
-			t.Fatalf("stream ended early at %d", i)
-		}
-		if in.PC != uint64(i) {
-			t.Fatalf("out of order: instruction %d has PC %d", i, in.PC)
-		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("stream must end")
-	}
-	s.Close() // safe after exhaustion
-}
-
-func TestStreamEmptyProducer(t *testing.T) {
-	s := Generate(func(Sink) {})
-	if _, ok := s.Next(); ok {
-		t.Error("empty producer yields empty stream")
-	}
-}
-
-func TestStreamEarlyClose(t *testing.T) {
-	produced := make(chan int, 1)
-	s := Generate(func(sink Sink) {
-		i := 0
-		defer func() {
-			produced <- i
-			if r := recover(); r != nil {
-				panic(r) // propagate to Generate's recover
-			}
-		}()
-		for ; i < ChunkSize*1000; i++ {
-			sink.Emit(isa.Instr{Op: isa.ALU})
-		}
-	})
-	// Read a handful then abandon the stream.
-	for i := 0; i < 10; i++ {
-		if _, ok := s.Next(); !ok {
-			t.Fatal("stream ended unexpectedly")
-		}
-	}
-	s.Close()
-	n := <-produced
-	if n >= ChunkSize*1000 {
-		t.Error("producer ran to completion despite early Close")
-	}
-	s.Close() // idempotent
-}
-
-func TestTeeAndCounting(t *testing.T) {
-	var buf Buffer
-	var cnt Counting
-	tee := Tee{&buf, &cnt}
-	tee.Emit(isa.Instr{Op: isa.Load})
-	tee.Emit(isa.Instr{Op: isa.Branch, Taken: true})
-	tee.Emit(isa.Instr{Op: isa.Branch})
-	if len(buf.Instrs) != 3 {
-		t.Errorf("tee delivered %d to buffer", len(buf.Instrs))
-	}
-	if cnt.Stats.Total != 3 || cnt.Stats.Branches != 2 || cnt.Stats.Taken != 1 {
-		t.Errorf("counting sink got %+v", cnt.Stats)
 	}
 }
 
 func TestDiscard(t *testing.T) {
 	var d Discard
-	d.Emit(isa.Instr{Op: isa.Load}) // must not panic
+	d.Consume([]isa.Instr{{Op: isa.Load}}) // must not panic
 }
 
 func TestStatsAccumulation(t *testing.T) {
 	var s Stats
-	s.Record(isa.Instr{Op: isa.Load})
-	s.Record(isa.Instr{Op: isa.NVLoad})
-	s.Record(isa.Instr{Op: isa.Store})
-	s.Record(isa.Instr{Op: isa.NVStore})
-	s.Record(isa.Instr{Op: isa.CLWB})
-	s.Record(isa.Instr{Op: isa.ALU})
+	s.Record(&isa.Instr{Op: isa.Load})
+	s.Record(&isa.Instr{Op: isa.NVLoad})
+	s.Record(&isa.Instr{Op: isa.Store})
+	s.Record(&isa.Instr{Op: isa.NVStore})
+	s.Record(&isa.Instr{Op: isa.CLWB})
+	s.Record(&isa.Instr{Op: isa.ALU})
 	if s.Loads() != 2 {
 		t.Errorf("Loads = %d", s.Loads())
 	}
@@ -121,7 +50,7 @@ func TestStatsAccumulation(t *testing.T) {
 		t.Errorf("Persistent = %d", s.Persistent())
 	}
 	var other Stats
-	other.Record(isa.Instr{Op: isa.Mul})
+	other.Record(&isa.Instr{Op: isa.Mul})
 	s.Add(other)
 	if s.Total != 7 {
 		t.Errorf("Total after Add = %d", s.Total)
