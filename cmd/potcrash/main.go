@@ -47,15 +47,14 @@ func main() {
 		metricsOut  = flag.String("metrics-out", "", "write a JSON metrics snapshot to this file at exit")
 		listen      = flag.String("listen", "", "serve live metrics on this address at /debug/vars (expvar JSON)")
 		progress    = flag.Duration("progress", 0, "periodic cases/sec + ETA report interval on stderr (0 disables)")
-		concurrent  = flag.Bool("concurrent", false, "run the concurrent campaign: crash a multi-worker workload on the sharded heap (-workers/-shards; -ops is per worker, -points crash points)")
 		mvccFlag    = flag.Bool("mvcc", false, "run the MVCC campaign: crash a journaled snapshot-read workload with concurrent epoch reclamation (-workers/-shards; -ops is per worker, -points crash points)")
 		clusterFlag = flag.Bool("cluster", false, "run the cluster campaign: kill a whole replicated potserve node mid-replication, fail over, verify acked-prefix linearizability (-nodes/-workers/-shards; -ops is per worker, -points kill points)")
 		nodes       = flag.Int("nodes", 3, "cluster campaign: member count (>= 3)")
 		mutSplit    = flag.Bool("mutate-split-brain", false, "bug injection: disable the stale-epoch fence and stage two primaries (cluster campaign must fail; pair with -expect-failure)")
 		mutAck      = flag.Bool("mutate-ack-before-quorum", false, "bug injection: coordinators answer a burst's writes before replicating them (cluster campaign must fail; pair with -expect-failure)")
 		mutStale    = flag.Bool("mutate-stale-read", false, "bug injection: freeze snapshot pins at a stale epoch (MVCC campaign must fail; pair with -expect-failure)")
-		workers     = flag.Int("workers", 4, "concurrent campaign: worker goroutines")
-		shards      = flag.Int("shards", 4, "concurrent campaign: heap lock shards")
+		workers     = flag.Int("workers", 4, "MVCC and cluster campaigns: worker goroutines")
+		shards      = flag.Int("shards", 4, "MVCC, cluster and repair campaigns: heap lock shards")
 		ftOverhead  = flag.Bool("ft-overhead", false, "measure and print the FT checksum+parity tax on the Table 5 micros and durable TPC-C (plain vs fault-tolerant pools) and the get-path verify tax")
 		corruptK    = flag.Int("corrupt-k", 0, "repair campaign: single-bit media faults per round (>0 selects the corrupt-scrub-verify campaign)")
 		corruptMode = flag.String("corrupt-mode", "detect", "repair campaign fault flavor: detect (payload bits) or silent (checksum/parity bits)")
@@ -106,7 +105,7 @@ func main() {
 		os.Exit(replay(*replayTok, opt, *expectFail))
 	}
 
-	if *clusterFlag || *mvccFlag || *concurrent {
+	if *clusterFlag || *mvccFlag {
 		copt := crashtest.DefaultConcurrentOptions()
 		copt.Seed = *seed
 		copt.Workers = *workers
@@ -115,12 +114,9 @@ func main() {
 		copt.Points = *points
 		copt.Policies = opt.Policies
 		copt.Obs = reg
-		kind := "concurrent"
-		switch {
-		case *clusterFlag:
+		kind := "mvcc"
+		if *clusterFlag {
 			kind = "cluster"
-		case *mvccFlag:
-			kind = "mvcc"
 		}
 		c, verdict := runCampaign(kind, copt, *nodes, *mutSplit, *mutAck, *mutStale)
 		c.Policies = polNames
@@ -193,8 +189,8 @@ func main() {
 	os.Exit(status(failures > 0, *expectFail))
 }
 
-// runCampaign runs one whole-world campaign — kind is "cluster", "mvcc" or
-// "concurrent", all three sized by the same flags, gathered in copt — and
+// runCampaign runs one whole-world campaign — kind is "cluster" or "mvcc",
+// both sized by the same flags, gathered in copt — and
 // returns what finishCampaign reports: the -json document (its Error set
 // when the campaign failed) and the verdict line.
 func runCampaign(kind string, copt crashtest.ConcurrentOptions, nodes int, mutSplit, mutAck, mutStale bool) (c campaign, verdict string) {
@@ -215,18 +211,12 @@ func runCampaign(kind string, copt crashtest.ConcurrentOptions, nodes int, mutSp
 		c.Options, c.Summaries, done, points = o, []crashtest.ClusterSummary{sum}, sum.Fired+sum.Completed, sum.Points
 		verdict = fmt.Sprintf("%d nodes, %d workers, %d points (%d node kills fired, %d drained), %d acked writes, %d events spanned",
 			o.Nodes, o.Workers, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.Span)
-	case "mvcc":
+	default:
 		var sum crashtest.MVCCSummary
 		sum, err = crashtest.RunMVCC(copt, mutStale)
 		c.Summaries, done, points = []crashtest.MVCCSummary{sum}, sum.Fired+sum.Completed, sum.Points
-		verdict = fmt.Sprintf("%d workers on %d shards, %d points (%d fired, %d drained), %d acked ops, %d snapshot reads, %d reclaim sweeps, %d events spanned",
-			copt.Workers, copt.Shards, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.SnapshotReads, sum.Reclaims, sum.Span)
-	default:
-		var sum crashtest.ConcurrentSummary
-		sum, err = crashtest.RunConcurrent(copt)
-		c.Summaries, done, points = []crashtest.ConcurrentSummary{sum}, sum.Fired+sum.Completed, sum.Points
-		verdict = fmt.Sprintf("%d workers on %d shards, %d points (%d fired, %d drained), %d acked ops, %d events spanned",
-			copt.Workers, copt.Shards, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.Span)
+		verdict = fmt.Sprintf("%d workers on %d shards, %d points (%d fired, %d drained), %d acked ops, %d acked batches, %d snapshot reads, %d reclaim sweeps, %d events spanned",
+			copt.Workers, copt.Shards, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.AckedBatches, sum.SnapshotReads, sum.Reclaims, sum.Span)
 	}
 	c.Wall = time.Since(start).Seconds()
 	if err != nil {

@@ -1,8 +1,7 @@
-// Command potlint runs potgo's invariant analyzers over the tree (see
-// internal/analysis and DESIGN.md "Machine-checked invariants"): the four
-// persistence analyzers from PR 2 and the four concurrency/allocation
-// analyzers (lockorder, latchdiscipline, allocorder, noalloc) built on the
-// interprocedural summary layer:
+// Command potlint runs potgo's eight invariant analyzers over the tree (see
+// internal/analysis and DESIGN.md §5h): the four persistence analyzers and
+// the four concurrency/allocation analyzers (lockorder, allocorder,
+// noalloc, snapshotread) built on the interprocedural summary layer:
 //
 //	go run ./cmd/potlint ./...
 //
@@ -94,7 +93,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	diags = analysis.FilterSuppressed(diags, loader.Fset, loader.Packages())
+	diags = analysis.FilterSuppressed(diags, loader.Fset, loader.Packages(), analyzers)
 	n := 0
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {

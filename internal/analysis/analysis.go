@@ -16,24 +16,23 @@
 //     ("NoFence").
 //
 // potlint v2 adds an interprocedural layer (summary.go: per-function facts
-// about locks acquired/released, fences issued and allocation behaviour,
-// propagated through the FactStore in package dependency order) and four
-// concurrency/allocation analyzers over it:
+// about shard locks acquired/released, fences issued and allocation
+// behaviour, propagated through the FactStore in package dependency order)
+// and four concurrency/allocation analyzers over it:
 //
 //   - lockorder: shard/pool locks are acquired at most one set at a time
-//     (multi-shard sets go through the ascending mask/scoped helpers), a
-//     latch is never acquired while a shard lock is held (lock order:
-//     latches before shard locks), and sharded mutex state is only locked
-//     directly inside the owner type's designated helpers.
-//   - latchdiscipline: latch slot sets are sorted (and deduplicated)
-//     before acquisition, and methods of latch-owning types do not open a
-//     heap mutation on a path where the structure's latch is not held.
+//     (multi-shard sets go through the ascending mask/scoped helpers), the
+//     shard sets those helpers lock by are sorted and deduplicated before
+//     acquisition, and sharded mutex state is only locked directly inside
+//     the owner type's designated helpers.
 //   - allocorder: the allocator's write-ahead order — a transactional
 //     occupancy-bit publication must be dominated by a durable log record,
 //     and a free-list-head publication by the span header's persist.
 //   - noalloc: functions annotated //potlint:noalloc contain no allocating
 //     constructs and call nothing that allocates (the static form of the
 //     0-allocs/op benchmark gates).
+//   - snapshotread: functions annotated //potlint:snapshot-read (the MVCC
+//     read path) take no shard locks and mutate nothing.
 //
 // Findings are suppressed line-by-line with `//potlint:allow <analyzer>
 // <reason>` (suppress.go); unused suppressions are themselves findings.
@@ -206,7 +205,7 @@ func Run(analyzers []*Analyzer, pkgs []*LoadedPackage) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// All returns the full potlint suite in a fixed order: the four PR 2
+// All returns the full potlint suite in a fixed order: the four
 // persistence analyzers, then the four concurrency/allocation analyzers.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -215,7 +214,6 @@ func All() []*Analyzer {
 		RefEscape,
 		EmitBalance,
 		LockOrder,
-		LatchDiscipline,
 		AllocOrder,
 		NoAlloc,
 		SnapshotRead,

@@ -39,7 +39,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgName string) {
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
-	diags = analysis.FilterSuppressed(diags, loader.Fset, []*analysis.LoadedPackage{pkg})
+	diags = analysis.FilterSuppressed(diags, loader.Fset, []*analysis.LoadedPackage{pkg}, []*analysis.Analyzer{a})
 
 	wants := collectWants(t, loader, pkg)
 	for _, d := range diags {

@@ -35,13 +35,12 @@ const (
 	kSFence                  // emit.Emitter.SFence
 	kInvalidate              // Heap.Close / Crash / TxAbort / Recover
 
-	// Concurrency kinds (lockorder / latchdiscipline).
+	// Concurrency kinds (lockorder / snapshotread).
 	kShardLock          // Sharded.LockPool / RLockPool — one pool's shard, unordered wrt others
 	kShardUnlock        // Sharded.UnlockPool / RUnlockPool
 	kShardLockOrdered   // Sharded.LockShardMask / RLockAll / lockAll / lockShards / rlockShards — ascending by construction
 	kShardUnlockOrdered // Sharded.UnlockShardMask / RUnlockAll
 	kShardScoped        // Sharded.View / Update / Tx — acquires and releases internally
-	kLatchLock          // LatchTable.Lock / RLock (or a *Latch*-named type's Lock/RLock)
 	kMuLock             // sync.Mutex/RWMutex Lock/RLock
 	kMuUnlock           // sync.Mutex/RWMutex Unlock/RUnlock
 	kSortInts           // sort.Ints / sort.Sort / slices.Sort* — establishes sortedness
@@ -234,10 +233,6 @@ func classify(info *types.Info, call *ast.CallExpr) callKind {
 		if p := f.Pkg(); p != nil && (p.Path() == "sort" || p.Path() == "slices") && sig_recvless(f) {
 			return kSortInts
 		}
-	case "Lock", "RLock":
-		if _, t := recvTypeName(f); strings.Contains(t, "Latch") || strings.Contains(t, "latch") {
-			return kLatchLock
-		}
 	}
 	if isTouchShaped(f) {
 		return kTouch
@@ -274,18 +269,17 @@ func callsNamed(info *types.Info, e ast.Expr, name string) bool {
 
 // muTarget describes the object a direct sync.Mutex/RWMutex operation is
 // performed on, when the mutex is an element of (or a field of an element
-// of) a slice — the "sharded state" shape:
+// of) a slice — the "sharded state" shape, either way:
 //
-//	lt.mus[s].Lock()        -> slice of mutexes   (latch table shape)
-//	s.shards[i].mu.Lock()   -> slice of structs carrying a mutex (shard shape)
+//	t.mus[s].Lock()         -> slice of mutexes
+//	s.shards[i].mu.Lock()   -> slice of structs carrying a mutex
 //
 // owner is the named type whose field holds the slice (nil when the slice
-// is not reached through a named struct's field), index is the index
-// expression, and latchShaped distinguishes the two shapes above.
+// is not reached through a named struct's field) and index is the index
+// expression.
 type muTarget struct {
-	owner       *types.Named
-	index       ast.Expr
-	latchShaped bool
+	owner *types.Named
+	index ast.Expr
 }
 
 // shardedMuTarget matches the two sharded-state shapes on the receiver
@@ -308,7 +302,7 @@ func shardedMuTarget(info *types.Info, call *ast.CallExpr) (muTarget, bool) {
 		// mus[s] — a slice of mutexes directly.
 		if t, ok := info.TypeOf(idx.X).(*types.Slice); ok {
 			if namedAs(t.Elem(), "sync", "RWMutex") || namedAs(t.Elem(), "sync", "Mutex") {
-				return muTarget{owner: sliceFieldOwner(info, idx.X), index: idx.Index, latchShaped: true}, true
+				return muTarget{owner: sliceFieldOwner(info, idx.X), index: idx.Index}, true
 			}
 		}
 	}

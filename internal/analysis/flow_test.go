@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// The flow-walker edge cases the lock/latch analyzers lean on: loop bodies
+// The flow-walker edge cases the lock analyzers lean on: loop bodies
 // joined with the pre-loop state (a one-pass fixpoint approximation),
 // havoc of loop-assigned variables, early returns inside for/switch,
 // select joins, defer semantics (no OnCall for the deferred call itself,

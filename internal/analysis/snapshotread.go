@@ -12,8 +12,8 @@ import (
 //
 // is part of the epoch-pinned read protocol — Pin/Unpin, SnapDeref, the
 // pds snapshot walks — and must stay latch-free and read-only. It must not
-// acquire shard locks or latches (directly, through a sharded-state mutex,
-// or by calling a module function whose summary says it does), must not
+// acquire shard locks (directly, through a sharded-state mutex, or by
+// calling a module function whose summary says it does), must not
 // open a mutating transaction (Sharded.Tx/Update, Heap.Begin) or a latched
 // View section, must not mutate persistent state (Ref stores, Cell.Set,
 // transactional Alloc/Touch), and must not write back to the persistence
@@ -69,8 +69,6 @@ func checkSnapshotRead(pass *Pass, fd *ast.FuncDecl) {
 		switch classify(info, call) {
 		case kShardLock, kShardLockOrdered:
 			pass.Reportf(call.Pos(), "shard lock acquired in //potlint:snapshot-read function %s; snapshot reads must stay latch-free", name)
-		case kLatchLock:
-			pass.Reportf(call.Pos(), "latch acquired in //potlint:snapshot-read function %s; snapshot reads must stay latch-free", name)
 		case kMuLock:
 			if _, ok := shardedMuTarget(info, call); ok {
 				pass.Reportf(call.Pos(), "sharded-state mutex acquired in //potlint:snapshot-read function %s; snapshot reads must stay latch-free", name)
@@ -99,8 +97,8 @@ func checkSnapshotRead(pass *Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			switch {
-			case sum.ShardEffect != LockNone || sum.LatchEffect != LockNone:
-				pass.Reportf(call.Pos(), "calls %s which takes shard or latch locks, in //potlint:snapshot-read function %s", f.Name(), name)
+			case sum.ShardEffect != LockNone:
+				pass.Reportf(call.Pos(), "calls %s which takes shard locks, in //potlint:snapshot-read function %s", f.Name(), name)
 			case sum.MayFence:
 				pass.Reportf(call.Pos(), "calls %s which writes back to the persistence domain, in //potlint:snapshot-read function %s", f.Name(), name)
 			}

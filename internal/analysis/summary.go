@@ -10,11 +10,10 @@ import (
 // computes one FuncSummary per function declaration — which locks it
 // acquires or releases, whether it fences, whether it allocates, whether
 // it appends a durable log record — and exports them as object facts.
-// Dependent analyzers (lockorder, latchdiscipline, allocorder, noalloc)
-// list Summaries in their Requires and read the facts through
-// Pass.Summary, which lets them see through helpers such as
-// Sharded.LockPool, LatchTable.Lock, Heap.fence or Tx.logAppend instead of
-// stopping at the call boundary.
+// Dependent analyzers (lockorder, allocorder, noalloc, snapshotread) list
+// Summaries in their Requires and read the facts through Pass.Summary,
+// which lets them see through helpers such as Sharded.LockPool,
+// Heap.fence or Tx.logAppend instead of stopping at the call boundary.
 //
 // Summaries are may-facts computed by a syntactic scan (function literal
 // bodies are skipped — a closure's lock operations run when it is invoked,
@@ -24,8 +23,8 @@ import (
 //
 // Two balancing idioms turn an acquire into a balanced pair:
 //
-//	defer lt.Lock(o)()            // deferred invocation of the unlock closure
-//	u := lt.Lock(o); ...; u()     // explicit invocation of the unlock closure
+//	defer s.lockShards(idx)()        // deferred invocation of the unlock closure
+//	u := s.lockShards(idx); ...; u() // explicit invocation of the unlock closure
 var Summaries = &Analyzer{
 	Name: "summaries",
 	Doc:  "interprocedural fact layer: per-function lock/fence/allocation summaries (reports nothing itself)",
@@ -36,22 +35,20 @@ var Summaries = &Analyzer{
 // literal would be an initialization cycle.
 func init() { Summaries.Run = runSummaries }
 
-// LockEffect is a function's net effect on one lock domain.
+// LockEffect is a function's net effect on the shard locks.
 type LockEffect int
 
 const (
 	LockNone     LockEffect = iota
-	LockAcquires            // may leave locks of the domain held (or return their unlocker)
+	LockAcquires            // may leave shard locks held (or return their unlocker)
 	LockReleases            // releases locks the caller holds
 	LockBalanced            // acquires and releases internally
 )
 
 // FuncSummary is the exported per-function fact.
 type FuncSummary struct {
-	// ShardEffect and LatchEffect are the function's net effect on the
-	// shard-lock and latch domains.
+	// ShardEffect is the function's net effect on the shard locks.
 	ShardEffect LockEffect
-	LatchEffect LockEffect
 	// MayFence: the function issues an SFENCE (directly, via Persist, or
 	// via a callee) on some path.
 	MayFence bool
@@ -67,8 +64,8 @@ type FuncSummary struct {
 	// that licenses a subsequent occupancy-bit publication.
 	LogsDurably bool
 	// SortedInts: the function returns a []int it sorted (sort.Ints or
-	// friends) — latch/shard slot-set builders like LatchTable.slots and
-	// Sharded.shardSet. Ranging over its result acquires in order.
+	// friends) — shard-set builders like Sharded.shardSet. Ranging over its
+	// result acquires in order.
 	SortedInts bool
 	// NoAlloc: the function carries the //potlint:noalloc annotation.
 	// Annotated functions are checked by the noalloc analyzer themselves,
@@ -110,29 +107,19 @@ func summarize(pass *Pass, fd *ast.FuncDecl) bool {
 	info := pass.TypesInfo
 	s := &FuncSummary{NoAlloc: hasNoAllocDirective(fd), SnapshotRead: hasSnapshotReadDirective(fd)}
 
-	var shardAcq, shardRel, latchAcq, latchRel bool
+	var shardAcq, shardRel bool
 	note := func(k callKind, call *ast.CallExpr) {
 		switch k {
 		case kShardLock, kShardLockOrdered:
 			shardAcq = true
 		case kShardUnlock, kShardUnlockOrdered:
 			shardRel = true
-		case kLatchLock:
-			latchAcq = true
 		case kMuLock, kMuUnlock:
-			if t, ok := shardedMuTarget(info, call); ok {
+			if _, ok := shardedMuTarget(info, call); ok {
 				if k == kMuLock {
-					if t.latchShaped {
-						latchAcq = true
-					} else {
-						shardAcq = true
-					}
+					shardAcq = true
 				} else {
-					if t.latchShaped {
-						latchRel = true
-					} else {
-						shardRel = true
-					}
+					shardRel = true
 				}
 			}
 		case kSFence, kPersist:
@@ -146,36 +133,8 @@ func summarize(pass *Pass, fd *ast.FuncDecl) bool {
 		}
 	}
 
-	// unlockVars maps variables holding an acquire's unlock closure to the
-	// domain they release when invoked.
-	type domain int
-	const (
-		domShard domain = iota
-		domLatch
-	)
-	unlockVars := make(map[types.Object]domain)
-
-	// acquireDomain classifies a call as a lock acquisition, looking
-	// through callee summaries, and returns its domain.
-	acquireDomain := func(call *ast.CallExpr) (domain, bool) {
-		switch classify(info, call) {
-		case kShardLock, kShardLockOrdered:
-			return domShard, true
-		case kLatchLock:
-			return domLatch, true
-		}
-		if f := callee(info, call); f != nil {
-			if sum := pass.Summary(f); sum != nil {
-				if sum.LatchEffect == LockAcquires {
-					return domLatch, true
-				}
-				if sum.ShardEffect == LockAcquires {
-					return domShard, true
-				}
-			}
-		}
-		return domShard, false
-	}
+	// unlockVars holds the variables bound to an acquire's unlock closure.
+	unlockVars := make(map[types.Object]bool)
 
 	var scan func(n ast.Node)
 	scan = func(n ast.Node) {
@@ -187,24 +146,16 @@ func summarize(pass *Pass, fd *ast.FuncDecl) bool {
 				// `defer acquire(...)()`: the inner acquire is counted by
 				// the generic CallExpr case below; the deferred invocation
 				// of its unlock closure balances it at exit.
-				if inner, ok := ast.Unparen(x.Call.Fun).(*ast.CallExpr); ok {
-					if d, ok := acquireDomain(inner); ok {
-						if d == domLatch {
-							latchRel = true
-						} else {
-							shardRel = true
-						}
-					}
+				if inner, ok := ast.Unparen(x.Call.Fun).(*ast.CallExpr); ok && acquiresShard(pass, inner) {
+					shardRel = true
 				}
 			case *ast.AssignStmt:
 				// `u := acquire(...)`: remember u as an unlock closure.
 				for i, r := range x.Rhs {
-					if call, ok := ast.Unparen(r).(*ast.CallExpr); ok && i < len(x.Lhs) {
-						if d, ok := acquireDomain(call); ok {
-							if id, ok := x.Lhs[i].(*ast.Ident); ok {
-								if o := objOf(info, id); o != nil {
-									unlockVars[o] = d
-								}
+					if call, ok := ast.Unparen(r).(*ast.CallExpr); ok && i < len(x.Lhs) && acquiresShard(pass, call) {
+						if id, ok := x.Lhs[i].(*ast.Ident); ok {
+							if o := objOf(info, id); o != nil {
+								unlockVars[o] = true
 							}
 						}
 					}
@@ -215,19 +166,13 @@ func summarize(pass *Pass, fd *ast.FuncDecl) bool {
 				if k == kOther {
 					if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
 						// `u()`: invoking a remembered unlock closure.
-						if o := objOf(info, id); o != nil {
-							if d, ok := unlockVars[o]; ok {
-								if d == domLatch {
-									latchRel = true
-								} else {
-									shardRel = true
-								}
-							}
+						if o := objOf(info, id); o != nil && unlockVars[o] {
+							shardRel = true
 						}
 					}
 					if f := callee(info, x); f != nil {
 						if sum := pass.Summary(f); sum != nil {
-							mergeCalleeSummary(s, sum, &shardAcq, &shardRel, &latchAcq, &latchRel)
+							mergeCalleeSummary(s, sum, &shardAcq, &shardRel)
 						}
 					}
 				}
@@ -238,7 +183,6 @@ func summarize(pass *Pass, fd *ast.FuncDecl) bool {
 	scan(fd.Body)
 
 	s.ShardEffect = effectOf(shardAcq, shardRel)
-	s.LatchEffect = effectOf(latchAcq, latchRel)
 
 	// Allocation behaviour: the shared construct scanner, plus callee
 	// propagation. Annotated functions are treated as non-allocating for
@@ -263,18 +207,12 @@ func summarize(pass *Pass, fd *ast.FuncDecl) bool {
 }
 
 // mergeCalleeSummary folds a callee's effects into the caller's scan.
-func mergeCalleeSummary(s *FuncSummary, sum *FuncSummary, shardAcq, shardRel, latchAcq, latchRel *bool) {
+func mergeCalleeSummary(s *FuncSummary, sum *FuncSummary, shardAcq, shardRel *bool) {
 	switch sum.ShardEffect {
 	case LockAcquires:
 		*shardAcq = true
 	case LockReleases:
 		*shardRel = true
-	}
-	switch sum.LatchEffect {
-	case LockAcquires:
-		*latchAcq = true
-	case LockReleases:
-		*latchRel = true
 	}
 	if sum.MayFence {
 		s.MayFence = true
@@ -301,11 +239,5 @@ func returnsIntSlice(info *types.Info, fd *ast.FuncDecl) bool {
 	if fd.Type.Results == nil || len(fd.Type.Results.List) == 0 {
 		return false
 	}
-	t := info.TypeOf(fd.Type.Results.List[0].Type)
-	sl, ok := t.(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := sl.Elem().(*types.Basic)
-	return ok && b.Kind() == types.Int
+	return isIntSliceType(info.TypeOf(fd.Type.Results.List[0].Type))
 }

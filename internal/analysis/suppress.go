@@ -30,12 +30,18 @@ type suppression struct {
 
 // FilterSuppressed drops diagnostics covered by //potlint:allow directives
 // in pkgs' sources and appends a diagnostic for every directive that
-// suppressed nothing (or is missing its reason). The result is re-sorted
-// by position.
-func FilterSuppressed(diags []Diagnostic, fset *token.FileSet, pkgs []*LoadedPackage) []Diagnostic {
+// suppressed nothing (or is missing its reason). ran names the analyzers
+// that produced diags: a directive for any other analyzer cannot have been
+// used, so it is not reported as unused. The result is re-sorted by
+// position.
+func FilterSuppressed(diags []Diagnostic, fset *token.FileSet, pkgs []*LoadedPackage, ran []*Analyzer) []Diagnostic {
 	sups := collectSuppressions(fset, pkgs)
 	if len(sups) == 0 {
 		return diags
+	}
+	didRun := make(map[string]bool, len(ran))
+	for _, a := range ran {
+		didRun[a.Name] = true
 	}
 	byFile := make(map[string][]*suppression)
 	for _, s := range sups {
@@ -65,7 +71,7 @@ func FilterSuppressed(diags []Diagnostic, fset *token.FileSet, pkgs []*LoadedPac
 				Analyzer: "suppress",
 				Pkg:      s.pkg,
 			})
-		case !s.used:
+		case !s.used && didRun[s.analyzer]:
 			kept = append(kept, Diagnostic{
 				Pos:      s.pos,
 				Message:  fmt.Sprintf("unused suppression: no %s finding on this or the next line", s.analyzer),

@@ -19,14 +19,15 @@ func TestSuppressions(t *testing.T) {
 	if _, err := loader.Load(fixture); err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags, err := analysis.Run([]*analysis.Analyzer{analysis.NoAlloc}, loader.Packages())
+	ran := []*analysis.Analyzer{analysis.NoAlloc}
+	diags, err := analysis.Run(ran, loader.Packages())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if len(diags) != 2 {
 		t.Fatalf("before filtering: got %d diagnostics, want 2 (the appends in grow and missing): %v", len(diags), diags)
 	}
-	diags = analysis.FilterSuppressed(diags, loader.Fset, loader.Packages())
+	diags = analysis.FilterSuppressed(diags, loader.Fset, loader.Packages(), ran)
 
 	var got []string
 	for _, d := range diags {

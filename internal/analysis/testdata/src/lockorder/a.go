@@ -1,6 +1,6 @@
-// Fixture for the lockorder analyzer: shard locks one set at a time,
-// latches before shard locks, no direct mutex ops on sharded state outside
-// the owner's locking helpers.
+// Fixture for the lockorder analyzer: shard locks one set at a time, no
+// direct mutex ops on sharded state outside the owner's locking helpers.
+// The shard-set sortedness cases live in the shardset subpackage.
 package lockorder
 
 import (
@@ -10,7 +10,7 @@ import (
 	"potgo/internal/pmem"
 )
 
-// table is sharded state: a slice of latches behind locking helpers.
+// table is sharded state: a slice of mutexes behind locking helpers.
 type table struct {
 	mus []sync.RWMutex
 }
@@ -61,21 +61,6 @@ func scopedUnderShard(s *pmem.Sharded, id oid.PoolID, pools []oid.PoolID) error 
 	s.LockPool(id)
 	defer s.UnlockPool(id)
 	return s.View(pools, func() error { return nil }) // want "shard lock acquired while a shard lock is already held"
-}
-
-// latchUnderShard inverts the documented order (latches first).
-func latchUnderShard(s *pmem.Sharded, lt *pmem.LatchTable, id oid.PoolID, o oid.OID) {
-	s.LockPool(id)
-	defer s.UnlockPool(id)
-	defer lt.Lock(o)() // want "latch acquired while holding a shard lock"
-}
-
-// latchThenShard is the sanctioned order: clean.
-func latchThenShard(s *pmem.Sharded, lt *pmem.LatchTable, id oid.PoolID, o oid.OID) {
-	u := lt.Lock(o)
-	s.LockPool(id)
-	s.UnlockPool(id)
-	u()
 }
 
 // branchMerge: a lock held on only one branch still counts after the join

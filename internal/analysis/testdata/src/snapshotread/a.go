@@ -41,21 +41,6 @@ func lockAllRead(sh *pmem.Sharded) {
 	sh.RUnlockAll()
 }
 
-// readLatch mirrors a *Latch*-named table: its Lock/RLock classify as
-// latch acquisitions.
-type readLatch struct{ mu sync.RWMutex }
-
-func (l *readLatch) RLock()   { l.mu.RLock() }
-func (l *readLatch) RUnlock() { l.mu.RUnlock() }
-
-// latchedRead acquires a latch.
-//
-//potlint:snapshot-read
-func latchedRead(l *readLatch) {
-	l.RLock() // want "latch acquired in //potlint:snapshot-read function latchedRead"
-	l.RUnlock()
-}
-
 // mutatingRead opens a mutating sharded transaction.
 //
 //potlint:snapshot-read
@@ -86,7 +71,7 @@ func latchedHelper(sh *pmem.Sharded, id oid.PoolID) {
 
 //potlint:snapshot-read
 func indirectLocked(sh *pmem.Sharded, id oid.PoolID) {
-	latchedHelper(sh, id) // want "calls latchedHelper which takes shard or latch locks, in //potlint:snapshot-read function indirectLocked"
+	latchedHelper(sh, id) // want "calls latchedHelper which takes shard locks, in //potlint:snapshot-read function indirectLocked"
 }
 
 // trustedInner / trustedOuter: annotated callees are trusted, so

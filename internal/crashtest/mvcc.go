@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"potgo/internal/lincheck"
 	"potgo/internal/nvmsim"
 	"potgo/internal/objstore"
+	"potgo/internal/obs"
 	"potgo/internal/pds"
 	"potgo/internal/pmem"
 )
@@ -22,13 +24,21 @@ import (
 // snapshot mirror (a dangling version reference would surface as a wrong
 // value or a failed walk).
 //
-// The verification protocol is the journaled-counter protocol of the
-// concurrent campaign, carried by the KV store: every Put/Delete appends
-// to its shard's volatile journal inside the transaction (journal order is
-// commit order; at most the last entry per shard can be uncommitted) and
-// bumps the shard's persistent op counter in the same transaction, so the
-// recovered counter c per shard satisfies acked <= c <= len(journal) and
-// replay(journal[:c]) is exactly the durable contents.
+// The verification protocol is the journaled-counter protocol carried by
+// the KV store. Every Put/Delete, and every op of a Batch, appends to its
+// shard's volatile journal inside the transaction and bumps the shard's
+// persistent op counter in the same transaction. Journal order is commit
+// order, and only the shard's last op or batch can be uncommitted. So the
+// recovered counter c per shard satisfies acked <= c <= len(journal), and
+// replay(journal[:c]) is exactly the durable contents. The domain poisons
+// itself at the crash point, so no operation commits after it: an
+// acknowledged operation lies inside the durable prefix.
+//
+// About one op in eight is a cross-shard KV.Batch of 2–4 keys on distinct
+// shards, and every op of one batch carries the batch's value tag
+// (mvBatchTag set). A batch commits in one multi-pool transaction, so
+// across all shards' durable prefixes its tag counts either none of its
+// ops or all of them, and all of them once the batch was acknowledged.
 //
 // Run 0 stays unarmed: it measures the persistence-event span for crash-
 // point sampling AND records a full snapshot-isolation history (writes +
@@ -38,15 +48,96 @@ import (
 // report a violation, or the harness is proven unable to catch the bug it
 // exists for.
 
+// ConcurrentOptions sizes a whole-world concurrent campaign: the MVCC
+// campaign runs on it, and cmd/potcrash fills it once from its flags for
+// the MVCC and cluster campaigns.
+type ConcurrentOptions struct {
+	// Seed drives the workload streams, the crash-point sampling and the
+	// seeded policies.
+	Seed uint64 `json:"seed"`
+	// Workers is the number of concurrent client goroutines.
+	Workers int `json:"workers"`
+	// Shards is the sharded heap's lock-shard count.
+	Shards int `json:"shards"`
+	// OpsPerWorker bounds each worker's operation count per run.
+	OpsPerWorker int `json:"ops_per_worker"`
+	// Points is the number of crash points sampled (run 0 is always the
+	// unarmed baseline that also measures the event span).
+	Points int `json:"points"`
+	// KeySpace is the key range [1, KeySpace] the workload churns.
+	KeySpace int `json:"key_space"`
+	// Policies rotate across crash points.
+	Policies []nvmsim.Kind `json:"-"`
+	// Obs, when non-nil, receives campaign counters under
+	// "crashtest.mvcc.".
+	Obs *obs.Registry `json:"-"`
+}
+
+// DefaultConcurrentOptions returns the CI smoke configuration.
+func DefaultConcurrentOptions() ConcurrentOptions {
+	return ConcurrentOptions{
+		Seed:         1,
+		Workers:      4,
+		Shards:       4,
+		OpsPerWorker: 60,
+		Points:       12,
+		KeySpace:     24,
+		Policies:     []nvmsim.Kind{nvmsim.DropAll, nvmsim.KeepRandom, nvmsim.Torn},
+	}
+}
+
 // MVCCSummary reports one MVCC crash campaign.
 type MVCCSummary struct {
 	Points        int    `json:"points"`
 	Fired         int    `json:"fired"`     // runs where the armed crash actually hit
 	Completed     int    `json:"completed"` // runs that drained before the arm point
 	AckedOps      uint64 `json:"acked_ops"`
+	AckedBatches  uint64 `json:"acked_batches"` // acknowledged cross-shard batches
 	SnapshotReads uint64 `json:"snapshot_reads"`
 	Reclaims      uint64 `json:"reclaim_sweeps"`
 	Span          uint64 `json:"event_span"`
+}
+
+// mvBatchTag marks a value as a batch tag: every other value the campaign
+// writes (worker<<32|seq puts, the stale-read preload and probe) leaves
+// the top bit clear, so a journal entry whose value has it belongs to the
+// batch that value names.
+const mvBatchTag = uint64(1) << 63
+
+// errTornBatch is the batch-atomicity violation: a batch with some but not
+// all of its ops durable.
+var errTornBatch = errors.New("batch not atomic")
+
+// mvBatch is one issued batch: its value tag, its op count, and whether
+// the store acknowledged it.
+type mvBatch struct {
+	tag   uint64
+	ops   int
+	acked bool
+}
+
+// mvRun is what one run of the workers leaves for the verifier and the
+// summary.
+type mvRun struct {
+	fired     int       // primary crash signals seen (0 or 1)
+	acked     []uint64  // committed journaled ops per KV shard
+	batches   []mvBatch // every batch issued, acknowledged or not
+	snapReads uint64
+	reclaims  uint64
+}
+
+// add folds one run's counts into the summary.
+func (s *MVCCSummary) add(r mvRun) {
+	for _, a := range r.acked {
+		s.AckedOps += a
+	}
+	for _, b := range r.batches {
+		if b.acked {
+			s.AckedBatches++
+		}
+	}
+	s.SnapshotReads += r.snapReads
+	s.Reclaims += r.reclaims
 }
 
 type mvWorld struct {
@@ -75,15 +166,21 @@ type mvHistory struct {
 	rec    *lincheck.Recorder
 }
 
-// runMVCCWorkers drives puts/deletes/snapshot gets/scans until every
-// worker finishes or the domain crashes, with a reclamation goroutine
-// sweeping the whole time. acked counts committed writes per KV shard;
-// hist is non-nil only for unarmed recorded runs (a crashed worker's
-// history would contain in-flight writes the checker cannot attribute).
-func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (fired int, acked []uint64, snapReads, reclaims uint64, err error) {
+// runMVCCWorkers drives puts/deletes/batches/snapshot gets/scans until
+// every worker finishes or the domain crashes, with a reclamation
+// goroutine sweeping the whole time. hist is non-nil only for unarmed
+// recorded runs (a crashed worker's history would contain in-flight writes
+// the checker cannot attribute).
+func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (mvRun, error) {
 	ackedA := make([]uint64, opt.Shards)
-	var primary, reads uint64
+	var primary, reads, reclaims uint64
 	errs := make([]error, opt.Workers)
+	// Per-worker batch records, appended before each Batch call, so a
+	// batch in flight at the crash is still verified.
+	batches := make([][]mvBatch, opt.Workers)
+	// A batch takes 2–4 consecutive keys, one per shard, so it needs at
+	// least two shards and two keys.
+	maxBatch := min(4, opt.Shards, opt.KeySpace)
 
 	stopReclaim := make(chan struct{})
 	var reclaimWG sync.WaitGroup
@@ -136,6 +233,36 @@ func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (fired i
 			var localW []lincheck.SIWrite
 			var localR []lincheck.SIRead
 			for i := 0; i < opt.OpsPerWorker; i++ {
+				if maxBatch >= 2 && rng.Intn(8) == 0 {
+					// Cross-shard batch: n consecutive keys route to n
+					// distinct shards (key mod shard count).
+					n := 2 + rng.Intn(maxBatch-1)
+					base := uint64(rng.Intn(opt.KeySpace-n+1) + 1)
+					tag := mvBatchTag | uint64(wi+1)<<32 | uint64(i+1)
+					ops := make([]objstore.BatchOp, n)
+					for j := range ops {
+						ops[j] = objstore.BatchOp{Key: base + uint64(j), Val: tag, Del: rng.Intn(4) == 0}
+					}
+					batches[wi] = append(batches[wi], mvBatch{tag: tag, ops: n})
+					var p lincheck.Pending
+					if hist != nil {
+						p = hist.rec.Begin(wi, base)
+					}
+					if fail("Batch", w.kv.Batch(ops)) {
+						return
+					}
+					batches[wi][len(batches[wi])-1].acked = true
+					for _, op := range ops {
+						atomic.AddUint64(&ackedA[op.Key%uint64(opt.Shards)], 1)
+					}
+					if hist != nil {
+						rop := hist.rec.End(p, nil)
+						for _, op := range ops {
+							localW = append(localW, lincheck.SIWrite{Key: op.Key, Val: tag, Del: op.Del, Call: rop.Call, Ret: rop.Ret})
+						}
+					}
+					continue
+				}
 				key := uint64(rng.Intn(opt.KeySpace) + 1)
 				switch rng.Intn(8) {
 				case 0, 1, 2: // put
@@ -225,17 +352,22 @@ func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (fired i
 	reclaimWG.Wait()
 	for _, e := range errs {
 		if e != nil {
-			return 0, nil, 0, 0, e
+			return mvRun{}, e
 		}
 	}
-	return int(primary), ackedA, reads, reclaims, nil
+	run := mvRun{fired: int(primary), acked: ackedA, snapReads: reads, reclaims: reclaims}
+	for _, b := range batches {
+		run.batches = append(run.batches, b...)
+	}
+	return run, nil
 }
 
 // verifyMVCC power-cycles the world, reattaches (which reseeds the
 // snapshot mirror from the recovered bytes), and proves: per shard
 // acked <= counter <= journaled with the committed prefix replaying to the
-// exact durable contents — read back entirely through the snapshot path.
-func verifyMVCC(w *mvWorld, acked []uint64, pol nvmsim.Policy, opt ConcurrentOptions) error {
+// exact durable contents — read back entirely through the snapshot path —
+// and every batch durable all-or-nothing, all if acknowledged.
+func verifyMVCC(w *mvWorld, run mvRun, pol nvmsim.Policy, opt ConcurrentOptions) error {
 	if _, err := w.sh.Crash(pol); err != nil {
 		return fmt.Errorf("crash: %w", err)
 	}
@@ -248,20 +380,35 @@ func verifyMVCC(w *mvWorld, acked []uint64, pol nvmsim.Policy, opt ConcurrentOpt
 		return fmt.Errorf("structure invariants: %w", err)
 	}
 
-	// Merge the per-shard committed prefixes into one model.
+	// Merge the per-shard committed prefixes into one model, counting each
+	// batch tag's ops inside them.
 	model := make(map[uint64]uint64)
+	durable := make(map[uint64]int)
 	for i := 0; i < opt.Shards; i++ {
 		journal := w.kv.Journal(i)
 		c, err := kv2.Counter(i)
 		if err != nil {
 			return fmt.Errorf("shard %d counter: %w", i, err)
 		}
-		if c < acked[i] || c > uint64(len(journal)) {
+		if c < run.acked[i] || c > uint64(len(journal)) {
 			return fmt.Errorf("shard %d: recovered counter %d outside [acked=%d, journaled=%d]",
-				i, c, acked[i], len(journal))
+				i, c, run.acked[i], len(journal))
 		}
 		for k, v := range objstore.ReplayKVJournal(journal, int(c)) {
 			model[k] = v
+		}
+		for _, op := range journal[:c] {
+			if op.Val&mvBatchTag != 0 {
+				durable[op.Val]++
+			}
+		}
+	}
+	for _, b := range run.batches {
+		switch got := durable[b.tag]; {
+		case got != 0 && got != b.ops:
+			return fmt.Errorf("%w: batch %#x has %d of its %d ops durable", errTornBatch, b.tag, got, b.ops)
+		case b.acked && got == 0:
+			return fmt.Errorf("acknowledged batch %#x lost: none of its %d ops durable", b.tag, b.ops)
 		}
 	}
 	if total != len(model) {
@@ -361,7 +508,7 @@ func RunMVCC(opt ConcurrentOptions, mutateStale bool) (MVCCSummary, error) {
 			h.NV.Arm(armAt)
 		}
 
-		fired, acked, reads, reclaims, err := runMVCCWorkers(w, opt, hist)
+		run, err := runMVCCWorkers(w, opt, hist)
 		if err != nil {
 			return sum, fmt.Errorf("point %d: %w", point, err)
 		}
@@ -376,25 +523,21 @@ func RunMVCC(opt ConcurrentOptions, mutateStale bool) (MVCCSummary, error) {
 			}
 		}
 		h.NV.Disarm()
-		if fired > 1 {
-			return sum, fmt.Errorf("point %d: %d primary crash signals, want at most 1", point, fired)
+		if run.fired > 1 {
+			return sum, fmt.Errorf("point %d: %d primary crash signals, want at most 1", point, run.fired)
 		}
-		if fired == 1 {
+		if run.fired == 1 {
 			sum.Fired++
 			bump("fired", 1)
 		} else {
 			sum.Completed++
 			bump("completed", 1)
 		}
-		for _, a := range acked {
-			sum.AckedOps += a
-		}
-		sum.SnapshotReads += reads
-		sum.Reclaims += reclaims
+		sum.add(run)
 
-		if err := verifyMVCC(w, acked, pol, opt); err != nil {
+		if err := verifyMVCC(w, run, pol, opt); err != nil {
 			return sum, fmt.Errorf("point %d (arm=%d, policy=%s, fired=%v): %w",
-				point, armAt, polKind, fired == 1, err)
+				point, armAt, polKind, run.fired == 1, err)
 		}
 		bump("points", 1)
 	}
@@ -423,18 +566,14 @@ func runMVCCStaleMutation(opt ConcurrentOptions, sum MVCCSummary, bump func(stri
 
 	w.sh.MVCC().MutateStaleReads()
 
-	fired, acked, reads, reclaims, err := runMVCCWorkers(w, opt, hist)
+	run, err := runMVCCWorkers(w, opt, hist)
 	if err != nil {
 		return sum, fmt.Errorf("mutated workload: %w", err)
 	}
-	if fired != 0 {
-		return sum, fmt.Errorf("mutation mode arms no crashes but %d fired", fired)
+	if run.fired != 0 {
+		return sum, fmt.Errorf("mutation mode arms no crashes but %d fired", run.fired)
 	}
-	for _, a := range acked {
-		sum.AckedOps += a
-	}
-	sum.SnapshotReads += reads
-	sum.Reclaims += reclaims
+	sum.add(run)
 	sum.Completed++
 	sum.Points = 1
 

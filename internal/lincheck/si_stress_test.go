@@ -13,28 +13,35 @@ import (
 	"potgo/internal/randtest"
 )
 
-// The MVCC snapshot-read stress: 8 workers fire put/delete/get/scan at the
-// snapshot-enabled KV store. Writes (latched, linearizable) are proved so
-// with the Wing & Gong checker; reads ride the epoch-pinned snapshot path
-// and are proved snapshot-consistent with CheckSI. Every put's value
-// encodes worker<<32|seq, so each value identifies its write — the SI
-// checker's identification requirement.
+// The MVCC snapshot-read stress: 8 workers fire put/delete/batch/get/scan
+// at the snapshot-enabled KV store. Writes (latched, linearizable) are
+// proved so with the Wing & Gong checker; reads ride the epoch-pinned
+// snapshot path and are proved snapshot-consistent with CheckSI. Every
+// put's value encodes worker<<32|seq, so each value identifies its write —
+// the SI checker's identification requirement. A cross-shard Batch of 2–4
+// keys is recorded as one write per key, every one sharing the batch's
+// value and its call/return interval; concurrent batches take overlapping
+// shard sets, so a lock-order bug in the multi-shard path shows up here as
+// a deadlock or a non-linearizable history.
 
 const (
 	siKVPut = byte(iota + 1)
 	siKVDel
 	siKVGet
 	siKVScan
+	siKVBatch
 )
 
 const siScanMax = 128
 
 // siKVIn is comparable (Wing & Gong compares inputs with ==); only write
-// ops ever reach that checker.
+// ops ever reach that checker. Batched marks a put or delete issued inside
+// a Batch, which reports no per-op created/existed outcome.
 type siKVIn struct {
-	Op  byte
-	Key uint64
-	Val uint64
+	Op      byte
+	Key     uint64
+	Val     uint64
+	Batched bool
 }
 
 type siKVOut struct {
@@ -53,9 +60,9 @@ func siKVWriteModel() lincheck.Model {
 			i := in.(siKVIn)
 			switch i.Op {
 			case siKVPut:
-				return i.Val, siKVOut{Changed: cur == 0}
+				return i.Val, siKVOut{Changed: cur == 0 && !i.Batched}
 			case siKVDel:
-				return uint64(0), siKVOut{Changed: cur != 0}
+				return uint64(0), siKVOut{Changed: cur != 0 && !i.Batched}
 			}
 			panic(fmt.Sprintf("unexpected op %d in write history", i.Op))
 		},
@@ -93,6 +100,7 @@ func TestKVSnapshotIsolation(t *testing.T) {
 	errs := make([]error, workers)
 	var mu sync.Mutex
 	var siReads []lincheck.SIRead
+	var batchOps []lincheck.Op // one per batched key, sharing the batch's interval
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -102,9 +110,10 @@ func TestKVSnapshotIsolation(t *testing.T) {
 			r := rand.New(rand.NewSource(seeds[w]))
 			var scanBuf []pds.KV
 			var localReads []lincheck.SIRead
+			var localBatchOps []lincheck.Op
 			for i := 0; i < perWorker; i++ {
 				key := uint64(r.Intn(keySpace) + 1)
-				switch r.Intn(8) {
+				switch r.Intn(9) {
 				case 0, 1, 2: // put
 					val := uint64(w+1)<<32 | uint64(i+1)
 					in := siKVIn{Op: siKVPut, Key: key, Val: val}
@@ -164,10 +173,34 @@ func TestKVSnapshotIsolation(t *testing.T) {
 					localReads = append(localReads, lincheck.SIRead{
 						Worker: w, Obs: obs, Call: pp.Call, Ret: pp.Ret,
 					})
+				case 8: // cross-shard batch: consecutive keys, distinct shards
+					n := 2 + r.Intn(3)
+					base := uint64(r.Intn(keySpace-n+1) + 1)
+					val := uint64(w+1)<<32 | uint64(i+1)
+					ops := make([]objstore.BatchOp, n)
+					for j := range ops {
+						ops[j] = objstore.BatchOp{Key: base + uint64(j), Val: val, Del: r.Intn(4) == 0}
+					}
+					p := rec.Begin(w, siKVIn{Op: siKVBatch})
+					if err := kv.Batch(ops); err != nil {
+						errs[w] = fmt.Errorf("batch at %d: %w", base, err)
+						return
+					}
+					pp := rec.End(p, siKVOut{})
+					for _, op := range ops {
+						in := siKVIn{Op: siKVPut, Key: op.Key, Val: val, Batched: true}
+						if op.Del {
+							in = siKVIn{Op: siKVDel, Key: op.Key, Batched: true}
+						}
+						localBatchOps = append(localBatchOps, lincheck.Op{
+							Worker: w, Input: in, Output: siKVOut{}, Call: pp.Call, Ret: pp.Ret,
+						})
+					}
 				}
 			}
 			mu.Lock()
 			siReads = append(siReads, localReads...)
+			batchOps = append(batchOps, localBatchOps...)
 			mu.Unlock()
 		}(w)
 	}
@@ -178,11 +211,12 @@ func TestKVSnapshotIsolation(t *testing.T) {
 		}
 	}
 
-	// Split the recorded history: write ops go through the Wing & Gong
-	// linearizability check, and double as the SI checker's write set.
+	// Split the recorded history: write ops, the batches' per-key writes
+	// included, go through the Wing & Gong linearizability check, and
+	// double as the SI checker's write set.
 	var writeOps []lincheck.Op
 	var siWrites []lincheck.SIWrite
-	for _, op := range rec.History() {
+	for _, op := range append(rec.History(), batchOps...) {
 		in := op.Input.(siKVIn)
 		switch in.Op {
 		case siKVPut:
@@ -197,7 +231,7 @@ func TestKVSnapshotIsolation(t *testing.T) {
 			})
 		}
 	}
-	t.Logf("history: %d write ops, %d snapshot reads", len(writeOps), len(siReads))
+	t.Logf("history: %d write ops (%d batched), %d snapshot reads", len(writeOps), len(batchOps), len(siReads))
 	if total := len(writeOps) + len(siReads); !testing.Short() && total < 10000 {
 		t.Fatalf("stress ran %d ops, below the 10k floor", total)
 	}

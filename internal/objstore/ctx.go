@@ -1,9 +1,9 @@
-// Package objstore provides concurrent persistent object stores over the
-// sharded heap (pmem.Sharded): KV, the flat key-value store cmd/potserve
-// fronts, and Multi, a five-structure store exercising per-OID latches and
-// cross-structure transactions. Both are the subjects the linearizability
-// harness (internal/lincheck) and the concurrent crash campaign
-// (internal/crashtest) prove the concurrency layer with.
+// Package objstore provides KV, the concurrent persistent key-value store
+// over the sharded heap (pmem.Sharded) that cmd/potserve, internal/cluster
+// and bench/ serve: one B+-tree per shard pool, with cross-shard Batches
+// committed in one multi-pool transaction. It is the subject the
+// snapshot-isolation stress (internal/lincheck) and the MVCC crash
+// campaign (internal/crashtest) prove the concurrency layer with.
 package objstore
 
 import (

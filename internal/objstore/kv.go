@@ -21,8 +21,8 @@ type KV struct {
 	shards []kvShard
 	// mvcc routes Get/Scan through the epoch-versioned snapshot path:
 	// readers pin an epoch and traverse committed post-images without
-	// latches or shard locks, falling back to the latched path when the
-	// mirror cannot serve a walk. On for every store but fault-tolerant
+	// shard locks, falling back to the latched path when the mirror cannot
+	// serve a walk. On for every store but fault-tolerant
 	// stores, whose reads must stay on the verified latched path.
 	mvcc bool
 	// journaled arms the crash-verification protocol: Put/Delete/Batch
@@ -254,9 +254,9 @@ func (kv *KV) shardOf(key uint64) *kvShard { return &kv.shards[key%uint64(len(kv
 // (see internal/crashtest).
 func (kv *KV) EnableJournal() { kv.journaled = true }
 
-// Journal returns shard i's volatile op journal (commit order; at most the
-// last transaction's entries may be uncommitted after a crash — one for a
-// Put or Delete, up to the batch's share of the shard for a Batch).
+// Journal returns shard i's volatile op journal (commit order; after a
+// crash only the shard's last op or batch may be uncommitted — one entry
+// for a Put or Delete, the batch's share of the shard for a Batch).
 func (kv *KV) Journal(i int) []BatchOp { return kv.shards[i].journal }
 
 // Counter reads shard i's persistent op counter.
@@ -294,9 +294,9 @@ func (kv *KV) journalOp(s *kvShard, op BatchOp) error {
 
 // Get returns the value stored under key. Allocation-free: the request
 // path of potserve rides on it. On an MVCC store the read pins an epoch
-// and walks the version mirror without latches or shard locks; the
-// latched path below is the fallback (mirror miss, pin registry
-// exhausted) and the authority for checksum repair. With VerifyOnRead
+// and walks the version mirror without shard locks; the latched path below
+// is the fallback (mirror miss, pin registry exhausted) and the authority
+// for checksum repair. With VerifyOnRead
 // enabled on a fault-tolerant store, a checksum miss triggers one inline
 // repair — drop the read lock, rebuild the object from parity under the
 // write lock, retry — before the corruption is surfaced to the caller.
@@ -367,8 +367,8 @@ func (kv *KV) Put(key, val uint64) (created bool, err error) {
 	if err != nil {
 		// An aborted op must not leave a dead journal entry behind: later
 		// committed ops would land after it and misalign every replay
-		// prefix. (A crashed commit is different — its entry stays as the
-		// at-most-one uncommitted journal tail.)
+		// prefix. (A crashed commit is different — its entries stay as the
+		// uncommitted journal tail, the shard's last op or batch.)
 		if kv.journaled && len(s.journal) > jlen {
 			s.journal = s.journal[:jlen]
 		}

@@ -10,8 +10,8 @@ import (
 // Snapshot (MVCC) B+-tree walks: FindSnap and ScanAppendSnap traverse the
 // tree against an epoch-pinned view of committed post-images
 // (pmem.PinSlot) instead of the live pool bytes, so readers run without
-// latches or shard locks while writers commit. The walks parse raw node
-// buffers little-endian (the simulated pool memory is little-endian — log
+// shard locks while writers commit. The walks parse raw node buffers
+// little-endian (the simulated pool memory is little-endian — log
 // recovery parses it the same way) and deliberately bypass the volatile
 // root cache: the cache is written by lock-holding writers and, more
 // importantly, caches the PRESENT root, while a snapshot must resolve the

@@ -10,7 +10,7 @@ import (
 
 // MVCC snapshot reads: an epoch-versioned volatile mirror of committed
 // object images, so readers traverse persistent structures without taking
-// per-OID latches or shard locks while writers commit concurrently.
+// shard locks while writers commit concurrently.
 //
 // The mirror never aliases live pool bytes. Every committed transaction
 // publishes an immutable post-image copy of each object it touched
@@ -184,6 +184,18 @@ func (m *MVCC) Epoch() uint64 { return atomic.LoadUint64(&m.g) }
 func (m *MVCC) Stats() (publishes, reclaimed uint64) {
 	reclaimed = atomic.LoadUint64(&m.reclaimed)
 	return atomic.LoadUint64(&m.publishes), reclaimed
+}
+
+// hashOID is the splitmix64 finalizer: cheap and well distributed over both
+// the pool and offset halves of the OID.
+func hashOID(o oid.OID) uint64 {
+	x := uint64(o)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // stripe returns o's lock stripe and hash: the hash's top bits choose the

@@ -21,11 +21,11 @@ import (
 //
 // The locking discipline, from the outside in:
 //
-//   - Application latches (LatchTable) order before everything here.
 //   - Shard locks: every operation declares the pools it will touch;
 //     View/Update/Tx acquire the corresponding shard locks in ascending
-//     shard order, so two multi-shard transactions can never deadlock.
-//     Reads share a shard; writes and transactions are exclusive.
+//     shard order (shardSet sorts and deduplicates the set), so two
+//     multi-shard transactions can never deadlock. Reads share a shard;
+//     writes and transactions are exclusive.
 //   - Structural operations (create/open/close/sync/crash/recover) are
 //     stop-the-world: all shard locks, exclusive, in order.
 //   - Heap-internal state that cannot be sharded — the volatile

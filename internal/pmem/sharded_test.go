@@ -2,7 +2,6 @@ package pmem
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"potgo/internal/isa"
 	"potgo/internal/nvmsim"
 	"potgo/internal/oid"
-	"potgo/internal/randtest"
 )
 
 func newTestSharded(t *testing.T, nshards int) *Sharded {
@@ -20,68 +18,6 @@ func newTestSharded(t *testing.T, nshards int) *Sharded {
 		t.Fatalf("NewSharded: %v", err)
 	}
 	return sh
-}
-
-func TestLatchTableSlots(t *testing.T) {
-	lt := NewLatchTable(10)
-	if lt.Len() != 16 {
-		t.Fatalf("Len() = %d, want 16 (next power of two above 10)", lt.Len())
-	}
-	o := oid.New(3, 4096)
-	s := lt.Slot(o)
-	if s < 0 || s >= lt.Len() {
-		t.Fatalf("Slot out of range: %d", s)
-	}
-	if s2 := lt.Slot(o); s2 != s {
-		t.Fatalf("Slot not stable: %d then %d", s, s2)
-	}
-	// Duplicate OIDs collapse to one latch acquisition; this must not
-	// self-deadlock.
-	unlock := lt.Lock(o, o, oid.New(3, 8192), o)
-	unlock()
-	runlock := lt.RLock(o, o)
-	runlock()
-}
-
-func TestLatchTableStress(t *testing.T) {
-	rng := randtest.New(t, 42)
-	lt := NewLatchTable(8)
-	counters := make([]uint64, lt.Len())
-
-	oids := make([]oid.OID, 64)
-	for i := range oids {
-		oids[i] = oid.New(oid.PoolID(rng.Intn(8)+1), uint32(rng.Intn(1<<16))*8)
-	}
-
-	const workers = 8
-	const iters = 2000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		seed := rng.Int63()
-		go func() {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < iters; i++ {
-				a, b := oids[r.Intn(len(oids))], oids[r.Intn(len(oids))]
-				unlock := lt.Lock(a, b)
-				counters[lt.Slot(a)]++
-				if lt.Slot(b) != lt.Slot(a) {
-					counters[lt.Slot(b)]++
-				}
-				unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	var total uint64
-	for _, c := range counters {
-		total += c
-	}
-	if total < workers*iters {
-		t.Fatalf("counter total %d < minimum %d: latch failed to exclude", total, workers*iters)
-	}
 }
 
 // TestShardedDisjointTxParallel runs transactional allocations from several
