@@ -44,15 +44,12 @@ func (d *Domain) applyFlip(f Flip, mem Memory) bool {
 	}
 	buf[f.Bit/8] ^= 1 << (f.Bit % 8)
 	mem.WriteDurableWords(f.Line.Pool, f.Line.Off, &buf, 0xFF)
-	ps, ok := d.pools[f.Line.Pool]
-	if !ok {
+	ps := d.pool(f.Line.Pool)
+	if ps == nil {
 		return true
 	}
 	line := f.Line.Off / LineBytes
-	if line >= ps.lines || ps.isDirty(line) {
-		return true
-	}
-	if _, inflight := ps.inflight[f.Line.Off]; inflight {
+	if line >= ps.lines || hasBit(ps.dirty, line) || hasBit(ps.inflight, line) {
 		return true
 	}
 	if !mem.ReadCacheLine(f.Line.Pool, f.Line.Off, &buf) {
@@ -76,11 +73,12 @@ func (d *Domain) FlipBit(pool, off uint32, bit uint16, mem Memory) bool {
 // same pool set yields the same flips (pools are visited in sorted id
 // order; the generator is the replay-stable splitmix64).
 func (d *Domain) CorruptLines(n int, seed uint64, mem Memory) []Flip {
-	ids := make([]uint32, 0, len(d.pools))
-	for id := range d.pools {
-		ids = append(ids, id)
+	var ids []uint32
+	for id, ps := range d.pools {
+		if ps != nil {
+			ids = append(ids, uint32(id))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	if len(ids) == 0 || n <= 0 {
 		return nil
 	}

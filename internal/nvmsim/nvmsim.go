@@ -32,7 +32,6 @@ package nvmsim
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 )
 
@@ -94,25 +93,43 @@ func AsCrashSignal(r any) (*CrashSignal, bool) {
 	return c, ok
 }
 
-// poolState tracks one pool's volatile lines: a dirty bitmap (one bit per
-// line; compact enough for multi-megabyte pools) plus the in-flight
-// snapshots captured by CLWB and not yet drained by SFENCE.
+// poolState tracks one pool's volatile lines in two bitmaps of one bit per
+// line (compact enough for multi-megabyte pools): dirty (a store made the
+// line newer in cache than in NVM) and inflight (a CLWB snapshot of the
+// line waits in the domain's pending list for the next SFENCE). A line can
+// be both: flushed, then stored to again.
 type poolState struct {
 	lines    uint32
 	dirty    []uint64
-	inflight map[uint32]*[LineBytes]byte
+	inflight []uint64
 }
 
-func (ps *poolState) setDirty(line uint32) { ps.dirty[line/64] |= 1 << (line % 64) }
-func (ps *poolState) clrDirty(line uint32) { ps.dirty[line/64] &^= 1 << (line % 64) }
-func (ps *poolState) isDirty(line uint32) bool {
-	return ps.dirty[line/64]&(1<<(line%64)) != 0
+func setBit(b []uint64, line uint32)      { b[line/64] |= 1 << (line % 64) }
+func clrBit(b []uint64, line uint32)      { b[line/64] &^= 1 << (line % 64) }
+func hasBit(b []uint64, line uint32) bool { return b[line/64]&(1<<(line%64)) != 0 }
+
+// pendingLine is one started write-back: the line's cache content at its
+// CLWB, waiting for an SFENCE to make it durable.
+type pendingLine struct {
+	pool, off uint32
+	data      [LineBytes]byte
 }
 
 // Domain is one persistence domain: the volatile cache state of every
 // mapped pool plus the event counter used for crash-point injection.
+//
+// A CLWB costs O(1): it appends the line's snapshot to one dense pending
+// list shared by all pools and sets the line's inflight bit. (Flushing a
+// line that is still in flight searches the list from its tail instead;
+// that takes a store to the line between two CLWBs with no fence, which
+// the heap's commit paths almost never do.) An SFENCE drains the list in
+// one pass, so it costs O(lines in flight), not O(pools mapped), and the
+// list's backing array is reused by the next batch of CLWBs.
 type Domain struct {
-	pools         map[uint32]*poolState
+	// pools is indexed by pool id (hosts number pools densely from 1);
+	// nil marks an id that is not mapped.
+	pools         []*poolState
+	pending       []pendingLine
 	events        uint64
 	armed         bool
 	armAt         uint64
@@ -121,86 +138,67 @@ type Domain struct {
 	// Poisoned() from worker goroutines that don't hold the host's event
 	// lock (e.g. to classify an error as a casualty of the crash).
 	poisoned uint32
-	// hot indexes the pools with at least one in-flight snapshot, so an
-	// SFENCE drains only them instead of walking every mapped pool (the
-	// EACH pattern maps hundreds of pools, almost all quiescent at any
-	// given fence).
-	hot map[uint32]*poolState
-	// bufFree recycles drained snapshot buffers: the steady-state commit
-	// loop (CLWB lines, fence, repeat) then allocates nothing.
-	bufFree []*[LineBytes]byte
 	// flips holds armed media faults (see ArmFlip), sorted by event index.
 	flips []armedFlip
 }
 
-// maxFreeBufs bounds the snapshot-buffer free list (64 KiB of lines).
-const maxFreeBufs = 1024
-
 // NewDomain returns an empty persistence domain.
-func NewDomain() *Domain {
-	return &Domain{
-		pools: make(map[uint32]*poolState),
-		hot:   make(map[uint32]*poolState),
-	}
-}
+func NewDomain() *Domain { return &Domain{} }
 
-// getBuf takes a snapshot buffer from the free list, or allocates one.
-func (d *Domain) getBuf() *[LineBytes]byte {
-	if n := len(d.bufFree); n > 0 {
-		b := d.bufFree[n-1]
-		d.bufFree = d.bufFree[:n-1]
-		return b
+// pool returns the state of a mapped pool, or nil.
+func (d *Domain) pool(id uint32) *poolState {
+	if int(id) < len(d.pools) {
+		return d.pools[id]
 	}
-	return new([LineBytes]byte)
-}
-
-// putBuf returns a drained snapshot buffer to the free list.
-func (d *Domain) putBuf(b *[LineBytes]byte) {
-	if len(d.bufFree) < maxFreeBufs {
-		d.bufFree = append(d.bufFree, b)
-	}
+	return nil
 }
 
 // AddPool starts tracking a pool of the given byte size. Mapping is clean:
 // cache and durable views agree at that instant.
 func (d *Domain) AddPool(pool uint32, size uint64) {
 	lines := uint32((size + LineBytes - 1) / LineBytes)
+	words := (lines + 63) / 64
+	for int(pool) >= len(d.pools) {
+		d.pools = append(d.pools, nil)
+	}
 	d.pools[pool] = &poolState{
 		lines:    lines,
-		dirty:    make([]uint64, (lines+63)/64),
-		inflight: make(map[uint32]*[LineBytes]byte),
+		dirty:    make([]uint64, words),
+		inflight: make([]uint64, words),
 	}
 }
 
 // DropPool stops tracking a pool (it was unmapped; the host has already
 // decided what became of its bytes).
 func (d *Domain) DropPool(pool uint32) {
-	if ps, ok := d.pools[pool]; ok {
-		for k, buf := range ps.inflight {
-			delete(ps.inflight, k)
-			d.putBuf(buf)
-		}
+	if d.pool(pool) != nil {
+		d.dropPending(pool)
+		d.pools[pool] = nil
 	}
-	delete(d.hot, pool)
-	delete(d.pools, pool)
 }
 
 // Clean discards a pool's volatile state without unmapping it: the host
 // just synced the cache view to the durable view wholesale (pool creation,
 // bulk load), so nothing is newer in cache any more.
 func (d *Domain) Clean(pool uint32) {
-	ps, ok := d.pools[pool]
-	if !ok {
+	ps := d.pool(pool)
+	if ps == nil {
 		return
 	}
-	for i := range ps.dirty {
-		ps.dirty[i] = 0
+	clear(ps.dirty)
+	clear(ps.inflight)
+	d.dropPending(pool)
+}
+
+// dropPending removes a pool's snapshots from the pending list.
+func (d *Domain) dropPending(pool uint32) {
+	kept := d.pending[:0]
+	for i := range d.pending {
+		if d.pending[i].pool != pool {
+			kept = append(kept, d.pending[i])
+		}
 	}
-	for k, buf := range ps.inflight {
-		delete(ps.inflight, k)
-		d.putBuf(buf)
-	}
-	delete(d.hot, pool)
+	d.pending = kept
 }
 
 // step numbers one event and, when armed, crashes just before applying it.
@@ -261,12 +259,12 @@ func (d *Domain) Poisoned() bool { return atomic.LoadUint32(&d.poisoned) != 0 }
 // covered lines become dirty.
 func (d *Domain) Store(pool, off, size uint32) {
 	d.step()
-	ps, ok := d.pools[pool]
-	if !ok || size == 0 {
+	ps := d.pool(pool)
+	if ps == nil || size == 0 {
 		return
 	}
 	for line := off / LineBytes; line <= (off+size-1)/LineBytes && line < ps.lines; line++ {
-		ps.setDirty(line)
+		setBit(ps.dirty, line)
 	}
 }
 
@@ -275,12 +273,12 @@ func (d *Domain) Store(pool, off, size uint32) {
 // yet ordered). A clean-line CLWB is a no-op, as on hardware.
 func (d *Domain) CLWB(pool, off uint32, mem Memory) {
 	d.step()
-	ps, ok := d.pools[pool]
-	if !ok {
+	ps := d.pool(pool)
+	if ps == nil {
 		return
 	}
 	line := off / LineBytes
-	if line >= ps.lines || !ps.isDirty(line) {
+	if line >= ps.lines || !hasBit(ps.dirty, line) {
 		return
 	}
 	d.snapshot(pool, ps, line, mem)
@@ -295,46 +293,52 @@ func (d *Domain) CLWBRange(pool, off, size uint32, mem Memory) {
 	if size == 0 {
 		return
 	}
-	ps := d.pools[pool]
+	ps := d.pool(pool)
 	first := off / LineBytes
 	last := (off + size - 1) / LineBytes
 	for line := first; line <= last; line++ {
 		d.step()
-		if ps == nil || line >= ps.lines || !ps.isDirty(line) {
+		if ps == nil || line >= ps.lines || !hasBit(ps.dirty, line) {
 			continue
 		}
 		d.snapshot(pool, ps, line, mem)
 	}
 }
 
-// snapshot captures a dirty line's cache content in-flight, recycling a
-// drained buffer when one is available and indexing the pool as hot.
+// snapshot captures a dirty line's cache content in-flight. A line that is
+// already in flight (flushed, stored to again, flushed again before a
+// fence) has its pending entry overwritten in place, so the fence drains
+// the newest snapshot and the list holds each line at most once.
 func (d *Domain) snapshot(pool uint32, ps *poolState, line uint32, mem Memory) {
-	buf, ok := ps.inflight[line*LineBytes]
-	if !ok {
-		buf = d.getBuf()
-		ps.inflight[line*LineBytes] = buf
-		d.hot[pool] = ps
+	off := line * LineBytes
+	i := len(d.pending)
+	if hasBit(ps.inflight, line) {
+		for i--; d.pending[i].pool != pool || d.pending[i].off != off; i-- {
+		}
+	} else {
+		d.pending = append(d.pending, pendingLine{pool: pool, off: off})
 	}
-	if mem.ReadCacheLine(pool, line*LineBytes, buf) {
-		ps.clrDirty(line)
+	if !mem.ReadCacheLine(pool, off, &d.pending[i].data) {
+		if !hasBit(ps.inflight, line) {
+			d.pending = d.pending[:i] // nothing captured: the pool is gone
+		}
+		return
 	}
+	clrBit(ps.dirty, line)
+	setBit(ps.inflight, line)
 }
 
 // SFence records a store fence: one event, and every in-flight snapshot in
 // the domain drains to the durable view. Lines re-dirtied after their CLWB
-// stay dirty — the fence ordered the snapshot, not the newer stores. Only
-// pools with in-flight lines (the hot index) are visited.
+// stay dirty — the fence ordered the snapshot, not the newer stores.
 func (d *Domain) SFence(mem Memory) {
 	d.step()
-	for pool, ps := range d.hot {
-		for off, buf := range ps.inflight {
-			mem.WriteDurableWords(pool, off, buf, 0xFF)
-			delete(ps.inflight, off)
-			d.putBuf(buf)
-		}
-		delete(d.hot, pool)
+	for i := range d.pending {
+		p := &d.pending[i]
+		mem.WriteDurableWords(p.pool, p.off, &p.data, 0xFF)
+		clrBit(d.pools[p.pool].inflight, p.off/LineBytes)
 	}
+	d.pending = d.pending[:0]
 }
 
 // VolatileLines counts the lines currently newer in cache than in NVM
@@ -342,43 +346,34 @@ func (d *Domain) SFence(mem Memory) {
 func (d *Domain) VolatileLines() int {
 	n := 0
 	for _, ps := range d.pools {
-		for _, w := range ps.dirty {
-			n += bits.OnesCount64(w)
+		if ps == nil {
+			continue
 		}
-		for off := range ps.inflight {
-			if ps.isDirty(off / LineBytes) {
-				continue // counted once
-			}
-			n++
+		for i, w := range ps.dirty {
+			n += bits.OnesCount64(w | ps.inflight[i])
 		}
 	}
 	return n
 }
 
 // volatileSet returns every volatile line sorted by (pool, offset), so
-// seeded policies consume randomness in a deterministic order.
+// seeded policies consume randomness in a deterministic order. A line
+// both in flight and re-dirtied appears once.
 func (d *Domain) volatileSet() []Line {
 	var lines []Line
 	for pool, ps := range d.pools {
+		if ps == nil {
+			continue
+		}
 		for wi, w := range ps.dirty {
+			w |= ps.inflight[wi]
 			for w != 0 {
 				b := bits.TrailingZeros64(w)
 				w &^= 1 << b
-				lines = append(lines, Line{Pool: pool, Off: (uint32(wi)*64 + uint32(b)) * LineBytes})
-			}
-		}
-		for off := range ps.inflight {
-			if !ps.isDirty(off / LineBytes) {
-				lines = append(lines, Line{Pool: pool, Off: off})
+				lines = append(lines, Line{Pool: uint32(pool), Off: (uint32(wi)*64 + uint32(b)) * LineBytes})
 			}
 		}
 	}
-	sort.Slice(lines, func(i, j int) bool {
-		if lines[i].Pool != lines[j].Pool {
-			return lines[i].Pool < lines[j].Pool
-		}
-		return lines[i].Off < lines[j].Off
-	})
 	return lines
 }
 
@@ -405,15 +400,12 @@ func (d *Domain) Crash(pol Policy, mem Memory) Report {
 		mem.WriteDurableWords(ln.Pool, ln.Off, &buf, mask)
 		rep.Kept = append(rep.Kept, LineOutcome{Line: ln, Mask: mask})
 	}
-	for pool, ps := range d.pools {
-		for i := range ps.dirty {
-			ps.dirty[i] = 0
+	for _, ps := range d.pools {
+		if ps != nil {
+			clear(ps.dirty)
+			clear(ps.inflight)
 		}
-		for k, buf := range ps.inflight {
-			delete(ps.inflight, k)
-			d.putBuf(buf)
-		}
-		delete(d.hot, pool)
 	}
+	d.pending = d.pending[:0]
 	return rep
 }

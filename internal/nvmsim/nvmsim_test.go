@@ -326,3 +326,92 @@ func TestCleanDiscardsVolatileState(t *testing.T) {
 		t.Fatal("Clean must also drop in-flight snapshots")
 	}
 }
+
+// TestCrashResolvesInflightRedirtiedLineFromCache pins what a crash does
+// to a line that is in flight and dirty again: it is one volatile line,
+// and a survivor takes the current cache bytes, not the CLWB snapshot.
+func TestCrashResolvesInflightRedirtiedLineFromCache(t *testing.T) {
+	m := newFakeMem(2 * LineBytes)
+	d := NewDomain()
+	d.AddPool(1, uint64(len(m.cache)))
+
+	m.store(d, 0, []byte{0xAA})
+	d.CLWB(1, 0, m) // snapshot 0xAA in flight
+	m.store(d, 0, []byte{0xBB})
+	if got := d.VolatileLines(); got != 1 {
+		t.Fatalf("in-flight, re-dirtied line counted %d times, want once", got)
+	}
+	rep := d.Crash(ExplicitPolicy(map[Line]byte{{Pool: 1, Off: 0}: 0xFF}), m)
+	if rep.Volatile != 1 || len(rep.Kept) != 1 || len(rep.Dropped) != 0 {
+		t.Fatalf("report = %+v, want one volatile line, kept", rep)
+	}
+	if m.durable[0] != 0xBB {
+		t.Fatalf("surviving line holds %#x, want the current cache byte 0xBB", m.durable[0])
+	}
+	d.SFence(m)
+	if m.durable[0] != 0xBB {
+		t.Fatal("the crash must discard the in-flight snapshot too")
+	}
+}
+
+// TestDomainHotPathAllocs gates the persist loop a transaction commit runs
+// (stores, CLWBRange over them, SFENCE) at zero allocations once warm.
+func TestDomainHotPathAllocs(t *testing.T) {
+	m := newFakeMem(64 * LineBytes)
+	d := NewDomain()
+	d.AddPool(1, uint64(len(m.cache)))
+	loop := func() {
+		for off := uint32(0); off < 16*LineBytes; off += 40 {
+			d.Store(1, off, 8)
+		}
+		d.CLWBRange(1, 0, 16*LineBytes, m)
+		d.SFence(m)
+	}
+	loop()
+	if n := testing.AllocsPerRun(100, loop); n != 0 {
+		t.Fatalf("Store/CLWBRange/SFence loop allocates %.1f times per run, want 0", n)
+	}
+}
+
+// BenchmarkDomainFence times one small commit (eight dirty lines flushed,
+// one fence) with 1 and 1000 pools mapped, and again after a 10k-line
+// fence has grown the pending list: the cost of a fence depends on the
+// lines it drains, not on how many pools are mapped or how many lines an
+// earlier fence drained.
+func BenchmarkDomainFence(b *testing.B) {
+	const poolBytes = 1 << 20
+	for _, bc := range []struct {
+		name  string
+		pools int
+		burst bool
+	}{
+		{"pools=1", 1, false},
+		{"pools=1000", 1000, false},
+		{"pools=1/after-10k-line-fence", 1, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := newFakeMem(poolBytes)
+			d := NewDomain()
+			for id := bc.pools; id >= 1; id-- {
+				d.AddPool(uint32(id), poolBytes)
+			}
+			if bc.burst {
+				for off := uint32(0); off < 10000*LineBytes; off += LineBytes {
+					d.Store(1, off, 8)
+					d.CLWB(1, off, m)
+				}
+				d.SFence(m)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				base := uint32(i%1024) * 8 * LineBytes
+				for off := base; off < base+8*LineBytes; off += LineBytes {
+					d.Store(1, off, 8)
+				}
+				d.CLWBRange(1, base, 8*LineBytes, m)
+				d.SFence(m)
+			}
+		})
+	}
+}

@@ -686,6 +686,10 @@ func (h *Heap) WriteDurableWords(pool, off uint32, src *[nvmsim.LineBytes]byte, 
 		return
 	}
 	line := p.b.pageForWrite(off)[off&vm.PageMask:][:nvmsim.LineBytes]
+	if mask == 0xFF { // a fence drains whole lines
+		copy(line, src[:])
+		return
+	}
 	for w := 0; w < nvmsim.LineBytes/8; w++ {
 		if mask&(1<<w) != 0 {
 			copy(line[w*8:w*8+8], src[w*8:(w+1)*8])
