@@ -1,7 +1,10 @@
-// Command potlint runs potgo's eight invariant analyzers over the tree (see
-// internal/analysis and DESIGN.md §5h): the four persistence analyzers and
+// Command potlint runs potgo's nine invariant analyzers over the tree (see
+// internal/analysis and DESIGN.md §5h): the four persistence analyzers,
 // the four concurrency/allocation analyzers (lockorder, allocorder,
-// noalloc, snapshotread) built on the interprocedural summary layer:
+// noalloc, snapshotread) built on the interprocedural summary layer, and
+// the whole-program unusedexport. It always loads the whole module, so
+// naming one package reports only that package's findings but sees every
+// caller:
 //
 //	go run ./cmd/potlint ./...
 //
@@ -71,35 +74,12 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	loader, err := analysis.NewLoader("")
+	loader, diags, err := analysis.Lint(analyzers, patterns)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	paths, err := loader.ExpandPatterns(patterns)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	requested := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		requested[p] = true
-		if _, err := loader.Load(p); err != nil {
-			fatalf("%v", err)
-		}
-	}
-
-	// Analyze every loaded package (dependencies included, so facts flow),
-	// but report only for the requested ones.
-	diags, err := analysis.Run(analyzers, loader.Packages())
-	if err != nil {
-		fatalf("%v", err)
-	}
-	diags = analysis.FilterSuppressed(diags, loader.Fset, loader.Packages(), analyzers)
-	n := 0
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
-		if !requested[d.Pkg] {
-			continue
-		}
 		pos := loader.Fset.Position(d.Pos)
 		if *jsonOut {
 			if err := enc.Encode(jsonFinding{
@@ -114,10 +94,9 @@ func main() {
 		} else {
 			fmt.Printf("%s: [%s] %s\n", pos, d.Analyzer, d.Message)
 		}
-		n++
 	}
-	if n > 0 {
-		fmt.Fprintf(os.Stderr, "potlint: %d finding(s)\n", n)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "potlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -102,7 +102,6 @@ func main() {
 	}
 	var srv *potserve.Server
 	if members != nil {
-		kv.EnableJournal()
 		node := cluster.NewNode(uint32(*nodeID), kv, cluster.NewTopology(1, members))
 		srv = potserve.ServeBackend(ln, node, reg)
 		// The applied replication logs are volatile and would otherwise

@@ -34,6 +34,12 @@
 //   - snapshotread: functions annotated //potlint:snapshot-read (the MVCC
 //     read path) take no shard locks and mutate nothing.
 //
+// The ninth, unusedexport (unusedexport.go), is whole-program: it reports
+// exported identifiers that no non-test file references. It runs through
+// Analyzer.Program once every package has been visited, and Lint, the
+// driver, always loads the whole module so a partial run sees every
+// caller.
+//
 // Findings are suppressed line-by-line with `//potlint:allow <analyzer>
 // <reason>` (suppress.go); unused suppressions are themselves findings.
 //
@@ -68,6 +74,10 @@ type Analyzer struct {
 	// Run applies the analyzer to one package, reporting diagnostics and
 	// exporting facts through the pass.
 	Run func(*Pass) error
+	// Program, if set, runs once after Run has visited every package, with
+	// one pass per package in load order: the hook for whole-program
+	// checks, which report through the pass of the package a finding is in.
+	Program func([]*Pass) error
 }
 
 // Pass is the interface between one analyzer and one package being
@@ -181,8 +191,9 @@ func Run(analyzers []*Analyzer, pkgs []*LoadedPackage) ([]Diagnostic, error) {
 	facts := NewFactStore()
 	var diags []Diagnostic
 	for _, a := range expand(analyzers) {
-		for _, pkg := range pkgs {
-			pass := &Pass{
+		passes := make([]*Pass, len(pkgs))
+		for i, pkg := range pkgs {
+			passes[i] = &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Syntax,
@@ -190,9 +201,19 @@ func Run(analyzers []*Analyzer, pkgs []*LoadedPackage) ([]Diagnostic, error) {
 				TypesInfo: pkg.TypesInfo,
 				facts:     facts,
 			}
-			if err := a.Run(pass); err != nil {
+			if a.Run == nil {
+				continue
+			}
+			if err := a.Run(passes[i]); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
 			}
+		}
+		if a.Program != nil {
+			if err := a.Program(passes); err != nil {
+				return nil, fmt.Errorf("%s: %w", a.Name, err)
+			}
+		}
+		for _, pass := range passes {
 			diags = append(diags, pass.diagnostics...)
 		}
 	}
@@ -205,8 +226,49 @@ func Run(analyzers []*Analyzer, pkgs []*LoadedPackage) ([]Diagnostic, error) {
 	return diags, nil
 }
 
+// Lint is the potlint driver: it loads every package of the module
+// enclosing the working directory plus the packages patterns name, runs
+// analyzers over all of them — so a whole-program analyzer sees every
+// reference even when patterns name one package — and returns the findings
+// in the named packages, suppressions applied.
+func Lint(analyzers []*Analyzer, patterns []string) (*Loader, []Diagnostic, error) {
+	loader, err := NewLoader("")
+	if err != nil {
+		return nil, nil, err
+	}
+	module, err := loader.ExpandPatterns([]string{"./..."})
+	if err != nil {
+		return nil, nil, err
+	}
+	paths, err := loader.ExpandPatterns(patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	requested := make(map[string]bool, len(paths))
+	for _, p := range paths {
+		requested[p] = true
+	}
+	for _, p := range append(module, paths...) {
+		if _, err := loader.Load(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	diags, err := Run(analyzers, loader.Packages())
+	if err != nil {
+		return nil, nil, err
+	}
+	var kept []Diagnostic
+	for _, d := range FilterSuppressed(diags, loader.Fset, loader.Packages(), analyzers) {
+		if requested[d.Pkg] {
+			kept = append(kept, d)
+		}
+	}
+	return loader, kept, nil
+}
+
 // All returns the full potlint suite in a fixed order: the four
-// persistence analyzers, then the four concurrency/allocation analyzers.
+// persistence analyzers, the four concurrency/allocation analyzers, then
+// the whole-program unusedexport.
 func All() []*Analyzer {
 	return []*Analyzer{
 		TouchBeforeStore,
@@ -217,5 +279,6 @@ func All() []*Analyzer {
 		AllocOrder,
 		NoAlloc,
 		SnapshotRead,
+		UnusedExport,
 	}
 }

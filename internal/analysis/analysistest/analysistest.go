@@ -6,8 +6,10 @@
 //
 // The quoted string is a regular expression that must match the message of
 // a diagnostic reported on that line; multiple quoted strings expect
-// multiple diagnostics. Lines without a want comment must produce no
-// diagnostics. This mirrors golang.org/x/tools/go/analysis/analysistest,
+// multiple diagnostics. A want may also close another comment, such as a
+// //potlint:allow directive whose staleness is the expected finding. Lines
+// without a want comment must produce no diagnostics. Subpackages of the
+// fixture that it imports are checked the same way. This mirrors golang.org/x/tools/go/analysis/analysistest,
 // which the offline build cannot vendor.
 package analysistest
 
@@ -24,6 +26,8 @@ import (
 
 // Run analyzes testdata/src/<pkgName> (relative to the caller's package
 // directory) with the analyzer and reports mismatches as test errors.
+//
+//potlint:allow unusedexport fixture runner of the test-helper package every analyzer test in suite_test.go drives
 func Run(t *testing.T, a *analysis.Analyzer, pkgName string) {
 	t.Helper()
 	loader, err := analysis.NewLoader("")
@@ -31,20 +35,28 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgName string) {
 		t.Fatalf("loader: %v", err)
 	}
 	fixturePath := "potgo/internal/analysis/testdata/src/" + pkgName
-	pkg, err := loader.Load(fixturePath)
-	if err != nil {
+	if _, err := loader.Load(fixturePath); err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgName, err)
 	}
 	diags, err := analysis.Run([]*analysis.Analyzer{a}, loader.Packages())
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
-	diags = analysis.FilterSuppressed(diags, loader.Fset, []*analysis.LoadedPackage{pkg}, []*analysis.Analyzer{a})
+	// Facts may be computed over dependencies; findings there are not the
+	// fixture's.
+	inFixture := func(path string) bool { return path == fixturePath || strings.HasPrefix(path, fixturePath+"/") }
+	var pkgs []*analysis.LoadedPackage
+	for _, p := range loader.Packages() {
+		if inFixture(p.PkgPath) {
+			pkgs = append(pkgs, p)
+		}
+	}
+	diags = analysis.FilterSuppressed(diags, loader.Fset, pkgs, []*analysis.Analyzer{a})
 
-	wants := collectWants(t, loader, pkg)
+	wants := collectWants(t, loader, pkgs)
 	for _, d := range diags {
-		if d.Pkg != fixturePath {
-			continue // facts may be computed over dependencies; findings there are not the fixture's
+		if !inFixture(d.Pkg) {
+			continue
 		}
 		pos := loader.Fset.Position(d.Pos)
 		key := fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
@@ -78,24 +90,26 @@ type want struct {
 }
 
 // collectWants scans the fixture's comments for `// want "re" "re"...`.
-func collectWants(t *testing.T, loader *analysis.Loader, pkg *analysis.LoadedPackage) map[string][]want {
+func collectWants(t *testing.T, loader *analysis.Loader, pkgs []*analysis.LoadedPackage) map[string][]want {
 	t.Helper()
 	wants := make(map[string][]want)
-	for _, f := range pkg.Syntax {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "// want ")
-				if !ok {
-					continue
-				}
-				pos := loader.Fset.Position(c.Pos())
-				key := fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
-				for _, pat := range splitQuoted(t, key, text) {
-					re, err := regexp.Compile(pat)
-					if err != nil {
-						t.Fatalf("%s: bad want pattern %q: %v", key, pat, err)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Syntax {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					_, text, ok := strings.Cut(c.Text, "// want ")
+					if !ok {
+						continue
 					}
-					wants[key] = append(wants[key], want{re: re})
+					pos := loader.Fset.Position(c.Pos())
+					key := fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
+					for _, pat := range splitQuoted(t, key, text) {
+						re, err := regexp.Compile(pat)
+						if err != nil {
+							t.Fatalf("%s: bad want pattern %q: %v", key, pat, err)
+						}
+						wants[key] = append(wants[key], want{re: re})
+					}
 				}
 			}
 		}

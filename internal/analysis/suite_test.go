@@ -47,29 +47,31 @@ func TestSnapshotRead(t *testing.T) {
 	analysistest.Run(t, analysis.SnapshotRead, "snapshotread")
 }
 
+func TestUnusedExport(t *testing.T) {
+	analysistest.Run(t, analysis.UnusedExport, "unusedexport")
+}
+
 // TestTreeIsClean is the potlint gate in test form: the full suite must
 // report nothing on the tree itself. If this fails, either real code broke
 // a persistence invariant or an analyzer grew a false positive — both need
 // fixing before merge.
 func TestTreeIsClean(t *testing.T) {
-	loader, err := analysis.NewLoader("")
+	lintClean(t, analysis.All(), "./...")
+}
+
+// TestUnusedExportPartialRun pins the whole-program driver: a run that
+// names one package still sees every caller in the module, so the clean
+// tree reports nothing.
+func TestUnusedExportPartialRun(t *testing.T) {
+	lintClean(t, []*analysis.Analyzer{analysis.UnusedExport}, "./internal/pmem")
+}
+
+func lintClean(t *testing.T, analyzers []*analysis.Analyzer, patterns ...string) {
+	t.Helper()
+	loader, diags, err := analysis.Lint(analyzers, patterns)
 	if err != nil {
-		t.Fatalf("loader: %v", err)
+		t.Fatalf("lint: %v", err)
 	}
-	paths, err := loader.ExpandPatterns([]string{"./..."})
-	if err != nil {
-		t.Fatalf("expand: %v", err)
-	}
-	for _, p := range paths {
-		if _, err := loader.Load(p); err != nil {
-			t.Fatalf("load %s: %v", p, err)
-		}
-	}
-	diags, err := analysis.Run(analysis.All(), loader.Packages())
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	diags = analysis.FilterSuppressed(diags, loader.Fset, loader.Packages(), analysis.All())
 	for _, d := range diags {
 		t.Errorf("%s: [%s] %s", loader.Fset.Position(d.Pos), d.Analyzer, d.Message)
 	}

@@ -21,6 +21,8 @@ type Config struct {
 }
 
 // Geometry helpers for the paper's Table 4 configuration.
+//
+//potlint:allow unusedexport kept for TestConfigValidate
 func (c Config) SizeBytes() int { return c.Sets * c.Ways << c.LineShift }
 
 // Validate checks the configuration for internal consistency.
@@ -108,6 +110,8 @@ func (c *Cache) Access(addr uint64) (hit bool) {
 
 // Probe reports whether the block containing addr is present without
 // touching LRU state or statistics.
+//
+//potlint:allow unusedexport kept for TestLRUEviction, TestProbeDoesNotPerturb and TestInvalidateAndFlush
 func (c *Cache) Probe(addr uint64) bool {
 	tags, valid, tag := c.set(addr)
 	for w := 0; w < c.cfg.Ways; w++ {
@@ -119,6 +123,8 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 // Invalidate removes the block containing addr if present.
+//
+//potlint:allow unusedexport kept for TestInvalidateAndFlush
 func (c *Cache) Invalidate(addr uint64) {
 	tags, valid, tag := c.set(addr)
 	for w := 0; w < c.cfg.Ways; w++ {
@@ -141,12 +147,6 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Stats returns the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Latency returns the configured hit latency in cycles.
-func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 
 func moveToFront(tags []uint64, valid []bool, w int) {
 	t, v := tags[w], valid[w]

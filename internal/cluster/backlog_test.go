@@ -84,7 +84,7 @@ func TestClusterDeepCatchUp(t *testing.T) {
 		}
 	}
 	// ackSeed advanced the origin's quorum tracker over the whole log.
-	if got := cl.Members[0].Node.Tracker().Committed(); got != deep {
+	if got := cl.Members[0].Node.tracker.Committed(); got != deep {
 		t.Fatalf("origin committed %d of %d after sync", got, deep)
 	}
 }
@@ -100,7 +100,7 @@ func TestClusterDeepBacklogPush(t *testing.T) {
 	const deep = potserve.MaxRepEntries + 123
 	origin := cl.Members[0]
 	seedOwnLog(origin, deep)
-	origin.Node.Tracker().Ack(deep, origin.Node.ID)
+	origin.Node.tracker.Ack(deep, origin.Node.ID)
 
 	c, err := potserve.Dial(origin.Addr)
 	if err != nil {
@@ -116,14 +116,14 @@ func TestClusterDeepBacklogPush(t *testing.T) {
 			t.Fatalf("member %d confirmed %d of %d", m.Node.ID, w, deep+1)
 		}
 	}
-	if !origin.Node.Tracker().Durable(deep + 1) {
+	if !origin.Node.tracker.Durable(deep + 1) {
 		t.Fatal("write not durable on quorum after backlog drain")
 	}
 
 	// With every peer confirmed through the tail, SelfCompact may drop the
 	// node's whole own log.
 	origin.Node.SelfCompact()
-	if got := origin.Node.Trimmed(origin.Node.ID); got != deep+1 {
+	if got := trimmed(origin.Node, origin.Node.ID); got != deep+1 {
 		t.Fatalf("self-compact floor %d, want %d", got, deep+1)
 	}
 	if n := len(origin.Node.AppliedLog(origin.Node.ID)); n != 0 {
@@ -131,8 +131,8 @@ func TestClusterDeepBacklogPush(t *testing.T) {
 	}
 }
 
-// TestClusterCompact: coordinator-driven compaction trims every synced
-// member to the cluster-wide floor, later writes still replicate (the
+// TestClusterCompact: CompactBelow at the cluster-wide floor trims every
+// synced member's logs, later writes still replicate (the
 // backlog push resumes above the floor), and a SUB below the floor is an
 // explicit error, never a silent gap.
 func TestClusterCompact(t *testing.T) {
@@ -152,11 +152,22 @@ func TestClusterCompact(t *testing.T) {
 	if err := cl.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	cl.Compact()
+	// Trim every log below the cluster-wide floor: per origin, the lowest
+	// watermark across the members.
+	for _, origin := range cl.Members {
+		o := origin.Node.ID
+		floor := origin.Node.Watermark(o)
+		for _, m := range cl.Members {
+			floor = min(floor, m.Node.Watermark(o))
+		}
+		for _, m := range cl.Members {
+			m.Node.CompactBelow(o, floor)
+		}
+	}
 	for _, m := range cl.Members {
 		for _, origin := range cl.Members {
 			o := origin.Node.ID
-			if got, want := m.Node.Trimmed(o), origin.Node.Seq(); got != want {
+			if got, want := trimmed(m.Node, o), origin.Node.Seq(); got != want {
 				t.Fatalf("member %d origin %d: floor %d, want %d", m.Node.ID, o, got, want)
 			}
 			if n := len(m.Node.AppliedLog(o)); n != 0 {
@@ -190,4 +201,12 @@ func TestClusterCompact(t *testing.T) {
 	if _, err := pc.Sub(m.Node.ID, 0); err == nil || !strings.Contains(err.Error(), "compacted") {
 		t.Fatalf("sub below floor: %v, want compacted error", err)
 	}
+}
+
+// trimmed returns n's compaction floor for an origin: entries with Seq at
+// or below it have been discarded from the applied log.
+func trimmed(n *Node, origin uint32) uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.trimmed[origin]
 }

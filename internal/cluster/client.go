@@ -217,6 +217,8 @@ func (c *Client) Put(key, val uint64) (created bool, err error) {
 
 // Delete removes a key through its owner; existed reports whether it was
 // present.
+//
+//potlint:allow unusedexport kept for TestClusterBasic
 func (c *Client) Delete(key uint64) (existed bool, err error) {
 	err = c.route(key, func(pc *potserve.Client) error {
 		var e error

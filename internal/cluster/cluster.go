@@ -237,37 +237,6 @@ func catchUpMember(hc *potserve.Client, m *Member, o uint32, epoch, maxW uint64)
 	return nil
 }
 
-// Compact trims every alive member's applied logs below the cluster-wide
-// confirmed floor: per origin, the minimum watermark across alive members.
-// Everything below that floor is applied everywhere that can still be
-// caught up, so no future REP backlog push or SUB catch-up needs it. Run
-// after Sync to bound the volatile replication logs in a long-lived
-// cluster; the crash harness never calls it, so its verifier audits full
-// logs.
-func (c *Cluster) Compact() {
-	alive := make([]*Member, 0, len(c.Members))
-	for _, m := range c.Members {
-		if !m.Node.Dead() {
-			alive = append(alive, m)
-		}
-	}
-	if len(alive) == 0 {
-		return
-	}
-	for origin := range c.Members {
-		o := uint32(origin)
-		floor := alive[0].Node.Watermark(o)
-		for _, m := range alive[1:] {
-			if w := m.Node.Watermark(o); w < floor {
-				floor = w
-			}
-		}
-		for _, m := range alive {
-			m.Node.CompactBelow(o, floor)
-		}
-	}
-}
-
 // ackSeed tells every listed primary what its peers hold of ITS log, so a
 // catch-up that advanced a follower also advances the primary's quorum
 // tracker (ACK frames: reporter id + watermark).

@@ -93,7 +93,7 @@ func TestClusterBasic(t *testing.T) {
 			}
 		}
 		// Every origin's committed watermark reached quorum.
-		if got, want := m.Node.Tracker().Committed(), m.Node.Seq(); got != want {
+		if got, want := m.Node.tracker.Committed(), m.Node.Seq(); got != want {
 			t.Fatalf("member %d: committed %d of %d own entries", m.Node.ID, got, want)
 		}
 	}

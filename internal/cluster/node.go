@@ -82,9 +82,9 @@ type Node struct {
 	// applied[origin] is the in-order applied log per origin, including
 	// this node's own, minus any compacted prefix: applied[origin][i]
 	// holds Seq trimmed[origin]+i+1. Volatile by design — the persistent
-	// truth is the KV journal + op counters; the applied log is the
-	// replication state the verifier audits (the crash harness never
-	// compacts, so it audits full logs).
+	// truth is the KV; the applied log is the replication state the
+	// verifier audits (the crash harness never compacts, so it audits
+	// full logs).
 	applied map[uint32][]Applied
 	// trimmed[origin] is the compaction floor: entries with
 	// Seq <= trimmed[origin] have been discarded from applied[origin].
@@ -109,7 +109,9 @@ type Node struct {
 	ackBeforeQuorumMutation bool
 }
 
-// NewNode builds a cluster node over a journaled KV at the given topology.
+// NewNode builds a cluster node over kv at the given topology. The node
+// reads nothing from a KV journal; NewLocal enables one for the crash
+// harness's verifier.
 func NewNode(id uint32, kv *objstore.KV, topo Topology) *Node {
 	return &Node{
 		ID:        id,
@@ -141,9 +143,6 @@ func (n *Node) Topology() Topology {
 	defer n.mu.Unlock()
 	return n.topo
 }
-
-// Epoch returns the node's current topology epoch.
-func (n *Node) Epoch() uint64 { return n.Topology().Epoch() }
 
 // Dead reports whether the node's heap crashed.
 func (n *Node) Dead() bool {
@@ -184,21 +183,13 @@ func (n *Node) AppliedLog(origin uint32) []Applied {
 	return out
 }
 
-// Trimmed returns the node's compaction floor for an origin: entries with
-// Seq <= Trimmed(origin) have been discarded from the applied log.
-func (n *Node) Trimmed(origin uint32) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.trimmed[origin]
-}
-
 // CompactBelow discards origin's applied-log entries with Seq <= below
 // (clamped to the applied watermark). Safe only when everything that may
 // ever ask for this log again — REP backlog pushes, SUB catch-up — already
-// holds it through below; the coordinator computes that floor as the
-// minimum watermark across alive members. This bounds the volatile applied
-// log, which otherwise grows without limit in a long-running cluster; the
-// persistent truth (KV + journal) is unaffected.
+// holds it through below; SelfCompact computes that floor from what the
+// alive peers have confirmed. This bounds the volatile applied log, which
+// otherwise grows without limit in a long-running cluster; the persistent
+// KV is unaffected.
 func (n *Node) CompactBelow(origin uint32, below uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -227,8 +218,8 @@ func (n *Node) CompactBelow(origin uint32, below uint64) {
 // pins the whole log, exactly the backlog it will need — and every other
 // origin's log keeps a MaxRepEntries retention tail past this node's
 // applied watermark, enough to serve one catch-up frame. The in-process
-// coordinator never calls this; it compacts cluster-wide via
-// Cluster.Compact, and the crash harness not at all.
+// coordinator and the crash harness never compact, so the harness's
+// verifier audits full logs.
 func (n *Node) SelfCompact() {
 	t := n.Topology()
 	floor := n.Watermark(n.ID)
@@ -261,9 +252,6 @@ func (n *Node) Seq() uint64 {
 	defer n.mu.Unlock()
 	return n.seq
 }
-
-// Tracker returns the node's quorum tracker for its own log.
-func (n *Node) Tracker() *Tracker { return n.tracker }
 
 // markDead flags the node dead and runs the death hook once.
 func (n *Node) markDead() {

@@ -126,6 +126,8 @@ type Stats struct {
 }
 
 // POLBMissRate returns POLB misses / translations.
+//
+//potlint:allow unusedexport kept for TestPipelinedTranslationLatencies and TestPOLBMissRateEmpty
 func (s Stats) POLBMissRate() float64 {
 	if s.Translations == 0 {
 		return 0
@@ -177,6 +179,8 @@ func New(cfg Config, table *pot.Table, as *vm.AddressSpace) *Translator {
 func (t *Translator) SetWalker(w Walker) { t.walker = w }
 
 // Config returns the translator's configuration.
+//
+//potlint:allow unusedexport kept for TestZeroConfigGetsDefaults
 func (t *Translator) Config() Config { return t.cfg }
 
 // POLB exposes the look-aside buffer (for pool-close invalidation and
@@ -282,6 +286,8 @@ func (t *Translator) InvalidatePool(p oid.PoolID) { t.polb.InvalidatePool(p) }
 func (t *Translator) Stats() Stats { return t.stats }
 
 // ResetStats zeroes counters (and the POLB's own counters) after warm-up.
+//
+//potlint:allow unusedexport kept for TestResetStats
 func (t *Translator) ResetStats() {
 	t.stats = Stats{}
 	t.polb.ResetStats()

@@ -52,6 +52,8 @@ func (r Result) IPC() float64 {
 }
 
 // CPI returns cycles per instruction.
+//
+//potlint:allow unusedexport kept for TestInOrderALUThroughput and TestResultHelpers
 func (r Result) CPI() float64 {
 	if r.Instructions == 0 {
 		return 0

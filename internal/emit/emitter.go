@@ -149,9 +149,6 @@ func (e *Emitter) Pause() { e.paused = true }
 // Resume re-enables emission after Pause.
 func (e *Emitter) Resume() { e.paused = false }
 
-// Paused reports whether emission is suspended.
-func (e *Emitter) Paused() bool { return e.paused }
-
 // Detach permanently turns the emitter into a no-op shell: no instruction
 // is recorded, counted, or handed to the consumer, and Temp stops rotating
 // registers so the emitter carries no mutable state on the emission path.
@@ -168,6 +165,8 @@ func (e *Emitter) Detach() { e.detached = true }
 func (e *Emitter) Detached() bool { return e.detached }
 
 // Dropped returns the number of instructions suppressed while paused.
+//
+//potlint:allow unusedexport kept for TestPauseSuppressesEmission and TestPopulationIsConsistent
 func (e *Emitter) Dropped() uint64 { return e.dropped }
 
 // emit writes one instruction into the chunk, field by field, and hands the
@@ -209,6 +208,8 @@ func (e *Emitter) Flush() {
 }
 
 // Nop emits a pipeline bubble.
+//
+//potlint:allow unusedexport kept for TestEmitPrimitives
 func (e *Emitter) Nop() { e.emit(isa.Nop, 0, 0, 0, 0, 0, 0, false) }
 
 // ALU emits a single-cycle integer op dst = f(src1, src2).

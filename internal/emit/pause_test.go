@@ -11,13 +11,13 @@ func TestPauseSuppressesEmission(t *testing.T) {
 	e := New(&buf, Opt)
 	e.ALU(1, 2, 3)
 	e.Pause()
-	if !e.Paused() {
+	if !e.paused {
 		t.Error("Paused must report true")
 	}
 	e.ALU(1, 2, 3)
 	e.Load(1, 2, 0x1000, 8)
 	e.Resume()
-	if e.Paused() {
+	if e.paused {
 		t.Error("Resume must clear paused")
 	}
 	e.ALU(1, 2, 3)

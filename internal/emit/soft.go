@@ -169,6 +169,8 @@ func (st *SoftTranslator) Unregister(pool oid.PoolID) error {
 
 // Lookup resolves a pool's base without emitting code (library-internal
 // queries that would not call oid_direct).
+//
+//potlint:allow unusedexport kept for TestSoftTranslateCorrectness
 func (st *SoftTranslator) Lookup(pool oid.PoolID) (uint64, bool) {
 	ent, ok := st.byPool[pool]
 	if !ok {
@@ -181,6 +183,8 @@ func (st *SoftTranslator) Lookup(pool oid.PoolID) (uint64, bool) {
 func (st *SoftTranslator) Stats() SoftStats { return st.stats }
 
 // ResetStats zeroes instrumentation.
+//
+//potlint:allow unusedexport kept for TestSoftPredictorMissRatePatterns
 func (st *SoftTranslator) ResetStats() { st.stats = SoftStats{} }
 
 // Translate is oid_direct (paper Figure 3): it emits the dynamic instruction

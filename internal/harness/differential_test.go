@@ -57,11 +57,11 @@ func TestDifferentialBaseVsOpt(t *testing.T) {
 				opt.Opt = true
 				opt.Design = polb.Pipelined
 
-				baseRes, baseDump, err := RunFunctionalDump(base)
+				baseRes, baseDump, err := functionalDump(base)
 				if err != nil {
 					t.Fatalf("BASE: %v", err)
 				}
-				optRes, optDump, err := RunFunctionalDump(opt)
+				optRes, optDump, err := functionalDump(opt)
 				if err != nil {
 					t.Fatalf("OPT: %v", err)
 				}
@@ -136,4 +136,21 @@ func runTPCCFunctional(t *testing.T, mode emit.Mode, place tpcc.Placement, seed 
 		t.Fatal(err)
 	}
 	return h.Store.DumpBytes(), db.Stats()
+}
+
+// functionalDump executes the workload functionally and returns, along with
+// the result, a copy of the final durable pool bytes after a full sync.
+// Pool contents are position-independent (object references are stored as
+// OIDs, never as virtual addresses), so two runs of the same workload under
+// different translation modes must dump byte-identical pools — the
+// differential-test invariant.
+func functionalDump(spec RunSpec) (RunResult, map[string][]byte, error) {
+	out, h, err := runFunctional(spec)
+	if err != nil {
+		return out, nil, err
+	}
+	if err := h.SyncAll(); err != nil {
+		return out, nil, err
+	}
+	return out, h.Store.DumpBytes(), nil
 }

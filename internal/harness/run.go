@@ -254,23 +254,6 @@ func RunFunctionalObserved(spec RunSpec, reg *obs.Registry) (RunResult, error) {
 	return out, err
 }
 
-// RunFunctionalDump executes the workload functionally and returns, along
-// with the result, a copy of the final durable pool bytes after a full
-// sync. Pool contents are position-independent (object references are
-// stored as OIDs, never as virtual addresses), so two runs of the same
-// workload under different translation modes must dump byte-identical
-// pools — the differential-test invariant.
-func RunFunctionalDump(spec RunSpec) (RunResult, map[string][]byte, error) {
-	out, h, err := runFunctional(spec)
-	if err != nil {
-		return out, nil, err
-	}
-	if err := h.SyncAll(); err != nil {
-		return out, nil, err
-	}
-	return out, h.Store.DumpBytes(), nil
-}
-
 func runFunctional(spec RunSpec) (RunResult, *pmem.Heap, error) {
 	ops, keyRange, err := spec.opsAndRange()
 	if err != nil {

@@ -94,6 +94,8 @@ func (o Op) IsStore() bool { return o == Store || o == NVStore || o == CLWB }
 
 // IsPersistent reports whether the instruction addresses memory through an
 // ObjectID and therefore engages the POLB/POT hardware.
+//
+//potlint:allow unusedexport kept for TestOpClassification
 func (o Op) IsPersistent() bool { return o == NVLoad || o == NVStore }
 
 // Reg names an architectural register in the emitted code. Register 0 (RZ)

@@ -60,6 +60,8 @@ type Model struct {
 // Check reports whether history is linearizable with respect to m,
 // returning nil on success and a diagnostic error naming the stuck
 // partition otherwise.
+//
+//potlint:allow unusedexport kept for TestCheckSequentialGood, TestCheckSequentialBad and TestCheckConcurrentFlexibility
 func Check(m Model, history []Op) error {
 	if m.Init == nil || m.Step == nil || m.Repr == nil {
 		return fmt.Errorf("lincheck: model needs Init, Step and Repr")
@@ -195,17 +197,12 @@ func (r *Recorder) End(p Pending, output any) Op {
 }
 
 // History snapshots the completed operations (call with workers joined).
+//
+//potlint:allow unusedexport kept for TestRecorderTimestamps and TestKVSnapshotIsolation
 func (r *Recorder) History() []Op {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Op, len(r.ops))
 	copy(out, r.ops)
 	return out
-}
-
-// Len returns the number of completed operations.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.ops)
 }

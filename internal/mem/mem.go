@@ -142,24 +142,6 @@ func (h *Hierarchy) DataAccess(va uint64) (uint64, error) {
 	return penalty + h.CacheAccess(pa), nil
 }
 
-// InstFetch charges an instruction fetch at pc: I-TLB plus the cache walk
-// through L1I/L2/L3. Synthetic code addresses are not backed by vm pages, so
-// the physical address is taken equal to pc (a fixed identity mapping for
-// the text segment).
-func (h *Hierarchy) InstFetch(pc uint64) uint64 {
-	penalty := h.itlb.Access(pc)
-	if h.l1i.Access(pc) {
-		return penalty + h.cfg.L1Latency
-	}
-	if h.l2.Access(pc) {
-		return penalty + h.cfg.L2Latency
-	}
-	if h.l3.Access(pc) {
-		return penalty + h.cfg.L3Latency
-	}
-	return penalty + h.cfg.MemLatency
-}
-
 // CLWB charges a cache-line write-back to persistent memory.
 func (h *Hierarchy) CLWB(va uint64) (uint64, error) {
 	if _, ok := h.as.Translate(va); !ok {
@@ -199,6 +181,8 @@ func (h *Hierarchy) Stats() Stats {
 
 // ResetStats zeroes all counters (keeps cache contents: post-warm-up
 // measurement).
+//
+//potlint:allow unusedexport kept for TestStatsAndReset
 func (h *Hierarchy) ResetStats() {
 	h.l1d.ResetStats()
 	h.l1i.ResetStats()

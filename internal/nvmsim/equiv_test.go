@@ -114,8 +114,6 @@ func (d *refDomain) volatileSet() []Line {
 	return lines
 }
 
-func (d *refDomain) VolatileLines() int { return len(d.volatileSet()) }
-
 func (d *refDomain) Crash(pol Policy, mem Memory) Report {
 	lines := d.volatileSet()
 	rng := newRng(pol.Seed)
@@ -247,7 +245,7 @@ type domain interface {
 	SFence(mem Memory)
 	FlipBit(pool, off uint32, bit uint16, mem Memory) bool
 	Crash(pol Policy, mem Memory) Report
-	VolatileLines() int
+	volatileSet() []Line
 	Events() uint64
 }
 
@@ -460,7 +458,7 @@ func TestDomainMatchesReference(t *testing.T) {
 					if a, b := ref.d.Events(), dom.d.Events(); a != b {
 						t.Fatalf("%s: events %d, reference %d", where, b, a)
 					}
-					if a, b := ref.d.VolatileLines(), dom.d.VolatileLines(); a != b {
+					if a, b := len(ref.d.volatileSet()), len(dom.d.volatileSet()); a != b {
 						t.Fatalf("%s: %d volatile lines, reference %d", where, b, a)
 					}
 					if !reflect.DeepEqual(repRef, repDom) {
@@ -495,7 +493,7 @@ func TestEquivalenceCoversRedirty(t *testing.T) {
 	if durable[0] != 0x22 || durable[LineBytes] != 0x33 {
 		t.Fatalf("durable = %#x %#x, want 0x22 0x33", durable[0], durable[LineBytes])
 	}
-	if got := w.d.VolatileLines(); got != 1 {
+	if got := len(w.d.volatileSet()); got != 1 {
 		t.Fatalf("%d volatile lines, want the re-dirtied line only", got)
 	}
 }

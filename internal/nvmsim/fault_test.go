@@ -50,60 +50,3 @@ func TestFlipBitDirtyLineShieldsCache(t *testing.T) {
 		t.Fatalf("drained write-back must overwrite the flipped bit: %#x", m.durable[0])
 	}
 }
-
-func TestCorruptLinesDeterministic(t *testing.T) {
-	run := func() ([]Flip, []byte) {
-		m := newFakeMem(16 * LineBytes)
-		d := NewDomain()
-		d.AddPool(1, uint64(len(m.cache)))
-		flips := d.CorruptLines(5, 42, m)
-		return flips, m.durable
-	}
-	f1, d1 := run()
-	f2, d2 := run()
-	if len(f1) != 5 {
-		t.Fatalf("wanted 5 flips, got %d", len(f1))
-	}
-	for i := range f1 {
-		if f1[i] != f2[i] {
-			t.Fatalf("flip %d differs across same-seed runs: %v vs %v", i, f1[i], f2[i])
-		}
-	}
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatalf("durable images diverge at byte %d", i)
-		}
-	}
-}
-
-// An armed flip lands just before its event index, and an armed crash at
-// the same index sees the corrupted media.
-func TestArmFlipOrdersBeforeCrash(t *testing.T) {
-	m := newFakeMem(2 * LineBytes)
-	d := NewDomain()
-	d.AddPool(1, uint64(len(m.cache)))
-
-	m.store(d, 0, []byte{0x00}) // event 0
-	d.CLWB(1, 0, m)             // event 1
-	d.SFence(m)                 // event 2
-	d.ArmFlip(4, Flip{Line: Line{Pool: 1, Off: 0}, Bit: 7}, m)
-	d.Store(1, LineBytes, 8) // event 3: flip not yet due
-	if m.durable[0] != 0 {
-		t.Fatalf("flip landed early: %#x", m.durable[0])
-	}
-	d.Arm(4)
-	func() {
-		defer func() {
-			if _, ok := AsCrashSignal(recover()); !ok {
-				t.Fatal("armed crash did not fire")
-			}
-		}()
-		d.Store(1, LineBytes, 8) // event 4: flip lands, then crash preempts
-	}()
-	if m.durable[0] != 1<<7 {
-		t.Fatalf("armed flip must land before the same-index crash: %#x", m.durable[0])
-	}
-	if d.ArmedFlips() != 0 {
-		t.Fatalf("armed flip still pending: %d", d.ArmedFlips())
-	}
-}

@@ -138,8 +138,6 @@ type Domain struct {
 	// Poisoned() from worker goroutines that don't hold the host's event
 	// lock (e.g. to classify an error as a casualty of the crash).
 	poisoned uint32
-	// flips holds armed media faults (see ArmFlip), sorted by event index.
-	flips []armedFlip
 }
 
 // NewDomain returns an empty persistence domain.
@@ -202,18 +200,9 @@ func (d *Domain) dropPending(pool uint32) {
 }
 
 // step numbers one event and, when armed, crashes just before applying it.
-// Armed media faults (ArmFlip) land first: a flip scheduled at event i hits
-// the media just before event i is applied, so a crash armed at the same
-// index observes the corrupted bytes — exactly the ordering a replay token
-// that covers both must reproduce.
 func (d *Domain) step() {
 	if atomic.LoadUint32(&d.poisoned) != 0 {
 		panic(&CrashSignal{Event: d.events, Poisoned: true})
-	}
-	for len(d.flips) > 0 && d.flips[0].at <= d.events {
-		af := d.flips[0]
-		d.flips = d.flips[1:]
-		d.applyFlip(af.f, af.mem)
 	}
 	if d.armed && d.events == d.armAt {
 		d.armed = false
@@ -339,21 +328,6 @@ func (d *Domain) SFence(mem Memory) {
 		clrBit(d.pools[p.pool].inflight, p.off/LineBytes)
 	}
 	d.pending = d.pending[:0]
-}
-
-// VolatileLines counts the lines currently newer in cache than in NVM
-// (dirty or in-flight) across all pools.
-func (d *Domain) VolatileLines() int {
-	n := 0
-	for _, ps := range d.pools {
-		if ps == nil {
-			continue
-		}
-		for i, w := range ps.dirty {
-			n += bits.OnesCount64(w | ps.inflight[i])
-		}
-	}
-	return n
 }
 
 // volatileSet returns every volatile line sorted by (pool, offset), so

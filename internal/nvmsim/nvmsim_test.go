@@ -64,7 +64,7 @@ func TestStoreCLWBFenceLifecycle(t *testing.T) {
 	d.AddPool(1, uint64(len(m.cache)))
 
 	m.store(d, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	if got := d.VolatileLines(); got != 1 {
+	if got := len(d.volatileSet()); got != 1 {
 		t.Fatalf("after store: %d volatile lines, want 1", got)
 	}
 	// CLWB alone is not durability.
@@ -72,7 +72,7 @@ func TestStoreCLWBFenceLifecycle(t *testing.T) {
 	if m.durable[0] != 0 {
 		t.Fatal("CLWB without SFENCE must not reach the durable view")
 	}
-	if got := d.VolatileLines(); got != 1 {
+	if got := len(d.volatileSet()); got != 1 {
 		t.Fatalf("in-flight line must still be volatile, got %d", got)
 	}
 	// The fence drains it.
@@ -80,7 +80,7 @@ func TestStoreCLWBFenceLifecycle(t *testing.T) {
 	if !reflect.DeepEqual(bytesAt(m.durable, 0, 8), []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatalf("SFENCE did not drain: durable = %v", bytesAt(m.durable, 0, 8))
 	}
-	if got := d.VolatileLines(); got != 0 {
+	if got := len(d.volatileSet()); got != 0 {
 		t.Fatalf("after fence: %d volatile lines, want 0", got)
 	}
 	if got := d.Events(); got != 3 {
@@ -102,7 +102,7 @@ func TestRedirtiedLineStaysVolatile(t *testing.T) {
 	if m.durable[0] != 0xAA {
 		t.Fatalf("fence persisted %#x, want the CLWB-time snapshot 0xAA", m.durable[0])
 	}
-	if got := d.VolatileLines(); got != 1 {
+	if got := len(d.volatileSet()); got != 1 {
 		t.Fatalf("re-dirtied line must remain volatile, got %d lines", got)
 	}
 	// Crash drop-all: the newer value dies.
@@ -118,7 +118,7 @@ func TestStoreSpanningLines(t *testing.T) {
 	d.AddPool(1, uint64(len(m.cache)))
 	// 16 bytes straddling the line-0/line-1 boundary.
 	m.store(d, LineBytes-8, make([]byte, 16))
-	if got := d.VolatileLines(); got != 2 {
+	if got := len(d.volatileSet()); got != 2 {
 		t.Fatalf("straddling store dirtied %d lines, want 2", got)
 	}
 }
@@ -143,7 +143,7 @@ func TestDropAllCrash(t *testing.T) {
 		t.Fatalf("drop-all: durable = %v %v %v, want 1 0 0",
 			m.durable[0], m.durable[LineBytes], m.durable[2*LineBytes])
 	}
-	if d.VolatileLines() != 0 {
+	if len(d.volatileSet()) != 0 {
 		t.Fatal("crash must discard all volatile state")
 	}
 }
@@ -250,8 +250,13 @@ func TestExplicitReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(SortedKeep(keep), rep.Kept) {
-		t.Fatalf("KeptString round-trip: %v vs %v", SortedKeep(keep), rep.Kept)
+	if len(keep) != len(rep.Kept) {
+		t.Fatalf("KeptString round-trip: %v vs %v", keep, rep.Kept)
+	}
+	for _, lo := range rep.Kept {
+		if m, ok := keep[lo.Line]; !ok || m != lo.Mask {
+			t.Fatalf("KeptString round-trip: %v vs %v", keep, rep.Kept)
+		}
 	}
 	if _, err := ParseKept("none"); err != nil {
 		t.Fatal(err)
@@ -318,7 +323,7 @@ func TestCleanDiscardsVolatileState(t *testing.T) {
 	d.CLWB(1, 0, m)
 	m.store(d, LineBytes, []byte{8})
 	d.Clean(1)
-	if d.VolatileLines() != 0 {
+	if len(d.volatileSet()) != 0 {
 		t.Fatal("Clean must drop dirty and in-flight state")
 	}
 	d.SFence(m)
@@ -338,7 +343,7 @@ func TestCrashResolvesInflightRedirtiedLineFromCache(t *testing.T) {
 	m.store(d, 0, []byte{0xAA})
 	d.CLWB(1, 0, m) // snapshot 0xAA in flight
 	m.store(d, 0, []byte{0xBB})
-	if got := d.VolatileLines(); got != 1 {
+	if got := len(d.volatileSet()); got != 1 {
 		t.Fatalf("in-flight, re-dirtied line counted %d times, want once", got)
 	}
 	rep := d.Crash(ExplicitPolicy(map[Line]byte{{Pool: 1, Off: 0}: 0xFF}), m)

@@ -2,7 +2,6 @@ package nvmsim
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -170,22 +169,6 @@ func ParseKept(s string) (map[Line]byte, error) {
 		keep[Line{Pool: uint32(pool), Off: uint32(off)}] = byte(mask)
 	}
 	return keep, nil
-}
-
-// SortedKeep returns an Explicit policy's lines in deterministic order
-// (for rendering and minimization).
-func SortedKeep(keep map[Line]byte) []LineOutcome {
-	out := make([]LineOutcome, 0, len(keep))
-	for ln, m := range keep {
-		out = append(out, LineOutcome{Line: ln, Mask: m})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Line.Pool != out[j].Line.Pool {
-			return out[i].Line.Pool < out[j].Line.Pool
-		}
-		return out[i].Line.Off < out[j].Line.Off
-	})
-	return out
 }
 
 // rng is a splitmix64 generator: tiny, fast, and stable across Go versions

@@ -208,6 +208,8 @@ func OpenKV(sh *pmem.Sharded, prefix string) (*KV, error) {
 }
 
 // Sharded exposes the underlying sharded heap.
+//
+//potlint:allow unusedexport kept for TestKVFTGetRepairsInline, TestKVFTUnrepairableNeverLies and TestKVVersionGaugeExact
 func (kv *KV) Sharded() *pmem.Sharded { return kv.sh }
 
 // Reprime drops and refills every shard tree's volatile root cache.

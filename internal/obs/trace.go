@@ -99,6 +99,8 @@ func (t *TraceWriter) Complete(pid, tid int, name string, ts, dur float64, args 
 }
 
 // Instant records an instant ("ph":"i") event.
+//
+//potlint:allow unusedexport kept for TestNilSafety and TestTraceWriter
 func (t *TraceWriter) Instant(pid, tid int, name string, ts float64, args map[string]any) {
 	t.emit(traceEvent{Name: name, Ph: "i", PID: pid, TID: tid, TS: ts, Args: args})
 }
@@ -128,6 +130,8 @@ func (t *TraceWriter) Span(tid int, name string) func() {
 }
 
 // Events returns the number of events written so far (0 on nil).
+//
+//potlint:allow unusedexport kept for TestNilSafety, TestTraceWriter and TestPipelineTracerSampling
 func (t *TraceWriter) Events() uint64 {
 	if t == nil {
 		return 0
@@ -161,12 +165,11 @@ func (t *TraceWriter) Close() error {
 // stage lanes; the five-stage in-order model uses LaneInOrder occupancy
 // spans (issue → writeback).
 const (
-	LaneFetch    = 1 // fetch/dispatch: front end, redirect + window stalls
-	LaneIssue    = 2 // dispatch/issue: operand wait
-	LaneExec     = 3 // issue/complete: execution + memory latency
-	LaneCommit   = 4 // complete/commit: in-order retirement wait
-	LaneInOrder  = 5 // in-order pipe occupancy (issue..done)
-	LaneWorkload = 6 // instant markers (sampled instruction metadata)
+	LaneFetch   = 1 // fetch/dispatch: front end, redirect + window stalls
+	LaneIssue   = 2 // dispatch/issue: operand wait
+	LaneExec    = 3 // issue/complete: execution + memory latency
+	LaneCommit  = 4 // complete/commit: in-order retirement wait
+	LaneInOrder = 5 // in-order pipe occupancy (issue..done)
 )
 
 // PipelineTracer samples per-instruction pipeline timestamps out of a timing

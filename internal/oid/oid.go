@@ -12,10 +12,7 @@
 // legitimate ObjectID that refers into any other pool.
 package oid
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // PoolID is a unique, system-wide identifier assigned to a pool when it is
 // created. The zero PoolID is reserved and never assigned.
@@ -38,8 +35,6 @@ const (
 	OffsetBits = 32
 	// PoolBits is the width of the pool-id field.
 	PoolBits = 32
-	// MaxOffset is the largest representable offset within a pool.
-	MaxOffset = 1<<OffsetBits - 1
 )
 
 // New builds an ObjectID from a pool identifier and an offset.
@@ -63,6 +58,8 @@ func (o OID) IsNull() bool { return o.Pool() == NullPool }
 // This is the ObjectID analogue of pointer arithmetic (the imm field of the
 // nvld/nvst instructions). Offset arithmetic wraps within the 32-bit offset
 // space; it never changes the pool component.
+//
+//potlint:allow unusedexport kept for TestAdd and TestQuickAddAdditive
 func (o OID) Add(delta int64) OID {
 	return New(o.Pool(), uint32(int64(o.Offset())+delta))
 }
@@ -73,50 +70,12 @@ func (o OID) FieldAt(fieldOff uint32) OID {
 	return New(o.Pool(), o.Offset()+fieldOff)
 }
 
-// Distance returns the signed byte distance from o to other. It panics if
-// the two ObjectIDs name different pools, since cross-pool distances are
-// meaningless.
-func (o OID) Distance(other OID) int64 {
-	if o.Pool() != other.Pool() {
-		panic("oid: Distance across pools")
-	}
-	return int64(other.Offset()) - int64(o.Offset())
-}
-
 // String renders the ObjectID as pool:offset in hex, or "NULL".
 func (o OID) String() string {
 	if o.IsNull() {
 		return "NULL"
 	}
 	return fmt.Sprintf("%d:0x%x", o.Pool(), o.Offset())
-}
-
-// ParseOID parses the String form back into an OID. It accepts "NULL" and
-// "pool:0xoffset".
-func ParseOID(s string) (OID, error) {
-	if s == "NULL" {
-		return Null, nil
-	}
-	var pool uint64
-	var rest string
-	for i := 0; i < len(s); i++ {
-		if s[i] == ':' {
-			p, err := strconv.ParseUint(s[:i], 10, 32)
-			if err != nil {
-				return Null, fmt.Errorf("oid: bad pool in %q: %v", s, err)
-			}
-			pool, rest = p, s[i+1:]
-			break
-		}
-	}
-	if rest == "" {
-		return Null, fmt.Errorf("oid: malformed ObjectID %q", s)
-	}
-	off, err := strconv.ParseUint(rest, 0, 32)
-	if err != nil {
-		return Null, fmt.Errorf("oid: bad offset in %q: %v", s, err)
-	}
-	return New(PoolID(pool), uint32(off)), nil
 }
 
 // PageShift is log2 of the 4 KB page size assumed by the Parallel POLB

@@ -143,6 +143,8 @@ func (l *List) Remove(ctx Ctx, key uint64) (bool, error) {
 
 // Len walks the list and counts nodes (verification helper; emits the
 // traversal like any read).
+//
+//potlint:allow unusedexport kept for ExampleList, TestListBasics and TestListAgainstReference
 func (l *List) Len(ctx Ctx) (int, error) {
 	h := ctx.Heap()
 	n := 0

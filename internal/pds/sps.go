@@ -29,6 +29,8 @@ func NewStringArray(table Cell, n int, strBytes uint32) *StringArray {
 }
 
 // N returns the number of strings.
+//
+//potlint:allow unusedexport kept for TestStringArraySwap
 func (s *StringArray) N() int { return s.n }
 
 // Init allocates the table object and the n strings, filling string i with

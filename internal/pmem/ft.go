@@ -52,6 +52,7 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("pmem: object %v failed checksum verification", e.OID)
 }
 
+//potlint:allow unusedexport errors.Is calls it through an anonymous interface
 func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 
 // castagnoli is the CRC32C table (memoized once; crc32.Update with it
@@ -95,15 +96,10 @@ func ftParityBytes(size, logBytes uint64) uint64 {
 	return parityLines * nvmsim.LineBytes
 }
 
-// CreateFT is Create with media-fault tolerance: per-object CRC32C
-// checksums in the span headers and an XOR-parity column sized for the
-// pool. The layout cost is the parity column (one line per parityStride
-// data lines, ~11%) plus 4 checksum bytes per slab slot.
-func (h *Heap) CreateFT(name string, size uint64) (*Pool, error) {
-	return h.CreateSizedFT(name, size, DefaultLogBytes)
-}
-
-// CreateSizedFT is CreateSized with media-fault tolerance.
+// CreateSizedFT is CreateSized with media-fault tolerance: per-object
+// CRC32C checksums in the span headers and an XOR-parity column sized for
+// the pool. The layout cost is the parity column (one line per
+// parityStride data lines, ~11%) plus 4 checksum bytes per slab slot.
 func (h *Heap) CreateSizedFT(name string, size, logBytes uint64) (*Pool, error) {
 	parityBytes := ftParityBytes(size, logBytes)
 	if size < MinPoolBytes(logBytes)+parityBytes {

@@ -865,6 +865,8 @@ func (r Ref) WriteBytes(off uint32, b []byte) error {
 // Direct is the paper's oid_direct: it translates an ObjectID to a virtual
 // address in software, emitting the Figure 3 sequence. It exists for
 // BASE-mode code; OPT-mode programs dereference ObjectIDs directly.
+//
+//potlint:allow unusedexport kept for TestDirectOnlyInBase
 func (h *Heap) Direct(o oid.OID) (uint64, error) {
 	if h.Emit.Mode() != emit.Base {
 		return 0, fmt.Errorf("pmem: Direct called in OPT mode; dereference the ObjectID instead")

@@ -126,6 +126,8 @@ type PinSlot struct {
 }
 
 // Epoch returns the epoch this slot is pinned at.
+//
+//potlint:allow unusedexport kept for TestMVCCPinSeesCommitAtPinEpoch
 func (s *PinSlot) Epoch() uint64 { return atomic.LoadUint64(&s.epoch) }
 
 // SnapDeref resolves an object against the slot's pinned epoch, returning
@@ -539,6 +541,8 @@ func (m *MVCC) Reclaim() int {
 // ChainLen returns the length of one object's version chain (0 when the
 // mirror holds no entry for it). Introspection for tests and benchmarks
 // that bound memory pressure under hot-key skew.
+//
+//potlint:allow unusedexport kept for TestMVCCIndexResetShrinks and TestMVCCHotKeyChainBounded
 func (m *MVCC) ChainLen(o oid.OID) int {
 	st, h := m.stripe(o)
 	st.mu.Lock()
@@ -585,12 +589,6 @@ func (m *MVCC) IndexStats() MVCCIndexStats {
 	m.forEachStripe(s.add)
 	return s
 }
-
-// MaxChainLen returns the longest version chain of any object in the
-// mirror — the hot-key memory-pressure gauge: a pinned reader keeps every
-// version younger than its epoch alive, so a write-hot object's chain
-// grows until the pin releases and Reclaim prunes it back.
-func (m *MVCC) MaxChainLen() int { return m.IndexStats().MaxChain }
 
 // Seed publishes the current live bytes of [o, o+size) as the object's
 // initial version (borne 0: visible at every epoch). Called at mount while
@@ -655,6 +653,8 @@ func (m *MVCC) MutateStaleReads() {
 }
 
 // ClearStaleMutation restores honest pinning.
+//
+//potlint:allow unusedexport mutation hook TestMVCCStaleMutation and TestKVStaleReadMutationDetected lift
 func (m *MVCC) ClearStaleMutation() { atomic.StoreUint64(&m.stale, 0) }
 
 // --- heap integration ---
@@ -668,9 +668,6 @@ func (h *Heap) EnableMVCC(p *Pool) {
 	}
 	p.mvcc = true
 }
-
-// MVCC returns the heap's version mirror (nil when never enabled).
-func (h *Heap) MVCC() *MVCC { return h.mvcc }
 
 // mvccPublish publishes a committed transaction's post-images. Called from
 // Tx.Commit after the commit point (the durable state already reflects the

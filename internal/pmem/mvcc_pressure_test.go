@@ -72,7 +72,7 @@ func TestMVCCHotKeyChainBounded(t *testing.T) {
 	if got := m.ChainLen(o); got > 2 {
 		t.Fatalf("chain length %d after release+Reclaim, want <= 2", got)
 	}
-	if got := m.MaxChainLen(); got > 2 {
+	if got := m.IndexStats().MaxChain; got > 2 {
 		t.Fatalf("max chain length %d after release+Reclaim, want <= 2", got)
 	}
 }
@@ -115,7 +115,7 @@ func BenchmarkMVCCHotKeyZipf(b *testing.B) {
 		mvccPutTB(b, sh, p, oids[zipf.Uint64()], uint64(i))
 		held++
 		if held == 256 {
-			if c := m.MaxChainLen(); c > maxChain {
+			if c := m.IndexStats().MaxChain; c > maxChain {
 				maxChain = c
 			}
 			m.Unpin(pin)
@@ -125,13 +125,13 @@ func BenchmarkMVCCHotKeyZipf(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if c := m.MaxChainLen(); c > maxChain {
+	if c := m.IndexStats().MaxChain; c > maxChain {
 		maxChain = c
 	}
 	m.Unpin(pin)
 	m.Reclaim()
 	b.ReportMetric(float64(maxChain), "peak-chain")
-	if got := m.MaxChainLen(); got > 2 {
+	if got := m.IndexStats().MaxChain; got > 2 {
 		b.Fatalf("max chain length %d after final release+Reclaim, want <= 2", got)
 	}
 }

@@ -120,8 +120,8 @@ func TestPoolIDsUniqueAndSystemWide(t *testing.T) {
 		}
 		seen[p.ID()] = true
 	}
-	if e.store.Pools() != 20 {
-		t.Errorf("store pools = %d", e.store.Pools())
+	if len(e.store.byName) != 20 {
+		t.Errorf("store pools = %d", len(e.store.byName))
 	}
 }
 
@@ -262,7 +262,7 @@ func TestAllocBasics(t *testing.T) {
 		t.Error("zero-size alloc must fail")
 	}
 	// Distinct allocations never overlap (16-byte class).
-	d := a.Distance(b)
+	d := int64(b.Offset()) - int64(a.Offset())
 	if d < 0 {
 		d = -d
 	}

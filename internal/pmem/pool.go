@@ -141,6 +141,8 @@ func (p *Pool) Name() string { return p.b.name }
 func (p *Pool) Base() uint64 { return p.region.Base }
 
 // Size returns the pool size in bytes.
+//
+//potlint:allow unusedexport kept for TestCreateOpenClose
 func (p *Pool) Size() uint64 { return p.b.size }
 
 // dataStart is the offset of the first allocatable byte (past the parity

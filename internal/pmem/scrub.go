@@ -1,205 +1,16 @@
 package pmem
 
 import (
-	"fmt"
 	"sort"
-	"sync"
-	"time"
 
-	"potgo/internal/obs"
 	"potgo/internal/oid"
 )
 
-// Online scrubbing. A Scrubber is a background goroutine that walks the
-// heap's fault-tolerant pools one pool per tick, verifying every occupied
-// slot's CRC32C and repairing what parity can reconstruct (Heap.ScrubPool).
-// Each pool is scrubbed under its shard's write lock — a scrub may repair —
-// and the lock is dropped between pools, so foreground operations are
-// delayed by at most one pool's scan per tick.
-//
-// Structural operations (create/open/close/crash/recover/sync) are
-// stop-the-world and must not interleave with a scrub chunk: they pause
-// the scrubber first (Sharded.stopTheWorld), which waits for any in-flight
-// chunk to release its locks, and resume it after. Crash in particular
-// poisons the persistence domain, and a scrub repair in flight would step
-// on the poisoned event stream.
-
-// Scrubber is a background media scrubber over a Sharded heap's
-// fault-tolerant pools.
-type Scrubber struct {
-	s        *Sharded
-	interval time.Duration
-
-	repaired     *obs.Counter
-	unrepairable *obs.Counter
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	paused  int
-	inChunk bool
-	stopped bool
-	stats   ScrubStats
-	passes  int
-	next    int // round-robin cursor over the FT pool ids
-
-	quit chan struct{}
-	done chan struct{}
-}
-
-// StartScrubber launches the heap's background scrubber, scanning one
-// fault-tolerant pool every interval. Counters scrub.repaired and
-// scrub.unrepairable are registered on reg (which may be nil to skip
-// metrics). There is at most one scrubber per Sharded heap.
-func (s *Sharded) StartScrubber(interval time.Duration, reg *obs.Registry) (*Scrubber, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("pmem: scrub interval must be positive, got %v", interval)
-	}
-	s.scrubMu.Lock()
-	defer s.scrubMu.Unlock()
-	if s.scrub != nil {
-		return nil, fmt.Errorf("pmem: scrubber already running")
-	}
-	sc := &Scrubber{
-		s:        s,
-		interval: interval,
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	sc.cond = sync.NewCond(&sc.mu)
-	if reg != nil {
-		sc.repaired = reg.Counter("scrub.repaired")
-		sc.unrepairable = reg.Counter("scrub.unrepairable")
-	}
-	s.scrub = sc
-	go sc.loop()
-	return sc, nil
-}
-
-// Stop halts the scrubber and waits for its goroutine to exit. The heap
-// can start a new one afterwards.
-func (sc *Scrubber) Stop() {
-	sc.mu.Lock()
-	if !sc.stopped {
-		sc.stopped = true
-		close(sc.quit)
-	}
-	sc.cond.Broadcast()
-	sc.mu.Unlock()
-	<-sc.done
-	sc.s.scrubMu.Lock()
-	if sc.s.scrub == sc {
-		sc.s.scrub = nil
-	}
-	sc.s.scrubMu.Unlock()
-}
-
-// Stats returns the totals accumulated since the scrubber started, plus
-// the number of complete passes over the pool set.
-func (sc *Scrubber) Stats() (ScrubStats, int) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.stats, sc.passes
-}
-
-// pause blocks new chunks and waits for an in-flight one to finish (and
-// release its shard lock). Pauses nest.
-func (sc *Scrubber) pause() {
-	sc.mu.Lock()
-	sc.paused++
-	for sc.inChunk {
-		sc.cond.Wait()
-	}
-	sc.mu.Unlock()
-}
-
-// resume undoes one pause.
-func (sc *Scrubber) resume() {
-	sc.mu.Lock()
-	sc.paused--
-	sc.cond.Broadcast()
-	sc.mu.Unlock()
-}
-
-// enterChunk waits until the scrubber may run a chunk; it reports false
-// when the scrubber was stopped instead.
-func (sc *Scrubber) enterChunk() bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	for sc.paused > 0 && !sc.stopped {
-		sc.cond.Wait()
-	}
-	if sc.stopped {
-		return false
-	}
-	sc.inChunk = true
-	return true
-}
-
-func (sc *Scrubber) exitChunk(st ScrubStats, wrapped bool) {
-	sc.mu.Lock()
-	sc.inChunk = false
-	sc.stats.Add(st)
-	if wrapped {
-		sc.passes++
-	}
-	sc.cond.Broadcast()
-	sc.mu.Unlock()
-	if sc.repaired != nil {
-		sc.repaired.Add(uint64(st.Repaired + st.ParityRepaired))
-	}
-	if sc.unrepairable != nil {
-		sc.unrepairable.Add(uint64(st.Unrepairable))
-	}
-}
-
-func (sc *Scrubber) loop() {
-	defer close(sc.done)
-	tick := time.NewTicker(sc.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-sc.quit:
-			return
-		case <-tick.C:
-		}
-		if !sc.enterChunk() {
-			return
-		}
-		st, wrapped := sc.scrubNext()
-		sc.exitChunk(st, wrapped)
-	}
-}
-
-// scrubNext scrubs the next fault-tolerant pool in round-robin order,
-// under its shard's write lock. It reports whether the cursor wrapped
-// (one full pass complete). Pool ids — not pointers — are resolved fresh
-// under the lock, so pools closed since the last tick are skipped.
-func (sc *Scrubber) scrubNext() (ScrubStats, bool) {
-	s := sc.s
-	ids := s.ftPoolIDs()
-	if len(ids) == 0 {
-		return ScrubStats{}, false
-	}
-	sc.mu.Lock()
-	cursor := sc.next % len(ids)
-	sc.next = cursor + 1
-	wrapped := sc.next == len(ids)
-	sc.mu.Unlock()
-	id := ids[cursor]
-	s.LockPool(id)
-	defer s.UnlockPool(id)
-	p, ok := s.h.open[id]
-	if !ok || !p.ft() {
-		return ScrubStats{}, wrapped
-	}
-	st, err := s.h.ScrubPool(p)
-	if err != nil {
-		// A scrub never fails on corrupt data (that's Unrepairable); an
-		// error means the pool went away mid-scan. Count nothing.
-		return ScrubStats{}, wrapped
-	}
-	return st, wrapped
-}
+// Scrubbing is synchronous: ScrubAll walks the heap's fault-tolerant pools
+// once, verifying every occupied slot's CRC32C and repairing what parity can
+// reconstruct (Heap.ScrubPool). Each pool is scrubbed under its shard's
+// write lock — a scrub may repair — and the lock is dropped between pools,
+// so foreground operations are delayed by at most one pool's scan.
 
 // ftPoolIDs snapshots the ids of the open fault-tolerant pools in sorted
 // order, under a read lock of all shards.
@@ -218,28 +29,23 @@ func (s *Sharded) ftPoolIDs() []oid.PoolID {
 
 // --- stop-the-world fault-tolerance entry points ---
 
-// CreateFT makes a fault-tolerant pool (checksums + parity column).
-func (s *Sharded) CreateFT(name string, size uint64) (*Pool, error) {
-	defer s.stopTheWorld()()
-	return s.h.CreateFT(name, size)
-}
-
-// CreateSizedFT is CreateFT with an explicit undo-log capacity.
+// CreateSizedFT makes a fault-tolerant pool (checksums + parity column)
+// with an explicit undo-log capacity.
 func (s *Sharded) CreateSizedFT(name string, size, logBytes uint64) (*Pool, error) {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	return s.h.CreateSizedFT(name, size, logBytes)
 }
 
 // RebuildFT recomputes a pool's checksum and parity state after
 // non-transactional setup (see Heap.RebuildFT).
 func (s *Sharded) RebuildFT(p *Pool) error {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	return s.h.RebuildFT(p)
 }
 
 // ScrubAll synchronously scrubs every fault-tolerant pool once,
 // accumulating the stats. Each pool is scrubbed under its shard's write
-// lock; the background scrubber (if any) keeps running around it.
+// lock.
 func (s *Sharded) ScrubAll() (ScrubStats, error) {
 	var total ScrubStats
 	for _, id := range s.ftPoolIDs() {
@@ -264,23 +70,23 @@ func (s *Sharded) ScrubAll() (ScrubStats, error) {
 }
 
 // CorruptObjects injects k single-bit media faults (see
-// Heap.CorruptObjects), stop-the-world so no transaction or scrub chunk
-// is in flight when the bits land.
+// Heap.CorruptObjects), stop-the-world so no transaction or scrub is in
+// flight when the bits land.
 func (s *Sharded) CorruptObjects(k int, mode CorruptMode, seed uint64) ([]Corruption, error) {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	return s.h.CorruptObjects(k, mode, seed)
 }
 
 // SetVerifyOnRead toggles checksum verification on Deref (stop-the-world:
 // the flag is read unsynchronized on the hot path).
 func (s *Sharded) SetVerifyOnRead(on bool) {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	s.h.SetVerifyOnRead(on)
 }
 
 // MutateNoParity disables parity maintenance (the CI mutation check).
 func (s *Sharded) MutateNoParity(on bool) {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	s.h.MutateNoParity(on)
 }
 
@@ -290,22 +96,4 @@ func (s *Sharded) RepairObject(o oid.OID) (bool, error) {
 	s.LockPool(o.Pool())
 	defer s.UnlockPool(o.Pool())
 	return s.h.RepairObject(o)
-}
-
-// stopTheWorld pauses the background scrubber (waiting out any in-flight
-// chunk) and then write-locks every shard. The returned func undoes both.
-func (s *Sharded) stopTheWorld() func() {
-	s.scrubMu.Lock()
-	sc := s.scrub
-	s.scrubMu.Unlock()
-	if sc != nil {
-		sc.pause()
-	}
-	unlock := s.lockAll()
-	return func() {
-		unlock()
-		if sc != nil {
-			sc.resume()
-		}
-	}
 }

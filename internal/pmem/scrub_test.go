@@ -3,12 +3,9 @@ package pmem
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"potgo/internal/isa"
-	"potgo/internal/obs"
 	"potgo/internal/oid"
-	"potgo/internal/randtest"
 )
 
 // shardedFTPool creates a fault-tolerant pool on a sharded heap and fills
@@ -45,66 +42,12 @@ func shardedFTPool(t *testing.T, s *Sharded, name string, n int) (*Pool, []oid.O
 	return p, objs
 }
 
-func TestScrubberRepairsInBackground(t *testing.T) {
-	s := newTestSharded(t, 4)
-	_, _ = shardedFTPool(t, s, "ft", 32)
-	if err := s.SyncAll(); err != nil {
-		t.Fatal(err)
-	}
-	seed := uint64(randtest.Seed(t, 61))
-	t.Logf("corruption seed %d", seed)
-	faults, err := s.CorruptObjects(3, CorruptDetect, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	sc, err := s.StartScrubber(200*time.Microsecond, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, passes := sc.Stats()
-		if st.Unrepairable > 0 {
-			t.Fatalf("background scrub: %+v", st)
-		}
-		if st.Repaired >= len(faults) && passes >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scrubber did not repair %d faults in time: %+v", len(faults), st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	sc.Stop()
-	if got := reg.Counter("scrub.repaired").Value(); got < uint64(len(faults)) {
-		t.Fatalf("scrub.repaired = %d, want >= %d", got, len(faults))
-	}
-	if got := reg.Counter("scrub.unrepairable").Value(); got != 0 {
-		t.Fatalf("scrub.unrepairable = %d, want 0", got)
-	}
-	// Everything verifies now.
-	s.SetVerifyOnRead(true)
-	st, err := s.ScrubAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Repaired != 0 || st.Unrepairable != 0 || st.ParityRepaired != 0 {
-		t.Fatalf("post-repair scrub = %+v, want clean", st)
-	}
-}
-
-// TestScrubberStructuralInterleave races the background scrubber against
-// foreground transactions and stop-the-world structural operations; run
-// under -race this is the pause-protocol regression test.
+// TestScrubberStructuralInterleave races synchronous scrubs and
+// stop-the-world structural operations against foreground transactions;
+// run under -race it checks that scrubbing takes each pool's shard lock.
 func TestScrubberStructuralInterleave(t *testing.T) {
 	s := newTestSharded(t, 4)
 	p, objs := shardedFTPool(t, s, "ft", 16)
-	sc, err := s.StartScrubber(100*time.Microsecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Stop()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -135,8 +78,8 @@ func TestScrubberStructuralInterleave(t *testing.T) {
 		}
 	}()
 
-	// Structural churn: creates, closes, syncs and synchronous scrubs,
-	// each pausing the background scrubber around its all-shard lock.
+	// Structural churn: creates, closes and syncs, each under the
+	// all-shard lock, and synchronous scrubs, one shard lock at a time.
 	for i := 0; i < 20; i++ {
 		q, err := s.CreateSizedFT("churn", 1<<18, DefaultLogBytes)
 		if err != nil {

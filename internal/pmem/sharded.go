@@ -40,12 +40,6 @@ type Sharded struct {
 	h       *Heap
 	nshards int
 	shards  []rwShard
-
-	// scrub is the background media scrubber, if one is running; scrubMu
-	// guards the slot. Structural operations pause it (stopTheWorld)
-	// before taking every shard lock.
-	scrubMu sync.Mutex
-	scrub   *Scrubber
 }
 
 // rwShard pads each lock to its own cache line so shard locks don't false-
@@ -212,6 +206,8 @@ func (s *Sharded) View(pools []oid.PoolID, fn func() error) error {
 
 // Update runs fn while holding the write locks of every listed pool's
 // shard, for non-transactional mutations (setup writes, direct pokes).
+//
+//potlint:allow unusedexport kept for TestShardedMultiPoolAbort
 func (s *Sharded) Update(pools []oid.PoolID, fn func() error) error {
 	defer s.lockShards(s.shardSet(pools))()
 	return fn()
@@ -246,7 +242,7 @@ func (s *Sharded) Tx(logPool *Pool, extra []oid.PoolID, fn func(*Tx) error) erro
 // EnableMVCC attaches the epoch-versioned snapshot mirror to the heap and
 // marks pool p as versioned (stop-the-world: flips commit behaviour).
 func (s *Sharded) EnableMVCC(p *Pool) {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	s.h.EnableMVCC(p)
 }
 
@@ -283,38 +279,42 @@ func (s *Sharded) ReclaimVersions() int {
 // --- structural operations (stop-the-world) ---
 
 // Create makes a new pool with the default undo-log capacity.
+//
+//potlint:allow unusedexport kept for BenchmarkMVCCHotKeyZipf, TestMVCCSeedVisible and TestShardedDisjointTxParallel
 func (s *Sharded) Create(name string, size uint64) (*Pool, error) {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	return s.h.Create(name, size)
 }
 
 // CreateSized is Create with an explicit undo-log capacity.
 func (s *Sharded) CreateSized(name string, size, logBytes uint64) (*Pool, error) {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	return s.h.CreateSized(name, size, logBytes)
 }
 
 // Open maps a previously created pool.
 func (s *Sharded) Open(name string) (*Pool, error) {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	return s.h.Open(name)
 }
 
 // Close unmaps a pool.
+//
+//potlint:allow unusedexport kept for TestScrubberStructuralInterleave
 func (s *Sharded) Close(p *Pool) error {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	return s.h.Close(p)
 }
 
 // Recover replays a pool's undo log after a crash.
 func (s *Sharded) Recover(p *Pool) error {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	return s.h.Recover(p)
 }
 
 // SyncAll flushes every pool's cache view to the durable store.
 func (s *Sharded) SyncAll() error {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	return s.h.SyncAll()
 }
 
@@ -323,6 +323,6 @@ func (s *Sharded) SyncAll() error {
 // domain poison-stops any that race past the crash point, and Crash itself
 // runs stop-the-world.
 func (s *Sharded) Crash(pol nvmsim.Policy) (nvmsim.Report, error) {
-	defer s.stopTheWorld()()
+	defer s.lockAll()()
 	return s.h.Crash(pol)
 }

@@ -280,14 +280,14 @@ func TestMapPoolRollsBackOnFullPOT(t *testing.T) {
 	for i := 0; i < room; i++ {
 		pools = append(pools, e.create(t, fmt.Sprintf("p%d", i)))
 	}
-	open, mapped, stored := e.h.OpenPools(), e.as.MappedBytes(), e.store.Pools()
+	open, mapped, stored := e.h.OpenPools(), e.as.MappedBytes(), len(e.store.byName)
 
 	if _, err := e.h.Create("extra", testPoolBytes); err == nil {
 		t.Fatal("create beyond the POT's capacity must fail")
 	}
-	if e.h.OpenPools() != open || e.as.MappedBytes() != mapped || e.store.Pools() != stored {
+	if e.h.OpenPools() != open || e.as.MappedBytes() != mapped || len(e.store.byName) != stored {
 		t.Errorf("failed create left open=%d mapped=%d stored=%d, want %d %d %d",
-			e.h.OpenPools(), e.as.MappedBytes(), e.store.Pools(), open, mapped, stored)
+			e.h.OpenPools(), e.as.MappedBytes(), len(e.store.byName), open, mapped, stored)
 	}
 	if e.store.Exists("extra") {
 		t.Error("failed create left the name in the store")

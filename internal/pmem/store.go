@@ -67,9 +67,6 @@ func (s *Store) Exists(name string) bool {
 	return ok
 }
 
-// Pools returns the number of pools in the store.
-func (s *Store) Pools() int { return len(s.byName) }
-
 func (s *Store) create(name string, size, logBytes, parityBytes uint64) (*backing, error) {
 	if _, ok := s.byName[name]; ok {
 		return nil, fmt.Errorf("pmem: pool %q already exists", name)

@@ -102,9 +102,6 @@ type Tx struct {
 	st *txState
 }
 
-// Pool returns the pool holding the transaction's undo log.
-func (t *Tx) Pool() *Pool { return t.st.pool }
-
 // InTx reports whether an ambient (legacy API) transaction is active.
 func (h *Heap) InTx() bool { return h.ambient != nil }
 

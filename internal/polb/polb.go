@@ -111,13 +111,14 @@ func NewSetAssociative(design Design, sets, ways int) (*POLB, error) {
 	return &POLB{design: design, sets: sets, ways: ways, rows: make([][]entry, sets)}, nil
 }
 
-// Design returns the POLB's microarchitecture.
-func (p *POLB) Design() Design { return p.design }
-
 // Size returns the configured entry count.
+//
+//potlint:allow unusedexport kept for TestSetAssociativeGeometry and TestCAMIsOneSet
 func (p *POLB) Size() int { return p.sets * p.ways }
 
 // Sets returns the set count (1 = fully associative).
+//
+//potlint:allow unusedexport kept for TestSetAssociativeGeometry and TestCAMIsOneSet
 func (p *POLB) Sets() int { return p.sets }
 
 // tagOf derives the tag for an ObjectID under the configured design.
@@ -177,6 +178,8 @@ func (p *POLB) Fill(o oid.OID, data uint64) {
 }
 
 // Probe reports residency without perturbing LRU order or statistics.
+//
+//potlint:allow unusedexport kept for TestLRUReplacement, TestInvalidatePool and TestSetAssociativeInvalidateAndFlush
 func (p *POLB) Probe(o oid.OID) bool {
 	tag := p.tagOf(o)
 	for _, e := range p.rows[p.row(tag)] {
@@ -235,6 +238,8 @@ func (p *POLB) ResetStats() { p.stats = Stats{} }
 // data width, used for the hardware-cost arithmetic in paper §5.1 (a
 // 32-entry Pipelined POLB has a 32×32-bit tag array and 32×64-bit data
 // array; Parallel has 52-bit tags and 52-bit data).
+//
+//potlint:allow unusedexport kept for TestHardwareCostArithmetic and TestSetAssociativeIndexesByLowTagBits
 func (d Design) TagBits() int {
 	if d == Pipelined {
 		return oid.PoolBits
@@ -243,6 +248,8 @@ func (d Design) TagBits() int {
 }
 
 // DataBits returns the per-entry payload width in bits.
+//
+//potlint:allow unusedexport kept for TestHardwareCostArithmetic
 func (d Design) DataBits() int {
 	if d == Pipelined {
 		return 64

@@ -120,6 +120,8 @@ func (t *Table) lockAllStripes() func() {
 
 // Base returns the table's base virtual address (the value the new
 // architectural register would hold).
+//
+//potlint:allow unusedexport kept for TestNewValidation
 func (t *Table) Base() uint64 { return t.base }
 
 // Entries returns the table capacity.
@@ -129,6 +131,8 @@ func (t *Table) Entries() int { return int(t.entries) }
 func (t *Table) Len() int { return int(atomic.LoadUint32(&t.count)) }
 
 // SizeBytes returns the memory footprint of the table.
+//
+//potlint:allow unusedexport kept for TestNewValidation
 func (t *Table) SizeBytes() uint64 { return uint64(t.entries) * EntryBytes }
 
 // hash spreads pool ids across the table. Fibonacci hashing on the 32-bit
@@ -327,4 +331,6 @@ func (t *Table) Lookup(pool oid.PoolID) (vbase uint64, ok bool) {
 func (t *Table) Stats() Stats { return t.stats }
 
 // ResetStats zeroes walk statistics.
+//
+//potlint:allow unusedexport kept for TestStats
 func (t *Table) ResetStats() { t.stats = Stats{} }

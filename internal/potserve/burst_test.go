@@ -49,7 +49,7 @@ func mustFrames(t *testing.T, reqs ...Request) []byte {
 
 func readResponse(t *testing.T, c net.Conn, op byte) Response {
 	t.Helper()
-	frame, err := ReadFrame(c)
+	frame, err := ReadFrameInto(c, nil)
 	if err != nil {
 		t.Fatalf("read response: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestBurstMalformedFrame(t *testing.T) {
 			t.Fatalf("put %d answered %+v", key, resp)
 		}
 	}
-	if frame, err := ReadFrame(c); err != nil || len(frame) == 0 || frame[0] != StatusErr {
+	if frame, err := ReadFrameInto(c, nil); err != nil || len(frame) == 0 || frame[0] != StatusErr {
 		t.Fatalf("malformed frame answered %x, %v; want a StatusErr frame", frame, err)
 	}
 	for _, want := range []uint64{20, 10} {

@@ -31,9 +31,8 @@ type Client struct {
 }
 
 // ServerError is a failure the server reported in a StatusErr response.
-// The connection is healthy and the response stream in sync — the
-// request was executed (or rejected) exactly once — so the retry layer
-// never retries one.
+// The connection is healthy and the response stream in sync: the
+// request was executed (or rejected) exactly once.
 type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return "potserve: server: " + e.Msg }
@@ -138,6 +137,8 @@ func (c *Client) recv(op byte) (Response, error) {
 // Pipeline sends every request, flushes once, then reads every response in
 // order. A server-side StatusErr is returned in its Response, not as an
 // error, so one failed op does not hide the others' results.
+//
+//potlint:allow unusedexport kept for TestBurstMetrics and TestServerPipelined
 func (c *Client) Pipeline(reqs []Request) ([]Response, error) {
 	return c.PipelineAppend(reqs, nil)
 }
@@ -224,12 +225,16 @@ func (c *Client) Scan(from uint64, max int) ([]pds.KV, error) {
 
 // Tx applies a batch atomically: all ops commit in one heap transaction or
 // none do.
+//
+//potlint:allow unusedexport kept for TestServerBasic
 func (c *Client) Tx(ops []objstore.BatchOp) error {
 	_, err := c.roundTrip(Request{Op: OpTx, Ops: ops})
 	return err
 }
 
 // Ping round-trips an empty request.
+//
+//potlint:allow unusedexport kept for BenchmarkPingPipe, TestBurstMalformedFrame and TestServerBasic
 func (c *Client) Ping() error {
 	_, err := c.roundTrip(Request{Op: OpPing})
 	return err

@@ -56,9 +56,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	}())
 	f.Add([]byte{OpAck, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0xee}) // trailing junk
 	f.Add([]byte{OpTopo, 0})                                       // TOPO carries no payload
+	f.Add(overLimitTx())                                           // fits MaxFrame, exceeds MaxTxOps
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := DecodeRequest(body)
+		req, err := decodeRequest(body)
 		if err != nil {
 			return // rejection is fine; panicking is the bug being hunted
 		}
@@ -69,7 +70,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if !bytes.Equal(enc, body) {
 			t.Fatalf("encoding not canonical:\n in  %x\n out %x", body, enc)
 		}
-		again, err := DecodeRequest(enc)
+		again, err := decodeRequest(enc)
 		if err != nil || !reflect.DeepEqual(again, req) {
 			t.Fatalf("re-decode mismatch: %+v vs %+v (err %v)", again, req, err)
 		}

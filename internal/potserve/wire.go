@@ -84,8 +84,7 @@ const (
 // ErrCorrupt is what a client method returns for a StatusCorrupt
 // response: the server detected unrepairable media corruption under the
 // requested datum. The connection is healthy and the response stream in
-// sync; retrying the same request cannot help, so the retry layer never
-// does.
+// sync; retrying the same request cannot help.
 var ErrCorrupt = errors.New("potserve: server reported unrepairable corruption")
 
 // ErrNotOwner is what a client method returns for a StatusNotOwner
@@ -177,9 +176,6 @@ type Response struct {
 	Topo    Topology   // TOPO
 }
 
-// ReadFrame reads one length-prefixed frame body from r.
-func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameInto(r, nil) }
-
 // ReadFrameInto reads one length-prefixed frame body from r into buf's
 // backing array when it fits, allocating only when the frame outgrows every
 // previous one on the connection. The returned slice aliases buf; it is
@@ -211,26 +207,10 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteFrame writes body as one length-prefixed frame.
-//
-//potlint:noalloc
-func WriteFrame(w io.Writer, body []byte) error {
-	if len(body) > MaxFrame {
-		return fmt.Errorf("%w (%d bytes)", ErrFrameTooBig, len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
 // AppendRequestFrame appends req as one complete frame — length prefix and
 // body — to dst. Batching frames into one buffer and writing it with a
-// single conn.Write is the vectored alternative to WriteFrame's
-// write-header-then-body, and allocates nothing once dst has capacity.
+// single conn.Write sends a pipeline in one system call, and allocates
+// nothing once dst has capacity.
 //
 //potlint:noalloc
 func AppendRequestFrame(dst []byte, req Request) ([]byte, error) {
@@ -443,29 +423,12 @@ func decodeEntries(r *reader, scratch []RepEntry, n int) []RepEntry {
 	return scratch
 }
 
-// DecodeRequest decodes one request frame body. It never panics: malformed
-// input returns an error.
-func DecodeRequest(body []byte) (Request, error) {
-	var req Request
-	if err := DecodeRequestInto(body, &req); err != nil {
-		return Request{}, err
-	}
-	// Canonical form: absent TX ops / REP entries are nil slices, not empty
-	// ones.
-	if len(req.Ops) == 0 {
-		req.Ops = nil
-	}
-	if len(req.Entries) == 0 {
-		req.Entries = nil
-	}
-	return req, nil
-}
-
-// DecodeRequestInto is DecodeRequest reusing req's Ops capacity as the TX
-// scratch, so a connection loop decoding into the same Request allocates
-// nothing once the scratch has grown to the largest batch seen. On return
-// req.Ops always carries the scratch (possibly length 0); on error the
-// other fields are zeroed.
+// DecodeRequestInto decodes one request frame body into req, reusing its
+// Ops and Entries capacity as scratch. It never panics: malformed input
+// returns an error. A connection loop decoding into the same Request
+// allocates nothing once the scratch has grown to the largest batch seen.
+// On return req.Ops always carries the scratch (possibly length 0); on
+// error the other fields are zeroed.
 //
 //potlint:noalloc
 func DecodeRequestInto(body []byte, req *Request) error {
@@ -488,10 +451,10 @@ func DecodeRequestInto(body []byte, req *Request) error {
 		}
 	case OpTx:
 		n := int(r.u16())
-		// A TX entry is 17 bytes; reject counts the remaining bytes cannot
-		// hold before allocating.
-		if r.err == nil && len(r.buf) != n*17 {
-			r.fail(fmt.Sprintf("tx count %d does not match %d payload bytes", n, len(r.buf))) //potlint:allow noalloc cold malformed-input path
+		// A TX entry is 17 bytes; reject counts over the batch limit or
+		// the remaining bytes cannot hold before allocating.
+		if r.err == nil && (n > MaxTxOps || len(r.buf) != n*17) {
+			r.fail(fmt.Sprintf("tx count %d exceeds %d or does not match %d payload bytes", n, MaxTxOps, len(r.buf))) //potlint:allow noalloc cold malformed-input path
 		}
 		if r.err == nil && n > 0 {
 			if cap(ops) < n {

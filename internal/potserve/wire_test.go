@@ -2,12 +2,35 @@ package potserve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
 	"potgo/internal/objstore"
 	"potgo/internal/pds"
 )
+
+// decodeRequest decodes body into a fresh Request in canonical form:
+// absent TX ops and REP entries are nil slices, as encoders write them.
+func decodeRequest(body []byte) (Request, error) {
+	var req Request
+	err := DecodeRequestInto(body, &req)
+	if len(req.Ops) == 0 {
+		req.Ops = nil
+	}
+	if len(req.Entries) == 0 {
+		req.Entries = nil
+	}
+	return req, err
+}
+
+// overLimitTx is a TX body of MaxTxOps+1 puts: it fits under MaxFrame, so
+// only the op-count limit can refuse it.
+func overLimitTx() []byte {
+	n := MaxTxOps + 1
+	body := binary.BigEndian.AppendUint16([]byte{OpTx}, uint16(n))
+	return append(body, make([]byte, n*17)...)
+}
 
 // TestRequestRoundTrip pins encode->decode identity for every opcode.
 func TestRequestRoundTrip(t *testing.T) {
@@ -30,7 +53,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %+v: %v", want, err)
 		}
-		got, err := DecodeRequest(body)
+		got, err := decodeRequest(body)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
@@ -89,9 +112,10 @@ func TestDecodeRequestRejectsMalformed(t *testing.T) {
 		"tx count long":     append([]byte{OpTx, 0, 1}, make([]byte, 34)...),
 		"tx bad kind":       append([]byte{OpTx, 0, 1, 7}, make([]byte, 16)...),
 		"ping trailing":     {OpPing, 0},
+		"tx over MaxTxOps":  overLimitTx(),
 	}
 	for name, body := range cases {
-		if _, err := DecodeRequest(body); err == nil {
+		if _, err := decodeRequest(body); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -122,12 +146,11 @@ func TestFrameIO(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := [][]byte{{}, {1}, bytes.Repeat([]byte{0xab}, 1000)}
 	for _, b := range bodies {
-		if err := WriteFrame(&buf, b); err != nil {
-			t.Fatalf("write %d bytes: %v", len(b), err)
-		}
+		buf.Write(binary.BigEndian.AppendUint32(nil, uint32(len(b))))
+		buf.Write(b)
 	}
 	for _, want := range bodies {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrameInto(&buf, nil)
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -138,16 +161,13 @@ func TestFrameIO(t *testing.T) {
 
 	// An oversized length prefix must be refused before allocation.
 	oversize := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := ReadFrame(bytes.NewReader(oversize)); err == nil {
+	if _, err := ReadFrameInto(bytes.NewReader(oversize), nil); err == nil {
 		t.Fatal("oversized frame accepted")
-	}
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
-		t.Fatal("oversized body written")
 	}
 
 	// A truncated body must error, not block forever or return short.
 	trunc := []byte{0, 0, 0, 10, 1, 2, 3}
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
+	if _, err := ReadFrameInto(bytes.NewReader(trunc), nil); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }

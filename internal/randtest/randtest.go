@@ -25,6 +25,8 @@ func Seed(t testing.TB, def int64) int64 {
 }
 
 // New returns a math/rand generator for the test, seeded through Seed.
+//
+//potlint:allow unusedexport test-helper package: the seeded generator the property tests draw from
 func New(t testing.TB, def int64) *rand.Rand {
 	return rand.New(rand.NewSource(Seed(t, def)))
 }

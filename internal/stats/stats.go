@@ -81,9 +81,6 @@ func NewTable(title string, headers ...string) *Table {
 // AddRow appends a row; cells beyond the header count are kept.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render formats the table as text.
 func (t *Table) Render() string {
 	var b strings.Builder

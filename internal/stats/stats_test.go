@@ -91,7 +91,7 @@ func TestTableRender(t *testing.T) {
 	if !strings.Contains(out, "LongerName") {
 		t.Error("render must include rows")
 	}
-	if tb.Rows() != 2 {
+	if len(tb.rows) != 2 {
 		t.Error("Rows")
 	}
 	// Ragged rows don't panic.

@@ -81,17 +81,6 @@ func custNameKey(w, d, last, c int) uint64 {
 	return uint64(w)<<48 | uint64(d)<<40 | uint64(last)<<20 | uint64(c)
 }
 
-// Last names are built from the spec's 4.3.2.3 syllable table over a
-// three-digit number.
-var lastNameSyllables = [10]string{
-	"BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
-}
-
-// LastName renders a last-name id (0..999) as its spec syllable string.
-func LastName(id int) string {
-	return lastNameSyllables[id/100%10] + lastNameSyllables[id/10%10] + lastNameSyllables[id%10]
-}
-
 // lastNameOf deterministically assigns a last-name id to a customer, using
 // the spec's rule: the first 1000 customers of a district get ids 0..999 in
 // order (guaranteeing every name exists), the rest draw NURand(255).
@@ -357,6 +346,8 @@ func (db *DB) tree(table string) *pds.BPlus { return db.trees[table] }
 func (db *DB) Stats() Stats { return db.stats }
 
 // Heap exposes the underlying heap.
+//
+//potlint:allow unusedexport kept for the durable TPC-C crash tests, which arm its persistence domain
 func (db *DB) Heap() *pmem.Heap { return db.h }
 
 // --- row helpers ---

@@ -264,18 +264,6 @@ func TestSpecConfigMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestLastNameRendering(t *testing.T) {
-	if LastName(0) != "BARBARBAR" {
-		t.Errorf("LastName(0) = %s", LastName(0))
-	}
-	if LastName(371) != "PRICALLYOUGHT" {
-		t.Errorf("LastName(371) = %s", LastName(371))
-	}
-	if LastName(999) != "EINGEINGEING" {
-		t.Errorf("LastName(999) = %s", LastName(999))
-	}
-}
-
 func TestCustomerByLastName(t *testing.T) {
 	db, _ := newDB(t, emit.Opt, PlaceAll, 11)
 	// TestConfig has 60 customers/district: customers 1..60 carry last

@@ -30,32 +30,6 @@ func (s *Stats) Record(in *isa.Instr) {
 	}
 }
 
-// Add merges other into s.
-func (s *Stats) Add(other Stats) {
-	for i := range s.ByOp {
-		s.ByOp[i] += other.ByOp[i]
-	}
-	s.Total += other.Total
-	s.Branches += other.Branches
-	s.Taken += other.Taken
-}
-
-// Loads returns the dynamic count of load-class instructions (ld + nvld).
-func (s *Stats) Loads() uint64 {
-	return s.ByOp[isa.Load] + s.ByOp[isa.NVLoad]
-}
-
-// Stores returns the dynamic count of store-class instructions
-// (st + nvst + clwb).
-func (s *Stats) Stores() uint64 {
-	return s.ByOp[isa.Store] + s.ByOp[isa.NVStore] + s.ByOp[isa.CLWB]
-}
-
-// Persistent returns the dynamic count of ObjectID-addressed accesses.
-func (s *Stats) Persistent() uint64 {
-	return s.ByOp[isa.NVLoad] + s.ByOp[isa.NVStore]
-}
-
 // String renders the instruction mix.
 func (s *Stats) String() string {
 	var b strings.Builder

@@ -40,20 +40,13 @@ func TestStatsAccumulation(t *testing.T) {
 	s.Record(&isa.Instr{Op: isa.NVStore})
 	s.Record(&isa.Instr{Op: isa.CLWB})
 	s.Record(&isa.Instr{Op: isa.ALU})
-	if s.Loads() != 2 {
-		t.Errorf("Loads = %d", s.Loads())
+	for _, op := range []isa.Op{isa.Load, isa.NVLoad, isa.Store, isa.NVStore, isa.CLWB, isa.ALU} {
+		if s.ByOp[op] != 1 {
+			t.Errorf("ByOp[%s] = %d", op, s.ByOp[op])
+		}
 	}
-	if s.Stores() != 3 {
-		t.Errorf("Stores = %d", s.Stores())
-	}
-	if s.Persistent() != 2 {
-		t.Errorf("Persistent = %d", s.Persistent())
-	}
-	var other Stats
-	other.Record(&isa.Instr{Op: isa.Mul})
-	s.Add(other)
-	if s.Total != 7 {
-		t.Errorf("Total after Add = %d", s.Total)
+	if s.Total != 6 {
+		t.Errorf("Total = %d", s.Total)
 	}
 	if s.String() == "" {
 		t.Error("String must render")

@@ -37,9 +37,3 @@ func (a *Arena) Alloc(size, align uint64) (uint64, error) {
 	a.next = base + size
 	return base, nil
 }
-
-// Region returns the arena's backing mapping.
-func (a *Arena) Region() Region { return a.region }
-
-// Used returns the number of bytes handed out (including alignment padding).
-func (a *Arena) Used() uint64 { return a.next - a.region.Base }

@@ -45,8 +45,8 @@ const (
 // usable straight from the allocator. A leaf covers 2^ptLeafBits pages
 // (32 MB of virtual space at 16 KB per leaf), and the top level is one
 // pointer per possible leaf of the arena (~3.7 MB per address space, a single
-// allocation). The rare mapping outside the arena (MapFixed at a
-// caller-chosen low address — tests) falls back to a small map.
+// allocation). A page outside the arena (none today: Map places every
+// region inside it) falls back to a small map.
 const (
 	ptLeafBits = 13
 	ptLeafSize = 1 << ptLeafBits
@@ -61,7 +61,7 @@ type ptLeaf [ptLeafSize]uint32
 // pageTable maps virtual page numbers to physical frame numbers.
 type pageTable struct {
 	top []*ptLeaf         // arena leaves, indexed by (vpn-arenaVPNBase)>>ptLeafBits
-	out map[uint64]uint32 // out-of-arena VPNs (MapFixed; cold), PFN+1
+	out map[uint64]uint32 // out-of-arena VPNs (cold), PFN+1
 
 	// Last-translation memo. memoPFN is PFN+1; 0 means no memo. noMemo
 	// disables the memo for concurrent address spaces: the memo is the
@@ -177,7 +177,7 @@ func NewAddressSpace(seed int64) *AddressSpace {
 // goroutines: the last-translation memo is switched off (and cleared), so
 // Translate/ReadAt/WriteAt on mapped pages become read-only with respect to
 // the page table and may run concurrently. Structural operations
-// (Map/MapFixed/Unmap) still require external serialization — under the
+// (Map/Unmap) still require external serialization — under the
 // sharded heap they run stop-the-world.
 func (as *AddressSpace) SetConcurrent() {
 	as.pageTable.noMemo = true
@@ -204,28 +204,6 @@ func (as *AddressSpace) Map(size uint64) (Region, error) {
 		}
 	}
 	r := Region{Base: base, Size: size}
-	as.insertRegion(r)
-	for va := base; va < base+size; va += PageSize {
-		as.pageTable.set(va>>PageShift, as.allocFrame())
-	}
-	return r, nil
-}
-
-// MapFixed maps a region at a caller-chosen base (used by tests and by the
-// volatile-globals arena, which wants a stable address). The base must be
-// page-aligned and the region must not overlap an existing mapping.
-func (as *AddressSpace) MapFixed(base, size uint64) (Region, error) {
-	if base&PageMask != 0 {
-		return Region{}, fmt.Errorf("vm: MapFixed base %#x not page-aligned", base)
-	}
-	if size == 0 {
-		return Region{}, fmt.Errorf("vm: cannot map empty region")
-	}
-	size = (size + PageMask) &^ uint64(PageMask)
-	r := Region{Base: base, Size: size}
-	if as.overlapsAny(r) {
-		return Region{}, fmt.Errorf("vm: MapFixed %#x+%#x overlaps existing mapping", base, size)
-	}
 	as.insertRegion(r)
 	for va := base; va < base+size; va += PageSize {
 		as.pageTable.set(va>>PageShift, as.allocFrame())
@@ -261,12 +239,6 @@ func (as *AddressSpace) Translate(va uint64) (pa uint64, ok bool) {
 		return 0, false
 	}
 	return uint64(pfn)<<PageShift | va&PageMask, true
-}
-
-// Mapped reports whether the virtual address lies in a mapped region.
-func (as *AddressSpace) Mapped(va uint64) bool {
-	_, ok := as.pageTable.lookup(va >> PageShift)
-	return ok
 }
 
 // MappedBytes returns the total number of bytes currently mapped.

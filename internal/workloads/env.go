@@ -109,9 +109,6 @@ func NewEnv(h *pmem.Heap, cfg Config) (*Env, error) {
 	return env, nil
 }
 
-// Config returns the environment configuration.
-func (env *Env) Config() Config { return env.cfg }
-
 // Heap implements pds.Ctx.
 func (env *Env) Heap() *pmem.Heap { return env.H }
 

@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"potgo/internal/pds"
 )
 
@@ -259,16 +257,4 @@ func checksum(keys []uint64) uint64 {
 		sum = sum*31 + k + 1
 	}
 	return sum ^ uint64(len(keys))
-}
-
-// Validate sanity-checks a spec table entry (used by tests and the
-// harness).
-func Validate(s Spec) error {
-	if s.Name == "" || s.Abbr == "" || s.Run == nil {
-		return fmt.Errorf("workloads: malformed spec %+v", s)
-	}
-	if s.DefaultOps <= 0 {
-		return fmt.Errorf("workloads: %s has no default op count", s.Abbr)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"potgo/internal/emit"
@@ -47,7 +48,7 @@ func TestSpecsTable(t *testing.T) {
 		t.Fatalf("paper Table 5 has 6 microbenchmarks, got %d", len(Specs))
 	}
 	for _, s := range Specs {
-		if err := Validate(s); err != nil {
+		if err := validate(s); err != nil {
 			t.Error(err)
 		}
 	}
@@ -67,11 +68,24 @@ func TestSpecsTable(t *testing.T) {
 	}
 }
 
+// validate sanity-checks a spec table entry.
+func validate(s Spec) error {
+	if s.Name == "" || s.Abbr == "" || s.Run == nil {
+		return fmt.Errorf("workloads: malformed spec %+v", s)
+	}
+	if s.DefaultOps <= 0 {
+		return fmt.Errorf("workloads: %s has no default op count", s.Abbr)
+	}
+	return nil
+}
+
+// TestValidateRejectsBadSpecs keeps TestSpecsTable's check from passing
+// vacuously.
 func TestValidateRejectsBadSpecs(t *testing.T) {
-	if err := Validate(Spec{}); err == nil {
+	if err := validate(Spec{}); err == nil {
 		t.Error("empty spec must fail")
 	}
-	if err := Validate(Spec{Name: "x", Abbr: "x", Run: RunLL}); err == nil {
+	if err := validate(Spec{Name: "x", Abbr: "x", Run: RunLL}); err == nil {
 		t.Error("spec without ops must fail")
 	}
 }
