@@ -33,6 +33,11 @@ func (c Config) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache %s: ways (%d) must be positive", c.Name, c.Ways)
 	}
+	if c.Sets == 1 && c.LineShift == 0 {
+		// Tags are stored plus one, so the all-ones tag of a byte-grain
+		// single-set cache would read as an empty way.
+		return fmt.Errorf("cache %s: a single-set cache needs LineShift > 0", c.Name)
+	}
 	return nil
 }
 
@@ -52,17 +57,16 @@ func (s Stats) MissRate() float64 {
 	return 0
 }
 
-// Cache is a set-associative tag array with true-LRU replacement. Tags and
-// valid bits live in single contiguous arrays indexed by set*ways+way (the
-// ways of one set are adjacent, most-recently-used first), so a whole set is
-// one cache-line-friendly scan and building a cache is three allocations
-// regardless of geometry.
+// Cache is a set-associative tag array with true-LRU replacement. One
+// contiguous array indexed by set*ways+way holds every way (the ways of one
+// set are adjacent, most-recently-used first), so a whole set is one
+// cache-line-friendly scan. A way holds its tag plus one, and 0 marks an
+// invalid way, so a probe compares one word per way.
 type Cache struct {
 	cfg      Config
 	setMask  uint64
 	tagShift uint
 	tags     []uint64
-	valid    []bool
 	stats    Stats
 }
 
@@ -77,34 +81,33 @@ func New(cfg Config) *Cache {
 		setMask:  uint64(cfg.Sets - 1),
 		tagShift: uintLog2(uint64(cfg.Sets)),
 		tags:     make([]uint64, cfg.Sets*cfg.Ways),
-		valid:    make([]bool, cfg.Sets*cfg.Ways),
 	}
 }
 
-// set returns the tag and valid slices of the set holding addr, plus the tag
-// to match.
-func (c *Cache) set(addr uint64) (tags []uint64, valid []bool, tag uint64) {
+// set returns the ways of the set holding addr, plus the stored form
+// (tag+1) of addr's tag.
+func (c *Cache) set(addr uint64) (ways []uint64, key uint64) {
 	block := addr >> c.cfg.LineShift
 	base := int(block&c.setMask) * c.cfg.Ways
-	return c.tags[base : base+c.cfg.Ways], c.valid[base : base+c.cfg.Ways], block >> c.tagShift
+	return c.tags[base : base+c.cfg.Ways], block>>c.tagShift + 1
 }
 
 // Access looks up the block containing addr, updating LRU state and
 // statistics; on a miss the block is filled (victim = LRU way).
 func (c *Cache) Access(addr uint64) (hit bool) {
-	tags, valid, tag := c.set(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if valid[w] && tags[w] == tag {
-			moveToFront(tags, valid, w)
+	ways, key := c.set(addr)
+	for w, k := range ways {
+		if k == key {
+			copy(ways[1:w+1], ways[:w]) // move to front
+			ways[0] = key
 			c.stats.Hits++
 			return true
 		}
 	}
 	c.stats.Misses++
 	// Fill: evict LRU (last way), insert at MRU position.
-	copy(tags[1:], tags[:c.cfg.Ways-1])
-	copy(valid[1:], valid[:c.cfg.Ways-1])
-	tags[0], valid[0] = tag, true
+	copy(ways[1:], ways)
+	ways[0] = key
 	return false
 }
 
@@ -113,47 +116,37 @@ func (c *Cache) Access(addr uint64) (hit bool) {
 //
 //potlint:allow unusedexport kept for TestLRUEviction, TestProbeDoesNotPerturb and TestInvalidateAndFlush
 func (c *Cache) Probe(addr uint64) bool {
-	tags, valid, tag := c.set(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if valid[w] && tags[w] == tag {
+	ways, key := c.set(addr)
+	for _, k := range ways {
+		if k == key {
 			return true
 		}
 	}
 	return false
 }
 
-// Invalidate removes the block containing addr if present.
+// Invalidate removes the block containing addr if present. The emptied way
+// keeps its place in the LRU order.
 //
 //potlint:allow unusedexport kept for TestInvalidateAndFlush
 func (c *Cache) Invalidate(addr uint64) {
-	tags, valid, tag := c.set(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if valid[w] && tags[w] == tag {
-			valid[w] = false
+	ways, key := c.set(addr)
+	for w, k := range ways {
+		if k == key {
+			ways[w] = 0
 			return
 		}
 	}
 }
 
 // Flush empties the cache, keeping statistics.
-func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-}
+func (c *Cache) Flush() { clear(c.tags) }
 
 // ResetStats zeroes the counters (e.g. after a warm-up phase).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Stats returns the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-func moveToFront(tags []uint64, valid []bool, w int) {
-	t, v := tags[w], valid[w]
-	copy(tags[1:w+1], tags[:w])
-	copy(valid[1:w+1], valid[:w])
-	tags[0], valid[0] = t, v
-}
 
 func uintLog2(v uint64) uint {
 	var n uint

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -14,6 +15,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "a", Sets: 0, Ways: 1},
 		{Name: "b", Sets: 3, Ways: 1},
 		{Name: "c", Sets: 4, Ways: 0},
+		{Name: "e", Sets: 1, Ways: 4, LineShift: 0},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -205,5 +207,121 @@ func TestQuickLRUStackProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refLRU is a list-based LRU reference: per set, the ways in recency order
+// (most recent first), each a block number and a valid bit, so that an
+// invalidated way keeps its place in the order.
+type refLRU struct {
+	lineShift uint
+	sets      [][]refWay
+	stats     Stats
+}
+
+type refWay struct {
+	block uint64
+	valid bool
+}
+
+func newRefLRU(cfg Config) *refLRU {
+	r := &refLRU{lineShift: cfg.LineShift, sets: make([][]refWay, cfg.Sets)}
+	for i := range r.sets {
+		r.sets[i] = make([]refWay, cfg.Ways)
+	}
+	return r
+}
+
+// find returns addr's set and block and the way holding it (-1 if absent).
+func (r *refLRU) find(addr uint64) (set []refWay, block uint64, way int) {
+	block = addr >> r.lineShift
+	set = r.sets[block%uint64(len(r.sets))]
+	for w, e := range set {
+		if e.valid && e.block == block {
+			return set, block, w
+		}
+	}
+	return set, block, -1
+}
+
+func (r *refLRU) access(addr uint64) bool {
+	set, block, w := r.find(addr)
+	hit := w >= 0
+	if hit {
+		r.stats.Hits++
+	} else {
+		r.stats.Misses++
+		w = len(set) - 1 // evict the least recently used way
+	}
+	copy(set[1:w+1], set[:w])
+	set[0] = refWay{block, true}
+	return hit
+}
+
+// invalidate drops addr's block and reports the way it held (-1 if absent).
+func (r *refLRU) invalidate(addr uint64) int {
+	set, _, w := r.find(addr)
+	if w >= 0 {
+		set[w].valid = false
+	}
+	return w
+}
+
+func (r *refLRU) flush() {
+	for _, set := range r.sets {
+		for w := range set {
+			set[w].valid = false
+		}
+	}
+}
+
+// TestCacheMatchesReferenceLRU holds the one-word-tag cache to the list
+// reference over random Access/Probe/Invalidate/Flush streams on several
+// geometries, address 0 and ways invalidated mid-order included.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	geoms := []Config{
+		{Name: "dm", Sets: 4, Ways: 1, LineShift: 6},
+		{Name: "2way", Sets: 4, Ways: 2, LineShift: 6},
+		{Name: "8way", Sets: 8, Ways: 8, LineShift: 6},
+		{Name: "fa", Sets: 1, Ways: 16, LineShift: 12},
+		{Name: "byte", Sets: 2, Ways: 4, LineShift: 0},
+	}
+	for _, cfg := range geoms {
+		rng := rand.New(rand.NewSource(int64(cfg.Sets*100 + cfg.Ways)))
+		c, ref := New(cfg), newRefLRU(cfg)
+		// Enough distinct blocks to overflow every set, starting at 0.
+		blocks := 3 * cfg.Sets * cfg.Ways
+		var midInvalidations int
+		for i := 0; i < 50000; i++ {
+			addr := uint64(rng.Intn(blocks))<<cfg.LineShift | uint64(rng.Intn(1<<cfg.LineShift))
+			if rng.Intn(8) == 0 {
+				addr = 0
+			}
+			switch op := rng.Intn(100); {
+			case op < 60:
+				if got, want := c.Access(addr), ref.access(addr); got != want {
+					t.Fatalf("%s op %d: Access(%#x) = %v, reference %v", cfg.Name, i, addr, got, want)
+				}
+			case op < 85:
+				_, _, w := ref.find(addr)
+				if got := c.Probe(addr); got != (w >= 0) {
+					t.Fatalf("%s op %d: Probe(%#x) = %v, reference %v", cfg.Name, i, addr, got, w >= 0)
+				}
+			case op < 99:
+				c.Invalidate(addr)
+				if w := ref.invalidate(addr); w > 0 && w < cfg.Ways-1 {
+					midInvalidations++
+				}
+			default:
+				c.Flush()
+				ref.flush()
+			}
+		}
+		if cfg.Ways > 2 && midInvalidations == 0 {
+			t.Errorf("%s: no way was invalidated in the middle of the LRU order", cfg.Name)
+		}
+		if c.Stats() != ref.stats {
+			t.Errorf("%s: stats %+v, reference %+v", cfg.Name, c.Stats(), ref.stats)
+		}
 	}
 }

@@ -67,27 +67,27 @@ func runTrace(t *testing.T, inorder bool, memCfg mem.Config, coreCfg Config, ins
 	return runChunks(t, inorder, memCfg, coreCfg, instrs, []int{len(instrs)})
 }
 
-// runChunks times instrs on a fresh machine, handing them to the model as
-// consecutive chunks of the given sizes.
-func runChunks(t *testing.T, inorder bool, memCfg mem.Config, coreCfg Config, instrs []isa.Instr, sizes []int) Result {
-	t.Helper()
+// propMachine maps a 64 KiB data region and propPool behind Pipelined
+// translation hardware, and returns the machine with a copy of instrs whose
+// regular addresses are rebased onto the region.
+func propMachine(tb testing.TB, memCfg mem.Config, instrs []isa.Instr) (*Machine, []isa.Instr) {
+	tb.Helper()
 	as := vm.NewAddressSpace(9)
 	r, err := as.Map(1 << 16)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	pool, err := as.Map(1 << 16)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	table, err := pot.New(as, 64)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := table.Insert(propPool, pool.Base); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Rebase addresses onto this mapping.
 	rebased := make([]isa.Instr, len(instrs))
 	copy(rebased, instrs)
 	for i := range rebased {
@@ -95,7 +95,14 @@ func runChunks(t *testing.T, inorder bool, memCfg mem.Config, coreCfg Config, in
 			in.Addr = r.Base + (in.Addr & 0xffff & ^uint64(7))
 		}
 	}
-	m := &Machine{Hier: mem.New(memCfg, as), Translator: core.New(core.DefaultConfig(polb.Pipelined), table, as)}
+	return &Machine{Hier: mem.New(memCfg, as), Translator: core.New(core.DefaultConfig(polb.Pipelined), table, as)}, rebased
+}
+
+// runChunks times instrs on a fresh machine, handing them to the model as
+// consecutive chunks of the given sizes.
+func runChunks(t *testing.T, inorder bool, memCfg mem.Config, coreCfg Config, instrs []isa.Instr, sizes []int) Result {
+	t.Helper()
+	m, rebased := propMachine(t, memCfg, instrs)
 	var c timingModel = NewOutOfOrder(coreCfg, m)
 	if inorder {
 		c = NewInOrder(coreCfg, m)
