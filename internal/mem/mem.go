@@ -123,7 +123,7 @@ func (h *Hierarchy) CacheAccess(pa uint64) uint64 {
 		// prefetch is free in time (overlapped with the demand fill)
 		// but occupies cache capacity like any fill.
 		h.prefetches++
-		next := pa + 64
+		next := pa + 1<<h.cfg.LineShift
 		if !h.l1d.Access(next) {
 			h.l2.Access(next)
 		}

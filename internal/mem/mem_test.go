@@ -125,25 +125,29 @@ func TestNextLinePrefetch(t *testing.T) {
 	as := vm.NewAddressSpace(2)
 	r, _ := as.Map(64 * vm.PageSize)
 	cfg := DefaultConfig()
-	cfg.NextLinePrefetch = true
-	h := New(cfg, as)
 	// Sequential line walk: with next-line prefetch, every second line
-	// is already resident.
-	var misses int
-	for i := uint64(0); i < 64; i++ {
-		lat, err := h.DataAccess(r.Base + i*64)
-		if err != nil {
-			t.Fatal(err)
+	// is already resident, whatever the line size.
+	for _, shift := range []uint{6, 7} {
+		pcfg := cfg
+		pcfg.NextLinePrefetch = true
+		pcfg.LineShift = shift
+		h := New(pcfg, as)
+		var misses int
+		for i := uint64(0); i < 64; i++ {
+			lat, err := h.DataAccess(r.Base + i<<shift)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lat > cfg.L1Latency+cfg.TLBMissPenalty {
+				misses++
+			}
 		}
-		if lat > cfg.L1Latency+cfg.TLBMissPenalty {
-			misses++
+		if misses > 34 {
+			t.Errorf("%d-byte lines: sequential walk missed %d of 64 lines despite prefetch", 1<<shift, misses)
 		}
-	}
-	if misses > 34 {
-		t.Errorf("sequential walk missed %d of 64 lines despite prefetch", misses)
-	}
-	if h.Stats().Prefetches == 0 {
-		t.Error("prefetch counter must accumulate")
+		if h.Stats().Prefetches == 0 {
+			t.Error("prefetch counter must accumulate")
+		}
 	}
 	// Without prefetch, every line of a fresh region misses.
 	h2 := New(DefaultConfig(), as)
