@@ -31,7 +31,7 @@ type Cluster struct {
 }
 
 // NewLocal builds and starts an N-node cluster on loopback listeners, each
-// node with its own persistence domain (heap) and journaled KV.
+// node with its own heap and a KV built as potserve -node builds one.
 func NewLocal(n, shards int, seed int64, reg *obs.Registry) (*Cluster, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("cluster: need at least 2 nodes, got %d", n)
@@ -61,7 +61,6 @@ func NewLocal(n, shards int, seed int64, reg *obs.Registry) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		kv.EnableJournal()
 		node := NewNode(uint32(i), kv, cl.topo)
 		srv := potserve.ServeBackend(lns[i], node, reg)
 		m := &Member{Node: node, Srv: srv, Sh: sh, Addr: nodes[i].Addr}

@@ -110,8 +110,8 @@ type Node struct {
 }
 
 // NewNode builds a cluster node over kv at the given topology. The node
-// reads nothing from a KV journal; NewLocal enables one for the crash
-// harness's verifier.
+// reads nothing from a KV journal; only the crash campaigns arm one, for
+// their verifier.
 func NewNode(id uint32, kv *objstore.KV, topo Topology) *Node {
 	return &Node{
 		ID:        id,

@@ -229,16 +229,8 @@ func verifyClusterState(cl *cluster.Cluster, survivors []*cluster.Member, model 
 		return fmt.Errorf("verify dial: %w", err)
 	}
 	defer c.Close()
-	for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
-		val, ok, err := c.Get(key)
-		if err != nil {
-			return fmt.Errorf("routed get %d: %w", key, err)
-		}
-		want, wantOK := model[key]
-		if ok != wantOK || (ok && val != want) {
-			return fmt.Errorf("key %d: routed view (%d,%v), merged logs replay to (%d,%v)",
-				key, val, ok, want, wantOK)
-		}
+	if err := checkKeys("routed view", c.Get, model, opt.KeySpace); err != nil {
+		return err
 	}
 	scan, err := c.Scan(0, opt.KeySpace+64)
 	if err != nil {
@@ -261,16 +253,8 @@ func verifyClusterState(cl *cluster.Cluster, survivors []*cluster.Member, model 
 	// Full replication: after catch-up every survivor's local replica and
 	// its durable journal agree with the merged-log model.
 	for _, m := range survivors {
-		for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
-			val, ok, err := m.Node.KV.Get(key)
-			if err != nil {
-				return fmt.Errorf("node %d local get %d: %w", m.Node.ID, key, err)
-			}
-			want, wantOK := model[key]
-			if ok != wantOK || (ok && val != want) {
-				return fmt.Errorf("node %d key %d: local replica (%d,%v), merged logs replay to (%d,%v)",
-					m.Node.ID, key, val, ok, want, wantOK)
-			}
+		if err := checkKeys(fmt.Sprintf("node %d local replica", m.Node.ID), m.Node.KV.Get, model, opt.KeySpace); err != nil {
+			return err
 		}
 		replayed := make(map[uint64]uint64)
 		for i := 0; i < opt.Shards; i++ {
@@ -334,18 +318,37 @@ func verifyVictimLocal(victim *cluster.Member, victimIdx int, pol nvmsim.Policy,
 	if total != len(model) {
 		return fmt.Errorf("victim: %d keys recovered, committed prefixes replay to %d", total, len(model))
 	}
-	for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
-		val, ok, err := kv2.Get(key)
+	return checkKeys("recovered victim", kv2.Get, model, opt.KeySpace)
+}
+
+// checkKeys reads every key of [1, keySpace] through get and requires the
+// model's value, or absence where the model holds none.
+func checkKeys(view string, get func(uint64) (uint64, bool, error), model map[uint64]uint64, keySpace int) error {
+	for key := uint64(1); key <= uint64(keySpace); key++ {
+		val, ok, err := get(key)
 		if err != nil {
-			return fmt.Errorf("victim get %d after recovery: %w", key, err)
+			return fmt.Errorf("%s: get %d: %w", view, key, err)
 		}
-		want, wantOK := model[key]
-		if ok != wantOK || (ok && val != want) {
-			return fmt.Errorf("victim key %d: recovered (%d,%v), committed prefix says (%d,%v)",
-				key, val, ok, want, wantOK)
+		if want, wantOK := model[key]; ok != wantOK || (ok && val != want) {
+			return fmt.Errorf("%s: key %d reads (%d,%v), the model says (%d,%v)", view, key, val, ok, want, wantOK)
 		}
 	}
 	return nil
+}
+
+// newJournaledCluster builds the campaign's cluster and arms every member's
+// KV journal before any client dials: the journal and the shard op counters
+// are the verifier's oracle (acked <= counter <= journaled, DESIGN §5d),
+// and a served member keeps neither.
+func newJournaledCluster(opt ClusterOptions, seed uint64) (*cluster.Cluster, error) {
+	cl, err := cluster.NewLocal(opt.Nodes, opt.Shards, int64(seed), nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range cl.Members {
+		m.Node.KV.EnableJournal()
+	}
+	return cl, nil
 }
 
 // RunCluster runs the cluster crash campaign: a fresh N-node cluster per
@@ -388,116 +391,113 @@ func RunCluster(opt ClusterOptions) (ClusterSummary, error) {
 	// victim's last event and never fire.
 	spans := make([]uint64, opt.Nodes)
 	for point := 0; point < opt.Points; point++ {
-		victimIdx := point % opt.Nodes
-		cl, err := cluster.NewLocal(opt.Nodes, opt.Shards, int64(mix64(opt.Seed^uint64(point)^0xc1)), nil)
+		err := func() error {
+			victimIdx := point % opt.Nodes
+			cl, err := newJournaledCluster(opt, mix64(opt.Seed^uint64(point)^0xc1))
+			if err != nil {
+				return err
+			}
+			defer cl.Close()
+			victim := cl.Members[victimIdx]
+			h := victim.Sh.Heap()
+
+			polKind := opt.Policies[point%len(opt.Policies)]
+			pol := nvmsim.Policy{Kind: polKind, Seed: mix64(opt.Seed ^ uint64(point) ^ 0xcc)}
+
+			startE := h.NV.Events()
+			armAt := uint64(0)
+			if point > 0 {
+				armAt = startE + 1 + mix64(opt.Seed^uint64(point))%spans[victimIdx]
+				h.NV.Arm(armAt)
+			} else {
+				for i, m := range cl.Members {
+					spans[i] = m.Sh.Heap().NV.Events()
+				}
+			}
+
+			rec := lincheck.NewClusterRecorder()
+			if err := runClusterWorkers(cl, rec, opt); err != nil {
+				return fmt.Errorf("point %d: %w", point, err)
+			}
+			if point == 0 {
+				for i, m := range cl.Members {
+					spans[i] = m.Sh.Heap().NV.Events() - spans[i]
+					if spans[i] == 0 {
+						return fmt.Errorf("crashtest: baseline run produced no events on member %d", i)
+					}
+				}
+				sum.Span = spans[victimIdx]
+			}
+			h.NV.Disarm() // an unreached arm point must not fire during verification
+
+			fired := victim.Node.Dead()
+			survivors := make([]*cluster.Member, 0, opt.Nodes)
+			for i, m := range cl.Members {
+				if i != victimIdx {
+					survivors = append(survivors, m)
+				}
+			}
+			if fired {
+				sum.Fired++
+				bump("fired", 1)
+				// The kill hit mid-replication: fail over, then prove the moved
+				// segment accepts writes at the new epoch (the probes join the
+				// acknowledged history the verifier audits).
+				if err := cl.Failover(victim.Node.ID); err != nil {
+					return fmt.Errorf("point %d: failover: %w", point, err)
+				}
+				pc, err := cluster.DialCluster(cl.Addrs())
+				if err != nil {
+					return fmt.Errorf("point %d: probe dial: %w", point, err)
+				}
+				probes := 0
+				for key := uint64(1); key <= uint64(opt.KeySpace) && probes < 4; key++ {
+					uid := probeUIDBase | key
+					p := rec.Begin(key, uid, false)
+					if _, err := pc.Put(key, uid); err != nil {
+						pc.Close()
+						return fmt.Errorf("point %d: probe put %d after failover: %w", point, key, err)
+					}
+					rec.Acked(p)
+					probes++
+				}
+				pc.Close()
+			} else {
+				sum.Completed++
+				bump("completed", 1)
+				// Nothing died: quiesce replication so the full-replication
+				// equality checks below are meaningful, and audit all members.
+				if err := cl.Sync(); err != nil {
+					return fmt.Errorf("point %d: sync: %w", point, err)
+				}
+				survivors = append(survivors, victim)
+			}
+			writes := rec.Writes()
+			sum.AckedOps += uint64(len(writes))
+
+			// Layer 1: acked-prefix linearizability over the merged logs.
+			entries := gatherEntries(survivors, opt.Nodes)
+			if err := lincheck.CheckCluster(writes, entries); err != nil {
+				return fmt.Errorf("point %d (arm=%d, policy=%s, fired=%v): %w",
+					point, armAt, polKind, fired, err)
+			}
+			// Layer 2: replayed model == routed view == every survivor replica.
+			model := lincheck.ReplayCluster(entries)
+			if err := verifyClusterState(cl, survivors, model, opt); err != nil {
+				return fmt.Errorf("point %d (arm=%d, policy=%s, fired=%v): %w",
+					point, armAt, polKind, fired, err)
+			}
+			// Layer 3: the victim's corpse recovers to a committed prefix.
+			if fired {
+				if err := verifyVictimLocal(victim, victimIdx, pol, opt); err != nil {
+					return fmt.Errorf("point %d (arm=%d, policy=%s): %w", point, armAt, polKind, err)
+				}
+			}
+			return nil
+		}()
 		if err != nil {
 			return sum, err
 		}
-		victim := cl.Members[victimIdx]
-		h := victim.Sh.Heap()
-
-		polKind := opt.Policies[point%len(opt.Policies)]
-		pol := nvmsim.Policy{Kind: polKind, Seed: mix64(opt.Seed ^ uint64(point) ^ 0xcc)}
-
-		startE := h.NV.Events()
-		armAt := uint64(0)
-		if point > 0 {
-			armAt = startE + 1 + mix64(opt.Seed^uint64(point))%spans[victimIdx]
-			h.NV.Arm(armAt)
-		} else {
-			for i, m := range cl.Members {
-				spans[i] = m.Sh.Heap().NV.Events()
-			}
-		}
-
-		rec := lincheck.NewClusterRecorder()
-		if err := runClusterWorkers(cl, rec, opt); err != nil {
-			cl.Close()
-			return sum, fmt.Errorf("point %d: %w", point, err)
-		}
-		if point == 0 {
-			for i, m := range cl.Members {
-				spans[i] = m.Sh.Heap().NV.Events() - spans[i]
-				if spans[i] == 0 {
-					cl.Close()
-					return sum, fmt.Errorf("crashtest: baseline run produced no events on member %d", i)
-				}
-			}
-			sum.Span = spans[victimIdx]
-		}
-		h.NV.Disarm() // an unreached arm point must not fire during verification
-
-		fired := victim.Node.Dead()
-		survivors := make([]*cluster.Member, 0, opt.Nodes)
-		for i, m := range cl.Members {
-			if i != victimIdx {
-				survivors = append(survivors, m)
-			}
-		}
-		if fired {
-			sum.Fired++
-			bump("fired", 1)
-			// The kill hit mid-replication: fail over, then prove the moved
-			// segment accepts writes at the new epoch (the probes join the
-			// acknowledged history the verifier audits).
-			if err := cl.Failover(victim.Node.ID); err != nil {
-				cl.Close()
-				return sum, fmt.Errorf("point %d: failover: %w", point, err)
-			}
-			pc, err := cluster.DialCluster(cl.Addrs())
-			if err != nil {
-				cl.Close()
-				return sum, fmt.Errorf("point %d: probe dial: %w", point, err)
-			}
-			probes := 0
-			for key := uint64(1); key <= uint64(opt.KeySpace) && probes < 4; key++ {
-				uid := probeUIDBase | key
-				p := rec.Begin(key, uid, false)
-				if _, err := pc.Put(key, uid); err != nil {
-					pc.Close()
-					cl.Close()
-					return sum, fmt.Errorf("point %d: probe put %d after failover: %w", point, key, err)
-				}
-				rec.Acked(p)
-				probes++
-			}
-			pc.Close()
-		} else {
-			sum.Completed++
-			bump("completed", 1)
-			// Nothing died: quiesce replication so the full-replication
-			// equality checks below are meaningful, and audit all members.
-			if err := cl.Sync(); err != nil {
-				cl.Close()
-				return sum, fmt.Errorf("point %d: sync: %w", point, err)
-			}
-			survivors = append(survivors, victim)
-		}
-		writes := rec.Writes()
-		sum.AckedOps += uint64(len(writes))
-
-		// Layer 1: acked-prefix linearizability over the merged logs.
-		entries := gatherEntries(survivors, opt.Nodes)
-		if err := lincheck.CheckCluster(writes, entries); err != nil {
-			cl.Close()
-			return sum, fmt.Errorf("point %d (arm=%d, policy=%s, fired=%v): %w",
-				point, armAt, polKind, fired, err)
-		}
-		// Layer 2: replayed model == routed view == every survivor replica.
-		model := lincheck.ReplayCluster(entries)
-		if err := verifyClusterState(cl, survivors, model, opt); err != nil {
-			cl.Close()
-			return sum, fmt.Errorf("point %d (arm=%d, policy=%s, fired=%v): %w",
-				point, armAt, polKind, fired, err)
-		}
-		// Layer 3: the victim's corpse recovers to a committed prefix.
-		if fired {
-			if err := verifyVictimLocal(victim, victimIdx, pol, opt); err != nil {
-				cl.Close()
-				return sum, fmt.Errorf("point %d (arm=%d, policy=%s): %w", point, armAt, polKind, err)
-			}
-		}
-		cl.Close()
 		bump("points", 1)
 	}
 	return sum, nil
@@ -514,7 +514,7 @@ func RunCluster(opt ClusterOptions) (ClusterSummary, error) {
 // gates; a nil return means the bug slipped through.
 func runClusterSplitBrain(opt ClusterOptions) (ClusterSummary, error) {
 	sum := ClusterSummary{Points: 1}
-	cl, err := cluster.NewLocal(opt.Nodes, opt.Shards, int64(mix64(opt.Seed^0xb5)), nil)
+	cl, err := newJournaledCluster(opt, mix64(opt.Seed^0xb5))
 	if err != nil {
 		return sum, err
 	}
@@ -598,7 +598,7 @@ func runClusterSplitBrain(opt ClusterOptions) (ClusterSummary, error) {
 // return means the bug slipped through.
 func runClusterAckBeforeQuorum(opt ClusterOptions) (ClusterSummary, error) {
 	sum := ClusterSummary{Points: 1}
-	cl, err := cluster.NewLocal(opt.Nodes, opt.Shards, int64(mix64(opt.Seed^0xa9)), nil)
+	cl, err := newJournaledCluster(opt, mix64(opt.Seed^0xa9))
 	if err != nil {
 		return sum, err
 	}
