@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -37,31 +38,31 @@ const (
 )
 
 // Page-table geometry: translations are on the per-simulated-instruction hot
-// path (every load, store and POT probe), so the VPN→PFN mapping is a
-// two-level radix array over the mmap arena instead of a hash map, fronted by
-// a last-VPN memo that short-circuits the common same-page access run.
+// path (every load, store and POT probe), so the VPN→PFN mapping is an array
+// lookup, not a hash map, fronted by a last-VPN memo that short-circuits the
+// common same-page access run.
 //
-// Leaf entries store PFN+1 so the zero value means "unmapped" and a leaf is
-// usable straight from the allocator. A leaf covers 2^ptLeafBits pages
-// (32 MB of virtual space at 16 KB per leaf), and the top level is one
-// pointer per possible leaf of the arena (~3.7 MB per address space, a single
-// allocation). A page outside the arena (none today: Map places every
-// region inside it) falls back to a small map.
+// Each mapped region owns its entries, one frame number per page, so the
+// table costs four bytes per mapped page and nothing for the arena between
+// pools. The top level has one slot per 32 MB span of the arena (3.75 MB per
+// address space, a single allocation), pointing at the lowest region that
+// overlaps the span. Regions are linked in address order, so a span shared by
+// several regions is a short walk. A page outside the arena is unmapped.
 const (
-	ptLeafBits = 13
-	ptLeafSize = 1 << ptLeafBits
-	ptLeafMask = ptLeafSize - 1
-
-	arenaVPNBase = mmapBase >> PageShift
-	arenaVPNs    = mmapSpan >> PageShift
+	spanShift = 25
+	spanSize  = 1 << spanShift
 )
 
-type ptLeaf [ptLeafSize]uint32
+// mapping is one mapped region and its page-table entries.
+type mapping struct {
+	Region
+	pfns []uint32 // frame number of each page, in address order
+	next *mapping // the next region up the address space, or nil
+}
 
-// pageTable maps virtual page numbers to physical frame numbers.
+// pageTable maps virtual pages to physical frame numbers.
 type pageTable struct {
-	top []*ptLeaf         // arena leaves, indexed by (vpn-arenaVPNBase)>>ptLeafBits
-	out map[uint64]uint32 // out-of-arena VPNs (cold), PFN+1
+	top []*mapping // indexed by (va-mmapBase)>>spanShift
 
 	// Last-translation memo. memoPFN is PFN+1; 0 means no memo. noMemo
 	// disables the memo for concurrent address spaces: the memo is the
@@ -72,65 +73,36 @@ type pageTable struct {
 	noMemo  bool
 }
 
-func (pt *pageTable) lookup(vpn uint64) (uint32, bool) {
+// lookup returns the frame number behind the page holding va.
+func (pt *pageTable) lookup(va uint64) (uint32, bool) {
+	vpn := va >> PageShift
 	if pt.memoPFN != 0 && vpn == pt.memoVPN {
 		return pt.memoPFN - 1, true
 	}
-	var e uint32
-	if rel := vpn - arenaVPNBase; rel < arenaVPNs {
-		leaf := pt.top[rel>>ptLeafBits]
-		if leaf == nil {
-			return 0, false
-		}
-		e = leaf[rel&ptLeafMask]
-	} else {
-		e = pt.out[vpn]
-	}
-	if e == 0 {
+	m := pt.find(va)
+	if m == nil {
 		return 0, false
 	}
+	pfn := m.pfns[(va-m.Base)>>PageShift]
 	if !pt.noMemo {
-		pt.memoVPN, pt.memoPFN = vpn, e
+		pt.memoVPN, pt.memoPFN = vpn, pfn+1
 	}
-	return e - 1, true
+	return pfn, true
 }
 
-func (pt *pageTable) set(vpn uint64, pfn uint32) {
-	if rel := vpn - arenaVPNBase; rel < arenaVPNs {
-		leaf := pt.top[rel>>ptLeafBits]
-		if leaf == nil {
-			leaf = new(ptLeaf)
-			pt.top[rel>>ptLeafBits] = leaf
-		}
-		leaf[rel&ptLeafMask] = pfn + 1
-		return
+// find returns the region containing va, or nil.
+func (pt *pageTable) find(va uint64) *mapping {
+	if va-mmapBase >= mmapSpan {
+		return nil
 	}
-	if pt.out == nil {
-		pt.out = make(map[uint64]uint32)
+	m := pt.top[(va-mmapBase)>>spanShift]
+	for m != nil && m.End() <= va {
+		m = m.next
 	}
-	pt.out[vpn] = pfn + 1
-}
-
-// clear unmaps vpn, returning its PFN (ok=false if it was not mapped).
-func (pt *pageTable) clear(vpn uint64) (uint32, bool) {
-	if pt.memoPFN != 0 && vpn == pt.memoVPN {
-		pt.memoPFN = 0
+	if m == nil || m.Base > va {
+		return nil
 	}
-	if rel := vpn - arenaVPNBase; rel < arenaVPNs {
-		leaf := pt.top[rel>>ptLeafBits]
-		if leaf == nil || leaf[rel&ptLeafMask] == 0 {
-			return 0, false
-		}
-		pfn := leaf[rel&ptLeafMask] - 1
-		leaf[rel&ptLeafMask] = 0
-		return pfn, true
-	}
-	e, ok := pt.out[vpn]
-	if !ok {
-		return 0, false
-	}
-	delete(pt.out, vpn)
-	return e - 1, true
+	return m
 }
 
 // Region describes one mapped virtual range.
@@ -159,7 +131,7 @@ type AddressSpace struct {
 	// of distinct frames may run concurrently (SetConcurrent).
 	frames   []atomic.Pointer[Page]
 	freePFNs []uint32
-	regions  []Region // sorted by Base; mappings never overlap, so by End too
+	regions  []*mapping // sorted by Base; mappings never overlap, so by End too
 }
 
 // NewAddressSpace creates an empty address space. The seed drives ASLR
@@ -168,7 +140,7 @@ func NewAddressSpace(seed int64) *AddressSpace {
 	return &AddressSpace{
 		rng: rand.New(rand.NewSource(seed)),
 		pageTable: pageTable{
-			top: make([]*ptLeaf, (arenaVPNs+ptLeafSize-1)>>ptLeafBits),
+			top: make([]*mapping, mmapSpan>>spanShift),
 		},
 	}
 }
@@ -203,26 +175,28 @@ func (as *AddressSpace) Map(size uint64) (Region, error) {
 			break
 		}
 	}
-	r := Region{Base: base, Size: size}
-	as.insertRegion(r)
-	for va := base; va < base+size; va += PageSize {
-		as.pageTable.set(va>>PageShift, as.allocFrame())
+	m := &mapping{Region: Region{Base: base, Size: size}, pfns: make([]uint32, size>>PageShift)}
+	for i := range m.pfns {
+		m.pfns[i] = as.allocFrame()
 	}
-	return r, nil
+	as.insertRegion(m)
+	return m.Region, nil
 }
 
 // Unmap removes a previously mapped region and frees its frames.
 func (as *AddressSpace) Unmap(r Region) error {
 	idx := as.regionAfter(r.Base)
-	if idx == len(as.regions) || as.regions[idx] != r {
+	if idx == len(as.regions) || as.regions[idx].Region != r {
 		return fmt.Errorf("vm: Unmap of unknown region %#x+%#x", r.Base, r.Size)
 	}
-	as.regions = append(as.regions[:idx], as.regions[idx+1:]...)
-	for va := r.Base; va < r.End(); va += PageSize {
-		pfn, ok := as.pageTable.clear(va >> PageShift)
-		if !ok {
-			continue
-		}
+	m := as.regions[idx]
+	as.regions = slices.Delete(as.regions, idx, idx+1)
+	if idx > 0 {
+		as.regions[idx-1].next = m.next
+	}
+	as.relead(r)
+	as.pageTable.memoPFN = 0
+	for _, pfn := range m.pfns {
 		// Dropping the page is what makes the recycled frame read as zeros.
 		as.frames[pfn].Store(nil)
 		as.freePFNs = append(as.freePFNs, pfn)
@@ -234,7 +208,7 @@ func (as *AddressSpace) Unmap(r Region) error {
 // table. ok is false for unmapped addresses (the moral equivalent of a page
 // fault on an untouched address).
 func (as *AddressSpace) Translate(va uint64) (pa uint64, ok bool) {
-	pfn, ok := as.pageTable.lookup(va >> PageShift)
+	pfn, ok := as.pageTable.lookup(va)
 	if !ok {
 		return 0, false
 	}
@@ -244,8 +218,8 @@ func (as *AddressSpace) Translate(va uint64) (pa uint64, ok bool) {
 // MappedBytes returns the total number of bytes currently mapped.
 func (as *AddressSpace) MappedBytes() uint64 {
 	var n uint64
-	for _, r := range as.regions {
-		n += r.Size
+	for _, m := range as.regions {
+		n += m.Size
 	}
 	return n
 }
@@ -349,7 +323,7 @@ func (as *AddressSpace) Write32(va uint64, v uint32) error {
 
 // frameFor returns the frame slot and in-page offset behind va.
 func (as *AddressSpace) frameFor(va uint64) (*atomic.Pointer[Page], uint64, error) {
-	pfn, ok := as.pageTable.lookup(va >> PageShift)
+	pfn, ok := as.pageTable.lookup(va)
 	if !ok {
 		return nil, 0, fmt.Errorf("vm: access to unmapped address %#x", va)
 	}
@@ -379,18 +353,35 @@ func (as *AddressSpace) overlapsAny(r Region) bool {
 	return i < len(as.regions) && as.regions[i].overlaps(r)
 }
 
-// insertRegion adds a region that overlaps no existing one.
-func (as *AddressSpace) insertRegion(r Region) {
-	i := as.regionAfter(r.Base)
-	as.regions = append(as.regions, Region{})
-	copy(as.regions[i+1:], as.regions[i:])
-	as.regions[i] = r
+// insertRegion links in a region that overlaps no existing one.
+func (as *AddressSpace) insertRegion(m *mapping) {
+	i := as.regionAfter(m.Base)
+	as.regions = slices.Insert(as.regions, i, m)
+	if i > 0 {
+		as.regions[i-1].next = m
+	}
+	if i+1 < len(as.regions) {
+		m.next = as.regions[i+1]
+	}
+	as.relead(m.Region)
+}
+
+// relead points each span that r overlaps at the lowest region overlapping
+// it, after r is mapped or unmapped.
+func (as *AddressSpace) relead(r Region) {
+	for va := r.Base &^ (spanSize - 1); va < r.End(); va += spanSize {
+		var lead *mapping
+		if i := as.regionAfter(va); i < len(as.regions) && as.regions[i].Base < va+spanSize {
+			lead = as.regions[i]
+		}
+		as.pageTable.top[(va-mmapBase)>>spanShift] = lead
+	}
 }
 
 // RegionOf returns the mapped region containing va, if any.
 func (as *AddressSpace) RegionOf(va uint64) (Region, bool) {
-	if i := as.regionAfter(va); i < len(as.regions) && as.regions[i].Base <= va {
-		return as.regions[i], true
+	if m := as.pageTable.find(va); m != nil {
+		return m.Region, true
 	}
 	return Region{}, false
 }
