@@ -14,8 +14,8 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current tree")
 
 // TestCampaignGolden pins the -json summaries of CI's two sequential crash
-// campaigns (the all-structures smoke and the drop-CLWB mutation), minus
-// wall_seconds. Every event_span, crash point, case count and failure
+// campaigns (the all-structures smoke and the drop-CLWB mutation) and of a
+// durable TPC-C campaign, minus wall_seconds. Every event_span, crash point, case count and failure
 // (event index, kept lines, minimal counterexample) is a function of where
 // the persistence domain numbers its Store, CLWB and SFENCE events and of
 // what each one does, so a change to the persistence path that leaves them
@@ -32,6 +32,8 @@ func TestCampaignGolden(t *testing.T) {
 		{"smoke.json", "list,bst,rbt,btree,bplus,alloc", 10, 16, 0},
 		// potcrash -targets rbt -ops 12 -points 32 -mutate-drop-clwb 1
 		{"drop_clwb.json", "rbt", 12, 32, 1},
+		// potcrash -targets tpcc -ops 6 -points 16
+		{"tpcc.json", "tpcc", 6, 16, 0},
 	}
 	for _, c := range cases {
 		t.Run(strings.TrimSuffix(c.golden, ".json"), func(t *testing.T) {

@@ -67,10 +67,11 @@ func run() error {
 	fmt.Printf("initial balances: A=%d B=%d (total %d)\n", a, b, a+b)
 
 	// Transfer 250 from A to B — but crash between debit and credit.
-	if err := heap.TxBegin(pool); err != nil {
+	tx, err := heap.Begin(pool)
+	if err != nil {
 		return err
 	}
-	if err := heap.TxAddRange(root, 16); err != nil {
+	if err := tx.AddRange(root, 16); err != nil {
 		return err
 	}
 	if err := setBalance(heap, root, accountA, a-250); err != nil {
@@ -112,10 +113,11 @@ func run() error {
 	fmt.Println("invariant holds: the half-done transfer was rolled back")
 
 	// And a completed transfer commits cleanly.
-	if err := heap2.TxBegin(pool2); err != nil {
+	tx2, err := heap2.Begin(pool2)
+	if err != nil {
 		return err
 	}
-	if err := heap2.TxAddRange(root2, 16); err != nil {
+	if err := tx2.AddRange(root2, 16); err != nil {
 		return err
 	}
 	if err := setBalance(heap2, root2, accountA, a2-250); err != nil {
@@ -124,7 +126,7 @@ func run() error {
 	if err := setBalance(heap2, root2, accountB, b2+250); err != nil {
 		return err
 	}
-	if err := heap2.TxEnd(); err != nil {
+	if err := tx2.Commit(); err != nil {
 		return err
 	}
 	a3, b3, err := balances(heap2, root2)

@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"potgo/internal/emit"
-	"potgo/internal/isa"
 	"potgo/internal/oid"
 	"potgo/internal/pds"
 	"potgo/internal/pmem"
@@ -21,12 +20,12 @@ import (
 )
 
 // KVStore is a persistent map[uint64]uint64 with transactional updates.
+// It is its own pds.Ctx: the shared transactional core plus placement in
+// the store's one pool.
 type KVStore struct {
-	heap *pmem.Heap
+	pds.TxCtx
 	pool *pmem.Pool
 	tree *pds.BPlus
-	// touched dedupes undo-log snapshots within one transaction.
-	touched map[oid.OID]bool
 }
 
 // Open creates or reopens the named store.
@@ -46,45 +45,27 @@ func Open(heap *pmem.Heap, name string) (*KVStore, error) {
 		return nil, err
 	}
 	return &KVStore{
-		heap: heap,
-		pool: pool,
-		tree: pds.NewBPlus(pds.NewCell(heap, root)),
+		TxCtx: pds.NewTxCtx(heap),
+		pool:  pool,
+		tree:  pds.NewBPlus(pds.NewCell(heap, root)),
 	}, nil
 }
 
-// pds.Ctx implementation: single pool, transactional when a tx is open.
-func (s *KVStore) Heap() *pmem.Heap { return s.heap }
-
+// Alloc implements pds.Ctx: every node lives in the store's pool.
 func (s *KVStore) Alloc(_ uint64, size uint32) (oid.OID, error) {
-	if s.heap.InTx() {
-		return s.heap.TxAlloc(s.pool, size)
-	}
-	return s.heap.Alloc(s.pool, size)
-}
-
-func (s *KVStore) Free(o oid.OID) error {
-	if s.heap.InTx() {
-		return s.heap.TxFree(o)
-	}
-	return s.heap.Free(o)
-}
-
-func (s *KVStore) Touch(o oid.OID, size uint32) error {
-	if !s.heap.InTx() || s.touched[o] {
-		return nil
-	}
-	s.touched[o] = true
-	return s.heap.TxAddRange(o, size)
+	return s.AllocIn(s.pool, size)
 }
 
 // Put inserts or updates a key durably.
 func (s *KVStore) Put(k, v uint64) error {
-	return s.inTx(func() error {
-		if ok, err := s.tree.Update(s, k, v); err != nil || ok {
-			return err
-		}
-		return s.tree.Insert(s, k, v)
-	})
+	return s.inTx(func() error { return s.put(k, v) })
+}
+
+func (s *KVStore) put(k, v uint64) error {
+	if ok, err := s.tree.Update(s, k, v); err != nil || ok {
+		return err
+	}
+	return s.tree.Insert(s, k, v)
 }
 
 // Get reads a key.
@@ -101,53 +82,49 @@ func (s *KVStore) Delete(k uint64) (removed bool, err error) {
 	return removed, err
 }
 
-// PutBatch writes several pairs in ONE transaction: all or nothing.
+// PutBatch writes several pairs in ONE transaction: all or nothing. With
+// failAfter >= 0 it fails (and rolls back) after that many writes.
 func (s *KVStore) PutBatch(pairs map[uint64]uint64, failAfter int) error {
-	s.touched = map[oid.OID]bool{}
-	if err := s.heap.TxBegin(s.pool); err != nil {
-		return err
-	}
-	n := 0
-	for k, v := range pairs {
-		if failAfter >= 0 && n == failAfter {
-			// Simulated application error: roll everything back.
-			if err := s.heap.TxAbort(); err != nil {
+	return s.inTx(func() error {
+		n := 0
+		for k, v := range pairs {
+			if n == failAfter {
+				return fmt.Errorf("batch aborted after %d writes (as requested)", n)
+			}
+			if err := s.put(k, v); err != nil {
 				return err
 			}
-			return fmt.Errorf("batch aborted after %d writes (as requested)", n)
+			n++
 		}
-		if ok, err := s.tree.Update(s, k, v); err != nil {
-			return err
-		} else if !ok {
-			if err := s.tree.Insert(s, k, v); err != nil {
-				return err
-			}
-		}
-		n++
-	}
-	return s.heap.TxEnd()
+		return nil
+	})
 }
 
 // Len counts keys.
 func (s *KVStore) Len() (int, error) { return s.tree.CheckInvariants(s) }
 
 // Close persists and unmaps the store.
-func (s *KVStore) Close() error { return s.heap.Close(s.pool) }
+func (s *KVStore) Close() error { return s.Heap().Close(s.pool) }
 
+// inTx runs fn in one transaction, committing if it succeeds and rolling
+// everything back if it fails.
 func (s *KVStore) inTx(fn func() error) error {
-	s.touched = map[oid.OID]bool{}
-	if err := s.heap.TxBegin(s.pool); err != nil {
+	if err := s.Begin(s.pool); err != nil {
 		return err
 	}
 	if err := fn(); err != nil {
-		_ = s.heap.TxAbort()
+		// The rollback may move the root back from under the tree's
+		// volatile root cache.
+		s.tree.DropCache()
+		if aerr := s.Abort(); aerr != nil {
+			return fmt.Errorf("%w (abort also failed: %v)", err, aerr)
+		}
 		return err
 	}
-	return s.heap.TxEnd()
+	return s.Commit()
 }
 
 var _ pds.Ctx = (*KVStore)(nil)
-var _ = isa.RZ
 
 func main() {
 	if err := run(); err != nil {

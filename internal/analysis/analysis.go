@@ -4,13 +4,13 @@
 //
 //   - touchbeforestore: in-place stores to persistent objects inside a
 //     transactional context must be preceded by an undo-log snapshot
-//     (Ctx.Touch / Heap.TxAddRange) of the stored object.
+//     (Ctx.Touch / Tx.AddRange) of the stored object.
 //   - persistbeforepublish: an ObjectID may only be linked into another
 //     persistent object after the referenced object is durable (Persist) or
 //     the link target is undo-logged (Touch).
 //   - refescape: Deref-derived Refs are raw views into mapped pool memory;
 //     they must not outlive the mapping (escape the API surface, or be used
-//     across Close/Crash/TxAbort/Recover).
+//     across Close/Crash/Recover/Tx.Abort).
 //   - emitbalance: every path that emits CLWBs must emit a trailing SFENCE
 //     before returning, unless the function's name declares it unfenced
 //     ("NoFence").

@@ -24,8 +24,8 @@ const (
 	kRefStore                // pmem.Ref.Store64 / WriteBytes
 	kDeref                   // pmem.Heap.Deref
 	kDirectRef               // pmem.Heap.DirectRef
-	kAlloc                   // Heap.Alloc / Heap.TxAlloc / Ctx-shaped Alloc(key,size)
-	kTouch                   // Ctx-shaped Touch(oid,size) / Heap.TxAddRange
+	kAlloc                   // Heap.Alloc / Tx.Alloc / TxCtx.AllocIn / Ctx-shaped Alloc(key,size)
+	kTouch                   // Ctx-shaped Touch(oid,size) / Tx.AddRange
 	kPersist                 // Heap.Persist
 	kPersistNoFence          // a *NoFence persist helper (CLWBs, no trailing fence)
 	kCellSet                 // pds.Cell.Set
@@ -33,7 +33,7 @@ const (
 	kFieldAt                 // oid.OID.FieldAt
 	kCLWB                    // emit.Emitter.CLWB
 	kSFence                  // emit.Emitter.SFence
-	kInvalidate              // Heap.Close / Crash / TxAbort / Recover
+	kInvalidate              // Heap.Close / Crash / Recover, Tx.Abort
 
 	// Concurrency kinds (lockorder / snapshotread).
 	kShardLock          // Sharded.LockPool / RLockPool — one pool's shard, unordered wrt others
@@ -179,10 +179,8 @@ func classify(info *types.Info, call *ast.CallExpr) callKind {
 			return kDeref
 		case "DirectRef":
 			return kDirectRef
-		case "Alloc", "TxAlloc":
+		case "Alloc":
 			return kAlloc
-		case "TxAddRange":
-			return kTouch
 		case "Persist":
 			return kPersist
 		case "fence":
@@ -193,11 +191,24 @@ func classify(info *types.Info, call *ast.CallExpr) callKind {
 			// Either way, by return every previously emitted CLWB is retired,
 			// so it balances like SFence — no blanket suppression needed.
 			return kSFence
-		case "Close", "Crash", "TxAbort", "Recover":
+		case "Close", "Crash", "Recover":
 			return kInvalidate
 		}
 		if isNoFenceName(f.Name()) {
 			return kPersistNoFence
+		}
+	case pkg == pmemPath && typ == "Tx":
+		switch f.Name() {
+		case "AddRange":
+			return kTouch
+		case "Alloc":
+			return kAlloc
+		case "Abort":
+			return kInvalidate
+		}
+	case pkg == pdsPath && typ == "TxCtx":
+		if f.Name() == "AllocIn" {
+			return kAlloc
 		}
 	case pkg == pdsPath && typ == "Cell":
 		switch f.Name() {

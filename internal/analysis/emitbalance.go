@@ -24,7 +24,7 @@ import (
 //     reports the error before reaching its emission tail;
 //   - `if flag { ...SFence() }` guards are trusted when the then-branch
 //     fences: the flag is assumed to be set exactly when CLWBs are
-//     outstanding (the TxEnd pattern).
+//     outstanding (the Tx.Commit pattern).
 var EmitBalance = &Analyzer{
 	Name: "emitbalance",
 	Doc:  "check that every CLWB-emitting path fences (SFence/Persist) before returning, unless named *NoFence",
@@ -85,7 +85,7 @@ func (h *ebHooks) OnReturn(ret *ast.ReturnStmt, st State, errPath bool) {
 
 // AfterIf trusts the flag-guarded fence idiom: when CLWBs are outstanding
 // and `if flag { ... SFence ... }` clears them in the then-branch with no
-// else, the flag is assumed to track emission exactly (the TxEnd pattern),
+// else, the flag is assumed to track emission exactly (the Tx.Commit pattern),
 // so the join is the fenced state.
 func (h *ebHooks) AfterIf(stmt *ast.IfStmt, pre, thenSt, elseSt State) (State, bool) {
 	if stmt.Else != nil || thenSt == nil {

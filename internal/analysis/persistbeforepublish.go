@@ -12,7 +12,7 @@ import (
 //
 //   - the referenced object was made durable first (Heap.Persist /
 //     persistNoFence on it, with no intervening writes), or
-//   - the link target is covered by the undo log (Ctx.Touch/TxAddRange on
+//   - the link target is covered by the undo log (Ctx.Touch/Tx.AddRange on
 //     the target or the target object is itself fresh), in which case
 //     transaction commit persists both sides before the log is truncated.
 //
@@ -179,7 +179,7 @@ func (h *ppHooks) publish(call *ast.CallExpr, s *ppState, value ast.Expr, target
 		return
 	}
 	h.pass.Reportf(call.Pos(),
-		"ObjectID %s is published before its contents are durable: Persist(%s, ...) first, or snapshot the link target with Ctx.Touch", id.Name, id.Name)
+		"ObjectID %s is published before its contents are durable: Persist(%s, ...) first, or snapshot the link target with Ctx.Touch/Tx.AddRange", id.Name, id.Name)
 }
 
 func (h *ppHooks) OnAssign(lhs, rhs []ast.Expr, st State) State {

@@ -17,7 +17,7 @@ import (
 //     a field of an exported struct type (whether by assignment or
 //     composite literal);
 //  3. a Ref variable used after a call that invalidates raw views
-//     (Heap.Close, Crash, TxAbort, Recover) on some path.
+//     (Heap.Close, Crash, Recover, Tx.Abort) on some path.
 //
 // Package pmem itself is exempt — it owns the mapping and hands out the
 // views. Unexported caches of refs (e.g. a per-operation struct private to

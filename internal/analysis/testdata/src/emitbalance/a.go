@@ -53,16 +53,16 @@ func persistFences(h *pmem.Heap, o oid.OID, va uint64) error {
 
 // errPathOK: by convention a helper that fails before its emission tail
 // may return the error unfenced.
-func errPathOK(h *pmem.Heap, o oid.OID, va uint64) error {
+func errPathOK(h *pmem.Heap, tx *pmem.Tx, o oid.OID, va uint64) error {
 	h.Emit.CLWB(va)
-	if err := h.TxAddRange(o, 8); err != nil {
+	if err := tx.AddRange(o, 8); err != nil {
 		return err
 	}
 	h.Emit.SFence()
 	return nil
 }
 
-// guardedFence is the TxEnd idiom: the flag tracks whether anything was
+// guardedFence is the Tx.Commit idiom: the flag tracks whether anything was
 // emitted, and the guarded branch fences.
 func guardedFence(e *emit.Emitter, vas []uint64) {
 	fence := false

@@ -1,7 +1,7 @@
 // Package fixture exercises the persistbeforepublish analyzer: a freshly
 // allocated ObjectID may only be linked into a reachable object once the
 // new object is durable (Persist) or the link target is undo-logged
-// (Touch, so commit persists both sides).
+// (Touch or Tx.AddRange, so commit persists both sides).
 package fixture
 
 import (
@@ -54,6 +54,23 @@ func publishLogged(ctx pds.Ctx, parent oid.OID) error {
 		return err
 	}
 	pref, err := ctx.Heap().Deref(parent, isa.RZ)
+	if err != nil {
+		return err
+	}
+	return pref.Store64(8, uint64(n), isa.RZ)
+}
+
+// publishTxLogged is publishLogged on a bare transaction handle:
+// Tx.AddRange covers the link target.
+func publishTxLogged(h *pmem.Heap, tx *pmem.Tx, p *pmem.Pool, parent oid.OID) error {
+	n, err := tx.Alloc(p, nodeBytes)
+	if err != nil {
+		return err
+	}
+	if err := tx.AddRange(parent, nodeBytes); err != nil {
+		return err
+	}
+	pref, err := h.Deref(parent, isa.RZ)
 	if err != nil {
 		return err
 	}

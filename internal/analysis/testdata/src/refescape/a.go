@@ -71,14 +71,14 @@ func (c *cursor) bind(h *pmem.Heap, o oid.OID) error {
 	return nil
 }
 
-// useAfterAbort keeps using a view across TxAbort, which may have moved or
-// unmapped the object.
-func useAfterAbort(h *pmem.Heap, o oid.OID) (uint64, error) {
+// useAfterAbort keeps using a view across Tx.Abort, which may have moved
+// or unmapped the object.
+func useAfterAbort(h *pmem.Heap, tx *pmem.Tx, o oid.OID) (uint64, error) {
 	r, err := h.Deref(o, isa.RZ)
 	if err != nil {
 		return 0, err
 	}
-	if err := h.TxAbort(); err != nil {
+	if err := tx.Abort(); err != nil {
 		return 0, err
 	}
 	w, err := r.Load64(0) // want "pmem.Ref r used after the heap was closed, crashed, aborted, or recovered"
@@ -89,12 +89,12 @@ func useAfterAbort(h *pmem.Heap, o oid.OID) (uint64, error) {
 }
 
 // rederef re-derives the view after the invalidation point.
-func rederef(h *pmem.Heap, o oid.OID) (uint64, error) {
+func rederef(h *pmem.Heap, tx *pmem.Tx, o oid.OID) (uint64, error) {
 	r, err := h.Deref(o, isa.RZ)
 	if err != nil {
 		return 0, err
 	}
-	if err := h.TxAbort(); err != nil {
+	if err := tx.Abort(); err != nil {
 		return 0, err
 	}
 	r, err = h.Deref(o, isa.RZ)

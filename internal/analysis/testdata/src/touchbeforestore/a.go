@@ -1,6 +1,6 @@
 // Package fixture exercises the touchbeforestore analyzer: in-place
 // stores to persistent objects under a pds.Ctx need a dominating
-// Ctx.Touch/TxAddRange snapshot unless the object is fresh.
+// Ctx.Touch/Tx.AddRange snapshot unless the object is fresh.
 package fixture
 
 import (

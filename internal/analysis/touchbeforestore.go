@@ -9,10 +9,10 @@ import (
 // (paper §2.1.4): inside a function that operates under a pds.Ctx — where
 // a transaction may be active — every in-place store to a persistent
 // object must be preceded by a snapshot of that object (Ctx.Touch or
-// Heap.TxAddRange), so an abort or crash can roll the mutation back.
+// Tx.AddRange), so an abort or crash can roll the mutation back.
 //
 // Stores are exempt when the target object is fresh (allocated by this
-// function through Ctx.Alloc/Heap.Alloc/Heap.TxAlloc: a crash rolls back
+// function through Ctx.Alloc/Heap.Alloc/Tx.Alloc: a crash rolls back
 // the allocation itself, and the object is unreachable until published)
 // or reached through Heap.DirectRef (library-internal metadata with its
 // own write-ahead protocol).
@@ -26,7 +26,7 @@ import (
 // (values from maps, fields, or helper returns) are not checked.
 var TouchBeforeStore = &Analyzer{
 	Name: "touchbeforestore",
-	Doc:  "check that transactional code snapshots objects (Ctx.Touch/TxAddRange) before storing to them",
+	Doc:  "check that transactional code snapshots objects (Ctx.Touch/Tx.AddRange) before storing to them",
 	Run:  runTouchBeforeStore,
 }
 
@@ -218,7 +218,7 @@ func (h *tbsHooks) checkRefStore(call *ast.CallExpr, s *tbsState) {
 	}
 	if h.report {
 		h.pass.Reportf(call.Pos(),
-			"store to persistent object %s without a preceding Ctx.Touch/TxAddRange snapshot; an abort or crash cannot roll this mutation back", r.src)
+			"store to persistent object %s without a preceding Ctx.Touch/Tx.AddRange snapshot; an abort or crash cannot roll this mutation back", r.src)
 	}
 }
 

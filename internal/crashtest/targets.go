@@ -70,46 +70,14 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// txCtx is the pds.Ctx that routes structure mutations through the heap's
-// undo transactions, with the per-transaction snapshot dedup the Ctx
-// contract requires.
-type txCtx struct {
-	h       *pmem.Heap
-	p       *pmem.Pool
-	touched map[oid.OID]bool
+// poolCtx is the pds.Ctx of a single-pool target: the shared
+// transactional core plus placement in that pool.
+type poolCtx struct {
+	pds.TxCtx
+	p *pmem.Pool
 }
 
-func (c *txCtx) reset() { c.touched = make(map[oid.OID]bool) }
-
-func (c *txCtx) Heap() *pmem.Heap { return c.h }
-
-func (c *txCtx) Alloc(_ uint64, size uint32) (oid.OID, error) {
-	if c.h.InTx() {
-		return c.h.TxAlloc(c.p, size)
-	}
-	return c.h.Alloc(c.p, size)
-}
-
-func (c *txCtx) Free(o oid.OID) error {
-	if c.h.InTx() {
-		return c.h.TxFree(o)
-	}
-	return c.h.Free(o)
-}
-
-func (c *txCtx) Touch(o oid.OID, size uint32) error {
-	if !c.h.InTx() {
-		return nil
-	}
-	if c.touched[o] {
-		return nil
-	}
-	if err := c.h.TxAddRange(o, size); err != nil {
-		return err
-	}
-	c.touched[o] = true
-	return nil
-}
+func (c *poolCtx) Alloc(_ uint64, size uint32) (oid.OID, error) { return c.AllocIn(c.p, size) }
 
 // --- persistent-structure targets ---
 
@@ -205,7 +173,7 @@ func (t *pdsTarget) bind(h *pmem.Heap, p *pmem.Pool) (*pdsInstance, error) {
 		p:       p,
 		ops:     ops,
 		counter: root.FieldAt(8),
-		ctx:     &txCtx{h: h, p: p},
+		ctx:     &poolCtx{TxCtx: pds.NewTxCtx(h), p: p},
 	}, nil
 }
 
@@ -254,7 +222,7 @@ type pdsInstance struct {
 	p       *pmem.Pool
 	ops     structOps
 	counter oid.OID
-	ctx     *txCtx
+	ctx     *poolCtx
 }
 
 func (in *pdsInstance) setCounter(v uint64) error {
@@ -288,10 +256,9 @@ func (in *pdsInstance) Run(ops int) error {
 
 func (in *pdsInstance) doOp(i int) error {
 	ins, k, v := opFor(in.t.seed, i)
-	if err := in.h.TxBegin(in.p); err != nil {
+	if err := in.ctx.Begin(in.p); err != nil {
 		return err
 	}
-	in.ctx.reset()
 	present, _, err := in.ops.get(in.ctx, k)
 	if err != nil {
 		return err
@@ -310,7 +277,7 @@ func (in *pdsInstance) doOp(i int) error {
 	if err := in.setCounter(uint64(i + 1)); err != nil {
 		return err
 	}
-	return in.h.TxEnd()
+	return in.ctx.Commit()
 }
 
 func (in *pdsInstance) Check(ops int) error {
@@ -547,27 +514,27 @@ func (in *allocInstance) Run(ops int) error {
 
 func (in *allocInstance) doOp(i int) error {
 	slot, sizeSel, canary := allocOpFor(in.t.seed, i)
-	h := in.h
-	if err := h.TxBegin(in.p); err != nil {
+	tx, err := in.h.Begin(in.p)
+	if err != nil {
 		return err
 	}
 	cur, err := in.read64At(in.slotOID(slot))
 	if err != nil {
 		return err
 	}
-	if err := h.TxAddRange(in.root, 8+allocSlots*8); err != nil {
+	if err := tx.AddRange(in.root, 8+allocSlots*8); err != nil {
 		return err
 	}
-	rootRef, err := h.Deref(in.root, isa.RZ)
+	rootRef, err := in.h.Deref(in.root, isa.RZ)
 	if err != nil {
 		return err
 	}
 	if cur == 0 {
-		o, err := h.TxAlloc(in.p, 16<<sizeSel)
+		o, err := tx.Alloc(in.p, 16<<sizeSel)
 		if err != nil {
 			return err
 		}
-		blk, err := h.Deref(o, isa.RZ)
+		blk, err := in.h.Deref(o, isa.RZ)
 		if err != nil {
 			return err
 		}
@@ -578,7 +545,7 @@ func (in *allocInstance) doOp(i int) error {
 			return err
 		}
 	} else {
-		if err := h.TxFree(oid.OID(cur)); err != nil {
+		if err := tx.Free(oid.OID(cur)); err != nil {
 			return err
 		}
 		if err := rootRef.Store64(uint32(8+slot*8), 0, isa.RZ); err != nil {
@@ -588,7 +555,7 @@ func (in *allocInstance) doOp(i int) error {
 	if err := rootRef.Store64(0, uint64(i+1), isa.RZ); err != nil {
 		return err
 	}
-	return h.TxEnd()
+	return tx.Commit()
 }
 
 func (in *allocInstance) Check(ops int) error {

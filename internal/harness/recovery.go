@@ -84,12 +84,13 @@ func measureRecovery(mode emit.Mode, n int, seed int64) (insns, clwbs uint64, er
 		}
 		oids[i] = o
 	}
-	if err := h.TxBegin(pool); err != nil {
+	tx, err := h.Begin(pool)
+	if err != nil {
 		return 0, 0, err
 	}
 	for i := 0; i < n; i++ {
 		o := oids[i]
-		if err := h.TxAddRange(o, 64); err != nil {
+		if err := tx.AddRange(o, 64); err != nil {
 			return 0, 0, err
 		}
 		ref, err := h.Deref(o, isa.RZ)

@@ -44,11 +44,11 @@ type kvShard struct {
 	root oid.OID
 	// rctx is the read-path pds.Ctx (tx nil, so no mutable state): shared
 	// freely by concurrent readers under the shard's read lock.
-	rctx txCtx
+	rctx shardCtx
 	// wctx is the write-path pds.Ctx, rebound per transaction. Exclusive
 	// shard lock holders only; the touched map is reused across
 	// transactions so steady-state writes stop allocating.
-	wctx txCtx
+	wctx shardCtx
 	// journal is the volatile commit-order op journal of journaled mode,
 	// appended under the shard's write lock inside the transaction.
 	journal []BatchOp
@@ -84,8 +84,8 @@ func kvBind(sh *pmem.Sharded, p *pmem.Pool) (kvShard, error) {
 		pool: p,
 		tree: tree,
 		root: root,
-		rctx: txCtx{h: sh.Heap(), alloc: p},
-		wctx: txCtx{h: sh.Heap(), alloc: p},
+		rctx: newShardCtx(sh.Heap(), p),
+		wctx: newShardCtx(sh.Heap(), p),
 	}, nil
 }
 
@@ -357,7 +357,7 @@ func (kv *KV) Put(key, val uint64) (created bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	s.wctx.bind(t)
+	s.wctx.Bind(t)
 	updated, err := s.tree.UpdateFast(&s.wctx, key, val)
 	if err == nil && !updated {
 		created = true
@@ -392,7 +392,7 @@ func (kv *KV) Delete(key uint64) (existed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	s.wctx.bind(t)
+	s.wctx.Bind(t)
 	existed, err = s.tree.Remove(&s.wctx, key)
 	if err == nil && kv.journaled {
 		err = kv.journalOp(s, BatchOp{Key: key, Del: true})
@@ -541,7 +541,7 @@ func (kv *KV) Batch(ops []BatchOp) error {
 // bindBatch binds the shard's write ctx to a batch transaction and marks
 // where the batch's journal entries will start.
 func (s *kvShard) bindBatch(t *pmem.Tx) {
-	s.wctx.bind(t)
+	s.wctx.Bind(t)
 	s.jmark = len(s.journal)
 }
 
@@ -626,8 +626,7 @@ func (kv *KV) Check() (int, error) {
 	err := kv.sh.View(ids, func() error {
 		for i := range kv.shards {
 			s := &kv.shards[i]
-			ctx := &txCtx{h: kv.sh.Heap(), alloc: s.pool}
-			n, err := s.tree.CheckInvariants(ctx)
+			n, err := s.tree.CheckInvariants(&s.rctx)
 			if err != nil {
 				return err
 			}

@@ -123,7 +123,7 @@ func TestBTreeRemoveEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, cell := newCtx(t, 1, false)
+			c, cell := newCtx(t, 1)
 			bt := buildBTree(t, c, cell, tc.insert)
 			want := make(map[uint64]bool, len(tc.insert))
 			for _, k := range tc.insert {
@@ -169,7 +169,7 @@ func TestBTreeRemoveEdgeCases(t *testing.T) {
 // under random insert/remove churn, verifying invariants continuously.
 func TestBTreeRemoveRandomChurn(t *testing.T) {
 	rng := randtest.New(t, 99)
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	bt := NewBTree(cell)
 	model := make(map[uint64]bool)
 	const keyRange = 200

@@ -11,7 +11,8 @@
 // Placement and failure-safety policy is supplied by the caller through the
 // Ctx interface: where new nodes are allocated (the ALL/EACH/RANDOM pool
 // usage patterns of Table 6) and whether mutations are snapshotted into the
-// undo log (the BASE/OPT vs *_NTX configurations of Table 7).
+// undo log (the BASE/OPT vs *_NTX configurations of Table 7). TxCtx is
+// the transactional half every Ctx shares; a Ctx adds only its placement.
 package pds
 
 import (
@@ -38,7 +39,7 @@ type Ctx interface {
 	Free(o oid.OID) error
 	// Touch snapshots [o, o+size) into the undo log before modification
 	// (a no-op when failure-safety is off). Implementations must
-	// deduplicate per transaction.
+	// deduplicate per transaction, as TxCtx does.
 	Touch(o oid.OID, size uint32) error
 }
 

@@ -15,61 +15,35 @@ import (
 	"potgo/internal/vm"
 )
 
-// testCtx is a single-pool (or round-robin multi-pool) Ctx with optional
-// transactional snapshotting.
+// testCtx is a single-pool (or round-robin multi-pool) Ctx over the
+// shared transactional core.
 type testCtx struct {
-	h       *pmem.Heap
-	pools   []*pmem.Pool
-	next    int
-	tx      bool
-	touched map[oid.OID]bool
+	TxCtx
+	pools []*pmem.Pool
+	next  int
 }
 
-func (c *testCtx) Heap() *pmem.Heap { return c.h }
-
-func (c *testCtx) Alloc(key uint64, size uint32) (oid.OID, error) {
+func (c *testCtx) Alloc(_ uint64, size uint32) (oid.OID, error) {
 	p := c.pools[c.next%len(c.pools)]
 	c.next++
-	if c.tx && c.h.InTx() {
-		return c.h.TxAlloc(p, size)
-	}
-	return c.h.Alloc(p, size)
-}
-
-func (c *testCtx) Free(o oid.OID) error {
-	if c.tx && c.h.InTx() {
-		return c.h.TxFree(o)
-	}
-	return c.h.Free(o)
-}
-
-func (c *testCtx) Touch(o oid.OID, size uint32) error {
-	if !c.tx || !c.h.InTx() {
-		return nil
-	}
-	if c.touched[o] {
-		return nil
-	}
-	c.touched[o] = true
-	return c.h.TxAddRange(o, size)
+	return c.AllocIn(p, size)
 }
 
 func (c *testCtx) begin(t *testing.T) {
 	t.Helper()
-	c.touched = map[oid.OID]bool{}
-	if err := c.h.TxBegin(c.pools[0]); err != nil {
+	if err := c.Begin(c.pools[0]); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func (c *testCtx) end(t *testing.T) {
 	t.Helper()
-	if err := c.h.TxEnd(); err != nil {
+	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func newCtx(t *testing.T, npools int, tx bool) (*testCtx, Cell) {
+func newCtx(t *testing.T, npools int) (*testCtx, Cell) {
 	t.Helper()
 	as := vm.NewAddressSpace(31)
 	em := emit.New(trace.Discard{}, emit.Opt)
@@ -77,7 +51,7 @@ func newCtx(t *testing.T, npools int, tx bool) (*testCtx, Cell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &testCtx{h: h, tx: tx}
+	c := &testCtx{TxCtx: NewTxCtx(h)}
 	for i := 0; i < npools; i++ {
 		p, err := h.CreateSized(string(rune('A'+i)), 8<<20, 256*1024)
 		if err != nil {
@@ -93,7 +67,7 @@ func newCtx(t *testing.T, npools int, tx bool) (*testCtx, Cell) {
 }
 
 func TestListBasics(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	l := NewList(cell)
 	keys := []uint64{5, 3, 9, 1}
 	for _, k := range keys {
@@ -137,7 +111,7 @@ func TestListBasics(t *testing.T) {
 }
 
 func TestListAgainstReference(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	l := NewList(cell)
 	rng := randtest.New(t, 2)
 	ref := map[uint64]bool{}
@@ -167,7 +141,7 @@ func TestListAgainstReference(t *testing.T) {
 }
 
 func TestListSpansPools(t *testing.T) {
-	c, cell := newCtx(t, 4, false)
+	c, cell := newCtx(t, 4)
 	l := NewList(cell)
 	for k := uint64(0); k < 40; k++ {
 		if err := l.Insert(c, k); err != nil {
@@ -193,7 +167,7 @@ func TestListSpansPools(t *testing.T) {
 }
 
 func TestBSTAgainstReference(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	bst := NewBST(cell)
 	rng := randtest.New(t, 3)
 	ref := map[uint64]bool{}
@@ -231,7 +205,7 @@ func TestBSTAgainstReference(t *testing.T) {
 }
 
 func TestRBTInvariantsUnderChurn(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	rbt := NewRBT(cell)
 	rng := randtest.New(t, 4)
 	ref := map[uint64]bool{}
@@ -270,7 +244,7 @@ func TestRBTInvariantsUnderChurn(t *testing.T) {
 }
 
 func TestRBTDrainCompletely(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	rbt := NewRBT(cell)
 	var keys []uint64
 	for k := uint64(0); k < 200; k++ {
@@ -300,7 +274,7 @@ func TestRBTDrainCompletely(t *testing.T) {
 }
 
 func TestBTreeInvariantsAndFind(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	bt := NewBTree(cell)
 	rng := randtest.New(t, 6)
 	ref := map[uint64]bool{}
@@ -333,7 +307,7 @@ func TestBTreeInvariantsAndFind(t *testing.T) {
 }
 
 func TestBPlusAgainstReference(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	bp := NewBPlus(cell)
 	rng := randtest.New(t, 7)
 	ref := map[uint64]uint64{}
@@ -389,7 +363,7 @@ func TestBPlusAgainstReference(t *testing.T) {
 }
 
 func TestBPlusDrain(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	bp := NewBPlus(cell)
 	const n = 500
 	for k := uint64(0); k < n; k++ {
@@ -420,7 +394,7 @@ func TestBPlusDrain(t *testing.T) {
 }
 
 func TestBPlusScan(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	bp := NewBPlus(cell)
 	for k := uint64(0); k < 100; k += 2 {
 		if err := bp.Insert(c, k, k+1000); err != nil {
@@ -451,7 +425,7 @@ func TestBPlusScan(t *testing.T) {
 }
 
 func TestStringArraySwap(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	sa := NewStringArray(cell, 64, StringBytes)
 	if err := sa.Init(c); err != nil {
 		t.Fatal(err)
@@ -496,7 +470,7 @@ func TestStringArraySwap(t *testing.T) {
 // the structure is bit-identical to its pre-transaction state — proving the
 // structures Touch (undo-log) every word they modify.
 func TestTransactionalAbortRestoresStructures(t *testing.T) {
-	c, cell := newCtx(t, 1, true)
+	c, cell := newCtx(t, 1)
 	rbt := NewRBT(cell)
 	// Build a committed tree.
 	for k := uint64(0); k < 100; k++ {
@@ -513,7 +487,7 @@ func TestTransactionalAbortRestoresStructures(t *testing.T) {
 	if err := rbt.Insert(c, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.h.TxAbort(); err != nil {
+	if err := c.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := rbt.InOrder(c)
@@ -530,7 +504,7 @@ func TestTransactionalAbortRestoresStructures(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	if err := c.h.TxAbort(); err != nil {
+	if err := c.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	after, _ = rbt.InOrder(c)
@@ -543,7 +517,7 @@ func TestTransactionalAbortRestoresStructures(t *testing.T) {
 }
 
 func TestTransactionalAbortRestoresBPlus(t *testing.T) {
-	c, cell := newCtx(t, 1, true)
+	c, cell := newCtx(t, 1)
 	bp := NewBPlus(cell)
 	for k := uint64(0); k < 200; k++ {
 		c.begin(t)
@@ -569,7 +543,7 @@ func TestTransactionalAbortRestoresBPlus(t *testing.T) {
 	if ok, err := bp.Remove(c, 101); err != nil || !ok {
 		t.Fatal(err)
 	}
-	if err := c.h.TxAbort(); err != nil {
+	if err := c.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	after := snapshot()
@@ -615,7 +589,7 @@ func firstKey(m map[uint64]bool) uint64 {
 }
 
 func TestBTreeRemoveAgainstReference(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	bt := NewBTree(cell)
 	rng := randtest.New(t, 17)
 	ref := map[uint64]bool{}
@@ -651,7 +625,7 @@ func TestBTreeRemoveAgainstReference(t *testing.T) {
 }
 
 func TestBTreeDrainCompletely(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	bt := NewBTree(cell)
 	const n = 400
 	for k := uint64(0); k < n; k++ {
@@ -686,7 +660,7 @@ func TestBTreeDrainCompletely(t *testing.T) {
 }
 
 func TestBTreeRemoveFromEmptyTree(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	bt := NewBTree(cell)
 	if ok, err := bt.Remove(c, 5); err != nil || ok {
 		t.Errorf("remove from empty tree: %t, %v", ok, err)
@@ -694,7 +668,7 @@ func TestBTreeRemoveFromEmptyTree(t *testing.T) {
 }
 
 func TestBTreeTransactionalRemoveAborts(t *testing.T) {
-	c, cell := newCtx(t, 1, true)
+	c, cell := newCtx(t, 1)
 	bt := NewBTree(cell)
 	for k := uint64(0); k < 120; k++ {
 		c.begin(t)
@@ -713,7 +687,7 @@ func TestBTreeTransactionalRemoveAborts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.h.TxAbort(); err != nil {
+	if err := c.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	nAfter, err := bt.CheckInvariants(c)
@@ -730,7 +704,7 @@ func TestBTreeTransactionalRemoveAborts(t *testing.T) {
 // their nodes to themselves, and once the arena is warm Insert and Remove
 // decode into it without allocating.
 func TestBPlusScratchArena(t *testing.T) {
-	c, cell := newCtx(t, 1, false)
+	c, cell := newCtx(t, 1)
 	bp := NewBPlus(cell)
 	const n = 2000
 	for k := uint64(0); k < n; k++ {

@@ -11,7 +11,7 @@ import (
 // bytes, invariants checked at the end.
 func TestQuickBPlusMatchesMap(t *testing.T) {
 	f := func(script []byte) bool {
-		c, cell := newCtx(t, 1, false)
+		c, cell := newCtx(t, 1)
 		bp := NewBPlus(cell)
 		ref := map[uint64]uint64{}
 		for i, b := range script {
@@ -60,7 +60,7 @@ func TestQuickBPlusMatchesMap(t *testing.T) {
 // structure stays sorted under arbitrary insert/remove scripts.
 func TestQuickBTreeMatchesSet(t *testing.T) {
 	f := func(script []byte) bool {
-		c, cell := newCtx(t, 1, false)
+		c, cell := newCtx(t, 1)
 		bt := NewBTree(cell)
 		ref := map[uint64]bool{}
 		for _, b := range script {
@@ -90,7 +90,7 @@ func TestQuickBTreeMatchesSet(t *testing.T) {
 // after any script, and the red-black invariants hold.
 func TestQuickRBTSorted(t *testing.T) {
 	f := func(script []byte) bool {
-		c, cell := newCtx(t, 1, false)
+		c, cell := newCtx(t, 1)
 		rbt := NewRBT(cell)
 		ref := map[uint64]bool{}
 		for _, b := range script {

@@ -11,57 +11,49 @@ import (
 	"potgo/internal/vm"
 )
 
-// countingCtx implements the Ctx dedup contract ("implementations must
-// deduplicate per transaction") and counts both Touch calls and the
-// TxAddRange snapshots actually issued, per OID per transaction. The suite
-// below drives every structure through transactional workloads and checks
-// the invariant the undo log depends on: at most one snapshot per object
-// per transaction (a second TxAddRange would burn log space and, worse, a
-// snapshot taken after a first mutation would record the wrong pre-image
-// if the dedup key were forgotten between operations).
+// countingCtx is a single-pool Ctx over the shared transactional core
+// that counts both Touch calls and the undo records they actually issue,
+// per OID per transaction. The suite below drives every structure through
+// transactional workloads and checks the invariant the undo log depends
+// on: at most one snapshot per object per transaction (a second AddRange
+// would burn log space and, worse, a snapshot taken after a first mutation
+// would record the wrong pre-image if the dedup key were forgotten between
+// operations).
 type countingCtx struct {
+	TxCtx
 	t       *testing.T
-	h       *pmem.Heap
 	pool    *pmem.Pool
 	calls   map[oid.OID]int // Touch calls this transaction
-	issued  map[oid.OID]int // TxAddRange snapshots this transaction
+	issued  map[oid.OID]int // undo records issued this transaction
 	dedupes int             // calls swallowed by dedup, across the test
 }
 
-func (c *countingCtx) Heap() *pmem.Heap { return c.h }
-
-func (c *countingCtx) Alloc(key uint64, size uint32) (oid.OID, error) {
-	if c.h.InTx() {
-		return c.h.TxAlloc(c.pool, size)
-	}
-	return c.h.Alloc(c.pool, size)
-}
-
-func (c *countingCtx) Free(o oid.OID) error {
-	if c.h.InTx() {
-		return c.h.TxFree(o)
-	}
-	return c.h.Free(o)
+func (c *countingCtx) Alloc(_ uint64, size uint32) (oid.OID, error) {
+	return c.AllocIn(c.pool, size)
 }
 
 func (c *countingCtx) Touch(o oid.OID, size uint32) error {
-	if !c.h.InTx() {
+	if c.tx == nil {
 		return nil
 	}
 	c.calls[o]++
-	if c.issued[o] > 0 {
-		c.dedupes++
-		return nil
+	before := c.h.Metrics.UndoRecords
+	if err := c.TxCtx.Touch(o, size); err != nil {
+		return err
 	}
-	c.issued[o]++
-	return c.h.TxAddRange(o, size)
+	if n := c.h.Metrics.UndoRecords - before; n > 0 {
+		c.issued[o] += int(n)
+	} else {
+		c.dedupes++
+	}
+	return nil
 }
 
 func (c *countingCtx) begin() {
 	c.t.Helper()
 	c.calls = map[oid.OID]int{}
 	c.issued = map[oid.OID]int{}
-	if err := c.h.TxBegin(c.pool); err != nil {
+	if err := c.Begin(c.pool); err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -69,7 +61,7 @@ func (c *countingCtx) begin() {
 // end commits and asserts the per-transaction snapshot invariant.
 func (c *countingCtx) end() {
 	c.t.Helper()
-	if err := c.h.TxEnd(); err != nil {
+	if err := c.Commit(); err != nil {
 		c.t.Fatal(err)
 	}
 	for o, n := range c.issued {
@@ -98,7 +90,7 @@ func newCountingCtx(t *testing.T) (*countingCtx, Cell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &countingCtx{t: t, h: h, pool: p}, NewCell(h, root)
+	return &countingCtx{TxCtx: NewTxCtx(h), t: t, pool: p}, NewCell(h, root)
 }
 
 // TestTouchOncePerTransaction drives all five structures through

@@ -16,7 +16,7 @@ import (
 // volatile at that point, a crash would revert the durable head onto a block
 // whose next word is now object data — and recovery's membership walk, seeing
 // the block at the head, would conclude "already threaded" and leave the
-// corrupt chain in place. TxAlloc therefore persists the pop before
+// corrupt chain in place. Tx.Alloc therefore persists the pop before
 // returning; this test crashes in exactly that window and checks the free
 // list survives.
 func TestTxAllocPopDurableBeforeReuse(t *testing.T) {
@@ -28,13 +28,14 @@ func TestTxAllocPopDurableBeforeReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TxBegin(p); err != nil {
+	tx, err := h.Begin(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TxFree(victim); err != nil {
+	if err := tx.Free(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TxEnd(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.SyncPool(p); err != nil {
@@ -43,10 +44,11 @@ func TestTxAllocPopDurableBeforeReuse(t *testing.T) {
 
 	// A new transaction reuses it and persists object data over the payload
 	// — including the word that held the free list's next pointer.
-	if err := h.TxBegin(p); err != nil {
+	tx, err = h.Begin(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reused, err := h.TxAlloc(p, 64)
+	reused, err := tx.Alloc(p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,26 +106,28 @@ func TestTxAllocPopCrashBetweenLogAndHeadPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TxBegin(p); err != nil {
+	tx, err := h.Begin(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TxFree(victim); err != nil {
+	if err := tx.Free(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TxEnd(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.SyncPool(p); err != nil {
 		t.Fatal(err)
 	}
 
-	// Sweep every persistence event inside TxBegin+TxAlloc: each crash
+	// Sweep every persistence event inside Begin+Tx.Alloc: each crash
 	// point must recover to a pool where the victim is free exactly once.
 	dry := func(h *Heap, p *Pool) error {
-		if err := h.TxBegin(p); err != nil {
+		tx, err := h.Begin(p)
+		if err != nil {
 			return err
 		}
-		_, err := h.TxAlloc(p, 64)
+		_, err = tx.Alloc(p, 64)
 		return err
 	}
 	base := h.NV.Events()
@@ -132,7 +136,7 @@ func TestTxAllocPopCrashBetweenLogAndHeadPersist(t *testing.T) {
 	}
 	span := h.NV.Events() - base
 	if span == 0 {
-		t.Fatal("no persistence events in TxAlloc")
+		t.Fatal("no persistence events in Tx.Alloc")
 	}
 	_ = as
 	_ = store
@@ -142,13 +146,14 @@ func TestTxAllocPopCrashBetweenLogAndHeadPersist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.TxBegin(p); err != nil {
+		tx, err := h.Begin(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.TxFree(victim); err != nil {
+		if err := tx.Free(victim); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.TxEnd(); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.SyncPool(p); err != nil {

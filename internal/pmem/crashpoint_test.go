@@ -40,35 +40,40 @@ func txScript(h *Heap, p *Pool, objs [3]oid.OID, steps int) (int, error) {
 		}
 		return r
 	}
+	var tx *Tx
+	begin := func() (err error) {
+		tx, err = h.Begin(p)
+		return err
+	}
 	err := func() error {
-		if err := step(func() error { return h.TxBegin(p) }); err != nil {
+		if err := step(begin); err != nil {
 			return err
 		}
-		if err := step(func() error { return h.TxAddRange(objs[0], 16) }); err != nil {
+		if err := step(func() error { return tx.AddRange(objs[0], 16) }); err != nil {
 			return err
 		}
 		if err := step(func() error { return deref(objs[0]).Store64(0, 1111, isa.RZ) }); err != nil {
 			return err
 		}
-		if err := step(func() error { return h.TxAddRange(objs[1], 16) }); err != nil {
+		if err := step(func() error { return tx.AddRange(objs[1], 16) }); err != nil {
 			return err
 		}
 		if err := step(func() error { return deref(objs[1]).Store64(8, 2222, isa.RZ) }); err != nil {
 			return err
 		}
 		if err := step(func() error {
-			_, err := h.TxAlloc(p, 64)
+			_, err := tx.Alloc(p, 64)
 			return err
 		}); err != nil {
 			return err
 		}
-		if err := step(func() error { return h.TxFree(objs[2]) }); err != nil {
+		if err := step(func() error { return tx.Free(objs[2]) }); err != nil {
 			return err
 		}
 		if err := step(func() error { return deref(objs[0]).Store64(8, 3333, isa.RZ) }); err != nil {
 			return err
 		}
-		if err := step(func() error { return h.TxEnd() }); err != nil {
+		if err := step(func() error { return tx.Commit() }); err != nil {
 			return err
 		}
 		return nil
@@ -183,7 +188,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 }
 
 // freeScript is the recFree-focused script: a transaction whose only
-// effect is tx_pfree of the victim. Steps: TxBegin, TxFree, TxEnd.
+// effect is tx_pfree of the victim. Steps: Begin, Free, Commit.
 func freeScript(h *Heap, p *Pool, victim oid.OID, steps int) (int, error) {
 	n := 0
 	step := func(fn func() error) error {
@@ -193,14 +198,19 @@ func freeScript(h *Heap, p *Pool, victim oid.OID, steps int) (int, error) {
 		n++
 		return fn()
 	}
+	var tx *Tx
+	begin := func() (err error) {
+		tx, err = h.Begin(p)
+		return err
+	}
 	err := func() error {
-		if err := step(func() error { return h.TxBegin(p) }); err != nil {
+		if err := step(begin); err != nil {
 			return err
 		}
-		if err := step(func() error { return h.TxFree(victim) }); err != nil {
+		if err := step(func() error { return tx.Free(victim) }); err != nil {
 			return err
 		}
-		return step(func() error { return h.TxEnd() })
+		return step(func() error { return tx.Commit() })
 	}()
 	if err == errStop {
 		err = nil
@@ -270,10 +280,10 @@ func checkVictimAlive(t *testing.T, label string, h *Heap, p *Pool, victim oid.O
 // boundary (tx_pfree is write-ahead: the record is logged during the
 // transaction, the block only hits the free list at commit, §2.1.4):
 //
-//	crash after TxBegin, after TxFree  → free not applied, victim intact
-//	run through TxEnd, then crash      → free applied, block reusable
+//	crash after Begin, after Free     → free not applied, victim intact
+//	run through Commit, then crash    → free applied, block reusable
 func TestFreeCrashMatrix(t *testing.T) {
-	const total = 3 // TxBegin, TxFree, TxEnd
+	const total = 3 // Begin, Free, Commit
 	for crashAt := 0; crashAt <= total; crashAt++ {
 		label := fmt.Sprintf("crash point %d", crashAt)
 		as, store, h, p, victim := freeWorld(t, int64(3000+crashAt))
@@ -319,13 +329,14 @@ func TestFreeCrashMatrix(t *testing.T) {
 // block was still accounted as allocated.
 func TestFreeIntentDroppedOnAbort(t *testing.T) {
 	_, _, h, p, victim := freeWorld(t, 4000)
-	if err := h.TxBegin(p); err != nil {
+	tx, err := h.Begin(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TxFree(victim); err != nil {
+	if err := tx.Free(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TxAbort(); err != nil {
+	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	checkVictimAlive(t, "abort", h, p, victim)

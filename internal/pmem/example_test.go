@@ -32,9 +32,9 @@ func Example() {
 	// value: 42 — pool id stable: true
 }
 
-// ExampleHeap_TxBegin shows a failure-safe update: the undo log restores
+// ExampleHeap_Begin shows a failure-safe update: the undo log restores
 // the snapshot when the transaction aborts.
-func ExampleHeap_TxBegin() {
+func ExampleHeap_Begin() {
 	as := vm.NewAddressSpace(2)
 	heap, _ := pmem.NewHeap(as, pmem.NewStore(), emit.New(trace.Discard{}, emit.Opt), nil)
 	pool, _ := heap.Create("tx", 1<<20)
@@ -42,18 +42,18 @@ func ExampleHeap_TxBegin() {
 	ref, _ := heap.Deref(obj, isa.RZ)
 	_ = ref.Store64(0, 100, isa.RZ)
 
-	_ = heap.TxBegin(pool)      // tx_begin
-	_ = heap.TxAddRange(obj, 8) // tx_add_range: snapshot before modifying
+	tx, _ := heap.Begin(pool) // tx_begin
+	_ = tx.AddRange(obj, 8)   // tx_add_range: snapshot before modifying
 	_ = ref.Store64(0, 999, isa.RZ)
-	_ = heap.TxAbort() // roll back
+	_ = tx.Abort() // roll back
 
 	w, _ := ref.Load64(0)
 	fmt.Println("after abort:", w.V)
 
-	_ = heap.TxBegin(pool)
-	_ = heap.TxAddRange(obj, 8)
+	tx, _ = heap.Begin(pool)
+	_ = tx.AddRange(obj, 8)
 	_ = ref.Store64(0, 999, isa.RZ)
-	_ = heap.TxEnd() // tx_end: commit durably
+	_ = tx.Commit() // tx_end: commit durably
 	w, _ = ref.Load64(0)
 	fmt.Println("after commit:", w.V)
 	// Output:
@@ -73,8 +73,8 @@ func ExampleHeap_Recover() {
 	_ = ref.Store64(0, 7, isa.RZ)
 	_ = heap.Persist(obj, 8)
 
-	_ = heap.TxBegin(pool)
-	_ = heap.TxAddRange(obj, 8)
+	tx, _ := heap.Begin(pool)
+	_ = tx.AddRange(obj, 8)
 	_ = ref.Store64(0, 8, isa.RZ)
 	_, _ = heap.Crash(nvmsim.DropAllPolicy()) // power loss mid-transaction
 

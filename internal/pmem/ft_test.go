@@ -30,10 +30,11 @@ func ftAllocObjs(t *testing.T, h *Heap, p *Pool, n int, size uint32) []oid.OID {
 	t.Helper()
 	objs := make([]oid.OID, n)
 	for i := range objs {
-		if err := h.TxBegin(p); err != nil {
+		tx, err := h.Begin(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := h.TxAlloc(p, size)
+		o, err := tx.Alloc(p, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func ftAllocObjs(t *testing.T, h *Heap, p *Pool, n int, size uint32) []oid.OID {
 				t.Fatal(err)
 			}
 		}
-		if err := h.TxEnd(); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		objs[i] = o
@@ -253,10 +254,11 @@ func TestFTVerifyStandsDownInTx(t *testing.T) {
 	e, p := newFTEnv(t)
 	objs := ftAllocObjs(t, e.h, p, 2, 64)
 	e.h.SetVerifyOnRead(true)
-	if err := e.h.TxBegin(p); err != nil {
+	tx, err := e.h.Begin(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.h.TxAddRange(objs[0], 64); err != nil {
+	if err := tx.AddRange(objs[0], 64); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := e.h.Deref(objs[0], isa.RZ)
@@ -271,7 +273,7 @@ func TestFTVerifyStandsDownInTx(t *testing.T) {
 	if _, err := e.h.Deref(objs[0], isa.RZ); err != nil {
 		t.Fatalf("mid-tx deref: %v", err)
 	}
-	if err := e.h.TxEnd(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	// Commit recomputed the checksum; verification is live again.
@@ -284,10 +286,11 @@ func TestFTAbortRestoresDerivedState(t *testing.T) {
 	e, p := newFTEnv(t)
 	objs := ftAllocObjs(t, e.h, p, 2, 64)
 	before := readObj(t, e.h, objs[0], 64)
-	if err := e.h.TxBegin(p); err != nil {
+	tx, err := e.h.Begin(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.h.TxAddRange(objs[0], 64); err != nil {
+	if err := tx.AddRange(objs[0], 64); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := e.h.Deref(objs[0], isa.RZ)
@@ -297,10 +300,10 @@ func TestFTAbortRestoresDerivedState(t *testing.T) {
 	if err := ref.Store64(0, 0xBEEF, isa.RZ); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.h.TxAlloc(p, 64); err != nil {
+	if _, err := tx.Alloc(p, 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.h.TxAbort(); err != nil {
+	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	if got := readObj(t, e.h, objs[0], 64); string(got) != string(before) {
@@ -330,10 +333,11 @@ func TestFTRecoverRestoresDerivedState(t *testing.T) {
 		}
 		objs := ftAllocObjs(t, h, p, 4, 64)
 		// Open a transaction, dirty an object, and crash before commit.
-		if err := h.TxBegin(p); err != nil {
+		tx, err := h.Begin(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.TxAddRange(objs[0], 64); err != nil {
+		if err := tx.AddRange(objs[0], 64); err != nil {
 			t.Fatal(err)
 		}
 		ref, err := h.Deref(objs[0], isa.RZ)

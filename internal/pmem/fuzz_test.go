@@ -28,21 +28,22 @@ import (
 func fuzzOps(h *Heap, p *Pool, setup []oid.OID, script []byte) error {
 	lives := append([]oid.OID(nil), setup...)
 	var txAllocs, txFrees []oid.OID
-	inTx := false
-	begin := func() error {
-		if inTx {
+	var tx *Tx // nil outside a transaction
+	begin := func() (err error) {
+		if tx != nil {
 			return nil
 		}
 		txAllocs, txFrees = nil, nil
-		inTx = true
-		return h.TxBegin(p)
+		tx, err = h.Begin(p)
+		return err
 	}
 	commit := func() error {
-		if !inTx {
+		if tx == nil {
 			return nil
 		}
-		inTx = false
-		if err := h.TxEnd(); err != nil {
+		err := tx.Commit()
+		tx = nil
+		if err != nil {
 			return err
 		}
 		freed := make(map[oid.OID]bool, len(txFrees))
@@ -76,7 +77,7 @@ func fuzzOps(h *Heap, p *Pool, setup []oid.OID, script []byte) error {
 			if err := begin(); err != nil {
 				return err
 			}
-			if err := h.TxAddRange(o, 16); err != nil {
+			if err := tx.AddRange(o, 16); err != nil {
 				return err
 			}
 			ref, err := h.Deref(o, isa.RZ)
@@ -91,7 +92,7 @@ func fuzzOps(h *Heap, p *Pool, setup []oid.OID, script []byte) error {
 				return err
 			}
 			size := uint32(16) << (b % 4) // 16..128
-			o, err := h.TxAlloc(p, size)
+			o, err := tx.Alloc(p, size)
 			if err != nil {
 				return err
 			}
@@ -116,7 +117,7 @@ func fuzzOps(h *Heap, p *Pool, setup []oid.OID, script []byte) error {
 			if err := begin(); err != nil {
 				return err
 			}
-			if err := h.TxFree(victim); err != nil {
+			if err := tx.Free(victim); err != nil {
 				return err
 			}
 			txFrees = append(txFrees, victim)
@@ -125,14 +126,15 @@ func fuzzOps(h *Heap, p *Pool, setup []oid.OID, script []byte) error {
 				return err
 			}
 		case 4: // abort (allocs rolled back, frees dropped)
-			if !inTx {
+			if tx == nil {
 				continue
 			}
-			inTx = false
 			// The aborted allocations are dead objects; the dropped frees
 			// leave their targets live.
 			txAllocs, txFrees = nil, nil
-			if err := h.TxAbort(); err != nil {
+			err := tx.Abort()
+			tx = nil
+			if err != nil {
 				return err
 			}
 		}

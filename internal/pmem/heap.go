@@ -57,8 +57,6 @@ type Heap struct {
 	// txFree recycles retired Tx handles (and their snapshot arenas) so a
 	// steady-state commit loop stops allocating. Guarded by txMu.
 	txFree []*Tx
-	// ambient is the legacy single-transaction API's implicit handle.
-	ambient *Tx
 	// clwbPool memoizes the pool the last observed CLWB landed in;
 	// persist loops write back runs of lines from one pool. Disabled in
 	// concurrent mode (unsynchronized cross-goroutine state).

@@ -430,17 +430,18 @@ func TestTxCommit(t *testing.T) {
 	ref, _ := e.h.Deref(o, isa.RZ)
 	ref.Store64(0, 1, isa.RZ)
 
-	if err := e.h.TxBegin(p); err != nil {
+	tx, err := e.h.Begin(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.h.InTx() {
-		t.Error("InTx must be true")
+	if !e.h.poolBusy(p) {
+		t.Error("the pool must be busy inside the transaction")
 	}
-	if err := e.h.TxAddRange(o, 16); err != nil {
+	if err := tx.AddRange(o, 16); err != nil {
 		t.Fatal(err)
 	}
 	ref.Store64(0, 2, isa.RZ)
-	if err := e.h.TxEnd(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	w, _ := ref.Load64(0)
@@ -460,11 +461,11 @@ func TestTxAbortRestores(t *testing.T) {
 	ref.Store64(0, 111, isa.RZ)
 	ref.Store64(8, 222, isa.RZ)
 
-	e.h.TxBegin(p)
-	e.h.TxAddRange(o, 16)
+	tx, _ := e.h.Begin(p)
+	tx.AddRange(o, 16)
 	ref.Store64(0, 999, isa.RZ)
 	ref.Store64(8, 888, isa.RZ)
-	if err := e.h.TxAbort(); err != nil {
+	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	w0, _ := ref.Load64(0)
@@ -472,7 +473,7 @@ func TestTxAbortRestores(t *testing.T) {
 	if w0.V != 111 || w8.V != 222 {
 		t.Errorf("abort must restore: %d, %d", w0.V, w8.V)
 	}
-	if e.h.InTx() {
+	if e.h.poolBusy(p) {
 		t.Error("no tx after abort")
 	}
 }
@@ -480,12 +481,12 @@ func TestTxAbortRestores(t *testing.T) {
 func TestTxAllocUndoneOnAbort(t *testing.T) {
 	e := newEnv(t, emit.Opt)
 	p := e.create(t, "p")
-	e.h.TxBegin(p)
-	o, err := e.h.TxAlloc(p, 64)
+	tx, _ := e.h.Begin(p)
+	o, err := tx.Alloc(p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.h.TxAbort()
+	tx.Abort()
 	// The aborted allocation's block must be back on the free list.
 	o2, _ := e.h.Alloc(p, 64)
 	if o2 != o {
@@ -501,18 +502,18 @@ func TestTxFreeDeferred(t *testing.T) {
 	ref.Store64(0, 7, isa.RZ)
 
 	// Abort: the free never happens.
-	e.h.TxBegin(p)
-	e.h.TxFree(o)
-	e.h.TxAbort()
+	tx, _ := e.h.Begin(p)
+	tx.Free(o)
+	tx.Abort()
 	w, _ := ref.Load64(0)
 	if w.V != 7 {
 		t.Error("aborted tx_pfree must not free")
 	}
 
 	// Commit: the free applies.
-	e.h.TxBegin(p)
-	e.h.TxFree(o)
-	e.h.TxEnd()
+	tx, _ = e.h.Begin(p)
+	tx.Free(o)
+	tx.Commit()
 	o2, _ := e.h.Alloc(p, 64)
 	if o2 != o {
 		t.Errorf("committed tx_pfree must recycle the block: %v vs %v", o, o2)
@@ -522,30 +523,33 @@ func TestTxFreeDeferred(t *testing.T) {
 func TestTxErrors(t *testing.T) {
 	e := newEnv(t, emit.Opt)
 	p := e.create(t, "p")
-	o, _ := e.h.Alloc(p, 16)
-	if err := e.h.TxAddRange(o, 16); err == nil {
-		t.Error("tx_add_range outside tx must fail")
+	q := e.create(t, "q")
+	o, _ := e.h.Alloc(q, 16)
+	tx, err := e.h.Begin(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := e.h.TxAlloc(p, 16); err == nil {
-		t.Error("tx_pmalloc outside tx must fail")
-	}
-	if err := e.h.TxFree(o); err == nil {
-		t.Error("tx_pfree outside tx must fail")
-	}
-	if err := e.h.TxEnd(); err == nil {
-		t.Error("tx_end outside tx must fail")
-	}
-	if err := e.h.TxAbort(); err == nil {
-		t.Error("tx_abort outside tx must fail")
-	}
-	e.h.TxBegin(p)
-	if err := e.h.TxBegin(p); err == nil {
-		t.Error("nested tx must fail")
+	if _, err := e.h.Begin(p); err == nil {
+		t.Error("a second tx on the same pool must fail")
 	}
 	if err := e.h.Close(p); err == nil {
 		t.Error("closing a pool with an active tx must fail")
 	}
-	e.h.TxEnd()
+	if err := e.h.Close(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddRange(o, 16); err == nil {
+		t.Error("tx_add_range in a closed pool must fail")
+	}
+	if err := tx.Free(o); err == nil {
+		t.Error("tx_pfree in a closed pool must fail")
+	}
+	if _, err := e.h.Begin(q); err == nil {
+		t.Error("tx_begin on a closed pool must fail")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestTxLogFull(t *testing.T) {
@@ -555,17 +559,17 @@ func TestTxLogFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	o, _ := e.h.Alloc(p, 2048)
-	e.h.TxBegin(p)
+	tx, _ := e.h.Begin(p)
 	var last error
 	for i := 0; i < 100; i++ {
-		if last = e.h.TxAddRange(o, 2048); last != nil {
+		if last = tx.AddRange(o, 2048); last != nil {
 			break
 		}
 	}
 	if last == nil {
 		t.Error("undo log must eventually fill")
 	}
-	e.h.TxAbort()
+	tx.Abort()
 }
 
 func TestCrashRecovery(t *testing.T) {
@@ -579,8 +583,8 @@ func TestCrashRecovery(t *testing.T) {
 	e.h.Persist(o, 16)
 
 	// Start a transaction, snapshot, scribble, then crash mid-flight.
-	e.h.TxBegin(p)
-	e.h.TxAddRange(o, 16)
+	tx, _ := e.h.Begin(p)
+	tx.AddRange(o, 16)
 	ref.Store64(0, 2000, isa.RZ)
 	if _, err := e.h.Crash(nvmsim.DropAllPolicy()); err != nil {
 		t.Fatal(err)
@@ -617,8 +621,8 @@ func TestCrashRecoveryUndoesAllocs(t *testing.T) {
 	store := NewStore()
 	e := attach(t, as, store, emit.Opt)
 	p := e.create(t, "p")
-	e.h.TxBegin(p)
-	o, _ := e.h.TxAlloc(p, 64)
+	tx, _ := e.h.Begin(p)
+	o, _ := tx.Alloc(p, 64)
 	e.h.Crash(nvmsim.DropAllPolicy())
 
 	e2 := attach(t, as, store, emit.Opt)
@@ -645,13 +649,13 @@ func TestBaseAndOptComputeIdenticalState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.h.TxBegin(p)
-		e.h.TxAddRange(root, 64)
+		tx, _ := e.h.Begin(p)
+		tx.AddRange(root, 64)
 		ref, _ := e.h.Deref(root, isa.RZ)
 		for i := uint32(0); i < 8; i++ {
 			ref.Store64(i*8, uint64(i*i), isa.RZ)
 		}
-		e.h.TxEnd()
+		tx.Commit()
 		return e, p, root, e.h.Emit.Count()
 	}
 	eb, pb, rb, nBase := run(emit.Base)

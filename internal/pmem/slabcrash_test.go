@@ -70,8 +70,9 @@ func slabScript(h *Heap, p *Pool, root oid.OID) error {
 		}
 		return oid.OID(w.V)
 	}
+	var tx *Tx
 	allocInto := func(slot int, size uint32) error {
-		o, err := h.TxAlloc(p, size)
+		o, err := tx.Alloc(p, size)
 		if err != nil {
 			return err
 		}
@@ -86,10 +87,11 @@ func slabScript(h *Heap, p *Pool, root oid.OID) error {
 	}
 
 	// tx1: three first-touch classes, three span carves under one log.
-	if err := h.TxBegin(p); err != nil {
+	tx, err = h.Begin(p)
+	if err != nil {
 		return err
 	}
-	if err := h.TxAddRange(root, slabRootSize); err != nil {
+	if err := tx.AddRange(root, slabRootSize); err != nil {
 		return err
 	}
 	if err := allocInto(0, 16); err != nil {
@@ -104,19 +106,20 @@ func slabScript(h *Heap, p *Pool, root oid.OID) error {
 	if err := rootRef.Store64(slabCounterOff, 1, isa.RZ); err != nil {
 		return err
 	}
-	if err := h.TxEnd(); err != nil {
+	if err := tx.Commit(); err != nil {
 		return err
 	}
 
 	// tx2: free the two larger blocks.
-	if err := h.TxBegin(p); err != nil {
+	tx, err = h.Begin(p)
+	if err != nil {
 		return err
 	}
-	if err := h.TxAddRange(root, slabRootSize); err != nil {
+	if err := tx.AddRange(root, slabRootSize); err != nil {
 		return err
 	}
 	for _, slot := range []int{1, 2} {
-		if err := h.TxFree(readSlot(slot)); err != nil {
+		if err := tx.Free(readSlot(slot)); err != nil {
 			return err
 		}
 		if err := rootRef.Store64(uint32(slabSlotsOff+8*slot), 0, isa.RZ); err != nil {
@@ -126,15 +129,16 @@ func slabScript(h *Heap, p *Pool, root oid.OID) error {
 	if err := rootRef.Store64(slabCounterOff, 2, isa.RZ); err != nil {
 		return err
 	}
-	if err := h.TxEnd(); err != nil {
+	if err := tx.Commit(); err != nil {
 		return err
 	}
 
 	// tx3: reuse the freed 128-class slot.
-	if err := h.TxBegin(p); err != nil {
+	tx, err = h.Begin(p)
+	if err != nil {
 		return err
 	}
-	if err := h.TxAddRange(root, slabRootSize); err != nil {
+	if err := tx.AddRange(root, slabRootSize); err != nil {
 		return err
 	}
 	if err := allocInto(3, 100); err != nil {
@@ -143,7 +147,7 @@ func slabScript(h *Heap, p *Pool, root oid.OID) error {
 	if err := rootRef.Store64(slabCounterOff, 3, isa.RZ); err != nil {
 		return err
 	}
-	return h.TxEnd()
+	return tx.Commit()
 }
 
 func slabCanary(slot int) uint64 { return 0xca11a6<<16 | uint64(slot+1) }

@@ -84,10 +84,11 @@ func sparseScript(t *testing.T, h *Heap, p *Pool) []oid.OID {
 	var live []oid.OID
 	for i := 0; i < 40; i++ {
 		size := uint32(64 << (i % 6)) // 64 B .. 2 KiB: several size classes and pages
-		if err := h.TxBegin(p); err != nil {
+		tx, err := h.Begin(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := h.TxAlloc(p, size)
+		o, err := tx.Alloc(p, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,12 +102,12 @@ func sparseScript(t *testing.T, h *Heap, p *Pool) []oid.OID {
 			}
 		}
 		if i%7 == 3 {
-			if err := h.TxAbort(); err != nil {
+			if err := tx.Abort(); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
-		if err := h.TxEnd(); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, o)

@@ -29,19 +29,16 @@ import (
 // Truncation must never expose (count>0, state=active) after the commit
 // point, so it clears the count first and the state word second, each with
 // its own fence; the intermediate (0, committed) state reads as a clean
-// log and is swept by the next Recover or TxBegin.
+// log and is swept by the next Recover or Begin.
 //
-// Transactions come in two shapes:
-//
-//   - Handle-based (Begin/Tx.Commit): each transaction is a *Tx bound to
-//     the pool holding its undo log. Different pools may run transactions
-//     concurrently — the heap only tracks which pools have a live log.
-//     Callers in concurrent mode must hold the write locks of every shard
-//     the transaction touches (see Sharded).
-//   - Ambient (TxBegin/TxEnd, paper Table 1): the legacy single-threaded
-//     API, a thin wrapper holding one implicit *Tx on the heap. All
-//     existing workloads use it; its emission is bit-identical to the
-//     pre-handle implementation.
+// Paper Table 1's calls map onto one API: tx_begin is Heap.Begin, which
+// returns the *Tx bound to the pool holding the undo log; tx_add_range,
+// tx_pmalloc, tx_pfree and tx_end are its AddRange, Alloc, Free and Commit
+// (Abort is libpmemobj's, not the paper's). Different pools may run
+// transactions concurrently — the heap only tracks which pools have a live
+// log. Callers in concurrent mode must hold the write locks of every shard
+// the transaction touches (see Sharded). pds.TxCtx binds a *Tx to the
+// structures' Ctx contract.
 const (
 	recData  = 0 // snapshot of object bytes taken by tx_add_range
 	recAlloc = 1 // allocation to undo on abort
@@ -101,9 +98,6 @@ type Tx struct {
 	h  *Heap
 	st *txState
 }
-
-// InTx reports whether an ambient (legacy API) transaction is active.
-func (h *Heap) InTx() bool { return h.ambient != nil }
 
 // Begin opens a handle-based transaction whose undo log lives in pool p.
 // At most one transaction may be live per pool (the log is singular);
@@ -187,21 +181,6 @@ func (h *Heap) dropAllTxs() {
 	h.txs = make(map[oid.PoolID]*Tx)
 	atomic.StoreInt32(&h.txActive, 0)
 	h.txMu.Unlock()
-	h.ambient = nil
-}
-
-// TxBegin starts an ambient transaction whose undo log lives in pool p
-// (paper: tx_begin).
-func (h *Heap) TxBegin(p *Pool) error {
-	if h.ambient != nil {
-		return fmt.Errorf("pmem: transaction already active on pool %q", h.ambient.st.pool.b.name)
-	}
-	t, err := h.Begin(p)
-	if err != nil {
-		return err
-	}
-	h.ambient = t
-	return nil
 }
 
 // logAppend writes one record into the log, persists it, then publishes it
@@ -296,15 +275,6 @@ func (t *Tx) AddRange(o oid.OID, size uint32) error {
 	return t.logAppend(recData, o, size, old)
 }
 
-// TxAddRange snapshots [o, o+size) into the ambient transaction's undo log
-// (paper: tx_add_range).
-func (h *Heap) TxAddRange(o oid.OID, size uint32) error {
-	if h.ambient == nil {
-		return fmt.Errorf("pmem: tx_add_range outside a transaction")
-	}
-	return h.ambient.AddRange(o, size)
-}
-
 // Alloc is a transactional allocation, undone if the transaction aborts.
 // The paper's signature allocates from the transaction's pool; this
 // implementation also accepts any open pool, which the multi-pool usage
@@ -342,14 +312,6 @@ func (t *Tx) Alloc(p *Pool, size uint32) (oid.OID, error) {
 	return o, nil
 }
 
-// TxAlloc is tx_pmalloc on the ambient transaction.
-func (h *Heap) TxAlloc(p *Pool, size uint32) (oid.OID, error) {
-	if h.ambient == nil {
-		return oid.Null, fmt.Errorf("pmem: tx_pmalloc outside a transaction")
-	}
-	return h.ambient.Alloc(p, size)
-}
-
 // Free logs a free-intent now and applies it at commit, so an abort leaves
 // the object intact.
 func (t *Tx) Free(o oid.OID) error {
@@ -357,14 +319,6 @@ func (t *Tx) Free(o oid.OID) error {
 		return fmt.Errorf("pmem: tx_pfree in unopened pool %d", o.Pool())
 	}
 	return t.logAppend(recFree, o, 0, nil)
-}
-
-// TxFree is tx_pfree on the ambient transaction.
-func (h *Heap) TxFree(o oid.OID) error {
-	if h.ambient == nil {
-		return fmt.Errorf("pmem: tx_pfree outside a transaction")
-	}
-	return h.ambient.Free(o)
 }
 
 // resolveAllocPools returns the pools that served the transaction's
@@ -493,18 +447,6 @@ func (t *Tx) Commit() error {
 	return nil
 }
 
-// TxEnd commits the ambient transaction (paper: tx_end).
-func (h *Heap) TxEnd() error {
-	if h.ambient == nil {
-		return fmt.Errorf("pmem: tx_end outside a transaction")
-	}
-	if err := h.ambient.Commit(); err != nil {
-		return err
-	}
-	h.ambient = nil
-	return nil
-}
-
 // Abort rolls the transaction back in place: snapshots are restored,
 // transactional allocations are freed, deferred frees are dropped. The
 // allocator metadata of alloc pools is persisted first so that the free
@@ -546,19 +488,6 @@ func (t *Tx) Abort() error {
 	h.releaseTx(t)
 	h.recycleTx(t)
 	atomic.AddUint64(&h.Metrics.TxAborts, 1)
-	return nil
-}
-
-// TxAbort rolls the ambient transaction back (paper has no abort in
-// Table 1; libpmemobj does).
-func (h *Heap) TxAbort() error {
-	if h.ambient == nil {
-		return fmt.Errorf("pmem: tx_abort outside a transaction")
-	}
-	if err := h.ambient.Abort(); err != nil {
-		return err
-	}
-	h.ambient = nil
 	return nil
 }
 

@@ -122,52 +122,24 @@ type DB struct {
 	logSeq     uint64
 	stats      Stats
 
-	// touched dedups undo snapshots within one durable transaction: a row
-	// or tree node updated twice needs only one TxAddRange.
-	touched map[oid.OID]bool
+	// tx is the transactional core every tableCtx shares. In the paper's
+	// measured configuration no transaction is ever bound, so Touch is a
+	// no-op: per §5.2, TPC-C keeps "its own failure-safe logging
+	// implementation" — a logical transaction log written at commit (see
+	// db.commitTx) — rather than the library's per-object undo snapshots.
+	// With Config.Durable every read-write transaction binds one, and each
+	// first touch of an object records an undo image via Tx.AddRange.
+	tx pds.TxCtx
 }
 
-// tableCtx scopes pds.Ctx allocation to one table's pool.
+// tableCtx is the pds.Ctx of one table: the database's shared
+// transactional core plus placement in the table's pool.
 type tableCtx struct {
-	db    *DB
-	table string
+	*pds.TxCtx
+	pool *pmem.Pool
 }
 
-func (c tableCtx) Heap() *pmem.Heap { return c.db.h }
-
-func (c tableCtx) Alloc(_ uint64, size uint32) (oid.OID, error) {
-	if c.db.cfg.Durable && c.db.h.InTx() {
-		return c.db.h.TxAlloc(c.db.pools[c.table], size)
-	}
-	return c.db.h.Alloc(c.db.pools[c.table], size)
-}
-
-func (c tableCtx) Free(o oid.OID) error {
-	if c.db.cfg.Durable && c.db.h.InTx() {
-		return c.db.h.TxFree(o)
-	}
-	return c.db.h.Free(o)
-}
-
-// Touch is a no-op in the paper's measured configuration: per §5.2, TPC-C
-// keeps "its own failure-safe logging implementation" — a logical
-// transaction log written at commit (see db.commitTx) — rather than the
-// library's per-object undo snapshots. With Config.Durable the snapshots
-// are real: each first touch of an object inside a transaction records an
-// undo image via TxAddRange.
-func (c tableCtx) Touch(o oid.OID, size uint32) error {
-	if !c.db.cfg.Durable || !c.db.h.InTx() {
-		return nil
-	}
-	if c.db.touched[o] {
-		return nil
-	}
-	if err := c.db.h.TxAddRange(o, size); err != nil {
-		return err
-	}
-	c.db.touched[o] = true
-	return nil
-}
+func (c tableCtx) Alloc(_ uint64, size uint32) (oid.OID, error) { return c.AllocIn(c.pool, size) }
 
 // poolBytes estimates the capacity needed for a table (with margin).
 func poolBytes(cfg Config, table string) uint64 {
@@ -219,6 +191,7 @@ func NewDB(h *pmem.Heap, cfg Config, place Placement) (*DB, error) {
 		pools: make(map[string]*pmem.Pool),
 		trees: make(map[string]*pds.BPlus),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		tx:    pds.NewTxCtx(h),
 	}
 	db.nur = newNuRand(db.rng)
 
@@ -289,6 +262,7 @@ func AttachDB(h *pmem.Heap, cfg Config, place Placement) (*DB, error) {
 		pools: make(map[string]*pmem.Pool),
 		trees: make(map[string]*pds.BPlus),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		tx:    pds.NewTxCtx(h),
 	}
 	db.nur = newNuRand(db.rng)
 	// History rows surviving the crash used sequence numbers from the
@@ -337,7 +311,7 @@ func AttachDB(h *pmem.Heap, cfg Config, place Placement) (*DB, error) {
 }
 
 // ctx returns the allocation context for a table.
-func (db *DB) ctx(table string) tableCtx { return tableCtx{db: db, table: table} }
+func (db *DB) ctx(table string) tableCtx { return tableCtx{TxCtx: &db.tx, pool: db.pools[table]} }
 
 // tree returns a table's B+ tree.
 func (db *DB) tree(table string) *pds.BPlus { return db.trees[table] }
@@ -450,8 +424,7 @@ func (db *DB) beginTx() error {
 	if !db.cfg.Durable {
 		return nil
 	}
-	db.touched = make(map[oid.OID]bool)
-	return db.h.TxBegin(db.master)
+	return db.tx.Begin(db.master)
 }
 
 // abortTx unwinds a transaction that validated late (the 1% invalid-item
@@ -460,8 +433,7 @@ func (db *DB) abortTx() error {
 	if !db.cfg.Durable {
 		return nil
 	}
-	db.touched = nil
-	return db.h.TxAbort()
+	return db.tx.Abort()
 }
 
 func (db *DB) commitTx() error {
@@ -469,8 +441,7 @@ func (db *DB) commitTx() error {
 		// The undo log subsumes the logical record — and shares the master
 		// pool's log region with it, so writing both would corrupt the
 		// record count the next recovery reads.
-		db.touched = nil
-		return db.h.TxEnd()
+		return db.tx.Commit()
 	}
 	p := db.master
 	span := uint32(logicalRecordWords * 8)

@@ -10,6 +10,7 @@ import (
 
 	"potgo/internal/isa"
 	"potgo/internal/oid"
+	"potgo/internal/pds"
 	"potgo/internal/pmem"
 )
 
@@ -65,17 +66,16 @@ const (
 )
 
 // Env is the runtime environment of one workload run. It implements
-// pds.Ctx: pool placement per the pattern, and undo-log snapshotting per
-// the failure-safety configuration.
+// pds.Ctx: pool placement per the pattern over the shared transactional
+// core, which BeginOp binds only under the failure-safety configuration.
 type Env struct {
-	H      *pmem.Heap
+	pds.TxCtx
 	Master *pmem.Pool
 	cfg    Config
 	rng    *rand.Rand
 
 	randomPools []*pmem.Pool
 	eachCount   int
-	touched     map[oid.OID]bool
 }
 
 // NewEnv creates the pools the pattern needs and the master pool that hosts
@@ -86,12 +86,10 @@ func NewEnv(h *pmem.Heap, cfg Config) (*Env, error) {
 		return nil, err
 	}
 	env := &Env{
-		H:      h,
+		TxCtx:  pds.NewTxCtx(h),
 		Master: master,
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		// Membership only, order never observed; Begin empties it.
-		touched: make(map[oid.OID]bool, 16),
 	}
 	if cfg.Pattern == Random {
 		// The master pool is pool 0 of the 32, so the RANDOM working
@@ -109,11 +107,8 @@ func NewEnv(h *pmem.Heap, cfg Config) (*Env, error) {
 	return env, nil
 }
 
-// Heap implements pds.Ctx.
-func (env *Env) Heap() *pmem.Heap { return env.H }
-
 // Alloc implements pds.Ctx: it places the new object per the usage pattern
-// and logs the allocation when failure-safety is on.
+// and logs the allocation when an operation's transaction is bound.
 func (env *Env) Alloc(key uint64, size uint32) (oid.OID, error) {
 	var pool *pmem.Pool
 	switch env.cfg.Pattern {
@@ -121,8 +116,8 @@ func (env *Env) Alloc(key uint64, size uint32) (oid.OID, error) {
 		pool = env.Master
 	case Random:
 		// pool = key mod 32 — the modulo really executes (Div).
-		r := env.H.Emit.Temp()
-		env.H.Emit.Div(r, isa.RZ, isa.RZ)
+		r := env.Heap().Emit.Temp()
+		env.Heap().Emit.Div(r, isa.RZ, isa.RZ)
 		pool = env.randomPools[key%RandomPools]
 	case Each:
 		// A brand-new pool sized to the structure it will hold.
@@ -132,61 +127,37 @@ func (env *Env) Alloc(key uint64, size uint32) (oid.OID, error) {
 		if need := uint64(4096) + uint64(size) + 64; need > bytes {
 			bytes = (need + 4095) &^ 4095
 		}
-		p, err := env.H.CreateSized(name, bytes, 0)
+		p, err := env.Heap().CreateSized(name, bytes, 0)
 		if err != nil {
 			return oid.Null, err
 		}
 		pool = p
 	}
-	if env.cfg.Tx && env.H.InTx() {
-		return env.H.TxAlloc(pool, size)
-	}
-	return env.H.Alloc(pool, size)
+	return env.AllocIn(pool, size)
 }
 
-// Free implements pds.Ctx.
-func (env *Env) Free(o oid.OID) error {
-	if env.cfg.Tx && env.H.InTx() {
-		return env.H.TxFree(o)
-	}
-	return env.H.Free(o)
-}
-
-// Touch implements pds.Ctx: snapshot once per object per transaction.
-func (env *Env) Touch(o oid.OID, size uint32) error {
-	if !env.cfg.Tx || !env.H.InTx() {
-		return nil
-	}
-	if env.touched[o] {
-		return nil
-	}
-	env.touched[o] = true
-	return env.H.TxAddRange(o, size)
-}
-
-// Begin opens a failure-safe operation (a transaction on the master pool
+// BeginOp opens a failure-safe operation (a transaction on the master pool
 // when Tx is configured; nothing otherwise).
-func (env *Env) Begin() error {
+func (env *Env) BeginOp() error {
 	if !env.cfg.Tx {
 		return nil
 	}
-	clear(env.touched)
-	return env.H.TxBegin(env.Master)
+	return env.Begin(env.Master)
 }
 
-// End commits the operation.
-func (env *Env) End() error {
+// EndOp commits the operation.
+func (env *Env) EndOp() error {
 	if !env.cfg.Tx {
 		return nil
 	}
-	return env.H.TxEnd()
+	return env.Commit()
 }
 
 // NextKey draws the next random key in [0, keyRange), emitting the RNG's
 // instruction cost, and returns it with the register that holds it.
 func (env *Env) NextKey(keyRange uint64) (uint64, isa.Reg) {
 	k := uint64(env.rng.Int63n(int64(keyRange)))
-	e := env.H.Emit
+	e := env.Heap().Emit
 	r := e.Temp()
 	e.Mul(r, r, isa.RZ) // LCG multiply
 	r2 := e.Compute(5, r)
@@ -202,7 +173,7 @@ func (env *Env) NextInt(n int) (int, isa.Reg) {
 // RootCell returns the 8-byte anchor slot at the given index within the
 // master pool's root object (creating a 64-byte root on first use).
 func (env *Env) RootCell(index uint32) (oid.OID, error) {
-	root, err := env.H.Root(env.Master, 64)
+	root, err := env.Heap().Root(env.Master, 64)
 	if err != nil {
 		return oid.Null, err
 	}

@@ -47,10 +47,10 @@ func RunLL(env *Env, ops int, keyRange uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	l := pds.NewList(pds.NewCell(env.H, cell))
+	l := pds.NewList(pds.NewCell(env.Heap(), cell))
 	for i := 0; i < ops; i++ {
 		key, _ := env.NextKey(keyRange)
-		if err := env.Begin(); err != nil {
+		if err := env.BeginOp(); err != nil {
 			return 0, err
 		}
 		removed, err := l.Remove(env, key)
@@ -62,7 +62,7 @@ func RunLL(env *Env, ops int, keyRange uint64) (uint64, error) {
 				return 0, err
 			}
 		}
-		if err := env.End(); err != nil {
+		if err := env.EndOp(); err != nil {
 			return 0, err
 		}
 	}
@@ -80,10 +80,10 @@ func RunBST(env *Env, ops int, keyRange uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t := pds.NewBST(pds.NewCell(env.H, cell))
+	t := pds.NewBST(pds.NewCell(env.Heap(), cell))
 	for i := 0; i < ops; i++ {
 		key, _ := env.NextKey(keyRange)
-		if err := env.Begin(); err != nil {
+		if err := env.BeginOp(); err != nil {
 			return 0, err
 		}
 		removed, err := t.Remove(env, key)
@@ -95,7 +95,7 @@ func RunBST(env *Env, ops int, keyRange uint64) (uint64, error) {
 				return 0, err
 			}
 		}
-		if err := env.End(); err != nil {
+		if err := env.EndOp(); err != nil {
 			return 0, err
 		}
 	}
@@ -113,10 +113,10 @@ func RunRBT(env *Env, ops int, keyRange uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t := pds.NewRBT(pds.NewCell(env.H, cell))
+	t := pds.NewRBT(pds.NewCell(env.Heap(), cell))
 	for i := 0; i < ops; i++ {
 		key, _ := env.NextKey(keyRange)
-		if err := env.Begin(); err != nil {
+		if err := env.BeginOp(); err != nil {
 			return 0, err
 		}
 		removed, err := t.Remove(env, key)
@@ -128,7 +128,7 @@ func RunRBT(env *Env, ops int, keyRange uint64) (uint64, error) {
 				return 0, err
 			}
 		}
-		if err := env.End(); err != nil {
+		if err := env.EndOp(); err != nil {
 			return 0, err
 		}
 	}
@@ -149,10 +149,10 @@ func RunBT(env *Env, ops int, keyRange uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t := pds.NewBTree(pds.NewCell(env.H, cell))
+	t := pds.NewBTree(pds.NewCell(env.Heap(), cell))
 	for i := 0; i < ops; i++ {
 		key, _ := env.NextKey(keyRange)
-		if err := env.Begin(); err != nil {
+		if err := env.BeginOp(); err != nil {
 			return 0, err
 		}
 		found, err := t.Find(env, key)
@@ -164,7 +164,7 @@ func RunBT(env *Env, ops int, keyRange uint64) (uint64, error) {
 				return 0, err
 			}
 		}
-		if err := env.End(); err != nil {
+		if err := env.EndOp(); err != nil {
 			return 0, err
 		}
 	}
@@ -182,10 +182,10 @@ func RunBPlus(env *Env, ops int, keyRange uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t := pds.NewBPlus(pds.NewCell(env.H, cell))
+	t := pds.NewBPlus(pds.NewCell(env.Heap(), cell))
 	for i := 0; i < ops; i++ {
 		key, _ := env.NextKey(keyRange)
-		if err := env.Begin(); err != nil {
+		if err := env.BeginOp(); err != nil {
 			return 0, err
 		}
 		removed, err := t.Remove(env, key)
@@ -197,7 +197,7 @@ func RunBPlus(env *Env, ops int, keyRange uint64) (uint64, error) {
 				return 0, err
 			}
 		}
-		if err := env.End(); err != nil {
+		if err := env.EndOp(); err != nil {
 			return 0, err
 		}
 	}
@@ -222,20 +222,20 @@ func RunSPS(env *Env, ops int, _ uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sa := pds.NewStringArray(pds.NewCell(env.H, cell), SPSStrings, pds.StringBytes)
+	sa := pds.NewStringArray(pds.NewCell(env.Heap(), cell), SPSStrings, pds.StringBytes)
 	if err := sa.Init(env); err != nil {
 		return 0, err
 	}
 	for i := 0; i < ops; i++ {
 		a, _ := env.NextInt(SPSStrings)
 		b, _ := env.NextInt(SPSStrings)
-		if err := env.Begin(); err != nil {
+		if err := env.BeginOp(); err != nil {
 			return 0, err
 		}
 		if err := sa.Swap(env, a, b); err != nil {
 			return 0, err
 		}
-		if err := env.End(); err != nil {
+		if err := env.EndOp(); err != nil {
 			return 0, err
 		}
 	}
