@@ -13,8 +13,9 @@
 //	experiments -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
 // The grid is run in two phases: every simulation any requested experiment
-// needs is enumerated up front (harness.SpecsFor) and executed on a bounded
-// pool of -parallel workers, then the reports render from the warm cache.
+// needs is recorded up front from the experiment bodies themselves
+// (harness.Suite.PrefetchExperiments) and executed on a bounded pool of
+// -parallel workers, then the reports render from the warm cache.
 // Each simulation is self-contained, so results are bit-identical at any
 // -parallel value. Simulator throughput is reported on stderr at the end;
 // the run writes no file beyond -out, -metrics-out, -trace-out and the

@@ -40,7 +40,7 @@ const (
 	kShardUnlock        // Sharded.UnlockPool / RUnlockPool
 	kShardLockOrdered   // Sharded.LockShardMask / RLockAll / lockAll / lockShards / rlockShards — ascending by construction
 	kShardUnlockOrdered // Sharded.UnlockShardMask / RUnlockAll
-	kShardScoped        // Sharded.View / Update / Tx — acquires and releases internally
+	kShardScoped        // Sharded.View / Update — acquires and releases internally
 	kMuLock             // sync.Mutex/RWMutex Lock/RLock
 	kMuUnlock           // sync.Mutex/RWMutex Unlock/RUnlock
 	kSortInts           // sort.Ints / sort.Sort / slices.Sort* — establishes sortedness
@@ -163,7 +163,7 @@ func classify(info *types.Info, call *ast.CallExpr) callKind {
 			return kShardLockOrdered
 		case "UnlockShardMask", "RUnlockAll":
 			return kShardUnlockOrdered
-		case "View", "Update", "Tx":
+		case "View", "Update":
 			return kShardScoped
 		}
 	case pkg == pmemPath && typ == "Ref":

@@ -14,7 +14,7 @@ import (
 // pds snapshot walks — and must stay latch-free and read-only. It must not
 // acquire shard locks (directly, through a sharded-state mutex, or by
 // calling a module function whose summary says it does), must not
-// open a mutating transaction (Sharded.Tx/Update, Heap.Begin) or a latched
+// open a mutating transaction (Sharded.Update, Heap.Begin) or a latched
 // View section, must not mutate persistent state (Ref stores, Cell.Set,
 // transactional Alloc/Touch), and must not write back to the persistence
 // domain (Persist, CLWB, SFENCE, or a callee that fences).

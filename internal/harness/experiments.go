@@ -26,17 +26,20 @@ var patterns = []workloads.Pattern{workloads.All, workloads.Each, workloads.Rand
 
 // Table2 reproduces paper Table 2: average dynamic instructions spent in
 // oid_direct under the ALL and EACH patterns, and the last-value predictor
-// miss rate under EACH. Purely functional (no timing model needed).
+// miss rate under EACH. The statistics come from the emitted stream, which
+// no timing model changes, so it reads Figure 9(a)'s in-order BASE runs.
 func (s *Suite) Table2() (Report, error) {
 	tb := stats.NewTable("Table 2: instructions executed in oid_direct (BASE)",
 		"Bench", "Insns on ALL", "Insns on EACH", "Miss on recent (EACH)")
 	var allCols, eachCols, missCols []float64
 	for _, bench := range MicroBenches {
-		all, err := RunFunctionalObserved(s.finish(RunSpec{Bench: bench, Pattern: workloads.All, Tx: true}), s.opts.Obs)
+		allSpec, _, _, _ := fig9Specs(bench, workloads.All, InOrder)
+		eachSpec, _, _, _ := fig9Specs(bench, workloads.Each, InOrder)
+		all, err := s.Get(allSpec)
 		if err != nil {
 			return Report{}, err
 		}
-		each, err := RunFunctionalObserved(s.finish(RunSpec{Bench: bench, Pattern: workloads.Each, Tx: true}), s.opts.Obs)
+		each, err := s.Get(eachSpec)
 		if err != nil {
 			return Report{}, err
 		}
@@ -404,46 +407,47 @@ func (s *Suite) InsnReduction() (Report, error) {
 	return Report{ID: "insns", Title: "Dynamic instruction reduction", Text: tb.Render(), Values: values}, nil
 }
 
-// ExperimentIDs lists every reproducible experiment in paper order, plus
-// the two ablations of DESIGN.md §5.
-var ExperimentIDs = []string{"table2", "fig9a", "fig9b", "table8", "fig10", "fig11", "table9", "fig12", "insns", "ablation-assoc", "ablation-walk", "ablation-pot", "fixedcmp", "cpistack", "ablation-prefetch", "recovery"}
+// experiments registers every reproducible experiment in paper order, then
+// the ablations of DESIGN.md §5 and the recovery extension. A row and its
+// body are the whole registration: PrefetchExperiments records the body's
+// specs.
+var experiments = []struct {
+	id  string
+	run func(*Suite) (Report, error)
+}{
+	{"table2", (*Suite).Table2},
+	{"fig9a", (*Suite).Fig9a},
+	{"fig9b", (*Suite).Fig9b},
+	{"table8", (*Suite).Table8},
+	{"fig10", (*Suite).Fig10},
+	{"fig11", (*Suite).Fig11},
+	{"table9", (*Suite).Table9},
+	{"fig12", (*Suite).Fig12},
+	{"insns", (*Suite).InsnReduction},
+	{"ablation-assoc", (*Suite).AblationAssoc},
+	{"ablation-walk", (*Suite).AblationWalk},
+	{"ablation-pot", (*Suite).AblationPOT},
+	{"fixedcmp", (*Suite).FixedCmp},
+	{"cpistack", (*Suite).CPIStack},
+	{"ablation-prefetch", (*Suite).AblationPrefetch},
+	{"recovery", (*Suite).Recovery},
+}
 
-// RunExperiment dispatches by id.
-func (s *Suite) RunExperiment(id string) (Report, error) {
-	switch id {
-	case "table2":
-		return s.Table2()
-	case "fig9a":
-		return s.Fig9a()
-	case "fig9b":
-		return s.Fig9b()
-	case "table8":
-		return s.Table8()
-	case "fig10":
-		return s.Fig10()
-	case "fig11":
-		return s.Fig11()
-	case "table9":
-		return s.Table9()
-	case "fig12":
-		return s.Fig12()
-	case "insns":
-		return s.InsnReduction()
-	case "ablation-assoc":
-		return s.AblationAssoc()
-	case "ablation-walk":
-		return s.AblationWalk()
-	case "ablation-pot":
-		return s.AblationPOT()
-	case "fixedcmp":
-		return s.FixedCmp()
-	case "cpistack":
-		return s.CPIStack()
-	case "ablation-prefetch":
-		return s.AblationPrefetch()
-	case "recovery":
-		return s.Recovery()
-	default:
-		return Report{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, ExperimentIDs)
+// ExperimentIDs lists the registered experiment ids in order.
+var ExperimentIDs = func() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
+}()
+
+// RunExperiment renders the experiment registered under id.
+func (s *Suite) RunExperiment(id string) (Report, error) {
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(s)
+		}
+	}
+	return Report{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, ExperimentIDs)
 }

@@ -23,8 +23,7 @@ type RunObs struct {
 // publish pushes one completed run's statistics into the registry. All
 // counters aggregate across runs sharing a registry; gauges reflect the
 // most recently published run. tr and h may be nil (BASE runs have no
-// translator; functional runs always have a heap, timed runs one unless
-// setup failed).
+// translator).
 func (r RunResult) publish(reg *obs.Registry, tr *core.Translator, h *pmem.Heap) {
 	if reg == nil {
 		return

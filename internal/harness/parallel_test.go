@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"potgo/internal/obs"
 	"potgo/internal/workloads"
 )
 
@@ -21,9 +22,9 @@ func TestParallelGridDeterministic(t *testing.T) {
 		return NewSuite(Options{Seed: 7, Ops: 60, SkipTPCC: true, Parallel: parallel})
 	}
 	serial, concurrent := mk(1), mk(8)
-	specs := serial.SpecsFor("fig9a")
+	specs := serial.record([]string{"fig9a"})
 	if len(specs) == 0 {
-		t.Fatal("fig9a enumerates no specs")
+		t.Fatal("fig9a records no specs")
 	}
 	if err := serial.Prefetch(specs); err != nil {
 		t.Fatal(err)
@@ -48,30 +49,67 @@ func TestParallelGridDeterministic(t *testing.T) {
 	}
 }
 
-// TestSpecsForCoversExperiments pins the spec-enumeration phase to the
-// experiment bodies: after prefetching SpecsFor(id), rendering the
-// experiment must perform no new simulations (every Get is a cache hit).
-func TestSpecsForCoversExperiments(t *testing.T) {
+// TestPrefetchCoversExperiments pins the recording pass to the experiment
+// bodies: after PrefetchExperiments(id), rendering the experiment must
+// perform no new simulations (every Get is a cache hit).
+func TestPrefetchCoversExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole experiment grid")
 	}
 	s := NewSuite(Options{Seed: 11, Ops: 50, SkipTPCC: true, Parallel: 4})
 	for _, id := range ExperimentIDs {
-		if err := s.Prefetch(s.SpecsFor(id)); err != nil {
+		if err := s.PrefetchExperiments([]string{id}); err != nil {
 			t.Fatalf("%s: prefetch: %v", id, err)
 		}
-		s.mu.Lock()
-		before := len(s.cache)
-		s.mu.Unlock()
-		if _, err := s.RunExperiment(id); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		s.mu.Lock()
-		after := len(s.cache)
-		s.mu.Unlock()
-		if after != before {
-			t.Errorf("%s: experiment ran %d simulations its SpecsFor did not enumerate", id, after-before)
-		}
+		assertNoFreshRuns(t, s, id)
+	}
+}
+
+// TestTable2ReusesFig9a checks that Table 2 reads Figure 9(a)'s in-order
+// BASE runs: once fig9a is prefetched, table2 simulates nothing new.
+func TestTable2ReusesFig9a(t *testing.T) {
+	s := NewSuite(Options{Seed: 3, Ops: 30, SkipTPCC: true, Parallel: 2})
+	if err := s.PrefetchExperiments([]string{"fig9a"}); err != nil {
+		t.Fatal(err)
+	}
+	assertNoFreshRuns(t, s, "table2")
+}
+
+// assertNoFreshRuns renders id and fails if that grew s's cache.
+func assertNoFreshRuns(t *testing.T, s *Suite, id string) {
+	t.Helper()
+	s.mu.Lock()
+	before := len(s.cache)
+	s.mu.Unlock()
+	if _, err := s.RunExperiment(id); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	s.mu.Lock()
+	after := len(s.cache)
+	s.mu.Unlock()
+	if after != before {
+		t.Errorf("%s: rendering ran %d simulations the recording pass missed", id, after-before)
+	}
+}
+
+// TestRecordingRunsNothing checks that the recording pass is free of side
+// effects: it records every id's specs, yet the suite's cache stays empty,
+// no instruction is counted and no metric (harness.runs included) is
+// published.
+func TestRecordingRunsNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewSuite(Options{Seed: 1, Ops: 30, Obs: reg})
+	if specs := s.record(ExperimentIDs); len(specs) == 0 {
+		t.Fatal("recording pass recorded no specs")
+	}
+	if n := len(s.cache); n != 0 {
+		t.Errorf("recording pass cached %d results", n)
+	}
+	if n := s.SimulatedInstructions(); n != 0 {
+		t.Errorf("recording pass counted %d simulated instructions", n)
+	}
+	if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
+		t.Errorf("recording pass published metrics: %v", snap.Counters)
 	}
 }
 

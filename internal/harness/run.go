@@ -239,18 +239,9 @@ type timingModel interface {
 }
 
 // RunFunctional executes the workload without a timing model (the trace is
-// discarded); used by Table 2, which only needs oid_direct instrumentation.
+// discarded).
 func RunFunctional(spec RunSpec) (RunResult, error) {
 	out, _, err := runFunctional(spec)
-	return out, err
-}
-
-// RunFunctionalObserved is RunFunctional with metrics publication.
-func RunFunctionalObserved(spec RunSpec, reg *obs.Registry) (RunResult, error) {
-	out, h, err := runFunctional(spec)
-	if err == nil {
-		out.publish(reg, nil, h)
-	}
 	return out, err
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"potgo/internal/cpu"
 	"potgo/internal/obs"
 	"potgo/internal/tpcc"
 )
@@ -56,6 +57,11 @@ type Suite struct {
 	cache  map[string]RunResult
 	progMu sync.Mutex
 	insns  atomic.Uint64
+	// recording puts the suite in PrefetchExperiments' recording mode:
+	// Get appends each finished spec to recorded and returns a placeholder
+	// instead of simulating.
+	recording bool
+	recorded  []RunSpec
 }
 
 // NewSuite builds a suite.
@@ -93,6 +99,11 @@ func key(spec RunSpec) string {
 // Get runs (or returns the cached result of) one spec.
 func (s *Suite) Get(spec RunSpec) (RunResult, error) {
 	spec = s.finish(spec)
+	if s.recording {
+		// One cycle keeps the bodies' speedup ratios finite.
+		s.recorded = append(s.recorded, spec)
+		return RunResult{Spec: spec, CPU: cpu.Result{Cycles: 1}}, nil
+	}
 	k := key(spec)
 	s.mu.Lock()
 	if r, ok := s.cache[k]; ok {
@@ -167,6 +178,27 @@ func (s *Suite) Prefetch(specs []RunSpec) error {
 		}
 	}
 	return nil
+}
+
+// PrefetchExperiments concurrently runs every simulation the given
+// experiments will need on the suite's worker pool, so rendering them
+// afterwards hits only the cache. The experiment bodies are the only list
+// of their specs: each id is rendered once against a recording suite, whose
+// Get notes the spec instead of simulating, and those reports are thrown
+// away. An unknown id records nothing; RunExperiment reports it.
+func (s *Suite) PrefetchExperiments(ids []string) error {
+	return s.Prefetch(s.record(ids))
+}
+
+// record returns the specs the experiments' bodies Get, in order.
+func (s *Suite) record(ids []string) []RunSpec {
+	rec := &Suite{opts: s.opts, recording: true}
+	for _, id := range ids {
+		// A recording Get cannot fail, so an error here (an unknown id,
+		// a failed recovery run) recurs when the id renders for real.
+		_, _ = rec.RunExperiment(id)
+	}
+	return rec.recorded
 }
 
 // speedup returns base cycles / variant cycles, verifying that the two runs

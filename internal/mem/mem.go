@@ -7,7 +7,9 @@
 // level (L1 3 cycles, L2 8, L3 27, main memory 120), and a D-TLB miss adds a
 // fixed 30-cycle page-walk penalty. Caches are physically indexed/tagged in
 // the model, so a translation to a physical address precedes (functionally,
-// not temporally — VIPT L1) each look-up.
+// not temporally — VIPT L1) each look-up. Only the data side is modelled:
+// the emitted stream carries no instruction fetches, so the paper's L1I and
+// I-TLB have nothing to see.
 package mem
 
 import (
@@ -21,15 +23,14 @@ import (
 // paper Table 4.
 type Config struct {
 	L1DSets, L1DWays int
-	L1ISets, L1IWays int
 	L2Sets, L2Ways   int
 	L3Sets, L3Ways   int
 	LineShift        uint
 
 	L1Latency, L2Latency, L3Latency, MemLatency uint64
 
-	DTLBEntries, ITLBEntries int
-	TLBMissPenalty           uint64
+	DTLBEntries    int
+	TLBMissPenalty uint64
 
 	// CLWBLatency is the fixed cost of a cache-line write-back to
 	// persistent memory (paper §5.1: 100 cycles, estimated from CLFLUSH).
@@ -41,30 +42,29 @@ type Config struct {
 	NextLinePrefetch bool
 }
 
-// DefaultConfig returns the paper's Table 4 machine.
+// DefaultConfig returns the data side of the paper's Table 4 machine.
 //
-//	L1D: 32 KB, 8-way, 3 cycles      L1I: 32 KB, 4-way, 3 cycles
+//	L1D: 32 KB, 8-way, 3 cycles
 //	L2: 256 KB, 8-way, 8 cycles      L3: 8 MB, 16-way, 27 cycles
-//	line 64 B, D-TLB 64, I-TLB 128, TLB miss 30 cycles
+//	line 64 B, D-TLB 64, TLB miss 30 cycles
 //	memory 120 cycles, CLWB 100 cycles
 func DefaultConfig() Config {
 	return Config{
 		L1DSets: 64, L1DWays: 8, // 64*8*64B = 32 KB
-		L1ISets: 128, L1IWays: 4, // 128*4*64B = 32 KB
 		L2Sets: 512, L2Ways: 8, // 512*8*64B = 256 KB
 		L3Sets: 8192, L3Ways: 16, // 8192*16*64B = 8 MB
 		LineShift: 6,
 		L1Latency: 3, L2Latency: 8, L3Latency: 27, MemLatency: 120,
-		DTLBEntries: 64, ITLBEntries: 128, TLBMissPenalty: 30,
+		DTLBEntries: 64, TLBMissPenalty: 30,
 		CLWBLatency: 100,
 	}
 }
 
 // Stats aggregates hierarchy counters.
 type Stats struct {
-	L1D, L1I, L2, L3 cache.Stats
-	DTLB, ITLB       cache.Stats
-	CLWBs            uint64
+	L1D, L2, L3 cache.Stats
+	DTLB        cache.Stats
+	CLWBs       uint64
 	// Prefetches counts next-line prefetch fills issued (when enabled).
 	Prefetches uint64
 }
@@ -74,11 +74,9 @@ type Hierarchy struct {
 	cfg        Config
 	as         *vm.AddressSpace
 	l1d        *cache.Cache
-	l1i        *cache.Cache
 	l2         *cache.Cache
 	l3         *cache.Cache
 	dtlb       *cache.TLB
-	itlb       *cache.TLB
 	clwbs      uint64
 	prefetches uint64
 }
@@ -89,11 +87,9 @@ func New(cfg Config, as *vm.AddressSpace) *Hierarchy {
 		cfg:  cfg,
 		as:   as,
 		l1d:  cache.New(cache.Config{Name: "L1D", Sets: cfg.L1DSets, Ways: cfg.L1DWays, LineShift: cfg.LineShift, Latency: cfg.L1Latency}),
-		l1i:  cache.New(cache.Config{Name: "L1I", Sets: cfg.L1ISets, Ways: cfg.L1IWays, LineShift: cfg.LineShift, Latency: cfg.L1Latency}),
 		l2:   cache.New(cache.Config{Name: "L2", Sets: cfg.L2Sets, Ways: cfg.L2Ways, LineShift: cfg.LineShift, Latency: cfg.L2Latency}),
 		l3:   cache.New(cache.Config{Name: "L3", Sets: cfg.L3Sets, Ways: cfg.L3Ways, LineShift: cfg.LineShift, Latency: cfg.L3Latency}),
 		dtlb: cache.NewTLB("DTLB", cfg.DTLBEntries, cfg.TLBMissPenalty),
-		itlb: cache.NewTLB("ITLB", cfg.ITLBEntries, cfg.TLBMissPenalty),
 	}
 }
 
@@ -171,9 +167,8 @@ func (h *Hierarchy) Translate(va uint64) (uint64, bool) { return h.as.Translate(
 // Stats snapshots all counters.
 func (h *Hierarchy) Stats() Stats {
 	return Stats{
-		L1D: h.l1d.Stats(), L1I: h.l1i.Stats(),
-		L2: h.l2.Stats(), L3: h.l3.Stats(),
-		DTLB: h.dtlb.Stats(), ITLB: h.itlb.Stats(),
+		L1D: h.l1d.Stats(), L2: h.l2.Stats(), L3: h.l3.Stats(),
+		DTLB:       h.dtlb.Stats(),
 		CLWBs:      h.clwbs,
 		Prefetches: h.prefetches,
 	}
@@ -185,11 +180,9 @@ func (h *Hierarchy) Stats() Stats {
 //potlint:allow unusedexport kept for TestStatsAndReset
 func (h *Hierarchy) ResetStats() {
 	h.l1d.ResetStats()
-	h.l1i.ResetStats()
 	h.l2.ResetStats()
 	h.l3.ResetStats()
 	h.dtlb.ResetStats()
-	h.itlb.ResetStats()
 	h.clwbs = 0
 	h.prefetches = 0
 }

@@ -21,9 +21,6 @@ func TestDefaultConfigMatchesPaperTable4(t *testing.T) {
 	if got := cfg.L1DSets * cfg.L1DWays * 64; got != 32*1024 {
 		t.Errorf("L1D size = %d", got)
 	}
-	if got := cfg.L1ISets * cfg.L1IWays * 64; got != 32*1024 {
-		t.Errorf("L1I size = %d", got)
-	}
 	if got := cfg.L2Sets * cfg.L2Ways * 64; got != 256*1024 {
 		t.Errorf("L2 size = %d", got)
 	}
@@ -33,7 +30,7 @@ func TestDefaultConfigMatchesPaperTable4(t *testing.T) {
 	if cfg.L1Latency != 3 || cfg.L2Latency != 8 || cfg.L3Latency != 27 || cfg.MemLatency != 120 {
 		t.Error("latencies must match Table 4")
 	}
-	if cfg.DTLBEntries != 64 || cfg.ITLBEntries != 128 || cfg.TLBMissPenalty != 30 {
+	if cfg.DTLBEntries != 64 || cfg.TLBMissPenalty != 30 {
 		t.Error("TLB parameters must match Table 4")
 	}
 	if cfg.CLWBLatency != 100 {

@@ -18,11 +18,9 @@ func (s Stats) PublishMetrics(reg *obs.Registry) {
 		reg.Gauge("mem." + name + ".miss_rate").Set(cs.MissRate())
 	}
 	level("l1d", s.L1D)
-	level("l1i", s.L1I)
 	level("l2", s.L2)
 	level("l3", s.L3)
 	level("dtlb", s.DTLB)
-	level("itlb", s.ITLB)
 	reg.Counter("mem.clwb").Add(s.CLWBs)
 	reg.Counter("mem.prefetch").Add(s.Prefetches)
 }

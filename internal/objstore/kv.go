@@ -374,10 +374,7 @@ func (kv *KV) Put(key, val uint64) (created bool, err error) {
 		if kv.journaled && len(s.journal) > jlen {
 			s.journal = s.journal[:jlen]
 		}
-		if aerr := t.Abort(); aerr != nil {
-			return false, fmt.Errorf("%w (abort also failed: %v)", err, aerr)
-		}
-		return false, err
+		return false, abort(t, err, s)
 	}
 	return created, t.Commit()
 }
@@ -401,10 +398,7 @@ func (kv *KV) Delete(key uint64) (existed bool, err error) {
 		if kv.journaled && len(s.journal) > jlen {
 			s.journal = s.journal[:jlen]
 		}
-		if aerr := t.Abort(); aerr != nil {
-			return false, fmt.Errorf("%w (abort also failed: %v)", err, aerr)
-		}
-		return false, err
+		return false, abort(t, err, s)
 	}
 	return existed, t.Commit()
 }
@@ -506,43 +500,56 @@ func (kv *KV) Batch(ops []BatchOp) error {
 		involved |= 1 << (op.Key % uint64(len(kv.shards)))
 	}
 	var heapMask uint64 // heap lock-shard indices
-	var logShard *kvShard
+	var buf [64]*kvShard
+	shards := buf[:0]
 	for i := range kv.shards {
 		if involved&(1<<uint(i)) == 0 {
 			continue
 		}
 		s := &kv.shards[i]
-		if logShard == nil {
-			logShard = s
-		}
+		shards = append(shards, s)
 		heapMask |= 1 << uint(kv.sh.ShardOf(s.pool.ID()))
 	}
 	kv.sh.LockShardMask(heapMask)
 	defer kv.sh.UnlockShardMask(heapMask)
-	t, err := kv.sh.Heap().Begin(logShard.pool)
+	return kv.runBatch(shards, ops)
+}
+
+// runBatch applies ops in one transaction whose undo log lives in the
+// first shard's pool. The caller holds every shard's write lock; shards
+// lists the involved shards in index order.
+func (kv *KV) runBatch(shards []*kvShard, ops []BatchOp) error {
+	t, err := kv.sh.Heap().Begin(shards[0].pool)
 	if err != nil {
 		return err
 	}
-	for i := range kv.shards {
-		if involved&(1<<uint(i)) != 0 {
-			kv.shards[i].bindBatch(t)
-		}
+	for _, s := range shards {
+		s.wctx.Bind(t)
+		s.jmark = len(s.journal)
 	}
-	err = kv.applyBatch(ops)
-	if err != nil {
-		if aerr := t.Abort(); aerr != nil {
-			return fmt.Errorf("%w (abort also failed: %v)", err, aerr)
-		}
-		return err
+	if err := kv.applyBatch(ops); err != nil {
+		return abort(t, err, shards...)
 	}
 	return t.Commit()
 }
 
-// bindBatch binds the shard's write ctx to a batch transaction and marks
-// where the batch's journal entries will start.
-func (s *kvShard) bindBatch(t *pmem.Tx) {
-	s.wctx.Bind(t)
-	s.jmark = len(s.journal)
+// abort rolls t back after err, then drops and re-primes the root cache of
+// every shard t touched: the rollback may restore an anchor that a root
+// split or collapse had moved, and the cache would otherwise keep naming a
+// node the rollback freed. The caller still holds those shards' write
+// locks, so no reader ever fills a cache under a read lock.
+func abort(t *pmem.Tx, err error, shards ...*kvShard) error {
+	aerr := t.Abort()
+	for _, s := range shards {
+		s.tree.DropCache()
+		if perr := s.tree.Prime(); aerr == nil {
+			aerr = perr
+		}
+	}
+	if aerr != nil {
+		return fmt.Errorf("%w (abort also failed: %v)", err, aerr)
+	}
+	return err
 }
 
 // applyBatch runs the ops through the already-bound per-shard write ctxs,
@@ -587,32 +594,22 @@ func (kv *KV) applyBatchOp(op BatchOp) error {
 	return nil
 }
 
-// batchSlow is Batch for stores sharded past the 64-bit mask, using the
-// closure-based multi-pool transaction entry.
+// batchSlow is Batch for stores sharded past the 64-bit mask, locking the
+// involved shards through a pool-id list instead.
 func (kv *KV) batchSlow(ops []BatchOp) error {
 	involved := make(map[*kvShard]bool, len(ops))
 	for _, op := range ops {
 		involved[kv.shardOf(op.Key)] = true
 	}
-	var logShard *kvShard
-	var extra []oid.PoolID
+	var shards []*kvShard
+	var ids []oid.PoolID
 	for i := range kv.shards {
-		s := &kv.shards[i]
-		if !involved[s] {
-			continue
-		}
-		if logShard == nil {
-			logShard = s
-		} else {
-			extra = append(extra, s.pool.ID())
+		if s := &kv.shards[i]; involved[s] {
+			shards = append(shards, s)
+			ids = append(ids, s.pool.ID())
 		}
 	}
-	return kv.sh.Tx(logShard.pool, extra, func(t *pmem.Tx) error {
-		for s := range involved {
-			s.bindBatch(t)
-		}
-		return kv.applyBatch(ops)
-	})
+	return kv.sh.Update(ids, func() error { return kv.runBatch(shards, ops) })
 }
 
 // Check runs every shard tree's invariant sweep and returns the total key

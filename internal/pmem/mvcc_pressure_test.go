@@ -11,7 +11,7 @@ import (
 // mvccPutTB is mvccPut for tests and benchmarks alike (testing.TB).
 func mvccPutTB(tb testing.TB, sh *Sharded, p *Pool, o oid.OID, val uint64) oid.OID {
 	tb.Helper()
-	err := sh.Tx(p, nil, func(tx *Tx) error {
+	err := shardedTx(sh, p, nil, func(tx *Tx) error {
 		if o.IsNull() {
 			var err error
 			if o, err = tx.Alloc(p, 16); err != nil {

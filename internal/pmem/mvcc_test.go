@@ -29,7 +29,7 @@ func newMVCCEnv(t *testing.T) (*Sharded, *Pool, oid.OID) {
 // allocating the object first when o is null. Returns the object.
 func mvccPut(t *testing.T, sh *Sharded, p *Pool, o oid.OID, val uint64) oid.OID {
 	t.Helper()
-	err := sh.Tx(p, nil, func(tx *Tx) error {
+	err := shardedTx(sh, p, nil, func(tx *Tx) error {
 		if o.IsNull() {
 			var err error
 			if o, err = tx.Alloc(p, 16); err != nil {
@@ -154,7 +154,7 @@ func TestMVCCMultiObjectCommitAtomic(t *testing.T) {
 	o2 := mvccPut(t, sh, p, oid.Null, 10)
 
 	before := m.Pin()
-	err := sh.Tx(p, nil, func(tx *Tx) error {
+	err := shardedTx(sh, p, nil, func(tx *Tx) error {
 		for _, o := range []oid.OID{o1, o2} {
 			if err := tx.AddRange(o, 16); err != nil {
 				return err
@@ -199,7 +199,7 @@ func TestMVCCFreeDemotes(t *testing.T) {
 	m := sh.MVCC()
 
 	old := m.Pin()
-	if err := sh.Tx(p, nil, func(tx *Tx) error { return tx.Free(o) }); err != nil {
+	if err := shardedTx(sh, p, nil, func(tx *Tx) error { return tx.Free(o) }); err != nil {
 		t.Fatalf("free tx: %v", err)
 	}
 	if v, ok := snapVal(t, old, o); !ok || v != 1 {
@@ -219,7 +219,7 @@ func TestMVCCSameTxAllocFree(t *testing.T) {
 	sh, p, _ := newMVCCEnv(t)
 	m := sh.MVCC()
 	var o oid.OID
-	err := sh.Tx(p, nil, func(tx *Tx) error {
+	err := shardedTx(sh, p, nil, func(tx *Tx) error {
 		var err error
 		if o, err = tx.Alloc(p, 16); err != nil {
 			return err
@@ -341,7 +341,7 @@ func TestMVCCConcurrentReadersWritersReclaim(t *testing.T) {
 			for j := range fresh {
 				fresh[j] = mvccPut(t, sh, p, oid.Null, i)
 			}
-			err := sh.Tx(p, nil, func(tx *Tx) error {
+			err := shardedTx(sh, p, nil, func(tx *Tx) error {
 				for _, f := range fresh[:perWrite/2] {
 					if err := tx.Free(f); err != nil {
 						return err

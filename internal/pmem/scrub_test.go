@@ -18,7 +18,7 @@ func shardedFTPool(t *testing.T, s *Sharded, name string, n int) (*Pool, []oid.O
 	}
 	objs := make([]oid.OID, n)
 	for i := range objs {
-		err := s.Tx(p, nil, func(tx *Tx) error {
+		err := shardedTx(s, p, nil, func(tx *Tx) error {
 			o, err := tx.Alloc(p, 256)
 			if err != nil {
 				return err
@@ -61,7 +61,7 @@ func TestScrubberStructuralInterleave(t *testing.T) {
 			default:
 			}
 			o := objs[i%len(objs)]
-			err := s.Tx(p, nil, func(tx *Tx) error {
+			err := shardedTx(s, p, nil, func(tx *Tx) error {
 				if err := tx.AddRange(o, 8); err != nil {
 					return err
 				}

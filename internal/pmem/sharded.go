@@ -205,36 +205,11 @@ func (s *Sharded) View(pools []oid.PoolID, fn func() error) error {
 }
 
 // Update runs fn while holding the write locks of every listed pool's
-// shard, for non-transactional mutations (setup writes, direct pokes).
-//
-//potlint:allow unusedexport kept for TestShardedMultiPoolAbort
+// shard: a multi-pool transaction (KV.Batch past 64 shards) or a
+// non-transactional mutation (setup writes, direct pokes).
 func (s *Sharded) Update(pools []oid.PoolID, fn func() error) error {
 	defer s.lockShards(s.shardSet(pools))()
 	return fn()
-}
-
-// Tx runs fn inside a transaction whose undo log lives in logPool, holding
-// the write locks of logPool's shard and every extra pool's shard
-// (ascending shard order). fn may allocate, free and mutate objects in any
-// declared pool through the Tx handle; on error the transaction aborts, on
-// success it commits. Transactions whose shard sets are disjoint run in
-// parallel.
-func (s *Sharded) Tx(logPool *Pool, extra []oid.PoolID, fn func(*Tx) error) error {
-	ids := make([]oid.PoolID, 0, len(extra)+1)
-	ids = append(ids, logPool.ID())
-	ids = append(ids, extra...)
-	defer s.lockShards(s.shardSet(ids))()
-	t, err := s.h.Begin(logPool)
-	if err != nil {
-		return err
-	}
-	if err := fn(t); err != nil {
-		if aerr := t.Abort(); aerr != nil {
-			return fmt.Errorf("%w (abort also failed: %v)", err, aerr)
-		}
-		return err
-	}
-	return t.Commit()
 }
 
 // --- MVCC snapshot reads ---

@@ -20,6 +20,25 @@ func newTestSharded(t *testing.T, nshards int) *Sharded {
 	return sh
 }
 
+// shardedTx runs fn inside a transaction whose undo log lives in logPool,
+// holding the write locks of logPool's and every extra pool's shard: fn
+// then Commit, or Abort when fn fails.
+func shardedTx(sh *Sharded, logPool *Pool, extra []oid.PoolID, fn func(*Tx) error) error {
+	return sh.Update(append([]oid.PoolID{logPool.ID()}, extra...), func() error {
+		t, err := sh.Heap().Begin(logPool)
+		if err != nil {
+			return err
+		}
+		if err := fn(t); err != nil {
+			if aerr := t.Abort(); aerr != nil {
+				return fmt.Errorf("%w (abort also failed: %v)", err, aerr)
+			}
+			return err
+		}
+		return t.Commit()
+	})
+}
+
 // TestShardedDisjointTxParallel runs transactional allocations from several
 // goroutines, each on its own pool (its own shard), and verifies every
 // committed canary plus the allocator sweep. Run under -race this is the
@@ -53,7 +72,7 @@ func TestShardedDisjointTxParallel(t *testing.T) {
 			p := pools[w]
 			for i := 0; i < iters; i++ {
 				canary := uint64(w)<<32 | uint64(i) | 1
-				err := sh.Tx(p, nil, func(tx *Tx) error {
+				err := shardedTx(sh, p, nil, func(tx *Tx) error {
 					o, err := tx.Alloc(p, 64)
 					if err != nil {
 						return err
@@ -163,7 +182,7 @@ func TestShardedMultiPoolAbort(t *testing.T) {
 		return w.V
 	}
 
-	err = sh.Tx(a, []oid.PoolID{b.ID()}, func(tx *Tx) error {
+	err = shardedTx(sh, a, []oid.PoolID{b.ID()}, func(tx *Tx) error {
 		if err := tx.AddRange(rootA, 8); err != nil {
 			return err
 		}
@@ -183,7 +202,7 @@ func TestShardedMultiPoolAbort(t *testing.T) {
 	}
 
 	boom := fmt.Errorf("boom")
-	err = sh.Tx(a, []oid.PoolID{b.ID()}, func(tx *Tx) error {
+	err = shardedTx(sh, a, []oid.PoolID{b.ID()}, func(tx *Tx) error {
 		if err := tx.AddRange(rootA, 8); err != nil {
 			return err
 		}
@@ -261,7 +280,7 @@ func TestShardedPoisonCrash(t *testing.T) {
 			}()
 			p := pools[w]
 			for i := 0; ; i++ {
-				err := sh.Tx(p, nil, func(tx *Tx) error {
+				err := shardedTx(sh, p, nil, func(tx *Tx) error {
 					o, err := tx.Alloc(p, 64)
 					if err != nil {
 						return err

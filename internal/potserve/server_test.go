@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -149,6 +150,45 @@ func TestServerMalformedFrame(t *testing.T) {
 	c := potserve.NewClient(conn)
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after malformed frame: %v", err)
+	}
+}
+
+// TestServerTxOverflowKeepsServing sends a TX frame whose batch overflows
+// the shard undo log: the batch splits tree roots before the log fills, so
+// the abort moves them back. The frame must get StatusErr, and the same
+// connection must then read and write the pre-batch store correctly.
+func TestServerTxOverflowKeepsServing(t *testing.T) {
+	s, kv := newServer(t, nil)
+	c := dial(t, s)
+	for k := uint64(0); k < 4; k++ {
+		if _, err := c.Put(k, k+100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops := make([]objstore.BatchOp, potserve.MaxTxOps)
+	for i := range ops {
+		ops[i] = objstore.BatchOp{Key: uint64(4 + i), Val: 1}
+	}
+	var serr *potserve.ServerError
+	if err := c.Tx(ops); !errors.As(err, &serr) || !strings.Contains(serr.Msg, "full") {
+		t.Fatalf("oversized tx: got %v, want a log-full ServerError", err)
+	}
+	for k := uint64(0); k < 4; k++ {
+		if v, ok, err := c.Get(k); err != nil || !ok || v != k+100 {
+			t.Fatalf("get %d after aborted tx: val=%d ok=%v err=%v", k, v, ok, err)
+		}
+	}
+	if _, ok, err := c.Get(4); err != nil || ok {
+		t.Fatalf("get of an aborted key: ok=%v err=%v", ok, err)
+	}
+	if created, err := c.Put(5, 55); err != nil || !created {
+		t.Fatalf("put after aborted tx: created=%v err=%v", created, err)
+	}
+	if v, ok, err := c.Get(5); err != nil || !ok || v != 55 {
+		t.Fatalf("get after put: val=%d ok=%v err=%v", v, ok, err)
+	}
+	if n, err := kv.Check(); err != nil || n != 5 {
+		t.Fatalf("check: %d keys, err %v; want 5", n, err)
 	}
 }
 
