@@ -17,14 +17,10 @@ func seedOwnLog(m *Member, n int) {
 	nd := m.Node
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	epoch := nd.topo.Epoch()
+	own, epoch := nd.log(nd.ID), nd.topo.Epoch()
 	for i := 0; i < n; i++ {
-		nd.seq++
-		e := potserve.RepEntry{Seq: nd.seq, Epoch: epoch, Key: 1<<32 + nd.seq, Val: nd.seq}
-		nd.watermark[nd.ID] = e.Seq
-		nd.applied[nd.ID] = append(nd.applied[nd.ID], Applied{
-			RepEntry: e, Origin: nd.ID, SenderEpoch: epoch, NodeEpoch: epoch,
-		})
+		seq := own.end + 1
+		own.append(potserve.RepEntry{Seq: seq, Epoch: epoch, Key: 1<<32 + seq, Val: seq}, epoch, epoch)
 	}
 }
 
@@ -208,5 +204,5 @@ func TestClusterCompact(t *testing.T) {
 func trimmed(n *Node, origin uint32) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.trimmed[origin]
+	return n.log(origin).base
 }

@@ -73,22 +73,15 @@ type Node struct {
 	// origins own disjoint key segments, so per-origin locking preserves
 	// per-key order without coupling the origins (or the local write path).
 	repmu sync.Map // uint32 -> *sync.Mutex
-	// seq numbers this node's own log from 1.
-	seq uint64
 	// tracker counts durability acks for this node's own log.
 	tracker *Tracker
-	// watermark[origin] is the highest seq applied in order per origin.
-	watermark map[uint32]uint64
-	// applied[origin] is the in-order applied log per origin, including
-	// this node's own, minus any compacted prefix: applied[origin][i]
-	// holds Seq trimmed[origin]+i+1. Volatile by design — the persistent
-	// truth is the KV; the applied log is the replication state the
-	// verifier audits (the crash harness never compacts, so it audits
-	// full logs).
-	applied map[uint32][]Applied
-	// trimmed[origin] is the compaction floor: entries with
-	// Seq <= trimmed[origin] have been discarded from applied[origin].
-	trimmed map[uint32]uint64
+	// logs[origin] is the in-order applied log per origin, including this
+	// node's own, whose end numbers the node's writes from 1. A log's end is
+	// the origin's applied watermark and its base the compaction floor.
+	// Volatile by design — the persistent truth is the KV; the applied log
+	// is the replication state the verifier audits (the crash harness
+	// never compacts, so it audits full logs). Guarded by mu.
+	logs map[uint32]*opLog
 
 	// peers holds one replication stream per peer: a lazily-dialed client,
 	// the peer's last confirmed watermark for OUR log, and a lock
@@ -114,14 +107,23 @@ type Node struct {
 // their verifier.
 func NewNode(id uint32, kv *objstore.KV, topo Topology) *Node {
 	return &Node{
-		ID:        id,
-		KV:        kv,
-		topo:      topo,
-		tracker:   NewTracker(topo.Quorum()),
-		watermark: make(map[uint32]uint64),
-		applied:   make(map[uint32][]Applied),
-		trimmed:   make(map[uint32]uint64),
+		ID:      id,
+		KV:      kv,
+		topo:    topo,
+		tracker: NewTracker(topo.Quorum()),
+		logs:    make(map[uint32]*opLog),
 	}
+}
+
+// log returns an origin's applied log, creating it empty on first use. The
+// caller holds mu.
+func (n *Node) log(origin uint32) *opLog {
+	l, ok := n.logs[origin]
+	if !ok {
+		l = &opLog{origin: origin}
+		n.logs[origin] = l
+	}
+	return l
 }
 
 // OnDeath registers a hook run once when the node's heap crashes.
@@ -171,53 +173,39 @@ func (n *Node) MutateAckBeforeQuorum() {
 func (n *Node) Watermark(origin uint32) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.watermark[origin]
+	return n.log(origin).end
 }
 
 // AppliedLog returns a copy of the node's applied log for an origin.
 func (n *Node) AppliedLog(origin uint32) []Applied {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]Applied, len(n.applied[origin]))
-	copy(out, n.applied[origin])
-	return out
+	return n.log(origin).applied()
 }
 
-// CompactBelow discards origin's applied-log entries with Seq <= below
-// (clamped to the applied watermark). Safe only when everything that may
-// ever ask for this log again — REP backlog pushes, SUB catch-up — already
-// holds it through below; SelfCompact computes that floor from what the
-// alive peers have confirmed. This bounds the volatile applied log, which
-// otherwise grows without limit in a long-running cluster; the persistent
-// KV is unaffected.
+// CompactBelow raises origin's compaction floor — the base of its applied
+// log — to below (clamped to the log's end, the applied watermark), and
+// releases every 1,024-entry chunk wholly under the new floor; nothing is
+// copied. Safe only when everything that may ever ask for this log again —
+// REP backlog pushes, SUB catch-up — already holds it through below;
+// SelfCompact computes that floor from what the alive peers have
+// confirmed. This bounds the volatile applied log, which otherwise grows
+// without limit in a long-running cluster; the persistent KV is unaffected.
 func (n *Node) CompactBelow(origin uint32, below uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if w := n.watermark[origin]; below > w {
-		below = w
-	}
-	base := n.trimmed[origin]
-	if below <= base {
-		return
-	}
-	cut := below - base
-	log := n.applied[origin]
-	if cut > uint64(len(log)) {
-		cut = uint64(len(log))
-	}
-	// Copy the suffix so the old backing array (and the entry payloads it
-	// pins) is released.
-	n.applied[origin] = append([]Applied(nil), log[cut:]...)
-	n.trimmed[origin] = base + cut
+	n.log(origin).trim(below)
 }
 
 // SelfCompact bounds the node's applied logs without a coordinator (the
 // multi-process potserve cluster mode, which has no failover driver): the
-// node's own log is trimmed below the lowest watermark its alive peers
+// node's own log's floor is raised to the lowest watermark its alive peers
 // have confirmed on their replication streams — a down peer (confirmed 0)
 // pins the whole log, exactly the backlog it will need — and every other
 // origin's log keeps a MaxRepEntries retention tail past this node's
-// applied watermark, enough to serve one catch-up frame. The in-process
+// applied watermark, enough to serve one catch-up frame. Retention is
+// whole chunks: a trimmed log keeps the partly-trimmed chunk at its base
+// until its floor passes that chunk's end. The in-process
 // coordinator and the crash harness never compact, so the harness's
 // verifier audits full logs.
 func (n *Node) SelfCompact() {
@@ -250,7 +238,7 @@ func (n *Node) SelfCompact() {
 func (n *Node) Seq() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.seq
+	return n.log(n.ID).end
 }
 
 // markDead flags the node dead and runs the death hook once.
@@ -451,13 +439,9 @@ func (n *Node) apply(req *potserve.Request, resp *potserve.Response) (entry pots
 		}
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		n.seq++
-		epoch := n.topo.Epoch()
-		entry = potserve.RepEntry{Seq: n.seq, Epoch: epoch, Key: req.Key, Val: req.Val, Del: del}
-		n.watermark[n.ID] = entry.Seq
-		n.applied[n.ID] = append(n.applied[n.ID], Applied{
-			RepEntry: entry, Origin: n.ID, SenderEpoch: epoch, NodeEpoch: epoch,
-		})
+		own, epoch := n.log(n.ID), n.topo.Epoch()
+		entry = potserve.RepEntry{Seq: own.end + 1, Epoch: epoch, Key: req.Key, Val: req.Val, Del: del}
+		own.append(entry, epoch, epoch)
 		return nil
 	}()
 	if err != nil {
@@ -522,30 +506,12 @@ func (n *Node) pushBacklog(ps *peerStream, tn potserve.TopoNode, seq, epoch uint
 // whichever frame lands first carries both bursts' entries. It reports
 // whether an ack is now due; the caller holds ps.mu.
 func (n *Node) repSend(ps *peerStream, addr string, epoch uint64) bool {
+	// Entries at or below the compaction floor are confirmed durable on
+	// every alive peer (the invariant compaction trims under), so a ps.known
+	// below it is merely stale: read resumes at the floor and the REP
+	// response watermark corrects it.
 	n.mu.Lock()
-	log := n.applied[n.ID]
-	base := n.trimmed[n.ID]
-	from := ps.known
-	if from < base {
-		// Entries at or below the compaction floor are confirmed durable on
-		// every alive peer (the invariant compaction trims under); ps.known
-		// is merely stale. Resume at the floor and let the REP response
-		// watermark correct it.
-		from = base
-	}
-	// Own-log entries are in order with Seq == base+index+1.
-	idx := from - base
-	if idx > uint64(len(log)) {
-		idx = uint64(len(log))
-	}
-	end := uint64(len(log))
-	if end-idx > uint64(potserve.MaxRepEntries) {
-		end = idx + uint64(potserve.MaxRepEntries)
-	}
-	ps.entries = ps.entries[:0]
-	for _, a := range log[idx:end] {
-		ps.entries = append(ps.entries, a.RepEntry)
-	}
+	ps.entries = n.log(n.ID).read(ps.entries[:0], ps.known, potserve.MaxRepEntries)
 	n.mu.Unlock()
 	if len(ps.entries) == 0 {
 		return false
@@ -605,8 +571,8 @@ const repChunk = 16
 // sequence order exactly once, refuse stale-epoch senders, answer the
 // durable watermark. The in-order, not-yet-applied run of a frame commits
 // through KV.Batch, repChunk entries per transaction — one undo log and one
-// fence per chunk, not per entry. A chunk is crash-atomic, and the watermark
-// and the applied log advance only once it has committed.
+// fence per chunk, not per entry. A chunk is crash-atomic, and the applied
+// log — whose end is the watermark — advances only once it has committed.
 func (n *Node) execRep(req *potserve.Request, resp *potserve.Response) {
 	lk := n.originLock(req.Origin)
 	lk.Lock()
@@ -617,8 +583,9 @@ func (n *Node) execRep(req *potserve.Request, resp *potserve.Response) {
 	nodeEpoch := n.topo.Epoch()
 	mutated := n.splitBrainMutation
 	// The origin lock makes this handler the only writer of the origin's
-	// watermark, so w stays current below.
-	w := n.watermark[origin]
+	// log, so w stays its end below.
+	log := n.log(origin)
+	w := log.end
 	n.mu.Unlock()
 
 	// Epoch fence: a sender below our epoch is a deposed primary (or a
@@ -651,11 +618,8 @@ func (n *Node) execRep(req *potserve.Request, resp *potserve.Response) {
 		}
 		w += uint64(k)
 		n.mu.Lock()
-		n.watermark[origin] = w
 		for _, e := range entries[:k] {
-			n.applied[origin] = append(n.applied[origin], Applied{
-				RepEntry: e, Origin: origin, SenderEpoch: req.Epoch, NodeEpoch: nodeEpoch,
-			})
+			log.append(e, req.Epoch, nodeEpoch)
 		}
 		n.mu.Unlock()
 		entries = entries[k:]
@@ -670,22 +634,11 @@ func (n *Node) execRep(req *potserve.Request, resp *potserve.Response) {
 // longer be caught up from this node.
 func (n *Node) execSub(req *potserve.Request, resp *potserve.Response) {
 	n.mu.Lock()
-	log := n.applied[req.Origin]
-	base := n.trimmed[req.Origin]
+	log := n.log(req.Origin)
+	base := log.base
 	var out []potserve.RepEntry
 	if req.Seq >= base {
-		// Applied entries are in order with Seq == base+index+1.
-		idx := req.Seq - base
-		if idx < uint64(len(log)) {
-			end := idx + uint64(potserve.MaxRepEntries)
-			if end > uint64(len(log)) {
-				end = uint64(len(log))
-			}
-			out = make([]potserve.RepEntry, 0, end-idx)
-			for _, a := range log[idx:end] {
-				out = append(out, a.RepEntry)
-			}
-		}
+		out = log.read(nil, req.Seq, potserve.MaxRepEntries)
 	}
 	n.mu.Unlock()
 	if req.Seq < base {
