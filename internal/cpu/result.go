@@ -28,12 +28,16 @@ type Result struct {
 	TransStallCycles uint64
 	// BranchStallCycles is the total branch-misprediction redirect cost.
 	BranchStallCycles uint64
-	// ROBStallCycles, LQStallCycles and SQStallCycles attribute
-	// out-of-order dispatch delay to window occupancy: cycles dispatch
-	// waited for a ROB / load-queue / store-queue entry to free beyond
-	// every other constraint already accounted. Zero for the in-order
-	// model. Attribution is approximate when stalls overlap (the binding
-	// constraint is charged).
+	// ROBStallCycles, LQStallCycles and SQStallCycles measure window
+	// pressure in the out-of-order model: for each instruction, the
+	// cycles by which waiting for a ROB / load-queue / store-queue entry
+	// pushed its dispatch past the constraints checked before it. They
+	// are summed per instruction, and the waits of instructions queued
+	// behind the same full window overlap in time, so a total can exceed
+	// Cycles many times over (a ROB total of 150,230,581 against 701,802
+	// Cycles in the harness's golden results.json). They compare the
+	// structures with each other; they are not shares of Cycles and are
+	// not part of CPIStack. Zero for the in-order model.
 	ROBStallCycles, LQStallCycles, SQStallCycles uint64
 	// Mem snapshots hierarchy counters.
 	Mem mem.Stats

@@ -10,8 +10,8 @@ import (
 // TestRunFootprint gates what one simulation allocates. A RANDOM run maps
 // 172 MiB of pools (a 48 MiB master and 31 of 4 MiB) and touches a few
 // hundred pages of them; pool memory is demand-zero in both of its images, so
-// the run pays for those pages, the POT, four bytes of page-table entry per
-// mapped page and the machine model — not for the pools it maps (which used
+// the run pays for those pages, the POT, twelve bytes of page-table entry
+// and page slot per mapped page and the machine model — not for the pools it maps (which used
 // to cost 350 MiB up front).
 func TestRunFootprint(t *testing.T) {
 	spec := RunSpec{Bench: "LL", Pattern: workloads.Random, Opt: true, Tx: true, Ops: 20, Seed: 1}

@@ -55,7 +55,10 @@ import (
 // Reclamation horizon. minEpoch = min(G at load, every pinned epoch). A
 // version with death <= minEpoch is invisible to every current pin (each
 // pinned E >= minEpoch >= death fails E < death) and to every future pin
-// (future E >= G >= minEpoch), so freeing it is safe. Versions and entries
+// (future E >= G >= minEpoch), so freeing it is safe. A commit computes the
+// horizon again after advancing G to its own epoch D; when it is D, the
+// versions the commit demoted (death = D) are freed on the spot, so a cold
+// object keeps no dead copy until its next write. Versions and entries
 // recycle through freelists, keeping the steady-state overwrite path
 // allocation-free.
 //
@@ -523,6 +526,16 @@ func (m *MVCC) pruneLocked(en *mvEntry, limit uint64) int {
 	return n
 }
 
+// pruneObject frees o's chain suffix whose deaths are at or below limit.
+func (m *MVCC) pruneObject(o oid.OID, limit uint64) {
+	st, h := m.stripe(o)
+	st.mu.Lock()
+	if en := st.find(h, o); en != nil {
+		m.pruneLocked(en, limit)
+	}
+	st.mu.Unlock()
+}
+
 // Reclaim sweeps every version chain, freeing versions no pinned or future
 // reader can see, and unlinking entries whose objects are fully dead. It
 // runs concurrently with readers and publishing commits (one stripe lock
@@ -712,6 +725,20 @@ func (h *Heap) mvccPublish(st *txState) error {
 		}
 	}
 	atomic.StoreUint64(&m.g, d)
+	// Commit-time free: with G at d, a horizon of d means no pin can see a
+	// version that died at d (the same load-G-first argument Reclaim
+	// relies on), so the versions this commit demoted go back to the
+	// freelist now rather than at each object's next write. While a pin is
+	// below d they stay for it, and the publish-time prune and Reclaim
+	// free them later.
+	if m.minEpoch() >= d {
+		for i := range st.records {
+			r := &st.records[i]
+			if p, ok := h.open[r.oid.Pool()]; ok && p.mvcc {
+				m.pruneObject(r.oid, d)
+			}
+		}
+	}
 	m.publishMu.Unlock()
 	return err
 }

@@ -409,3 +409,72 @@ func TestMVCCConcurrentReadersWritersReclaim(t *testing.T) {
 		t.Fatalf("publishes-reclaimed = %d, index holds %d versions", pub-rec, idx.Versions)
 	}
 }
+
+// TestMVCCCommitFreesSuperseded: a commit frees the versions it demotes as
+// soon as no pin can see them, so with no reader the mirror holds exactly
+// one version per live object. A pin held across overwrites keeps the
+// versions it sees; the first commit after it drops frees them.
+func TestMVCCCommitFreesSuperseded(t *testing.T) {
+	const objects, rounds = 100, 10
+	sh := newTestSharded(t, 4)
+	p, err := sh.Create("p", 1<<20)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	sh.EnableMVCC(p)
+	m := sh.MVCC()
+	held := func() uint64 {
+		publishes, reclaimed := m.Stats()
+		return publishes - reclaimed
+	}
+	objs := make([]oid.OID, objects)
+	for i := range objs {
+		objs[i] = mvccPut(t, sh, p, oid.Null, 0)
+	}
+	for r := 1; r <= rounds; r++ {
+		for i, o := range objs {
+			mvccPut(t, sh, p, o, uint64(r*objects+i))
+		}
+	}
+	if got := held(); got != objects {
+		t.Fatalf("after %d overwrites of %d objects with no pin the mirror holds %d versions, want %d",
+			rounds*objects, objects, got, objects)
+	}
+
+	pin := m.Pin()
+	for r := rounds + 1; r <= rounds+2; r++ {
+		for i, o := range objs {
+			mvccPut(t, sh, p, o, uint64(r*objects+i))
+		}
+	}
+	for i, o := range objs {
+		if v, ok := snapVal(t, pin, o); !ok || v != uint64(rounds*objects+i) {
+			t.Fatalf("pinned read of object %d = %d,%v; want %d,true", i, v, ok, rounds*objects+i)
+		}
+	}
+	if got := held(); got <= objects {
+		t.Fatalf("the pin's versions were freed under it: the mirror holds %d versions", got)
+	}
+	m.Unpin(pin)
+	err = shardedTx(sh, p, nil, func(tx *Tx) error {
+		for i, o := range objs {
+			if err := tx.AddRange(o, 16); err != nil {
+				return err
+			}
+			ref, err := sh.Heap().Deref(o, isa.RZ)
+			if err != nil {
+				return err
+			}
+			if err := ref.Store64(0, uint64(i), isa.RZ); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("commit after Unpin: %v", err)
+	}
+	if got := held(); got != objects {
+		t.Fatalf("the first commit after Unpin left %d versions, want %d", got, objects)
+	}
+}

@@ -167,8 +167,8 @@ func TestConcurrentFirstTouch(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for p := 0; p < pages; p++ {
-				// Interleave the workers' pages so neighbours in the frame
-				// table are touched by different goroutines.
+				// Interleave the workers' pages so neighbouring page
+				// slots are touched by different goroutines.
 				va := r.Base + uint64(p*workers+w)*PageSize
 				if err := as.Write64(va+8, uint64(w)<<32|uint64(p)); err != nil {
 					t.Error(err)

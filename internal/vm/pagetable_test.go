@@ -64,13 +64,33 @@ func (ref *refSpace) check(as *AddressSpace, va uint64) error {
 	return nil
 }
 
+// checkLeaves holds the radix to its definition: a top-level slot has a
+// leaf exactly when a live region overlaps the slot's stretch of arena.
+func checkLeaves(as *AddressSpace, live []Region) error {
+	want := map[uint64]bool{}
+	for _, r := range live {
+		for t := (r.Base - mmapBase) >> topShift; t <= (r.End()-1-mmapBase)>>topShift; t++ {
+			want[t] = true
+		}
+	}
+	for t, l := range as.pageTable.top {
+		if (l != nil) != want[uint64(t)] {
+			return fmt.Errorf("top slot %d has leaf %t, want %t", t, l != nil, want[uint64(t)])
+		}
+	}
+	return nil
+}
+
 // TestPageTableMatchesReference drives seeded random Map/Unmap sequences and
 // holds every translation, every RegionOf answer and the order in which freed
-// frames come back to a map-based reference model. The windows crowd regions
-// into shared spans, map regions wider than a span (the 48 MiB master pool
-// spans two or three) and reach both ends of the arena.
+// frames come back to a map-based reference model, and the radix's leaves to
+// the live regions. The windows crowd regions into shared spans, map regions
+// wider than a span (the 48 MiB master pool spans two or three), reach both
+// ends of the arena, and straddle leaf boundaries, where a region spans two
+// leaves and an Unmap empties a leaf.
 func TestPageTableMatchesReference(t *testing.T) {
 	const spanPages = spanSize / PageSize
+	const leafPages = leafSpans * spanPages
 	arenaPages := int64(mmapSpan / PageSize)
 	cases := []struct {
 		name         string
@@ -81,7 +101,10 @@ func TestPageTableMatchesReference(t *testing.T) {
 		{"mid", 1000 * spanPages, 64 * spanPages, false},
 		{"mid-concurrent", 77777 * spanPages, 64 * spanPages, true},
 		{"arena-end", arenaPages - 8*spanPages, 8 * spanPages, false},
+		{"leaf-boundary", 100*leafPages - 4*spanPages, 8 * spanPages, false},
+		{"leaf-boundaries", 200*leafPages - 2*spanPages, leafPages + 4*spanPages, false},
 	}
+	var crossLeaf, emptyLeaf bool
 	sizes := []uint64{1, 2, 16, spanPages / 2, spanPages + 1, 48 << 20 / PageSize}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,6 +140,7 @@ func TestPageTableMatchesReference(t *testing.T) {
 					ref.unmapRegion(r)
 					live = append(live[:i], live[i+1:]...)
 					dead = append(dead, r)
+					emptyLeaf = emptyLeaf || as.pageTable.top[(r.Base-mmapBase)>>topShift] == nil
 				} else {
 					r, err := as.Map(pages * PageSize)
 					if err != nil {
@@ -125,10 +149,14 @@ func TestPageTableMatchesReference(t *testing.T) {
 					ref.mapRegion(r)
 					live = append(live, r)
 					wide = wide || (r.End()-1)/spanSize != r.Base/spanSize
+					crossLeaf = crossLeaf || (r.End()-1-mmapBase)>>topShift != (r.Base-mmapBase)>>topShift
 					shared = shared || sharesSpan(r)
 				}
-				if len(as.frames) != int(ref.next) {
-					t.Fatalf("step %d: %d frames, reference has %d", step, len(as.frames), ref.next)
+				if as.frames != ref.next {
+					t.Fatalf("step %d: %d frames, reference has %d", step, as.frames, ref.next)
+				}
+				if err := checkLeaves(as, live); err != nil {
+					t.Fatalf("step %d: %v", step, err)
 				}
 				// The pages of every live region and of the last few unmapped
 				// ones (all of them, or 64 at random from a large region
@@ -159,12 +187,16 @@ func TestPageTableMatchesReference(t *testing.T) {
 			}
 		})
 	}
+	if !crossLeaf || !emptyLeaf {
+		t.Errorf("coverage: region across two leaves %t, unmap that empties a leaf %t", crossLeaf, emptyLeaf)
+	}
 }
 
 // TestMapFootprint gates what the page table costs: a region pays for its
 // own pages, not for the 32 MB of arena around it. Mapping a thousand
 // sixteen-page regions at random allocates a few hundred bytes per region:
-// the region record, its entries and the grown frame array.
+// the region record, its entries and, for a region alone in its 2 GB of
+// arena, a leaf.
 func TestMapFootprint(t *testing.T) {
 	const regions = 1000
 	as := NewAddressSpace(1)
@@ -180,5 +212,28 @@ func TestMapFootprint(t *testing.T) {
 	t.Logf("%d sixteen-page regions allocated %.0f B per region", regions, per)
 	if per > 1024 {
 		t.Errorf("allocated %.0f B per region, want <= 1024", per)
+	}
+}
+
+// TestAddressSpaceFootprint gates what an address space costs before any
+// page is written: the radix's top level, one leaf per gigabyte that holds a
+// region, and each region's entries. An empty address space plus ten 4 MiB
+// regions allocates at most 256 KiB; a flat top level with a slot for every
+// 32 MB span of the arena cost 3.75 MiB on its own.
+func TestAddressSpaceFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	as := NewAddressSpace(1)
+	for i := 0; i < 10; i++ {
+		if _, err := as.Map(4 << 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(as)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("an empty address space plus ten 4 MiB regions allocated %d B", got)
+	if got > 256<<10 {
+		t.Errorf("allocated %d B, want <= %d", got, 256<<10)
 	}
 }

@@ -38,64 +38,86 @@ const (
 )
 
 // Page-table geometry: translations are on the per-simulated-instruction hot
-// path (every load, store and POT probe), so the VPN→PFN mapping is an array
-// lookup, not a hash map, fronted by a last-VPN memo that short-circuits the
-// common same-page access run.
+// path (every load, store and POT probe), so the VPN→PFN mapping is an
+// indexed lookup, not a hash map, fronted by a last-VPN memo that
+// short-circuits the common same-page access run.
 //
-// Each mapped region owns its entries, one frame number per page, so the
-// table costs four bytes per mapped page and nothing for the arena between
-// pools. The top level has one slot per 32 MB span of the arena (3.75 MB per
-// address space, a single allocation), pointing at the lowest region that
-// overlaps the span. Regions are linked in address order, so a span shared by
-// several regions is a short walk. A page outside the arena is unmapped.
+// Each mapped region owns its entries, one frame number and one page slot
+// per page, so a region costs twelve bytes per page it maps. Regions are
+// found through a two-level radix over the arena, like the x86 table it
+// models: the top level has one slot per 2 GB of arena (60 KB per address
+// space, a single allocation), and a leaf of 64 slots, one per 32 MB span,
+// exists only while a region overlaps its 2 GB. A span's slot points at the
+// lowest region that overlaps the span. Regions are linked in address
+// order, so a span shared by several regions is a short walk. A page
+// outside the arena is unmapped.
 const (
 	spanShift = 25
 	spanSize  = 1 << spanShift
+	leafShift = 6
+	leafSpans = 1 << leafShift
+	topShift  = spanShift + leafShift
 )
 
 // mapping is one mapped region and its page-table entries.
 type mapping struct {
 	Region
 	pfns []uint32 // frame number of each page, in address order
-	next *mapping // the next region up the address space, or nil
+	// pages holds the bytes behind each page, nil until the page's first
+	// write. A page is published with one compare-and-swap, so first
+	// touches of distinct pages may run concurrently (SetConcurrent).
+	pages []atomic.Pointer[Page]
+	next  *mapping // the next region up the address space, or nil
 }
 
-// pageTable maps virtual pages to physical frame numbers.
+// leaf holds the lead region of each span of one top-level slot.
+type leaf [leafSpans]*mapping
+
+// pageTable maps virtual pages to physical frame numbers and the bytes
+// behind them.
 type pageTable struct {
-	top []*mapping // indexed by (va-mmapBase)>>spanShift
+	top []*leaf // indexed by (va-mmapBase)>>topShift; nil where nothing is mapped
 
-	// Last-translation memo. memoPFN is PFN+1; 0 means no memo. noMemo
-	// disables the memo for concurrent address spaces: the memo is the
-	// page table's only lookup-path mutation, so with it off, concurrent
-	// lookups are pure reads.
-	memoVPN uint64
-	memoPFN uint32
-	noMemo  bool
+	// Last-translation memo: the page memoVPN has frame memoPFN-1 and its
+	// bytes behind memoPage. memoPFN 0 means no memo. noMemo disables the
+	// memo for concurrent address spaces: the memo is the page table's
+	// only lookup-path mutation, so with it off, concurrent lookups are
+	// pure reads.
+	memoVPN  uint64
+	memoPFN  uint32
+	memoPage *atomic.Pointer[Page]
+	noMemo   bool
 }
 
-// lookup returns the frame number behind the page holding va.
-func (pt *pageTable) lookup(va uint64) (uint32, bool) {
+// lookup returns the frame number and page slot behind the page holding va.
+func (pt *pageTable) lookup(va uint64) (uint32, *atomic.Pointer[Page], bool) {
 	vpn := va >> PageShift
 	if pt.memoPFN != 0 && vpn == pt.memoVPN {
-		return pt.memoPFN - 1, true
+		return pt.memoPFN - 1, pt.memoPage, true
 	}
 	m := pt.find(va)
 	if m == nil {
-		return 0, false
+		return 0, nil, false
 	}
-	pfn := m.pfns[(va-m.Base)>>PageShift]
+	i := (va - m.Base) >> PageShift
+	pfn, pg := m.pfns[i], &m.pages[i]
 	if !pt.noMemo {
-		pt.memoVPN, pt.memoPFN = vpn, pfn+1
+		pt.memoVPN, pt.memoPFN, pt.memoPage = vpn, pfn+1, pg
 	}
-	return pfn, true
+	return pfn, pg, true
 }
 
 // find returns the region containing va, or nil.
 func (pt *pageTable) find(va uint64) *mapping {
-	if va-mmapBase >= mmapSpan {
+	off := va - mmapBase
+	if off >= mmapSpan {
 		return nil
 	}
-	m := pt.top[(va-mmapBase)>>spanShift]
+	l := pt.top[off>>topShift]
+	if l == nil {
+		return nil
+	}
+	m := l[off>>spanShift&(leafSpans-1)]
 	for m != nil && m.End() <= va {
 		m = m.next
 	}
@@ -103,6 +125,24 @@ func (pt *pageTable) find(va uint64) *mapping {
 		return nil
 	}
 	return m
+}
+
+// setLead points the span holding va at lead, allocating the span's leaf
+// on its first lead and dropping it when its last lead goes.
+func (pt *pageTable) setLead(va uint64, lead *mapping) {
+	t := (va - mmapBase) >> topShift
+	l := pt.top[t]
+	if l == nil {
+		if lead == nil {
+			return
+		}
+		l = new(leaf)
+		pt.top[t] = l
+	}
+	l[(va-mmapBase)>>spanShift&(leafSpans-1)] = lead
+	if lead == nil && *l == (leaf{}) {
+		pt.top[t] = nil
+	}
 }
 
 // Region describes one mapped virtual range.
@@ -126,12 +166,9 @@ type Page [PageSize]byte
 type AddressSpace struct {
 	rng       *rand.Rand
 	pageTable pageTable
-	// frames holds the page behind each PFN, nil until the frame's first
-	// write. A page is published with one compare-and-swap, so first touches
-	// of distinct frames may run concurrently (SetConcurrent).
-	frames   []atomic.Pointer[Page]
-	freePFNs []uint32
-	regions  []*mapping // sorted by Base; mappings never overlap, so by End too
+	frames    uint32 // frame numbers handed out so far; freePFNs returns some
+	freePFNs  []uint32
+	regions   []*mapping // sorted by Base; mappings never overlap, so by End too
 }
 
 // NewAddressSpace creates an empty address space. The seed drives ASLR
@@ -140,7 +177,7 @@ func NewAddressSpace(seed int64) *AddressSpace {
 	return &AddressSpace{
 		rng: rand.New(rand.NewSource(seed)),
 		pageTable: pageTable{
-			top: make([]*mapping, mmapSpan>>spanShift),
+			top: make([]*leaf, mmapSpan>>topShift),
 		},
 	}
 }
@@ -153,7 +190,7 @@ func NewAddressSpace(seed int64) *AddressSpace {
 // sharded heap they run stop-the-world.
 func (as *AddressSpace) SetConcurrent() {
 	as.pageTable.noMemo = true
-	as.pageTable.memoPFN = 0
+	as.pageTable.memoPFN, as.pageTable.memoPage = 0, nil
 }
 
 // Map allocates a page-aligned virtual region of at least size bytes at an
@@ -175,7 +212,12 @@ func (as *AddressSpace) Map(size uint64) (Region, error) {
 			break
 		}
 	}
-	m := &mapping{Region: Region{Base: base, Size: size}, pfns: make([]uint32, size>>PageShift)}
+	pages := size >> PageShift
+	m := &mapping{
+		Region: Region{Base: base, Size: size},
+		pfns:   make([]uint32, pages),
+		pages:  make([]atomic.Pointer[Page], pages),
+	}
 	for i := range m.pfns {
 		m.pfns[i] = as.allocFrame()
 	}
@@ -183,7 +225,8 @@ func (as *AddressSpace) Map(size uint64) (Region, error) {
 	return m.Region, nil
 }
 
-// Unmap removes a previously mapped region and frees its frames.
+// Unmap removes a previously mapped region and frees its frames. The
+// region's pages go with it, so a recycled frame reads as zeros.
 func (as *AddressSpace) Unmap(r Region) error {
 	idx := as.regionAfter(r.Base)
 	if idx == len(as.regions) || as.regions[idx].Region != r {
@@ -195,12 +238,8 @@ func (as *AddressSpace) Unmap(r Region) error {
 		as.regions[idx-1].next = m.next
 	}
 	as.relead(r)
-	as.pageTable.memoPFN = 0
-	for _, pfn := range m.pfns {
-		// Dropping the page is what makes the recycled frame read as zeros.
-		as.frames[pfn].Store(nil)
-		as.freePFNs = append(as.freePFNs, pfn)
-	}
+	as.pageTable.memoPFN, as.pageTable.memoPage = 0, nil
+	as.freePFNs = append(as.freePFNs, m.pfns...)
 	return nil
 }
 
@@ -208,7 +247,7 @@ func (as *AddressSpace) Unmap(r Region) error {
 // table. ok is false for unmapped addresses (the moral equivalent of a page
 // fault on an untouched address).
 func (as *AddressSpace) Translate(va uint64) (pa uint64, ok bool) {
-	pfn, ok := as.pageTable.lookup(va)
+	pfn, _, ok := as.pageTable.lookup(va)
 	if !ok {
 		return 0, false
 	}
@@ -227,9 +266,11 @@ func (as *AddressSpace) MappedBytes() uint64 {
 // ResidentBytes returns the memory held by pages that have been written.
 func (as *AddressSpace) ResidentBytes() uint64 {
 	var n uint64
-	for i := range as.frames {
-		if as.frames[i].Load() != nil {
-			n += PageSize
+	for _, m := range as.regions {
+		for i := range m.pages {
+			if m.pages[i].Load() != nil {
+				n += PageSize
+			}
 		}
 	}
 	return n
@@ -265,18 +306,24 @@ func (as *AddressSpace) WriteAt(va uint64, data []byte) error {
 		if err != nil {
 			return err
 		}
-		pg := slot.Load()
-		if pg == nil {
-			pg = new(Page)
-			if !slot.CompareAndSwap(nil, pg) {
-				pg = slot.Load()
-			}
-		}
-		n := copy(pg[off:], data)
+		n := copy(resident(slot)[off:], data)
 		data = data[n:]
 		va += uint64(n)
 	}
 	return nil
+}
+
+// resident returns the page behind slot, publishing a zeroed one on the
+// slot's first touch.
+func resident(slot *atomic.Pointer[Page]) *Page {
+	pg := slot.Load()
+	if pg == nil {
+		pg = new(Page)
+		if !slot.CompareAndSwap(nil, pg) {
+			pg = slot.Load()
+		}
+	}
+	return pg
 }
 
 // ResidentPage returns the page behind the page-aligned address va for
@@ -289,45 +336,86 @@ func (as *AddressSpace) ResidentPage(va uint64) *Page {
 	return slot.Load()
 }
 
+// The word accessors decode straight from the page when the word lies in
+// one page, and go through ReadAt/WriteAt when it straddles two.
+
 // Read64 reads a little-endian uint64 at va.
 func (as *AddressSpace) Read64(va uint64) (uint64, error) {
-	var b [8]byte
-	if err := as.ReadAt(va, b[:]); err != nil {
+	if va&PageMask > PageSize-8 {
+		var b [8]byte
+		if err := as.ReadAt(va, b[:]); err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint64(b[:]), nil
+	}
+	slot, off, err := as.frameFor(va)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	pg := slot.Load()
+	if pg == nil {
+		return 0, nil
+	}
+	return binary.LittleEndian.Uint64(pg[off:]), nil
 }
 
 // Write64 writes a little-endian uint64 at va.
 func (as *AddressSpace) Write64(va uint64, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return as.WriteAt(va, b[:])
+	if va&PageMask > PageSize-8 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		return as.WriteAt(va, b[:])
+	}
+	slot, off, err := as.frameFor(va)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(resident(slot)[off:], v)
+	return nil
 }
 
 // Read32 reads a little-endian uint32 at va.
 func (as *AddressSpace) Read32(va uint64) (uint32, error) {
-	var b [4]byte
-	if err := as.ReadAt(va, b[:]); err != nil {
+	if va&PageMask > PageSize-4 {
+		var b [4]byte
+		if err := as.ReadAt(va, b[:]); err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint32(b[:]), nil
+	}
+	slot, off, err := as.frameFor(va)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	pg := slot.Load()
+	if pg == nil {
+		return 0, nil
+	}
+	return binary.LittleEndian.Uint32(pg[off:]), nil
 }
 
 // Write32 writes a little-endian uint32 at va.
 func (as *AddressSpace) Write32(va uint64, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return as.WriteAt(va, b[:])
+	if va&PageMask > PageSize-4 {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		return as.WriteAt(va, b[:])
+	}
+	slot, off, err := as.frameFor(va)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(resident(slot)[off:], v)
+	return nil
 }
 
-// frameFor returns the frame slot and in-page offset behind va.
+// frameFor returns the page slot and in-page offset behind va.
 func (as *AddressSpace) frameFor(va uint64) (*atomic.Pointer[Page], uint64, error) {
-	pfn, ok := as.pageTable.lookup(va)
+	_, slot, ok := as.pageTable.lookup(va)
 	if !ok {
 		return nil, 0, fmt.Errorf("vm: access to unmapped address %#x", va)
 	}
-	return &as.frames[pfn], va & PageMask, nil
+	return slot, va & PageMask, nil
 }
 
 // allocFrame hands out a frame number: the most recently freed one, else the
@@ -338,8 +426,8 @@ func (as *AddressSpace) allocFrame() uint32 {
 		as.freePFNs = as.freePFNs[:n-1]
 		return pfn
 	}
-	as.frames = append(as.frames, atomic.Pointer[Page]{})
-	return uint32(len(as.frames) - 1)
+	as.frames++
+	return as.frames - 1
 }
 
 // regionAfter returns the index of the first region that ends past va — the
@@ -374,7 +462,7 @@ func (as *AddressSpace) relead(r Region) {
 		if i := as.regionAfter(va); i < len(as.regions) && as.regions[i].Base < va+spanSize {
 			lead = as.regions[i]
 		}
-		as.pageTable.top[(va-mmapBase)>>spanShift] = lead
+		as.pageTable.setLead(va, lead)
 	}
 }
 

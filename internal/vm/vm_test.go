@@ -2,6 +2,8 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -148,10 +150,100 @@ func TestWordHelpers(t *testing.T) {
 	}
 }
 
+// TestWordAccessorsMatchByteAccess holds Read64/Write64/Read32/Write32 to
+// ReadAt/WriteAt: two address spaces with the same placement take the same
+// random operations, one through the word accessors and one through byte
+// slices, and must return the same values and errors and end with the same
+// bytes and the same resident pages. Offsets crowd page edges, so words
+// straddle pages; the last two pages are never written and reads run past
+// the region's end into unmapped memory.
+func TestWordAccessorsMatchByteAccess(t *testing.T) {
+	const pages, written = 8, 6
+	rng := rand.New(rand.NewSource(7))
+	word, bytewise := NewAddressSpace(11), NewAddressSpace(11)
+	r, _ := word.Map(pages * PageSize)
+	if r2, _ := bytewise.Map(pages * PageSize); r2 != r {
+		t.Fatalf("placements differ: %+v and %+v", r, r2)
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	straddles := 0
+	for step := 0; step < 20000; step++ {
+		size := uint64(4 << rng.Intn(2))
+		write := rng.Intn(2) == 0
+		limit := uint64(pages*PageSize + 16)
+		if write {
+			limit = written*PageSize - size + 1
+		}
+		off := uint64(rng.Int63n(int64(limit)))
+		if rng.Intn(2) == 0 {
+			// Within a word of a page edge.
+			edge := uint64(1+rng.Intn(pages)) * PageSize
+			off = min(edge-uint64(rng.Intn(12)), limit-1)
+		}
+		if off%PageSize > PageSize-size {
+			straddles++
+		}
+		va := r.Base + off
+		v := rng.Uint64()
+		var buf [8]byte
+		b := buf[:size]
+		switch {
+		case write && size == 8:
+			binary.LittleEndian.PutUint64(b, v)
+			if e1, e2 := errText(word.Write64(va, v)), errText(bytewise.WriteAt(va, b)); e1 != e2 {
+				t.Fatalf("Write64(%#x): %q, WriteAt: %q", va, e1, e2)
+			}
+		case write:
+			binary.LittleEndian.PutUint32(b, uint32(v))
+			if e1, e2 := errText(word.Write32(va, uint32(v))), errText(bytewise.WriteAt(va, b)); e1 != e2 {
+				t.Fatalf("Write32(%#x): %q, WriteAt: %q", va, e1, e2)
+			}
+		case size == 8:
+			got, err := word.Read64(va)
+			err2 := bytewise.ReadAt(va, b)
+			want := binary.LittleEndian.Uint64(b)
+			if err2 != nil {
+				want = 0
+			}
+			if got != want || errText(err) != errText(err2) {
+				t.Fatalf("Read64(%#x) = %#x, %v; ReadAt gives %#x, %v", va, got, err, want, err2)
+			}
+		default:
+			got, err := word.Read32(va)
+			err2 := bytewise.ReadAt(va, b)
+			want := binary.LittleEndian.Uint32(b)
+			if err2 != nil {
+				want = 0
+			}
+			if got != want || errText(err) != errText(err2) {
+				t.Fatalf("Read32(%#x) = %#x, %v; ReadAt gives %#x, %v", va, got, err, want, err2)
+			}
+		}
+	}
+	if straddles < 100 {
+		t.Errorf("only %d operations straddled a page", straddles)
+	}
+	for p := uint64(0); p < pages; p++ {
+		va := r.Base + p*PageSize
+		w, bw := word.ResidentPage(va), bytewise.ResidentPage(va)
+		if (w == nil) != (bw == nil) || w != nil && *w != *bw {
+			t.Errorf("page %d differs: resident %t and %t", p, w != nil, bw != nil)
+		}
+		if (w != nil) != (p < written) {
+			t.Errorf("page %d resident = %t", p, w != nil)
+		}
+	}
+}
+
 func TestUnmapAndFrameReuse(t *testing.T) {
 	as := NewAddressSpace(6)
 	r1, _ := as.Map(2 * PageSize)
-	framesBefore := len(as.frames)
+	framesBefore := as.frames
 	if err := as.Unmap(r1); err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +255,8 @@ func TestUnmapAndFrameReuse(t *testing.T) {
 	}
 	// New mapping reuses freed frames rather than growing physical memory.
 	_, _ = as.Map(2 * PageSize)
-	if len(as.frames) != framesBefore {
-		t.Errorf("frames grew from %d to %d despite free list", framesBefore, len(as.frames))
+	if as.frames != framesBefore {
+		t.Errorf("frames grew from %d to %d despite free list", framesBefore, as.frames)
 	}
 }
 
