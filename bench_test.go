@@ -20,18 +20,16 @@ import (
 	"potgo/internal/oid"
 	"potgo/internal/polb"
 	"potgo/internal/pot"
-	"potgo/internal/tpcc"
 	"potgo/internal/vm"
 	"potgo/internal/workloads"
 )
 
 func benchSuite() *harness.Suite {
-	cfg := tpcc.TestConfig(1)
 	return harness.NewSuite(harness.Options{
 		Seed:    1,
 		Ops:     300,
 		TPCCOps: 100,
-		TPCC:    &cfg,
+		TPCC:    true,
 	})
 }
 
@@ -159,19 +157,18 @@ func BenchmarkInsnReduction(b *testing.B) {
 // BenchmarkTPCC regenerates the TPC-C rows of Figure 9 on the reduced
 // database.
 func BenchmarkTPCC(b *testing.B) {
-	cfg := tpcc.TestConfig(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		base, err := harness.Run(harness.RunSpec{
 			Bench: harness.TPCCBench, Pattern: workloads.Each, Tx: true,
-			Core: harness.InOrder, Ops: 100, Seed: 1, TPCC: &cfg,
+			Core: harness.InOrder, Ops: 100, Seed: 1, TPCC: true,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		opt, err := harness.Run(harness.RunSpec{
 			Bench: harness.TPCCBench, Pattern: workloads.Each, Tx: true,
-			Core: harness.InOrder, Ops: 100, Seed: 1, TPCC: &cfg,
+			Core: harness.InOrder, Ops: 100, Seed: 1, TPCC: true,
 			Opt: true, Design: polb.Pipelined,
 		})
 		if err != nil {

@@ -2,6 +2,8 @@
 // evaluation (Tables 2, 8, 9; Figures 9(a), 9(b), 10, 11, 12; and the
 // dynamic-instruction-reduction claim), printing each as a text table or
 // ASCII chart and optionally writing a paper-vs-measured EXPERIMENTS.md.
+// With -spec it runs named simulations instead and prints each one's
+// statistics block.
 //
 // Usage:
 //
@@ -11,6 +13,12 @@
 //	experiments -out EXPERIMENTS.md # also write the markdown report
 //	experiments -parallel 1         # serial (default: all CPUs)
 //	experiments -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
+//	experiments -spec LL/RANDOM/OPT/Pipelined/in-order:ops=500:seed=1
+//	experiments -spec TPCC/EACH/BASE/out-of-order:tpcc=test,B+T/EACH/OPT/Parallel/in-order:polb=4
+//
+// A spec is the name harness.RunSpec.String gives a run (README, "Run one
+// simulation"). Under -spec, -trace-out adds the sampled pipeline lanes,
+// and -exp, -quick, -seed and -out are usage errors.
 //
 // The grid is run in two phases: every simulation any requested experiment
 // needs is recorded up front from the experiment bodies themselves
@@ -33,7 +41,6 @@ import (
 	"potgo/internal/harness"
 	"potgo/internal/obs"
 	"potgo/internal/prof"
-	"potgo/internal/tpcc"
 )
 
 // paperHeadline maps Report.Values keys to the paper's reported numbers for
@@ -70,8 +77,26 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the harness phases (load in Perfetto)")
 		listen     = flag.String("listen", "", "serve live metrics on this address at /debug/vars (expvar JSON)")
 		progress   = flag.Duration("progress", 0, "periodic throughput/ETA report interval on stderr (0 disables)")
+		specFlag   = flag.String("spec", "", "comma-separated run specs (e.g. LL/RANDOM/OPT/Pipelined/in-order:ops=500): run each and print its statistics")
 	)
 	flag.Parse()
+
+	var specs []harness.RunSpec
+	if *specFlag != "" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "exp", "quick", "seed", "out":
+				usage(fmt.Errorf("-spec cannot be combined with -%s", f.Name))
+			}
+		})
+		for _, str := range strings.Split(*specFlag, ",") {
+			spec, err := harness.ParseSpec(str)
+			if err != nil {
+				usage(err)
+			}
+			specs = append(specs, spec)
+		}
+	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -85,52 +110,132 @@ func main() {
 		}
 		os.Exit(code)
 	}
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		exit(1)
+	}
 
 	reg := obs.NewRegistry()
 	if *listen != "" {
 		addr, _, err := reg.Serve(*listen)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			exit(1)
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "experiments: metrics at http://%s/debug/vars\n", addr)
 	}
 	var tw *obs.TraceWriter
 	if *traceOut != "" {
-		var err error
-		tw, err = obs.CreateTrace(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			exit(1)
+		if tw, err = obs.CreateTrace(*traceOut); err != nil {
+			fail(err)
 		}
 	}
 
-	opts := harness.Options{Seed: *seed, Parallel: *parallel, Obs: reg}
-	if *quick {
-		cfg := tpcc.TestConfig(*seed)
-		opts.Ops = 400
-		opts.TPCCOps = 200
-		opts.TPCC = &cfg
+	if specs != nil {
+		err = simulate(specs, reg, tw)
+	} else {
+		opts := harness.Options{Seed: *seed, Parallel: *parallel, Obs: reg}
+		if *quick {
+			opts.Ops, opts.TPCCOps, opts.TPCC = 400, 200, true
+		}
+		if !*quiet {
+			opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
+		}
+		ids := harness.ExperimentIDs
+		if *expFlag != "all" {
+			ids = strings.Split(*expFlag, ",")
+			for i := range ids {
+				ids[i] = strings.TrimSpace(ids[i])
+			}
+		}
+		err = grid(ids, opts, reg, tw, *progress, *quick, *out)
 	}
-	if !*quiet {
-		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
+	if err != nil {
+		fail(err)
 	}
+
+	if tw != nil {
+		if err := tw.Close(); err != nil {
+			fail(fmt.Errorf("trace: %w", err))
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *traceOut)
+	}
+	if *metricsOut != "" {
+		if err := reg.WriteFile(*metricsOut); err != nil {
+			fail(fmt.Errorf("metrics: %w", err))
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
+	}
+	exit(0)
+}
+
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+	os.Exit(2)
+}
+
+// simulate runs each spec on its own and prints its statistics block; the
+// block is deterministic for a given spec.
+func simulate(specs []harness.RunSpec, reg *obs.Registry, tw *obs.TraceWriter) error {
+	for i, spec := range specs {
+		start := time.Now()
+		endSim := tw.Span(1, "simulate "+spec.String())
+		res, err := harness.RunObserved(spec, harness.RunObs{Metrics: reg, Trace: tw})
+		endSim()
+		if err != nil {
+			return err
+		}
+		wall := time.Since(start).Seconds()
+		fmt.Fprintf(os.Stderr, "experiments: simulated %d instructions in %.2fs (%.2f simulated MIPS)\n",
+			res.CPU.Instructions, wall, float64(res.CPU.Instructions)/wall/1e6)
+		if i > 0 {
+			fmt.Println()
+		}
+		printStats(res)
+	}
+	return nil
+}
+
+func printStats(res harness.RunResult) {
+	fmt.Printf("configuration   %s\n", res.Spec)
+	fmt.Printf("cycles          %d\n", res.CPU.Cycles)
+	fmt.Printf("instructions    %d\n", res.CPU.Instructions)
+	fmt.Printf("IPC             %.3f\n", res.CPU.IPC())
+	fmt.Printf("checksum        %#x\n", res.Checksum)
+	fmt.Printf("pools           %d\n", res.Pools)
+	fmt.Printf("branches        %d (%.2f%% mispredicted)\n", res.CPU.BranchLookups, 100*res.CPU.MispredictRate())
+	fmt.Printf("mem stalls      %d cycles\n", res.CPU.MemStallCycles)
+	fmt.Printf("instruction mix %s\n", res.CPU.Mix.String())
+	m := res.CPU.Mem
+	fmt.Printf("L1D             %d accesses, %.2f%% miss\n", m.L1D.Accesses(), 100*m.L1D.MissRate())
+	fmt.Printf("L2              %d accesses, %.2f%% miss\n", m.L2.Accesses(), 100*m.L2.MissRate())
+	fmt.Printf("L3              %d accesses, %.2f%% miss\n", m.L3.Accesses(), 100*m.L3.MissRate())
+	fmt.Printf("D-TLB           %d accesses, %.2f%% miss\n", m.DTLB.Accesses(), 100*m.DTLB.MissRate())
+	fmt.Printf("CLWBs           %d\n", m.CLWBs)
+	if res.Spec.Opt {
+		tr := res.CPU.Translation
+		fmt.Printf("translations    %d (POLB hits %d, misses %d, %.2f%% miss)\n",
+			tr.Translations, tr.POLBHits, tr.POLBMisses, 100*res.CPU.POLB.MissRate())
+		fmt.Printf("POT walks       %d\n", tr.POTWalks)
+		fmt.Printf("trans stalls    %d cycles\n", res.CPU.TransStallCycles)
+	} else {
+		fmt.Printf("oid_direct      %d calls, %.1f insns/call, %.1f%% predictor miss\n",
+			res.Soft.Calls, res.Soft.InsnsPerCall(), 100*res.Soft.PredictorMissRate())
+	}
+}
+
+// grid prefetches every simulation the experiments need, renders their
+// reports and the paper-vs-measured summary to stdout, and writes the
+// markdown report to out when it is set.
+func grid(ids []string, opts harness.Options, reg *obs.Registry, tw *obs.TraceWriter,
+	progress time.Duration, quick bool, out string) error {
 	endCfg := tw.Span(1, "config build")
 	suite := harness.NewSuite(opts)
 	endCfg()
 
-	ids := harness.ExperimentIDs
-	if *expFlag != "all" {
-		ids = strings.Split(*expFlag, ",")
-		for i := range ids {
-			ids[i] = strings.TrimSpace(ids[i])
-		}
-	}
-
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "== prefetching simulations for %d experiment(s) on %d worker(s) ==\n",
 		len(ids), suite.Options().Parallel)
-	rep := obs.NewReporter(os.Stderr, "experiments", "run", *progress,
+	rep := obs.NewReporter(os.Stderr, "experiments", "run", progress,
 		func() (done, total float64) {
 			return float64(reg.Counter("harness.runs").Value()), float64(reg.Counter("harness.runs_planned").Value())
 		},
@@ -138,12 +243,11 @@ func main() {
 			return fmt.Sprintf("%.1f Minsn", float64(suite.SimulatedInstructions())/1e6)
 		})
 	endPrefetch := tw.Span(1, "prefetch grid")
-	err = suite.PrefetchExperiments(ids)
+	err := suite.PrefetchExperiments(ids)
 	endPrefetch()
 	rep.Stop()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: prefetch: %v\n", err)
-		exit(1)
+		return fmt.Errorf("prefetch: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "== prefetch done in %.1fs (%d Minsn simulated) ==\n",
 		time.Since(start).Seconds(), suite.SimulatedInstructions()/1e6)
@@ -156,8 +260,7 @@ func main() {
 		rep, err := suite.RunExperiment(id)
 		endRender()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
-			exit(1)
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		fmt.Fprintf(os.Stderr, "== %s done in %.1fs ==\n", id, time.Since(expStart).Seconds())
 		fmt.Println(rep.Text)
@@ -165,7 +268,7 @@ func main() {
 	}
 
 	endSummary := tw.Span(1, "summary")
-	summary := renderSummary(reports, *quick)
+	summary := renderSummary(reports, quick)
 	fmt.Println(summary)
 	endSummary()
 
@@ -175,28 +278,14 @@ func main() {
 	fmt.Fprintf(os.Stderr, "== grid complete: %d instructions simulated in %.1fs wall (%.2f simulated MIPS, parallel=%d) ==\n",
 		insns, wall, mips, suite.Options().Parallel)
 
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: trace: %v\n", err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *traceOut)
+	if out == "" {
+		return nil
 	}
-	if *metricsOut != "" {
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: metrics: %v\n", err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
+	if err := os.WriteFile(out, []byte(renderMarkdown(reports, summary, quick, opts.Seed)), 0o644); err != nil {
+		return fmt.Errorf("writing %s: %w", out, err)
 	}
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(renderMarkdown(reports, summary, *quick, *seed)), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", *out, err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-	}
-	exit(0)
+	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
+	return nil
 }
 
 func renderSummary(reports []harness.Report, quick bool) string {

@@ -1,7 +1,9 @@
 // Command tpcc runs the TPC-C application standalone: populate one
 // warehouse, execute a transaction mix, verify the consistency conditions,
-// and report per-transaction statistics. With -timed it also runs the mix
-// on the simulated machine in BASE and OPT modes and reports the speedup.
+// and report per-transaction statistics. The same mix runs on the
+// simulated machine through cmd/experiments, for example:
+//
+//	experiments -spec TPCC/ALL/BASE/in-order:seed=1:tpcc=test,TPCC/ALL/OPT/Pipelined/in-order:seed=1:tpcc=test
 package main
 
 import (
@@ -11,13 +13,10 @@ import (
 	"strings"
 
 	"potgo/internal/emit"
-	"potgo/internal/harness"
 	"potgo/internal/pmem"
-	"potgo/internal/polb"
 	"potgo/internal/tpcc"
 	"potgo/internal/trace"
 	"potgo/internal/vm"
-	"potgo/internal/workloads"
 )
 
 func main() {
@@ -27,25 +26,23 @@ func main() {
 		scale      = flag.String("scale", "spec", "database scale: spec (full TPC-C cardinalities) or test")
 		warehouses = flag.Int("warehouses", 0, "override warehouse count (0 = config default)")
 		seed       = flag.Int64("seed", 1, "random seed")
-		timed      = flag.Bool("timed", false, "also run BASE and OPT timing simulations")
 	)
 	flag.Parse()
 
-	placement := tpcc.PlaceAll
-	pat := workloads.All
-	if strings.ToLower(*place) == "each" {
-		placement = tpcc.PlaceEach
-		pat = workloads.Each
+	placeIdx, err := choose("place", *place, "all", "each")
+	if err != nil {
+		usage(err)
 	}
-	cfg := tpcc.SpecConfig(*seed)
-	if strings.ToLower(*scale) == "test" {
-		cfg = tpcc.TestConfig(*seed)
+	scaleIdx, err := choose("scale", *scale, "spec", "test")
+	if err != nil {
+		usage(err)
 	}
+	placement := []tpcc.Placement{tpcc.PlaceAll, tpcc.PlaceEach}[placeIdx]
+	cfg := []func(int64) tpcc.Config{tpcc.SpecConfig, tpcc.TestConfig}[scaleIdx](*seed)
 	if *warehouses > 0 {
 		cfg.Warehouses = *warehouses
 	}
 
-	// Functional run with consistency checking.
 	as := vm.NewAddressSpace(*seed)
 	em := emit.New(trace.Discard{}, emit.Opt)
 	h, err := pmem.NewHeap(as, pmem.NewStore(), em, nil)
@@ -74,27 +71,22 @@ func main() {
 		fmt.Printf("  %-12s %6d\n", tpcc.TxType(i), n)
 	}
 	fmt.Println("consistency conditions hold")
+}
 
-	if !*timed {
-		return
+// choose returns the index of v (case-insensitively) among a flag's
+// choices.
+func choose(name, v string, choices ...string) (int, error) {
+	for i, c := range choices {
+		if strings.EqualFold(v, c) {
+			return i, nil
+		}
 	}
-	fmt.Println("\ntiming simulation (in-order core)...")
-	spec := harness.RunSpec{Bench: harness.TPCCBench, Pattern: pat, Tx: true,
-		Core: harness.InOrder, Ops: *txns, Seed: *seed, TPCC: &cfg}
-	base, err := harness.Run(spec)
-	if err != nil {
-		fail(err)
-	}
-	optSpec := spec
-	optSpec.Opt, optSpec.Design = true, polb.Pipelined
-	opt, err := harness.Run(optSpec)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("BASE: %d cycles, %d instructions\n", base.CPU.Cycles, base.CPU.Instructions)
-	fmt.Printf("OPT : %d cycles, %d instructions (POLB miss %.2f%%)\n",
-		opt.CPU.Cycles, opt.CPU.Instructions, 100*opt.CPU.POLB.MissRate())
-	fmt.Printf("speedup: %.2fx\n", float64(base.CPU.Cycles)/float64(opt.CPU.Cycles))
+	return 0, fmt.Errorf("-%s %q: want one of %s", name, v, strings.Join(choices, ", "))
+}
+
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "tpcc: %v\n", err)
+	os.Exit(2)
 }
 
 func fail(err error) {

@@ -1,106 +1,71 @@
 // Command tracedump shows how the same persistent-memory program compiles
 // under the three translation regimes by dumping the beginning of its
-// dynamic instruction stream:
+// dynamic instruction stream. The run is named by a spec (see
+// cmd/experiments); its configuration picks the regime:
 //
-//	tracedump -bench LL -mode base   # oid_direct software translation
-//	tracedump -bench LL -mode opt    # the paper's nvld/nvst
-//	tracedump -bench LL -mode fixed  # raw pointers at fixed addresses
+//	tracedump -spec LL/RANDOM/BASE/in-order:ops=3:seed=1        # oid_direct software translation
+//	tracedump -spec LL/RANDOM/OPT/Pipelined/in-order:ops=3:seed=1  # the paper's nvld/nvst
+//	tracedump -spec LL/RANDOM/FIXED/in-order:ops=3:seed=1       # raw pointers at fixed addresses
 //
 // Comparing the three side by side makes the paper's Table 2 overhead
-// visible instruction by instruction.
+// visible instruction by instruction. The workload runs functionally, so
+// the spec's core and translation-hardware keys change nothing.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"potgo/internal/emit"
+	"potgo/internal/harness"
 	"potgo/internal/isa"
-	"potgo/internal/pmem"
-	"potgo/internal/trace"
-	"potgo/internal/vm"
-	"potgo/internal/workloads"
 )
 
 func main() {
 	var (
-		bench = flag.String("bench", "LL", "microbenchmark: LL BST SPS RBT BT B+T")
-		mode  = flag.String("mode", "base", "translation regime: base, opt or fixed")
-		n     = flag.Int("n", 120, "instructions to dump")
-		skip  = flag.Int("skip", 0, "instructions to skip first (e.g. past setup)")
-		ops   = flag.Int("ops", 3, "workload operations to run")
-		seed  = flag.Int64("seed", 1, "random seed")
+		specFlag = flag.String("spec", "LL/RANDOM/BASE/in-order:ops=3:seed=1", "the run to dump (a harness.RunSpec name)")
+		n        = flag.Int("n", 120, "instructions to dump")
+		skip     = flag.Int("skip", 0, "instructions to skip first (e.g. past setup)")
 	)
 	flag.Parse()
 
-	var m emit.Mode
-	switch strings.ToLower(*mode) {
-	case "base":
-		m = emit.Base
-	case "opt":
-		m = emit.Opt
-	case "fixed":
-		m = emit.Fixed
-	default:
-		fmt.Fprintf(os.Stderr, "tracedump: unknown mode %q\n", *mode)
+	spec, err := harness.ParseSpec(*specFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracedump:", err)
 		os.Exit(2)
 	}
-	spec, ok := workloads.ByAbbr(strings.ToUpper(*bench))
-	if !ok {
-		fmt.Fprintf(os.Stderr, "tracedump: unknown benchmark %q\n", *bench)
-		os.Exit(2)
+	w := &window{from: *skip, to: *skip + *n}
+	if _, err := harness.RunEmitted(spec, w); err != nil {
+		fmt.Fprintln(os.Stderr, "tracedump:", err)
+		os.Exit(1)
 	}
 
-	as := vm.NewAddressSpace(*seed)
-	var buf trace.Buffer
-	em := emit.New(&buf, m)
-	if stack, err := as.Map(64 * 1024); err == nil {
-		em.AttachStack(stack.Base, stack.Size)
-	}
-	var soft *emit.SoftTranslator
-	var err error
-	if m == emit.Base {
-		if soft, err = emit.NewSoftTranslator(em, as, 1024); err != nil {
-			fail(err)
-		}
-	}
-	h, err := pmem.NewHeap(as, pmem.NewStore(), em, soft)
-	if err != nil {
-		fail(err)
-	}
-	env, err := workloads.NewEnv(h, workloads.Config{Pattern: workloads.Random, Tx: true, Seed: *seed})
-	if err != nil {
-		fail(err)
-	}
-	if _, err := spec.Run(env, *ops, spec.DefaultKeyRange); err != nil {
-		fail(err)
-	}
-	em.Flush()
-
-	fmt.Printf("%s / RANDOM / %s — %d instructions total; dumping [%d, %d)\n\n",
-		spec.Abbr, m, len(buf.Instrs), *skip, *skip+*n)
-	end := *skip + *n
-	if end > len(buf.Instrs) {
-		end = len(buf.Instrs)
-	}
-	var counts [16]int
-	for _, in := range buf.Instrs {
-		counts[in.Op]++
-	}
-	for i := *skip; i < end; i++ {
-		fmt.Printf("%6d  %s\n", i, buf.Instrs[i])
+	fmt.Printf("%s — %d instructions total; dumping [%d, %d)\n\n", spec, w.total, w.from, w.from+len(w.kept))
+	for i, in := range w.kept {
+		fmt.Printf("%6d  %s\n", w.from+i, in)
 	}
 	fmt.Println("\ninstruction mix:")
 	for op := isa.Op(0); op < 12; op++ {
-		if counts[op] > 0 {
-			fmt.Printf("  %-7s %8d (%.1f%%)\n", op, counts[op], 100*float64(counts[op])/float64(len(buf.Instrs)))
+		if w.counts[op] > 0 {
+			fmt.Printf("  %-7s %8d (%.1f%%)\n", op, w.counts[op], 100*float64(w.counts[op])/float64(w.total))
 		}
 	}
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "tracedump:", err)
-	os.Exit(1)
+// window is a trace consumer that keeps the instructions in [from, to) and
+// counts every instruction by opcode.
+type window struct {
+	from, to, total int
+	kept            []isa.Instr
+	counts          [16]int
+}
+
+func (w *window) Consume(chunk []isa.Instr) {
+	for _, in := range chunk {
+		if w.total >= w.from && w.total < w.to {
+			w.kept = append(w.kept, in)
+		}
+		w.counts[in.Op]++
+		w.total++
+	}
 }

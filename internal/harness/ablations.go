@@ -44,11 +44,7 @@ func (s *Suite) AblationAssoc() (Report, error) {
 		for _, g := range ablationAssocGeoms {
 			spec := pipeSpec
 			spec.POLBSets = g.sets
-			r, err := s.Get(spec)
-			if err != nil {
-				return Report{}, err
-			}
-			sp, err := speedup(base, r)
+			r, sp, err := s.speedupOf(base, spec)
 			if err != nil {
 				return Report{}, err
 			}
@@ -80,7 +76,6 @@ func (s *Suite) AblationAssoc() (Report, error) {
 var ablationPOTSizes = []int{8192, 16384, 65536}
 
 func (s *Suite) AblationPOT() (Report, error) {
-	sizes := ablationPOTSizes
 	tb := stats.NewTable("Ablation — POT capacity under EACH (probe-accurate walk, in-order, Pipelined)",
 		"Bench", "pools", "POT 8192", "POT 16384 (paper)", "POT 65536")
 	values := map[string]float64{}
@@ -91,15 +86,11 @@ func (s *Suite) AblationPOT() (Report, error) {
 			return Report{}, err
 		}
 		cells := []string{bench, fmt.Sprintf("%d", base.Pools)}
-		for _, size := range sizes {
+		for _, size := range ablationPOTSizes {
 			spec := pipeSpec
 			spec.ProbeWalk = true
 			spec.POTEntries = size
-			r, err := s.Get(spec)
-			if err != nil {
-				return Report{}, err
-			}
-			sp, err := speedup(base, r)
+			_, sp, err := s.speedupOf(base, spec)
 			if err != nil {
 				return Report{}, err
 			}
@@ -129,21 +120,13 @@ func (s *Suite) AblationWalk() (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		fixed, err := s.Get(pipeSpec)
+		_, spFixed, err := s.speedupOf(base, pipeSpec)
 		if err != nil {
 			return Report{}, err
 		}
 		probeSpec := pipeSpec
 		probeSpec.ProbeWalk = true
-		probe, err := s.Get(probeSpec)
-		if err != nil {
-			return Report{}, err
-		}
-		spFixed, err := speedup(base, fixed)
-		if err != nil {
-			return Report{}, err
-		}
-		spProbe, err := speedup(base, probe)
+		_, spProbe, err := s.speedupOf(base, probeSpec)
 		if err != nil {
 			return Report{}, err
 		}
@@ -178,21 +161,13 @@ func (s *Suite) FixedCmp() (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		opt, err := s.Get(pipeSpec)
+		_, spOpt, err := s.speedupOf(base, pipeSpec)
 		if err != nil {
 			return Report{}, err
 		}
 		fixedSpec := baseSpec
 		fixedSpec.FixedMap = true
-		fixed, err := s.Get(fixedSpec)
-		if err != nil {
-			return Report{}, err
-		}
-		spOpt, err := speedup(base, opt)
-		if err != nil {
-			return Report{}, err
-		}
-		spFixed, err := speedup(base, fixed)
+		_, spFixed, err := s.speedupOf(base, fixedSpec)
 		if err != nil {
 			return Report{}, err
 		}
@@ -266,7 +241,7 @@ func (s *Suite) AblationPrefetch() (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		opt, err := s.Get(pipeSpec)
+		opt, spNo, err := s.speedupOf(base, pipeSpec)
 		if err != nil {
 			return Report{}, err
 		}
@@ -276,15 +251,7 @@ func (s *Suite) AblationPrefetch() (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		op, err := s.Get(pipePF)
-		if err != nil {
-			return Report{}, err
-		}
-		spNo, err := speedup(base, opt)
-		if err != nil {
-			return Report{}, err
-		}
-		spPF, err := speedup(bp, op)
+		op, spPF, err := s.speedupOf(bp, pipePF)
 		if err != nil {
 			return Report{}, err
 		}

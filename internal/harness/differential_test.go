@@ -145,7 +145,7 @@ func runTPCCFunctional(t *testing.T, mode emit.Mode, place tpcc.Placement, seed 
 // different translation modes must dump byte-identical pools — the
 // differential-test invariant.
 func functionalDump(spec RunSpec) (RunResult, map[string][]byte, error) {
-	out, h, err := runFunctional(spec)
+	out, h, err := runFunctional(spec, trace.Discard{})
 	if err != nil {
 		return out, nil, err
 	}

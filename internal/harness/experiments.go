@@ -109,29 +109,17 @@ func (s *Suite) fig9(kind CoreKind, id, title string, withParallel bool) (Report
 			if err != nil {
 				return err
 			}
-			pipe, err := s.Get(pipeSpec)
+			_, spPipe, err := s.speedupOf(base, pipeSpec)
 			if err != nil {
 				return err
 			}
-			spPipe, err := speedup(base, pipe)
-			if err != nil {
-				return err
-			}
-			ideal, err := s.Get(idealSpec)
-			if err != nil {
-				return err
-			}
-			spIdeal, err := speedup(base, ideal)
+			_, spIdeal, err := s.speedupOf(base, idealSpec)
 			if err != nil {
 				return err
 			}
 			row := []string{bench, pat.String(), stats.Bar(spPipe, 3, 18)}
 			if withParallel {
-				par, err := s.Get(parSpec)
-				if err != nil {
-					return err
-				}
-				spPar, err := speedup(base, par)
+				_, spPar, err := s.speedupOf(base, parSpec)
 				if err != nil {
 					return err
 				}
@@ -234,19 +222,11 @@ func (s *Suite) Fig10() (Report, error) {
 			if err != nil {
 				return Report{}, err
 			}
-			pipe, err := s.Get(pipeSpec)
+			_, spPipe, err := s.speedupOf(base, pipeSpec)
 			if err != nil {
 				return Report{}, err
 			}
-			par, err := s.Get(parSpec)
-			if err != nil {
-				return Report{}, err
-			}
-			spPipe, err := speedup(base, pipe)
-			if err != nil {
-				return Report{}, err
-			}
-			spPar, err := speedup(base, par)
+			_, spPar, err := s.speedupOf(base, parSpec)
 			if err != nil {
 				return Report{}, err
 			}
@@ -286,11 +266,7 @@ func (s *Suite) Fig11() (Report, error) {
 			for _, size := range polbSweepSizes {
 				spec := d.spec
 				spec.POLBSize = size
-				r, err := s.Get(spec)
-				if err != nil {
-					return Report{}, err
-				}
-				sp, err := speedup(base, r)
+				_, sp, err := s.speedupOf(base, spec)
 				if err != nil {
 					return Report{}, err
 				}
@@ -309,14 +285,13 @@ func (s *Suite) Fig11() (Report, error) {
 var table9Sizes = []int{1, 4, 32, 128}
 
 func (s *Suite) Table9() (Report, error) {
-	sizes := table9Sizes
 	tb := stats.NewTable("Table 9: POLB miss rate, OPT_NTX RANDOM",
 		"Bench", "Pipe 1", "Pipe 4", "Pipe 32", "Pipe 128", "Par 1", "Par 4", "Par 32", "Par 128")
 	values := map[string]float64{}
 	for _, bench := range MicroBenches {
 		cells := []string{bench}
 		for _, design := range []polb.Design{polb.Pipelined, polb.Parallel} {
-			for _, size := range sizes {
+			for _, size := range table9Sizes {
 				spec := RunSpec{
 					Bench: bench, Pattern: workloads.Random, Tx: false,
 					Core: InOrder, Opt: true, Design: design, POLBSize: size,
@@ -358,11 +333,7 @@ func (s *Suite) Fig12() (Report, error) {
 			} else {
 				spec.POTWalk = walk
 			}
-			r, err := s.Get(spec)
-			if err != nil {
-				return Report{}, err
-			}
-			sp, err := speedup(base, r)
+			_, sp, err := s.speedupOf(base, spec)
 			if err != nil {
 				return Report{}, err
 			}

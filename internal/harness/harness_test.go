@@ -5,19 +5,17 @@ import (
 	"testing"
 
 	"potgo/internal/polb"
-	"potgo/internal/tpcc"
 	"potgo/internal/workloads"
 )
 
 // quickSuite runs at reduced scale so the whole experiment grid stays fast
 // in tests; paper-scale numbers come from cmd/experiments.
 func quickSuite() *Suite {
-	cfg := tpcc.TestConfig(1)
 	return NewSuite(Options{
 		Seed:    1,
 		Ops:     120,
 		TPCCOps: 60,
-		TPCC:    &cfg,
+		TPCC:    true,
 	})
 }
 
@@ -219,14 +217,13 @@ func TestRunExperimentDispatch(t *testing.T) {
 }
 
 func TestTPCCQuickRun(t *testing.T) {
-	cfg := tpcc.TestConfig(1)
 	base, err := Run(RunSpec{Bench: TPCCBench, Pattern: workloads.All, Tx: true, Core: InOrder,
-		Ops: 50, Seed: 6, TPCC: &cfg})
+		Ops: 50, Seed: 6, TPCC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt, err := Run(RunSpec{Bench: TPCCBench, Pattern: workloads.Each, Tx: true, Core: InOrder,
-		Ops: 50, Seed: 6, TPCC: &cfg, Opt: true, Design: polb.Pipelined})
+		Ops: 50, Seed: 6, TPCC: true, Opt: true, Design: polb.Pipelined})
 	if err != nil {
 		t.Fatal(err)
 	}

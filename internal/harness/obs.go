@@ -12,13 +12,15 @@ type RunObs struct {
 	// Metrics, when non-nil, receives the run's end-of-run statistics
 	// (cpu.*, mem.*, core.*, polb.*, pot.*, pmem.*, emit.*, harness.*).
 	Metrics *obs.Registry
-	// Trace, when non-nil, receives sampled per-instruction pipeline
-	// timestamps on the simulated-time track.
+	// Trace, when non-nil, receives the pipeline timestamps of one
+	// instruction in traceEvery on the simulated-time track.
 	Trace *obs.TraceWriter
-	// TraceEvery samples one instruction in N for the pipeline trace
-	// (<= 1 = every instruction).
-	TraceEvery int
 }
+
+// traceEvery is the pipeline trace's sampling interval. One instruction
+// in 16 keeps long runs loadable in Perfetto, and each lane still spans the
+// whole run.
+const traceEvery = 16
 
 // publish pushes one completed run's statistics into the registry. All
 // counters aggregate across runs sharing a registry; gauges reflect the

@@ -6,7 +6,6 @@ import (
 
 	"potgo/internal/objstore"
 	"potgo/internal/pmem"
-	"potgo/internal/tpcc"
 	"potgo/internal/workloads"
 )
 
@@ -48,11 +47,8 @@ func MeasureFTOverhead(benches []string, ops, tpccOps int, seed int64) ([]FTBenc
 	out := make([]FTBenchOverhead, 0, len(benches))
 	for _, bench := range benches {
 		spec := RunSpec{Bench: bench, Pattern: workloads.All, Tx: true, Ops: ops, Seed: seed}
-		var cfg tpcc.Config
 		if bench == TPCCBench {
-			spec.Ops = tpccOps
-			cfg = tpcc.TestConfig(seed)
-			spec.TPCC = &cfg
+			spec.Ops, spec.TPCC = tpccOps, true
 		}
 		timed := func(ft bool) (float64, uint64, error) {
 			s := spec

@@ -96,29 +96,9 @@ type RunSpec struct {
 	Ops int
 	// Seed drives all randomness.
 	Seed int64
-	// TPCC overrides the TPC-C cardinalities (nil = full spec scale).
-	TPCC *tpcc.Config
-}
-
-// Label renders a short human-readable configuration name.
-func (s RunSpec) Label() string {
-	cfg := "BASE"
-	if s.FixedMap {
-		cfg = "FIXED"
-	}
-	if s.Opt {
-		cfg = "OPT/" + s.Design.String()
-		if s.Ideal {
-			cfg += "/ideal"
-		}
-	}
-	if !s.Tx {
-		cfg += "_NTX"
-	}
-	if s.FT {
-		cfg += "_FT"
-	}
-	return fmt.Sprintf("%s/%s/%s/%s", s.Bench, s.Pattern, cfg, s.Core)
+	// TPCC selects the down-scaled TPC-C database (tpcc.TestConfig;
+	// false = full spec scale).
+	TPCC bool
 }
 
 // RunResult is the outcome of one run.
@@ -136,22 +116,17 @@ type RunResult struct {
 }
 
 func (s RunSpec) opsAndRange() (int, uint64, error) {
-	if s.Bench == TPCCBench {
-		ops := s.Ops
-		if ops == 0 {
-			ops = 1000
-		}
-		return ops, 0, nil
+	if err := s.check(); err != nil {
+		return 0, 0, fmt.Errorf("harness: %w", err)
 	}
-	w, ok := workloads.ByAbbr(s.Bench)
-	if !ok {
-		return 0, 0, fmt.Errorf("harness: unknown benchmark %q", s.Bench)
+	ops, keyRange := 1000, uint64(0) // TPC-C: 1000 transactions
+	if w, ok := workloads.ByAbbr(s.Bench); ok {
+		ops, keyRange = w.DefaultOps, w.DefaultKeyRange
 	}
-	ops := s.Ops
-	if ops == 0 {
-		ops = w.DefaultOps
+	if s.Ops != 0 {
+		ops = s.Ops
 	}
-	return ops, w.DefaultKeyRange, nil
+	return ops, keyRange, nil
 }
 
 // Run executes one simulation.
@@ -181,7 +156,7 @@ func RunObserved(spec RunSpec, ro RunObs) (RunResult, error) {
 	hier := mem.New(memCfg, as)
 	machine := &cpu.Machine{Hier: hier}
 	if ro.Trace != nil {
-		machine.Tracer = obs.NewPipelineTracer(ro.Trace, ro.TraceEvery)
+		machine.Tracer = obs.NewPipelineTracer(ro.Trace, traceEvery)
 	}
 
 	var potTable *pot.Table
@@ -241,17 +216,23 @@ type timingModel interface {
 // RunFunctional executes the workload without a timing model (the trace is
 // discarded).
 func RunFunctional(spec RunSpec) (RunResult, error) {
-	out, _, err := runFunctional(spec)
+	return RunEmitted(spec, trace.Discard{})
+}
+
+// RunEmitted executes the workload without a timing model, handing its
+// instruction stream to c.
+func RunEmitted(spec RunSpec, c trace.Consumer) (RunResult, error) {
+	out, _, err := runFunctional(spec, c)
 	return out, err
 }
 
-func runFunctional(spec RunSpec) (RunResult, *pmem.Heap, error) {
+func runFunctional(spec RunSpec, c trace.Consumer) (RunResult, *pmem.Heap, error) {
 	ops, keyRange, err := spec.opsAndRange()
 	if err != nil {
 		return RunResult{}, nil, err
 	}
 	as := vm.NewAddressSpace(spec.Seed ^ 0x5eed)
-	return runWorkload(spec, ops, keyRange, as, trace.Discard{}, nil, nil)
+	return runWorkload(spec, ops, keyRange, as, c, nil, nil)
 }
 
 // runWorkload executes spec's benchmark on a fresh heap over as, with the
@@ -293,9 +274,8 @@ func runWorkload(spec RunSpec, ops int, keyRange uint64, as *vm.AddressSpace, c 
 	out := RunResult{Spec: spec}
 	if spec.Bench == TPCCBench {
 		cfg := tpcc.SpecConfig(spec.Seed)
-		if spec.TPCC != nil {
-			cfg = *spec.TPCC
-			cfg.Seed = spec.Seed
+		if spec.TPCC {
+			cfg = tpcc.TestConfig(spec.Seed)
 		}
 		place := tpcc.PlaceAll
 		if spec.Pattern == workloads.Each {

@@ -7,7 +7,6 @@ import (
 
 	"potgo/internal/cpu"
 	"potgo/internal/obs"
-	"potgo/internal/tpcc"
 )
 
 // Options configures an experiment suite.
@@ -20,8 +19,9 @@ type Options struct {
 	// TPCCOps overrides the TPC-C transaction count (0 = the paper's
 	// 1000).
 	TPCCOps int
-	// TPCC overrides the TPC-C cardinalities (nil = full spec scale).
-	TPCC *tpcc.Config
+	// TPCC selects the down-scaled TPC-C database for every TPC-C run
+	// (RunSpec.TPCC).
+	TPCC bool
 	// SkipTPCC drops the TPC-C rows from experiments that include them.
 	SkipTPCC bool
 	// Parallel bounds the number of concurrent simulations during
@@ -91,11 +91,6 @@ func (s *Suite) finish(spec RunSpec) RunSpec {
 	return spec
 }
 
-func key(spec RunSpec) string {
-	return fmt.Sprintf("%s|polb=%d/%d|walk=%d|probe=%t|pf=%t|pot=%d|ops=%d|seed=%d",
-		spec.Label(), spec.POLBSize, spec.POLBSets, spec.POTWalk, spec.ProbeWalk, spec.Prefetch, spec.POTEntries, spec.Ops, spec.Seed)
-}
-
 // Get runs (or returns the cached result of) one spec.
 func (s *Suite) Get(spec RunSpec) (RunResult, error) {
 	spec = s.finish(spec)
@@ -104,7 +99,7 @@ func (s *Suite) Get(spec RunSpec) (RunResult, error) {
 		s.recorded = append(s.recorded, spec)
 		return RunResult{Spec: spec, CPU: cpu.Result{Cycles: 1}}, nil
 	}
-	k := key(spec)
+	k := spec.String()
 	s.mu.Lock()
 	if r, ok := s.cache[k]; ok {
 		s.mu.Unlock()
@@ -135,24 +130,16 @@ func (s *Suite) Get(spec RunSpec) (RunResult, error) {
 // configuration are deduplicated up front so the pool never runs the same
 // simulation twice.
 func (s *Suite) Prefetch(specs []RunSpec) error {
-	seen := make(map[string]struct{}, len(specs))
+	seen := make(map[string]bool, len(specs))
 	uniq := specs[:0:0]
 	for _, spec := range specs {
-		k := key(s.finish(spec))
-		if _, dup := seen[k]; dup {
-			continue
+		if k := s.finish(spec).String(); !seen[k] {
+			seen[k] = true
+			uniq = append(uniq, spec)
 		}
-		seen[k] = struct{}{}
-		uniq = append(uniq, spec)
 	}
 	s.opts.Obs.Counter("harness.runs_planned").Add(uint64(len(uniq)))
-	workers := s.opts.Parallel
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(s.opts.Parallel, len(uniq)))
 	work := make(chan int)
 	errs := make([]error, len(uniq))
 	var wg sync.WaitGroup
@@ -161,9 +148,7 @@ func (s *Suite) Prefetch(specs []RunSpec) error {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				if _, err := s.Get(uniq[i]); err != nil {
-					errs[i] = err
-				}
+				_, errs[i] = s.Get(uniq[i])
 			}
 		}()
 	}
@@ -199,6 +184,16 @@ func (s *Suite) record(ids []string) []RunSpec {
 		_, _ = rec.RunExperiment(id)
 	}
 	return rec.recorded
+}
+
+// speedupOf runs spec and returns its result and its speedup over base.
+func (s *Suite) speedupOf(base RunResult, spec RunSpec) (RunResult, float64, error) {
+	r, err := s.Get(spec)
+	if err != nil {
+		return RunResult{}, 0, err
+	}
+	sp, err := speedup(base, r)
+	return r, sp, err
 }
 
 // speedup returns base cycles / variant cycles, verifying that the two runs
