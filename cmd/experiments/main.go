@@ -18,7 +18,8 @@
 //
 // A spec is the name harness.RunSpec.String gives a run (README, "Run one
 // simulation"). Under -spec, -trace-out adds the sampled pipeline lanes,
-// and -exp, -quick, -seed and -out are usage errors.
+// and -exp, -quick, -seed, -out, -parallel, -quiet and -progress are usage
+// errors.
 //
 // The grid is run in two phases: every simulation any requested experiment
 // needs is recorded up front from the experiment bodies themselves
@@ -83,12 +84,9 @@ func main() {
 
 	var specs []harness.RunSpec
 	if *specFlag != "" {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "exp", "quick", "seed", "out":
-				usage(fmt.Errorf("-spec cannot be combined with -%s", f.Name))
-			}
-		})
+		if err := specConflict(flag.CommandLine); err != nil {
+			usage(err)
+		}
 		for _, str := range strings.Split(*specFlag, ",") {
 			spec, err := harness.ParseSpec(str)
 			if err != nil {
@@ -166,6 +164,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
 	}
 	exit(0)
+}
+
+// specConflict reports a set flag that -spec does not read: the grid's
+// -exp, -quick, -seed and -out, and -parallel, -quiet and -progress, since
+// the specs run one after another and print no progress.
+func specConflict(fs *flag.FlagSet) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "exp", "quick", "seed", "out", "parallel", "quiet", "progress":
+			if err == nil {
+				err = fmt.Errorf("-spec cannot be combined with -%s", f.Name)
+			}
+		}
+	})
+	return err
 }
 
 func usage(err error) {

@@ -1,25 +1,34 @@
 // Command potcrash runs adversarial crash-injection campaigns against the
-// persistent heap and its client structures (internal/crashtest). Each
-// campaign sweeps crash points over a target's transactional workload,
-// crashes the volatile persistence domain under a line-loss adversary,
-// recovers from the surviving durable bytes and verifies invariants against
-// a deterministic model.
+// persistent heap and what is built on it (internal/crashtest). -campaign
+// picks one: the per-target sweep (the default) crashes each structure's
+// transactional workload under a line-loss adversary, recovers from the
+// surviving durable bytes and verifies invariants against a deterministic
+// model; mvcc, cluster and repair crash a whole concurrent world — an MVCC
+// store, a replicated cluster, a fault-tolerant store mid-scrub. A run
+// starts from the campaign's defaults (crashtest.Default) and applies only
+// the flags given; a flag the campaign does not read is a usage error.
 //
 // Usage:
 //
-//	potcrash [flags]                      run a campaign
-//	potcrash -replay 'rbt@267#none' ...   reproduce one recorded case
+//	potcrash [flags]                             run the sweep over all targets
+//	potcrash -campaign mvcc|cluster|repair       run a whole-world campaign
+//	potcrash -mutate drop-clwb -expect-failure   prove a seeded bug is caught
+//	potcrash -replay 'rbt@267#none' ...          reproduce one recorded case
 //
-// The exit status is 0 when every case passes and 1 when any fails;
-// -expect-failure inverts that, for CI mutation checks that must prove the
-// engine catches an injected missing-flush bug.
+// The exit status is 0 when every case passes, 1 when any fails and 2 on
+// a usage error; -expect-failure swaps 0 and 1, for CI mutation checks
+// that must prove the engine catches the bug -mutate seeds.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -30,115 +39,182 @@ import (
 	"potgo/internal/pmem"
 )
 
-func main() {
-	var (
-		targetsFlag = flag.String("targets", "all", "comma-separated targets, or 'all' (list,bst,rbt,btree,bplus,alloc,tpcc)")
-		seed        = flag.Uint64("seed", 1, "campaign seed: workload streams, point sampling, policy seeds")
-		ops         = flag.Int("ops", 12, "workload transactions per case")
-		points      = flag.Int("points", 48, "max crash points per target (<=0: exhaustive)")
-		policies    = flag.String("policies", "drop-all,torn", "comma-separated adversaries (drop-all,keep-random,torn)")
-		maxFailures = flag.Int("max-failures", 1, "stop a target's campaign after this many failures")
-		noMinimize  = flag.Bool("no-minimize", false, "skip counterexample minimization on failures")
-		mutCLWB     = flag.Int("mutate-drop-clwb", 0, "bug injection: drop every Nth cache-line write-back (1 = all)")
-		mutFence    = flag.Int("mutate-drop-fence", 0, "bug injection: drop every Nth store fence (1 = all)")
-		expectFail  = flag.Bool("expect-failure", false, "invert the exit status: succeed only if the campaign finds a failure")
-		jsonOut     = flag.String("json", "", "write the campaign summary as JSON to this file ('-' for stdout)")
-		replayTok   = flag.String("replay", "", "reproduce one case from its replay token instead of sweeping")
-		metricsOut  = flag.String("metrics-out", "", "write a JSON metrics snapshot to this file at exit")
-		listen      = flag.String("listen", "", "serve live metrics on this address at /debug/vars (expvar JSON)")
-		progress    = flag.Duration("progress", 0, "periodic cases/sec + ETA report interval on stderr (0 disables)")
-		mvccFlag    = flag.Bool("mvcc", false, "run the MVCC campaign: crash a journaled snapshot-read workload with concurrent epoch reclamation (-workers/-shards; -ops is per worker, -points crash points)")
-		clusterFlag = flag.Bool("cluster", false, "run the cluster campaign: kill a whole replicated potserve node mid-replication, fail over, verify acked-prefix linearizability (-nodes/-workers/-shards; -ops is per worker, -points kill points)")
-		nodes       = flag.Int("nodes", 3, "cluster campaign: member count (>= 3)")
-		mutSplit    = flag.Bool("mutate-split-brain", false, "bug injection: disable the stale-epoch fence and stage two primaries (cluster campaign must fail; pair with -expect-failure)")
-		mutAck      = flag.Bool("mutate-ack-before-quorum", false, "bug injection: coordinators answer a burst's writes before replicating them (cluster campaign must fail; pair with -expect-failure)")
-		mutStale    = flag.Bool("mutate-stale-read", false, "bug injection: freeze snapshot pins at a stale epoch (MVCC campaign must fail; pair with -expect-failure)")
-		workers     = flag.Int("workers", 4, "MVCC and cluster campaigns: worker goroutines")
-		shards      = flag.Int("shards", 4, "MVCC, cluster and repair campaigns: heap lock shards")
-		ftOverhead  = flag.Bool("ft-overhead", false, "measure and print the FT checksum+parity tax on the Table 5 micros and durable TPC-C (plain vs fault-tolerant pools) and the get-path verify tax")
-		corruptK    = flag.Int("corrupt-k", 0, "repair campaign: single-bit media faults per round (>0 selects the corrupt-scrub-verify campaign)")
-		corruptMode = flag.String("corrupt-mode", "detect", "repair campaign fault flavor: detect (payload bits) or silent (checksum/parity bits)")
-		scrubCrash  = flag.Bool("scrub", false, "repair campaign: arm a power failure inside each round's scrub pass (-points rounds)")
-		mutNoParity = flag.Bool("mutate-no-parity", false, "bug injection: let the parity column go stale under part of the workload (repair campaign must fail)")
-	)
-	flag.Parse()
+// config is one potcrash command line: the campaign's options plus what
+// the command does around them.
+type config struct {
+	opt                         crashtest.Options
+	targets, replay             string
+	jsonOut, metricsOut, listen string
+	progress                    time.Duration
+	expectFail, ftOverhead      bool
+}
 
+// campaignFlags lists the flags each campaign reads beyond commonFlags; a
+// flag outside both is a usage error.
+var (
+	commonFlags   = []string{"campaign", "seed", "ops", "points", "policies", "mutate", "expect-failure", "json", "metrics-out", "listen"}
+	campaignFlags = map[crashtest.Campaign][]string{
+		crashtest.Sweep:   {"targets", "max-failures", "no-minimize", "replay", "progress", "ft-overhead"},
+		crashtest.MVCC:    {"workers", "shards"},
+		crashtest.Cluster: {"nodes", "workers", "shards"},
+		crashtest.Repair:  {"shards", "corrupt-k", "corrupt-mode", "scrub"},
+	}
+)
+
+// newFlags defines potcrash's flags over opt and cfg, defaulting to what
+// they already hold.
+func newFlags(opt *crashtest.Options, cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("potcrash", flag.ContinueOnError)
+	fs.StringVar((*string)(&opt.Campaign), "campaign", string(opt.Campaign), "campaign: sweep (per target), mvcc, cluster or repair; unset flags keep its defaults")
+	fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "campaign seed: workload streams, crash points, policy seeds")
+	fs.IntVar(&opt.Ops, "ops", opt.Ops, "workload size: transactions per case (sweep), ops per worker (mvcc, cluster), ops after the fill (repair)")
+	fs.IntVar(&opt.Points, "points", opt.Points, "crash points: per target, <= 0 exhaustive (sweep); in all (mvcc, cluster); rounds (repair)")
+	fs.Func("policies", "comma-separated adversaries (drop-all,keep-random,torn); default: the campaign's", func(s string) error {
+		opt.Policies = nil
+		for _, name := range strings.Split(s, ",") {
+			k, err := nvmsim.ParseKind(strings.TrimSpace(name))
+			if err != nil {
+				return err
+			}
+			opt.Policies = append(opt.Policies, k)
+		}
+		return nil
+	})
+	fs.StringVar((*string)(&opt.Mutation), "mutate", string(opt.Mutation), "seeded bug the campaign must catch (pair with -expect-failure): drop-clwb, drop-fence (sweep), stale-read (mvcc), split-brain, ack-before-quorum (cluster), no-parity (repair)")
+	fs.BoolVar(&cfg.expectFail, "expect-failure", false, "invert the exit status: succeed only if the campaign finds a failure")
+	fs.StringVar(&cfg.jsonOut, "json", "", "write the campaign summary as JSON to this file ('-' for stdout)")
+	fs.StringVar(&cfg.metricsOut, "metrics-out", "", "write a JSON metrics snapshot to this file at exit")
+	fs.StringVar(&cfg.listen, "listen", "", "serve live metrics on this address at /debug/vars (expvar JSON)")
+	fs.StringVar(&cfg.targets, "targets", "all", "sweep: comma-separated targets, or 'all' (list,bst,rbt,btree,bplus,alloc,tpcc)")
+	fs.IntVar(&opt.MaxFailures, "max-failures", opt.MaxFailures, "sweep: stop a target after this many failures")
+	fs.BoolFunc("no-minimize", "sweep: skip counterexample minimization on failures", func(s string) error {
+		off, err := strconv.ParseBool(s)
+		opt.Minimize = !off
+		return err
+	})
+	fs.StringVar(&cfg.replay, "replay", "", "sweep: reproduce one case from its replay token instead of sweeping")
+	fs.DurationVar(&cfg.progress, "progress", 0, "sweep: periodic cases/sec + ETA report interval on stderr (0 disables)")
+	fs.BoolVar(&cfg.ftOverhead, "ft-overhead", false, "measure and print the FT checksum+parity tax on the Table 5 micros and durable TPC-C (plain vs fault-tolerant pools) and the get-path verify tax")
+	fs.IntVar(&opt.Nodes, "nodes", opt.Nodes, "cluster: member count (>= 3)")
+	fs.IntVar(&opt.Workers, "workers", opt.Workers, "mvcc, cluster: worker goroutines")
+	fs.IntVar(&opt.Shards, "shards", opt.Shards, "mvcc, cluster, repair: heap lock shards")
+	fs.IntVar(&opt.K, "corrupt-k", opt.K, "repair: single-bit media faults per round")
+	fs.Func("corrupt-mode", "repair: fault flavor, detect (payload bits) or silent (checksum/parity bits)", func(s string) (err error) {
+		opt.Mode, err = pmem.ParseCorruptMode(s)
+		return err
+	})
+	fs.BoolVar(&opt.CrashMidScrub, "scrub", opt.CrashMidScrub, "repair: arm a power failure inside each round's scrub pass")
+	return fs
+}
+
+// parseArgs reads a command line. The run starts from
+// crashtest.Default(-campaign) and applies only the flags that were set;
+// a flag the campaign does not read is an error.
+func parseArgs(args []string) (config, error) {
+	var cfg config
+	probe := crashtest.Options{Campaign: crashtest.Sweep}
+	if err := newFlags(&probe, &cfg).Parse(args); err != nil {
+		return cfg, err
+	}
+	reads, ok := campaignFlags[probe.Campaign]
+	if !ok {
+		return cfg, fmt.Errorf("unknown campaign %q (sweep, mvcc, cluster or repair)", probe.Campaign)
+	}
+	cfg = config{opt: crashtest.Default(probe.Campaign)}
+	fs := newFlags(&cfg.opt, &cfg)
+	fs.SetOutput(io.Discard) // the first parse already reported any error
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	err := cfg.opt.Check()
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(commonFlags, f.Name) && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("the %s campaign does not read -%s", probe.Campaign, f.Name)
+		}
+	})
+	return cfg, err
+}
+
+func main() {
+	cfg, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "potcrash: %v\n", err)
+		os.Exit(2)
+	}
+	if cfg.ftOverhead {
+		os.Exit(runFTOverhead(cfg.opt.Seed, cfg.opt.Ops))
+	}
 	reg := obs.NewRegistry()
-	if *listen != "" {
-		addr, _, err := reg.Serve(*listen)
+	cfg.opt.Obs = reg
+	if cfg.listen != "" {
+		addr, _, err := reg.Serve(cfg.listen)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "potcrash: metrics at http://%s/debug/vars\n", addr)
 	}
-
-	opt := crashtest.Options{
-		Obs:         reg,
-		Seed:        *seed,
-		Ops:         *ops,
-		MaxPoints:   *points,
-		MaxFailures: *maxFailures,
-		Minimize:    !*noMinimize,
-		Mutate: crashtest.MutationSpec{
-			DropCLWBEveryN:  *mutCLWB,
-			DropFenceEveryN: *mutFence,
-		},
-	}
-	var polNames []string
-	for _, s := range strings.Split(*policies, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		k, err := nvmsim.ParseKind(s)
-		if err != nil {
-			fatal(err)
-		}
-		opt.Policies = append(opt.Policies, k)
-		polNames = append(polNames, s)
-	}
-	if len(opt.Policies) == 0 {
-		fatal(fmt.Errorf("potcrash: no policies selected"))
+	if cfg.replay != "" {
+		os.Exit(replay(cfg.replay, cfg.opt, cfg.expectFail))
 	}
 
-	if *replayTok != "" {
-		os.Exit(replay(*replayTok, opt, *expectFail))
-	}
-
-	if *clusterFlag || *mvccFlag {
-		copt := crashtest.DefaultConcurrentOptions()
-		copt.Seed = *seed
-		copt.Workers = *workers
-		copt.Shards = *shards
-		copt.OpsPerWorker = *ops
-		copt.Points = *points
-		copt.Policies = opt.Policies
-		copt.Obs = reg
-		kind := "mvcc"
-		if *clusterFlag {
-			kind = "cluster"
-		}
-		c, verdict := runCampaign(kind, copt, *nodes, *mutSplit, *mutAck, *mutStale)
-		c.Policies = polNames
-		os.Exit(finishCampaign(kind, verdict, c, reg, *jsonOut, *metricsOut, *expectFail))
-	}
-
-	if *ftOverhead {
-		os.Exit(runFTOverhead(*seed, *ops))
-	}
-
-	if *corruptK > 0 || *mutNoParity || *scrubCrash {
-		os.Exit(runRepair(reg, opt, polNames, *corruptK, *corruptMode, *scrubCrash, *mutNoParity,
-			*shards, *ops, *points, *expectFail, *jsonOut, *metricsOut))
-	}
-
-	targets, err := selectTargets(*targetsFlag, *seed)
+	doc, failed, err := run(cfg)
 	if err != nil {
 		fatal(err)
 	}
+	if cfg.jsonOut != "" {
+		if err := writeJSON(cfg.jsonOut, doc); err != nil {
+			fatal(err)
+		}
+	}
+	if cfg.metricsOut != "" {
+		if err := reg.WriteFile(cfg.metricsOut); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wrote %s\n", cfg.metricsOut)
+	}
+	os.Exit(status(failed, cfg.expectFail))
+}
 
+// run runs cfg's campaign, printing its verdict, and returns the -json
+// document and whether the campaign found a failure. A whole-world
+// campaign's error is its failure, recorded in the document; an error
+// from the sweep engine itself is returned.
+func run(cfg config) (doc campaign, failed bool, err error) {
+	doc = campaign{Options: cfg.opt}
+	for _, k := range cfg.opt.Policies {
+		doc.Policies = append(doc.Policies, k.String())
+	}
 	start := time.Now()
-	prog := obs.NewReporter(os.Stderr, "potcrash", "case", *progress,
+	if cfg.opt.Campaign == crashtest.Sweep {
+		failed, err = sweep(cfg, &doc)
+	} else {
+		sum, rerr := crashtest.Run(cfg.opt)
+		doc.Summaries = []fmt.Stringer{sum}
+		verdict := fmt.Sprint(sum)
+		if failed = rerr != nil; failed {
+			doc.Error = rerr.Error()
+			verdict = "FAIL: " + doc.Error
+		}
+		fmt.Printf("%s campaign: %s (%.1fs)\n", cfg.opt.Campaign, verdict, time.Since(start).Seconds())
+	}
+	doc.Wall = time.Since(start).Seconds()
+	return doc, failed, err
+}
+
+// sweep runs the per-target campaign over cfg's targets into doc,
+// printing each target's summary and the campaign total.
+func sweep(cfg config, doc *campaign) (failed bool, err error) {
+	opt := cfg.opt
+	targets, err := selectTargets(cfg.targets, opt.Seed)
+	if err != nil {
+		return false, err
+	}
+	start := time.Now()
+	reg := opt.Obs
+	prog := obs.NewReporter(os.Stderr, "potcrash", "case", cfg.progress,
 		func() (done, total float64) {
 			// cases_planned grows as each target sizes its sweep, so the
 			// ETA refines target by target.
@@ -148,144 +224,29 @@ func main() {
 		func() string {
 			return fmt.Sprintf("%d/%d targets", reg.Counter("crashtest.targets_completed").Value(), len(targets))
 		})
-	var (
-		summaries []crashtest.Summary
-		failures  int
-	)
+	var summaries []crashtest.Summary
+	var span uint64
+	var points, cases, failures int
 	for _, tg := range targets {
-		sum, err := crashtest.RunTarget(tg, opt)
-		if err != nil {
-			fatal(err)
+		var sum crashtest.Summary
+		if sum, err = crashtest.RunTarget(tg, opt); err != nil {
+			break
 		}
 		summaries = append(summaries, sum)
-		failures += len(sum.Failures)
 		printSummary(sum)
+		span += sum.Span
+		points += sum.Points
+		cases += sum.Cases
+		failures += len(sum.Failures)
 	}
 	prog.Stop()
-	wall := time.Since(start).Seconds()
-
-	var span uint64
-	var pointsTotal, cases int
-	for _, s := range summaries {
-		span += s.Span
-		pointsTotal += s.Points
-		cases += s.Cases
+	if err != nil {
+		return false, err
 	}
 	fmt.Printf("campaign: %d targets, %d events spanned, %d points, %d cases, %d failures (%.1fs)\n",
-		len(summaries), span, pointsTotal, cases, failures, wall)
-
-	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, campaign{Options: opt, Policies: polNames, Summaries: summaries, Wall: wall}); err != nil {
-			fatal(err)
-		}
-	}
-	if *metricsOut != "" {
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *metricsOut)
-	}
-
-	os.Exit(status(failures > 0, *expectFail))
-}
-
-// runCampaign runs one whole-world campaign — kind is "cluster" or "mvcc",
-// both sized by the same flags, gathered in copt — and
-// returns what finishCampaign reports: the -json document (its Error set
-// when the campaign failed) and the verdict line.
-func runCampaign(kind string, copt crashtest.ConcurrentOptions, nodes int, mutSplit, mutAck, mutStale bool) (c campaign, verdict string) {
-	var (
-		done, points int
-		err          error
-	)
-	c.Options = copt
-	start := time.Now()
-	switch kind {
-	case "cluster":
-		o := crashtest.DefaultClusterOptions()
-		o.Seed, o.Workers, o.Shards, o.OpsPerWorker = copt.Seed, copt.Workers, copt.Shards, copt.OpsPerWorker
-		o.Points, o.Policies, o.Obs = copt.Points, copt.Policies, copt.Obs
-		o.Nodes, o.MutateSplitBrain, o.MutateAckBeforeQuorum = nodes, mutSplit, mutAck
-		var sum crashtest.ClusterSummary
-		sum, err = crashtest.RunCluster(o)
-		c.Options, c.Summaries, done, points = o, []crashtest.ClusterSummary{sum}, sum.Fired+sum.Completed, sum.Points
-		verdict = fmt.Sprintf("%d nodes, %d workers, %d points (%d node kills fired, %d drained), %d acked writes, %d events spanned",
-			o.Nodes, o.Workers, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.Span)
-	default:
-		var sum crashtest.MVCCSummary
-		sum, err = crashtest.RunMVCC(copt, mutStale)
-		c.Summaries, done, points = []crashtest.MVCCSummary{sum}, sum.Fired+sum.Completed, sum.Points
-		verdict = fmt.Sprintf("%d workers on %d shards, %d points (%d fired, %d drained), %d acked ops, %d acked batches, %d snapshot reads, %d reclaim sweeps, %d events spanned",
-			copt.Workers, copt.Shards, sum.Points, sum.Fired, sum.Completed, sum.AckedOps, sum.AckedBatches, sum.SnapshotReads, sum.Reclaims, sum.Span)
-	}
-	c.Wall = time.Since(start).Seconds()
-	if err != nil {
-		c.Error = err.Error()
-		return c, fmt.Sprintf("FAIL after %d/%d points: %v", done, points, err)
-	}
-	return c, fmt.Sprintf("%s (%.1fs)", verdict, c.Wall)
-}
-
-// finishCampaign is the end the whole-world campaigns share: print the
-// verdict, write -json and -metrics-out, and return the exit status (the
-// campaign failed if c carries an error) with -expect-failure folded in.
-func finishCampaign(kind, verdict string, c campaign, reg *obs.Registry, jsonOut, metricsOut string, expectFail bool) int {
-	fmt.Printf("%s campaign: %s\n", kind, verdict)
-	if jsonOut != "" {
-		if err := writeJSON(jsonOut, c); err != nil {
-			fatal(err)
-		}
-	}
-	if metricsOut != "" {
-		if err := reg.WriteFile(metricsOut); err != nil {
-			fatal(err)
-		}
-	}
-	return status(c.Error != "", expectFail)
-}
-
-// runRepair drives the media-fault repair campaign: inject -corrupt-k
-// single-bit faults per round, scrub, and verify byte-exact recovery
-// (crashing mid-scrub when -scrub is set). It returns the process exit
-// status with -expect-failure folded in.
-func runRepair(reg *obs.Registry, opt crashtest.Options, polNames []string, k int, mode string, scrubCrash, noParity bool,
-	shards, ops, points int, expectFail bool, jsonOut, metricsOut string) int {
-	ropt := crashtest.DefaultRepairOptions()
-	ropt.Seed = opt.Seed
-	ropt.Shards = shards
-	ropt.Obs = reg
-	ropt.Policies = opt.Policies
-	if k > 0 {
-		ropt.K = k
-	} else if noParity {
-		ropt.K = 6 // the mutation check wants enough faults to hit a stale group
-	}
-	if ops > 0 {
-		ropt.Ops = ops
-	}
-	m, err := pmem.ParseCorruptMode(mode)
-	if err != nil {
-		fatal(err)
-	}
-	ropt.Mode = m
-	ropt.NoParity = noParity
-	if scrubCrash {
-		ropt.CrashMidScrub = true
-		if points > 1 {
-			ropt.Rounds = points
-		}
-	}
-
-	start := time.Now()
-	sum, err := crashtest.RunRepair(ropt)
-	c := campaign{Options: ropt, Policies: polNames, Summaries: []crashtest.RepairSummary{sum}, Wall: time.Since(start).Seconds()}
-	verdict := fmt.Sprintf("%d rounds x %d faults (%s), %d repaired + %d parity, %d crashes fired, scrub span %d events (%.1fs)",
-		sum.Rounds, ropt.K, mode, sum.Repaired, sum.ParityRepaired, sum.Fired, sum.ScrubSpan, c.Wall)
-	if err != nil {
-		c.Error = err.Error()
-		verdict = fmt.Sprintf("FAIL: %v (summary %+v)", err, sum)
-	}
-	return finishCampaign("repair", verdict, c, reg, jsonOut, metricsOut, expectFail)
+		len(summaries), span, points, cases, failures, time.Since(start).Seconds())
+	doc.Summaries = summaries
+	return failures > 0, nil
 }
 
 // runFTOverhead prices media-fault tolerance on whole benchmarks: every
@@ -342,18 +303,11 @@ func selectTargets(spec string, seed uint64) ([]crashtest.Target, error) {
 	}
 	var out []crashtest.Target
 	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		tg, err := crashtest.TargetByName(name, seed)
+		tg, err := crashtest.TargetByName(strings.TrimSpace(name), seed)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, tg)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("potcrash: no targets selected")
 	}
 	return out, nil
 }

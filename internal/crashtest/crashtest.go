@@ -11,10 +11,15 @@
 // token (target, event, exact survivor set) and, optionally, a minimized
 // counterexample: the smallest set of lost cache lines that still breaks
 // recovery, found by greedily restoring dropped lines.
+//
+// That sweep is one of four campaigns, each configured by one Options; the
+// MVCC, cluster and repair campaigns crash a whole concurrent world
+// instead, on one shared point loop.
 package crashtest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,81 +31,146 @@ import (
 	"potgo/internal/vm"
 )
 
-// MutationSpec weakens the durability plumbing during the workload run —
-// the moral equivalent of deleting a Persist call from a structure — so
-// campaigns can prove the engine detects a real missing-flush bug rather
-// than vacuously passing. Recovery and verification always run unmutated.
-type MutationSpec struct {
-	// DropCLWBEveryN suppresses every Nth cache-line write-back (1 = all).
-	DropCLWBEveryN int `json:"drop_clwb_every_n,omitempty"`
-	// DropFenceEveryN suppresses every Nth store fence (1 = all).
-	DropFenceEveryN int `json:"drop_fence_every_n,omitempty"`
+// Campaign names one of the four crash campaigns: the per-target Sweep
+// (RunTarget) and the whole-world MVCC, Cluster and Repair campaigns (Run;
+// mvcc.go, cluster.go, repair.go).
+type Campaign string
+
+const (
+	Sweep   Campaign = "sweep"
+	MVCC    Campaign = "mvcc"
+	Cluster Campaign = "cluster"
+	Repair  Campaign = "repair"
+)
+
+// Mutation names a seeded bug. Run with one, its campaign MUST fail, or it
+// is proven unable to catch the bug it exists for.
+type Mutation string
+
+const (
+	DropCLWB        Mutation = "drop-clwb"         // sweep: drop every cache-line write-back
+	DropFence       Mutation = "drop-fence"        // sweep: drop every store fence
+	StaleRead       Mutation = "stale-read"        // mvcc: freeze snapshot pins at a stale epoch
+	SplitBrain      Mutation = "split-brain"       // cluster: no stale-epoch fence, two primaries
+	AckBeforeQuorum Mutation = "ack-before-quorum" // cluster: answer writes before replicating them
+	NoParity        Mutation = "no-parity"         // repair: let parity go stale under part of the workload
+)
+
+// mutationCampaign maps each seeded bug to the campaign that runs it.
+var mutationCampaign = map[Mutation]Campaign{
+	DropCLWB: Sweep, DropFence: Sweep, StaleRead: MVCC,
+	SplitBrain: Cluster, AckBeforeQuorum: Cluster, NoParity: Repair,
 }
 
-func (m MutationSpec) enabled() bool { return m.DropCLWBEveryN > 0 || m.DropFenceEveryN > 0 }
+// Options configures any campaign. Every campaign reads the fields up to
+// Mutation; the rest name the campaigns that read them.
+type Options struct {
+	Campaign Campaign `json:"campaign"`
+	// Seed drives the workload streams, the choice of crash points and
+	// the seeded policies. Same seed, same campaign.
+	Seed uint64 `json:"seed"`
+	// Ops sizes the workload: transactions per case (sweep), operations
+	// per worker per point (mvcc, cluster), operations after the initial
+	// fill (repair).
+	Ops int `json:"ops"`
+	// Points is the crash points per target, spans at or under it swept
+	// exhaustively and <= 0 always (sweep); the points in all, point 0
+	// the unarmed baseline (mvcc, cluster); the rounds (repair).
+	Points int `json:"points"`
+	// Policies are the adversaries: all at each sweep point, in rotation
+	// across the points of the other campaigns.
+	Policies []nvmsim.Kind `json:"-"`
+	// Obs, when non-nil, receives the campaign's counters under
+	// "crashtest.". It has no effect on the campaign itself.
+	Obs      *obs.Registry `json:"-"`
+	Mutation Mutation      `json:"mutation,omitempty"`
+	// MaxFailures stops a target after this many failures, each costing a
+	// minimization pass; Minimize shrinks each to a minimal dropped-line
+	// set (sweep).
+	MaxFailures int  `json:"max_failures,omitempty"`
+	Minimize    bool `json:"minimize,omitempty"`
+	// Workers is the number of concurrent clients (mvcc, cluster).
+	Workers int `json:"workers,omitempty"`
+	// Shards is each heap's lock-shard count (mvcc, cluster, repair).
+	Shards int `json:"shards,omitempty"`
+	// KeySpace is the key range [1, KeySpace] the workload churns (mvcc,
+	// cluster, repair).
+	KeySpace int `json:"key_space,omitempty"`
+	// Nodes is the member count, >= 3 so a quorum survives one death
+	// (cluster).
+	Nodes int `json:"nodes,omitempty"`
+	// K single-bit faults are injected per round, in Mode: detect
+	// (payload bits, caught by VerifyOnRead) or silent (checksum words
+	// and parity lines, found only by scrubbing). CrashMidScrub arms a
+	// power failure inside each round's scrub after round 0 (repair).
+	K             int              `json:"k,omitempty"`
+	Mode          pmem.CorruptMode `json:"mode,omitempty"`
+	CrashMidScrub bool             `json:"crash_mid_scrub,omitempty"`
+}
 
-// mutObserver wraps the heap's persist observer, dropping the selected
-// durability instructions before they reach the cache model.
+// Default returns the CI smoke configuration of campaign c.
+func Default(c Campaign) Options {
+	all := []nvmsim.Kind{nvmsim.DropAll, nvmsim.KeepRandom, nvmsim.Torn}
+	switch c {
+	case Sweep:
+		return Options{Campaign: c, Seed: 1, Ops: 12, Points: 48, MaxFailures: 1, Minimize: true,
+			Policies: []nvmsim.Kind{nvmsim.DropAll, nvmsim.Torn}}
+	case MVCC:
+		return Options{Campaign: c, Seed: 1, Ops: 60, Points: 12, Policies: all, Workers: 4, Shards: 4, KeySpace: 24}
+	case Cluster:
+		return Options{Campaign: c, Seed: 1, Ops: 40, Points: 6, Policies: all, Workers: 3, Shards: 2, KeySpace: 32, Nodes: 3}
+	case Repair:
+		return Options{Campaign: c, Seed: 1, Ops: 200, Points: 3, Policies: all, Shards: 4, KeySpace: 96, K: 4}
+	}
+	return Options{Campaign: c}
+}
+
+// Check reports what makes o unrunnable: an unknown campaign, a mutation
+// of another campaign, or a size the campaign reads that is not positive.
+func (o Options) Check() error {
+	sizes := []int{o.Ops, len(o.Policies), o.Points, o.Shards, o.KeySpace}
+	switch o.Campaign {
+	case Sweep:
+		sizes = []int{o.Ops, len(o.Policies), o.MaxFailures}
+	case MVCC:
+		sizes = append(sizes, o.Workers)
+	case Cluster:
+		if o.Nodes < 3 {
+			return fmt.Errorf("crashtest: the cluster campaign needs >= 3 nodes, got %d", o.Nodes)
+		}
+		sizes = append(sizes, o.Workers)
+	case Repair:
+		sizes = append(sizes, o.K)
+	default:
+		return fmt.Errorf("crashtest: unknown campaign %q (sweep, mvcc, cluster or repair)", o.Campaign)
+	}
+	if o.Mutation != "" && mutationCampaign[o.Mutation] != o.Campaign {
+		return fmt.Errorf("crashtest: the %s campaign has no mutation %q", o.Campaign, o.Mutation)
+	}
+	if slices.Min(sizes) <= 0 {
+		return fmt.Errorf("crashtest: the %s campaign needs positive sizes and at least one policy", o.Campaign)
+	}
+	return nil
+}
+
+// mutObserver wraps the heap's persist observer and drops every CLWB or
+// every fence (the sweep's mutation) before it reaches the cache model.
+// The workload and its dry run are mutated, so event numbering stays
+// aligned; recovery and verification never are.
 type mutObserver struct {
-	spec   MutationSpec
-	inner  emit.PersistObserver
-	clwbs  int
-	fences int
+	drop  Mutation
+	inner emit.PersistObserver
 }
 
 func (m *mutObserver) ObserveCLWB(va uint64) {
-	m.clwbs++
-	if n := m.spec.DropCLWBEveryN; n > 0 && m.clwbs%n == 0 {
-		return
+	if m.drop != DropCLWB {
+		m.inner.ObserveCLWB(va)
 	}
-	m.inner.ObserveCLWB(va)
 }
 
 func (m *mutObserver) ObserveSFence() {
-	m.fences++
-	if n := m.spec.DropFenceEveryN; n > 0 && m.fences%n == 0 {
-		return
-	}
-	m.inner.ObserveSFence()
-}
-
-// Options configures a campaign.
-type Options struct {
-	// Seed drives the workload op streams, the sampling of crash points
-	// and the seeded policies. Same seed, same campaign, bit for bit.
-	Seed uint64 `json:"seed"`
-	// Ops is the number of workload transactions per case.
-	Ops int `json:"ops"`
-	// MaxPoints caps the crash points tried per target; spans at or under
-	// the cap are swept exhaustively, larger ones seed-sampled. <= 0
-	// means always exhaustive.
-	MaxPoints int `json:"max_points"`
-	// Policies are the adversaries applied at each crash point.
-	Policies []nvmsim.Kind `json:"-"`
-	// MaxFailures stops a target's campaign after this many failures
-	// (each failure costs a minimization pass). <= 0 means 1.
-	MaxFailures int `json:"max_failures"`
-	// Minimize shrinks each failure to a minimal dropped-line set.
-	Minimize bool `json:"minimize"`
-	// Mutate, when enabled, weakens durability during the workload (see
-	// MutationSpec). The dry run uses the same mutation so event numbering
-	// stays aligned.
-	Mutate MutationSpec `json:"mutate,omitempty"`
-	// Obs, when non-nil, receives campaign progress counters under
-	// "crashtest." (cases_explored, failures, points_selected, ...). It has
-	// no effect on the sweep itself.
-	Obs *obs.Registry `json:"-"`
-}
-
-// DefaultOptions returns the CI smoke-campaign configuration.
-func DefaultOptions() Options {
-	return Options{
-		Seed:        1,
-		Ops:         12,
-		MaxPoints:   48,
-		Policies:    []nvmsim.Kind{nvmsim.DropAll, nvmsim.Torn},
-		MaxFailures: 1,
-		Minimize:    true,
+	if m.drop != DropFence {
+		m.inner.ObserveSFence()
 	}
 }
 
@@ -175,25 +245,30 @@ func buildWorld(tg Target, opt Options) (*vm.AddressSpace, *pmem.Store, *pmem.He
 	if err := h.SyncAll(); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if opt.Mutate.enabled() {
-		h.Emit.SetPersistObserver(&mutObserver{spec: opt.Mutate, inner: h})
+	if opt.Mutation != "" {
+		h.Emit.SetPersistObserver(&mutObserver{drop: opt.Mutation, inner: h})
 	}
 	return as, store, h, inst, nil
 }
 
-// armRun executes fn with a crash armed at the given event, converting the
-// CrashSignal panic into a normal return. Reaching the end of fn without
-// crashing (the point lies past the run's events) is legal.
+// armRun executes fn with a crash armed at the given event. Reaching the
+// end of fn without crashing (the point lies past the run's events) is
+// legal.
 func armRun(h *pmem.Heap, at uint64, fn func() error) (crashed bool, err error) {
 	h.NV.Arm(at)
 	defer h.NV.Disarm()
+	return catchCrash(fn)
+}
+
+// catchCrash runs fn, turning an armed crash's CrashSignal panic into a
+// crashed return.
+func catchCrash(fn func() error) (crashed bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := nvmsim.AsCrashSignal(r); !ok {
 				panic(r)
 			}
-			crashed = true
-			err = nil
+			crashed, err = true, nil
 		}
 	}()
 	return false, fn()
@@ -254,8 +329,7 @@ func runCase(tg Target, opt Options, event uint64, pol nvmsim.Policy) (*Failure,
 // reportOf re-runs a case purely for its crash report; minimization needs
 // the dropped-line identities, which runCase doesn't retain.
 func reportOf(tg Target, opt Options, event uint64, pol nvmsim.Policy) (nvmsim.Report, error) {
-	as, store, h, inst, err := buildWorld(tg, opt)
-	_, _ = as, store
+	_, _, h, inst, err := buildWorld(tg, opt)
 	if err != nil {
 		return nvmsim.Report{}, err
 	}
@@ -314,14 +388,11 @@ func minimize(tg Target, opt Options, event uint64, rep nvmsim.Report) []string 
 // RunTarget sweeps one target: a dry run sizes the workload's event span,
 // then every selected crash point is tried under every policy.
 func RunTarget(tg Target, opt Options) (Summary, error) {
-	if opt.Ops <= 0 {
-		opt.Ops = DefaultOptions().Ops
+	if opt.Campaign != Sweep {
+		return Summary{}, fmt.Errorf("crashtest: RunTarget runs the sweep, not the %s campaign", opt.Campaign)
 	}
-	if len(opt.Policies) == 0 {
-		opt.Policies = DefaultOptions().Policies
-	}
-	if opt.MaxFailures <= 0 {
-		opt.MaxFailures = 1
+	if err := opt.Check(); err != nil {
+		return Summary{}, err
 	}
 
 	// Dry run: the workload must complete cleanly and produce events.
@@ -377,16 +448,16 @@ func RunTarget(tg Target, opt Options) (Summary, error) {
 // exhaustive when it fits the budget, otherwise seed-sampled without
 // replacement.
 func pickPoints(base, span uint64, opt Options) ([]uint64, bool) {
-	if opt.MaxPoints <= 0 || span <= uint64(opt.MaxPoints) {
+	if opt.Points <= 0 || span <= uint64(opt.Points) {
 		out := make([]uint64, span)
 		for i := range out {
 			out[i] = base + uint64(i)
 		}
 		return out, true
 	}
-	pick := make(map[uint64]bool, opt.MaxPoints)
+	pick := make(map[uint64]bool, opt.Points)
 	s := opt.Seed ^ 0xc4a5e
-	for len(pick) < opt.MaxPoints {
+	for len(pick) < opt.Points {
 		s = mix64(s)
 		pick[base+s%span] = true
 	}

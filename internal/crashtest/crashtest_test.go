@@ -8,9 +8,9 @@ import (
 )
 
 func smokeOptions() Options {
-	opt := DefaultOptions()
+	opt := Default(Sweep)
 	opt.Ops = 10
-	opt.MaxPoints = 16
+	opt.Points = 16
 	return opt
 }
 
@@ -26,7 +26,7 @@ func TestAllTargetsSurviveSmoke(t *testing.T) {
 			opt.Seed = 3
 			if tg.Name() == "tpcc" {
 				opt.Ops = 8
-				opt.MaxPoints = 8
+				opt.Points = 8
 			}
 			sum, err := RunTarget(tg, opt)
 			if err != nil {
@@ -67,60 +67,63 @@ func TestKeepRandomPolicySweep(t *testing.T) {
 
 // TestMutationIsCaught proves the engine has teeth: weakening the
 // durability plumbing (dropping every cache-line write-back, the moral
-// equivalent of deleting the Persist calls from a structure) must produce a
-// failure with a working deterministic replay token and a minimized
-// counterexample, within the smoke budget.
+// equivalent of deleting the Persist calls from a structure, or every
+// store fence) must produce a failure with a working deterministic replay
+// token and a minimized counterexample, within the smoke budget.
 func TestMutationIsCaught(t *testing.T) {
-	tg, err := TargetByName("rbt", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := smokeOptions()
-	opt.Seed = 9
-	opt.Ops = 12
-	opt.MaxPoints = 32
-	opt.Mutate = MutationSpec{DropCLWBEveryN: 1}
-	sum, err := RunTarget(tg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum.Failures) == 0 {
-		t.Fatalf("dropped all CLWBs and the campaign still passed (%d cases over %d events)",
-			sum.Cases, sum.Span)
-	}
-	f := sum.Failures[0]
+	for _, m := range []Mutation{DropCLWB, DropFence} {
+		t.Run(string(m), func(t *testing.T) {
+			tg, err := TargetByName("rbt", 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := smokeOptions()
+			opt.Seed = 9
+			opt.Ops = 12
+			opt.Points = 32
+			opt.Mutation = m
+			sum, err := RunTarget(tg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sum.Failures) == 0 {
+				t.Fatalf("%s and the campaign still passed (%d cases over %d events)", m, sum.Cases, sum.Span)
+			}
+			f := sum.Failures[0]
 
-	// The replay token parses and reproduces the identical failure.
-	name, event, keep, err := ParseReplayToken(f.ReplayToken())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "rbt" || event != f.Event {
-		t.Fatalf("token %q round-tripped to (%s, %d)", f.ReplayToken(), name, event)
-	}
-	rerr := Replay(tg, opt, event, keep)
-	if rerr == nil {
-		t.Fatalf("replay of %s passed", f.ReplayToken())
-	}
-	if rerr.Error() != f.Err {
-		t.Fatalf("replay error %q differs from recorded %q", rerr, f.Err)
-	}
+			// The replay token parses and reproduces the identical failure.
+			name, event, keep, err := ParseReplayToken(f.ReplayToken())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name != "rbt" || event != f.Event {
+				t.Fatalf("token %q round-tripped to (%s, %d)", f.ReplayToken(), name, event)
+			}
+			rerr := Replay(tg, opt, event, keep)
+			if rerr == nil {
+				t.Fatalf("replay of %s passed", f.ReplayToken())
+			}
+			if rerr.Error() != f.Err {
+				t.Fatalf("replay error %q differs from recorded %q", rerr, f.Err)
+			}
 
-	// Without the mutation, the same case passes: the failure was the
-	// injected bug, not the engine.
-	clean := opt
-	clean.Mutate = MutationSpec{}
-	if err := Replay(tg, clean, event, keep); err != nil {
-		// The survivor set was recorded under mutated event numbering, so
-		// an unmutated replay may crash elsewhere — only a clean campaign
-		// is meaningful evidence here.
-		sum2, err2 := RunTarget(tg, clean)
-		if err2 != nil {
-			t.Fatal(err2)
-		}
-		if len(sum2.Failures) != 0 {
-			t.Fatalf("unmutated campaign fails too: %s", sum2.Failures[0].Err)
-		}
+			// Without the mutation, the same case passes: the failure was the
+			// injected bug, not the engine.
+			clean := opt
+			clean.Mutation = ""
+			if err := Replay(tg, clean, event, keep); err != nil {
+				// The survivor set was recorded under mutated event numbering, so
+				// an unmutated replay may crash elsewhere — only a clean campaign
+				// is meaningful evidence here.
+				sum2, err2 := RunTarget(tg, clean)
+				if err2 != nil {
+					t.Fatal(err2)
+				}
+				if len(sum2.Failures) != 0 {
+					t.Fatalf("unmutated campaign fails too: %s", sum2.Failures[0].Err)
+				}
+			}
+		})
 	}
 }
 
@@ -133,8 +136,8 @@ func TestMinimizationShrinks(t *testing.T) {
 	}
 	opt := smokeOptions()
 	opt.Seed = 13
-	opt.MaxPoints = 24
-	opt.Mutate = MutationSpec{DropCLWBEveryN: 1}
+	opt.Points = 24
+	opt.Mutation = DropCLWB
 	sum, err := RunTarget(tg, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +185,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	opt := smokeOptions()
 	opt.Seed = 21
-	opt.MaxPoints = 8
+	opt.Points = 8
 	a, err := RunTarget(tg, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"potgo/internal/lincheck"
 	"potgo/internal/nvmsim"
 	"potgo/internal/objstore"
-	"potgo/internal/obs"
 	"potgo/internal/pds"
 	"potgo/internal/pmem"
 )
@@ -48,54 +46,18 @@ import (
 // report a violation, or the harness is proven unable to catch the bug it
 // exists for.
 
-// ConcurrentOptions sizes a whole-world concurrent campaign: the MVCC
-// campaign runs on it, and cmd/potcrash fills it once from its flags for
-// the MVCC and cluster campaigns.
-type ConcurrentOptions struct {
-	// Seed drives the workload streams, the crash-point sampling and the
-	// seeded policies.
-	Seed uint64 `json:"seed"`
-	// Workers is the number of concurrent client goroutines.
-	Workers int `json:"workers"`
-	// Shards is the sharded heap's lock-shard count.
-	Shards int `json:"shards"`
-	// OpsPerWorker bounds each worker's operation count per run.
-	OpsPerWorker int `json:"ops_per_worker"`
-	// Points is the number of crash points sampled (run 0 is always the
-	// unarmed baseline that also measures the event span).
-	Points int `json:"points"`
-	// KeySpace is the key range [1, KeySpace] the workload churns.
-	KeySpace int `json:"key_space"`
-	// Policies rotate across crash points.
-	Policies []nvmsim.Kind `json:"-"`
-	// Obs, when non-nil, receives campaign counters under
-	// "crashtest.mvcc.".
-	Obs *obs.Registry `json:"-"`
-}
-
-// DefaultConcurrentOptions returns the CI smoke configuration.
-func DefaultConcurrentOptions() ConcurrentOptions {
-	return ConcurrentOptions{
-		Seed:         1,
-		Workers:      4,
-		Shards:       4,
-		OpsPerWorker: 60,
-		Points:       12,
-		KeySpace:     24,
-		Policies:     []nvmsim.Kind{nvmsim.DropAll, nvmsim.KeepRandom, nvmsim.Torn},
-	}
-}
-
 // MVCCSummary reports one MVCC crash campaign.
 type MVCCSummary struct {
-	Points        int    `json:"points"`
-	Fired         int    `json:"fired"`     // runs where the armed crash actually hit
-	Completed     int    `json:"completed"` // runs that drained before the arm point
+	Tally
 	AckedOps      uint64 `json:"acked_ops"`
 	AckedBatches  uint64 `json:"acked_batches"` // acknowledged cross-shard batches
 	SnapshotReads uint64 `json:"snapshot_reads"`
 	Reclaims      uint64 `json:"reclaim_sweeps"`
-	Span          uint64 `json:"event_span"`
+}
+
+func (s MVCCSummary) String() string {
+	return fmt.Sprintf("%d points (%d fired, %d drained), %d acked ops, %d acked batches, %d snapshot reads, %d reclaim sweeps, %d events spanned",
+		s.Points, s.Fired, s.Completed, s.AckedOps, s.AckedBatches, s.SnapshotReads, s.Reclaims, s.Span)
 }
 
 // mvBatchTag marks a value as a batch tag: every other value the campaign
@@ -145,7 +107,7 @@ type mvWorld struct {
 	kv *objstore.KV
 }
 
-func buildMVCCWorld(opt ConcurrentOptions) (*mvWorld, error) {
+func buildMVCCWorld(opt Options) (*mvWorld, error) {
 	sh, err := pmem.NewSharded(pmem.NewStore(), opt.Shards, int64(opt.Seed))
 	if err != nil {
 		return nil, err
@@ -166,12 +128,21 @@ type mvHistory struct {
 	rec    *lincheck.Recorder
 }
 
+// begin opens an operation's interval; on a nil history (an armed run
+// records nothing) it does nothing.
+func (h *mvHistory) begin(worker int, key uint64) (p lincheck.Pending) {
+	if h != nil {
+		p = h.rec.Begin(worker, key)
+	}
+	return p
+}
+
 // runMVCCWorkers drives puts/deletes/batches/snapshot gets/scans until
 // every worker finishes or the domain crashes, with a reclamation
 // goroutine sweeping the whole time. hist is non-nil only for unarmed
 // recorded runs (a crashed worker's history would contain in-flight writes
 // the checker cannot attribute).
-func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (mvRun, error) {
+func runMVCCWorkers(w *mvWorld, opt Options, hist *mvHistory) (mvRun, error) {
 	ackedA := make([]uint64, opt.Shards)
 	var primary, reads, reclaims uint64
 	errs := make([]error, opt.Workers)
@@ -232,7 +203,7 @@ func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (mvRun, 
 			var scanBuf []pds.KV
 			var localW []lincheck.SIWrite
 			var localR []lincheck.SIRead
-			for i := 0; i < opt.OpsPerWorker; i++ {
+			for i := 0; i < opt.Ops; i++ {
 				if maxBatch >= 2 && rng.Intn(8) == 0 {
 					// Cross-shard batch: n consecutive keys route to n
 					// distinct shards (key mod shard count).
@@ -244,10 +215,7 @@ func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (mvRun, 
 						ops[j] = objstore.BatchOp{Key: base + uint64(j), Val: tag, Del: rng.Intn(4) == 0}
 					}
 					batches[wi] = append(batches[wi], mvBatch{tag: tag, ops: n})
-					var p lincheck.Pending
-					if hist != nil {
-						p = hist.rec.Begin(wi, base)
-					}
+					p := hist.begin(wi, base)
 					if fail("Batch", w.kv.Batch(ops)) {
 						return
 					}
@@ -267,10 +235,7 @@ func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (mvRun, 
 				switch rng.Intn(8) {
 				case 0, 1, 2: // put
 					val := uint64(wi+1)<<32 | uint64(i+1)
-					var p lincheck.Pending
-					if hist != nil {
-						p = hist.rec.Begin(wi, key)
-					}
+					p := hist.begin(wi, key)
 					if _, err := w.kv.Put(key, val); fail("Put", err) {
 						return
 					}
@@ -280,10 +245,7 @@ func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (mvRun, 
 						localW = append(localW, lincheck.SIWrite{Key: key, Val: val, Call: op.Call, Ret: op.Ret})
 					}
 				case 3: // delete
-					var p lincheck.Pending
-					if hist != nil {
-						p = hist.rec.Begin(wi, key)
-					}
+					p := hist.begin(wi, key)
 					if _, err := w.kv.Delete(key); fail("Delete", err) {
 						return
 					}
@@ -293,10 +255,7 @@ func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (mvRun, 
 						localW = append(localW, lincheck.SIWrite{Key: key, Del: true, Call: op.Call, Ret: op.Ret})
 					}
 				case 4, 5, 6: // snapshot get
-					var p lincheck.Pending
-					if hist != nil {
-						p = hist.rec.Begin(wi, key)
-					}
+					p := hist.begin(wi, key)
 					val, found, err := w.kv.Get(key)
 					if fail("Get", err) {
 						return
@@ -311,10 +270,7 @@ func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (mvRun, 
 						})
 					}
 				case 7: // snapshot scan
-					var p lincheck.Pending
-					if hist != nil {
-						p = hist.rec.Begin(wi, 0)
-					}
+					p := hist.begin(wi, 0)
 					var err error
 					scanBuf, err = w.kv.ScanAppend(scanBuf, 0, opt.KeySpace+64)
 					if fail("Scan", err) {
@@ -365,42 +321,19 @@ func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (mvRun, 
 // verifyMVCC power-cycles the world, reattaches (which reseeds the
 // snapshot mirror from the recovered bytes), and proves: per shard
 // acked <= counter <= journaled with the committed prefix replaying to the
-// exact durable contents — read back entirely through the snapshot path —
-// and every batch durable all-or-nothing, all if acknowledged.
-func verifyMVCC(w *mvWorld, run mvRun, pol nvmsim.Policy, opt ConcurrentOptions) error {
-	if _, err := w.sh.Crash(pol); err != nil {
-		return fmt.Errorf("crash: %w", err)
-	}
-	kv2, err := objstore.OpenKV(w.sh, "mv")
+// exact durable contents — read back entirely through the snapshot path,
+// where a dangling or missing version reference surfaces as a wrong
+// value, a spurious miss, or an inconsistent scan — and every batch
+// durable all-or-nothing, all if acknowledged.
+func verifyMVCC(w *mvWorld, run mvRun, pol nvmsim.Policy, opt Options) error {
+	kv2, model, ops, err := recoverPrefixes(w.sh, w.kv, "mv", run.acked, pol, opt)
 	if err != nil {
-		return fmt.Errorf("reattach: %w", err)
+		return err
 	}
-	total, err := kv2.Check()
-	if err != nil {
-		return fmt.Errorf("structure invariants: %w", err)
-	}
-
-	// Merge the per-shard committed prefixes into one model, counting each
-	// batch tag's ops inside them.
-	model := make(map[uint64]uint64)
-	durable := make(map[uint64]int)
-	for i := 0; i < opt.Shards; i++ {
-		journal := w.kv.Journal(i)
-		c, err := kv2.Counter(i)
-		if err != nil {
-			return fmt.Errorf("shard %d counter: %w", i, err)
-		}
-		if c < run.acked[i] || c > uint64(len(journal)) {
-			return fmt.Errorf("shard %d: recovered counter %d outside [acked=%d, journaled=%d]",
-				i, c, run.acked[i], len(journal))
-		}
-		for k, v := range objstore.ReplayKVJournal(journal, int(c)) {
-			model[k] = v
-		}
-		for _, op := range journal[:c] {
-			if op.Val&mvBatchTag != 0 {
-				durable[op.Val]++
-			}
+	durable := make(map[uint64]int) // ops inside the durable prefixes, per batch tag
+	for _, op := range ops {
+		if op.Val&mvBatchTag != 0 {
+			durable[op.Val]++
 		}
 	}
 	for _, b := range run.batches {
@@ -411,154 +344,83 @@ func verifyMVCC(w *mvWorld, run mvRun, pol nvmsim.Policy, opt ConcurrentOptions)
 			return fmt.Errorf("acknowledged batch %#x lost: none of its %d ops durable", b.tag, b.ops)
 		}
 	}
-	if total != len(model) {
-		return fmt.Errorf("%d keys recovered, committed prefixes replay to %d", total, len(model))
-	}
+	return checkScan("recovered store", kv2.Scan, model, opt.KeySpace)
+}
 
-	// Every post-recovery read below rides the reseeded snapshot mirror:
-	// a dangling or missing version reference surfaces here as a wrong
-	// value, a spurious miss, or an inconsistent scan.
-	for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
-		val, ok, err := kv2.Get(key)
-		if err != nil {
-			return fmt.Errorf("get %d after recovery: %w", key, err)
-		}
-		want, wantOK := model[key]
-		if ok != wantOK || (ok && val != want) {
-			return fmt.Errorf("key %d: recovered (%d,%v), committed prefix says (%d,%v)",
-				key, val, ok, want, wantOK)
-		}
-	}
-	scan, err := kv2.Scan(0, opt.KeySpace+64)
+// mvccCampaign is the MVCC campaign on the point loop: a fresh world per
+// point, whose run 0 also records a full snapshot-isolation history.
+type mvccCampaign struct {
+	opt  Options
+	sum  *MVCCSummary
+	w    *mvWorld
+	last mvRun
+}
+
+func (c *mvccCampaign) begin(int) ([]*nvmsim.Domain, int, error) {
+	w, err := buildMVCCWorld(c.opt)
 	if err != nil {
-		return fmt.Errorf("scan after recovery: %w", err)
+		return nil, 0, err
 	}
-	if len(scan) != len(model) {
-		return fmt.Errorf("scan returned %d pairs, committed prefixes hold %d", len(scan), len(model))
+	c.w = w
+	return []*nvmsim.Domain{w.sh.Heap().NV}, 0, nil
+}
+
+func (c *mvccCampaign) run(point int) error {
+	var hist *mvHistory
+	if point == 0 {
+		hist = &mvHistory{rec: lincheck.NewRecorder()}
 	}
-	keys := make([]uint64, 0, len(model))
-	for k := range model {
-		keys = append(keys, k)
+	run, err := runMVCCWorkers(c.w, c.opt, hist)
+	if err != nil {
+		return err
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for i, k := range keys {
-		if scan[i].Key != k || scan[i].Val != model[k] {
-			return fmt.Errorf("scan[%d] = (%d,%d), want (%d,%d)", i, scan[i].Key, scan[i].Val, k, model[k])
+	if hist != nil {
+		if err := lincheck.CheckSI(hist.writes, hist.reads); err != nil {
+			return fmt.Errorf("baseline snapshot reads not SI-consistent: %w", err)
 		}
 	}
+	if run.fired > 1 {
+		return fmt.Errorf("%d primary crash signals, want at most 1", run.fired)
+	}
+	c.last = run
+	c.sum.add(run)
 	return nil
 }
 
-// checkMVCCHistory runs the SI checker over a recorded run.
-func checkMVCCHistory(hist *mvHistory) error {
-	return lincheck.CheckSI(hist.writes, hist.reads)
+func (c *mvccCampaign) fired() bool { return c.last.fired == 1 }
+
+func (c *mvccCampaign) verify(_ bool, pol nvmsim.Policy) error {
+	return verifyMVCC(c.w, c.last, pol, c.opt)
 }
 
-// RunMVCC runs the MVCC crash campaign. With mutateStale set it instead
-// runs the bug-injection mode: pins frozen at a stale epoch, no crashes
-// armed — the campaign MUST fail (via the SI checker) or the harness is
-// useless; pair with potcrash -expect-failure.
-func RunMVCC(opt ConcurrentOptions, mutateStale bool) (MVCCSummary, error) {
-	if opt.Workers <= 0 || opt.Shards <= 0 || opt.OpsPerWorker <= 0 || opt.Points <= 0 {
-		return MVCCSummary{}, fmt.Errorf("crashtest: mvcc options need positive workers/shards/ops/points")
-	}
-	if opt.KeySpace <= 0 {
-		opt.KeySpace = 24
-	}
-	if len(opt.Policies) == 0 {
-		opt.Policies = []nvmsim.Kind{nvmsim.DropAll}
-	}
-	sum := MVCCSummary{Points: opt.Points}
+func (c *mvccCampaign) end() {}
 
-	var bump func(name string, d uint64)
-	if opt.Obs != nil {
-		bump = func(name string, d uint64) { opt.Obs.Counter("crashtest.mvcc." + name).Add(d) }
+// runMVCC runs the MVCC crash campaign, or under the StaleRead mutation
+// the frozen-pin scenario, which arms no crash.
+func runMVCC(opt Options) (sum MVCCSummary, err error) {
+	if opt.Mutation == StaleRead {
+		err = runMVCCStaleMutation(opt, &sum)
 	} else {
-		bump = func(string, uint64) {}
+		err = runPoints(opt, &mvccCampaign{opt: opt, sum: &sum}, &sum.Tally, true)
 	}
-
-	if mutateStale {
-		return runMVCCStaleMutation(opt, sum, bump)
-	}
-
-	var startE, endE uint64
-	for point := 0; point < opt.Points; point++ {
-		w, err := buildMVCCWorld(opt)
-		if err != nil {
-			return sum, err
-		}
-		h := w.sh.Heap()
-
-		polKind := opt.Policies[point%len(opt.Policies)]
-		pol := nvmsim.Policy{Kind: polKind, Seed: mix64(opt.Seed ^ uint64(point) ^ 0x3c)}
-
-		armAt := uint64(0)
-		var hist *mvHistory
-		if point == 0 {
-			// Unarmed baseline: measures the event span and records the SI
-			// history the checker proves snapshot-consistent.
-			startE = h.NV.Events()
-			hist = &mvHistory{rec: lincheck.NewRecorder()}
-		} else {
-			span := endE - startE
-			if span == 0 {
-				span = 1
-			}
-			armAt = startE + 1 + mix64(opt.Seed^uint64(point))%span
-			h.NV.Arm(armAt)
-		}
-
-		run, err := runMVCCWorkers(w, opt, hist)
-		if err != nil {
-			return sum, fmt.Errorf("point %d: %w", point, err)
-		}
-		if point == 0 {
-			endE = h.NV.Events()
-			sum.Span = endE - startE
-			if sum.Span == 0 {
-				return sum, fmt.Errorf("crashtest: baseline run produced no persistence events")
-			}
-			if err := checkMVCCHistory(hist); err != nil {
-				return sum, fmt.Errorf("baseline snapshot reads not SI-consistent: %w", err)
-			}
-		}
-		h.NV.Disarm()
-		if run.fired > 1 {
-			return sum, fmt.Errorf("point %d: %d primary crash signals, want at most 1", point, run.fired)
-		}
-		if run.fired == 1 {
-			sum.Fired++
-			bump("fired", 1)
-		} else {
-			sum.Completed++
-			bump("completed", 1)
-		}
-		sum.add(run)
-
-		if err := verifyMVCC(w, run, pol, opt); err != nil {
-			return sum, fmt.Errorf("point %d (arm=%d, policy=%s, fired=%v): %w",
-				point, armAt, polKind, run.fired == 1, err)
-		}
-		bump("points", 1)
-	}
-	return sum, nil
+	return sum, err
 }
 
 // runMVCCStaleMutation preloads the store, freezes snapshot pins at the
 // preload epoch, runs the recorded workload, and finishes with a
 // deterministic probe (overwrite then read) that is guaranteed stale. The
 // SI checker must reject the history; its error is the campaign's.
-func runMVCCStaleMutation(opt ConcurrentOptions, sum MVCCSummary, bump func(string, uint64)) (MVCCSummary, error) {
+func runMVCCStaleMutation(opt Options, sum *MVCCSummary) error {
 	w, err := buildMVCCWorld(opt)
 	if err != nil {
-		return sum, err
+		return err
 	}
 	hist := &mvHistory{rec: lincheck.NewRecorder()}
 	preVal := func(key uint64) uint64 { return uint64(0xF)<<56 | key }
 	for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
 		p := hist.rec.Begin(0, key)
 		if _, err := w.kv.Put(key, preVal(key)); err != nil {
-			return sum, fmt.Errorf("preload put %d: %w", key, err)
+			return fmt.Errorf("preload put %d: %w", key, err)
 		}
 		op := hist.rec.End(p, nil)
 		hist.writes = append(hist.writes, lincheck.SIWrite{Key: key, Val: preVal(key), Call: op.Call, Ret: op.Ret})
@@ -568,28 +430,26 @@ func runMVCCStaleMutation(opt ConcurrentOptions, sum MVCCSummary, bump func(stri
 
 	run, err := runMVCCWorkers(w, opt, hist)
 	if err != nil {
-		return sum, fmt.Errorf("mutated workload: %w", err)
+		return fmt.Errorf("mutated workload: %w", err)
 	}
 	if run.fired != 0 {
-		return sum, fmt.Errorf("mutation mode arms no crashes but %d fired", run.fired)
+		return fmt.Errorf("mutation mode arms no crashes but %d fired", run.fired)
 	}
 	sum.add(run)
-	sum.Completed++
-	sum.Points = 1
 
 	// Deterministic probe: a committed overwrite followed by a read that
 	// the frozen pin serves from the stale epoch.
 	probeVal := uint64(0xE) << 56
 	p := hist.rec.Begin(0, uint64(1))
 	if _, err := w.kv.Put(1, probeVal); err != nil {
-		return sum, fmt.Errorf("probe put: %w", err)
+		return fmt.Errorf("probe put: %w", err)
 	}
 	op := hist.rec.End(p, nil)
 	hist.writes = append(hist.writes, lincheck.SIWrite{Key: 1, Val: probeVal, Call: op.Call, Ret: op.Ret})
 	p = hist.rec.Begin(0, uint64(1))
 	val, found, err := w.kv.Get(1)
 	if err != nil {
-		return sum, fmt.Errorf("probe get: %w", err)
+		return fmt.Errorf("probe get: %w", err)
 	}
 	op = hist.rec.End(p, val)
 	hist.reads = append(hist.reads, lincheck.SIRead{
@@ -598,9 +458,9 @@ func runMVCCStaleMutation(opt ConcurrentOptions, sum MVCCSummary, bump func(stri
 		Call:   op.Call, Ret: op.Ret,
 	})
 
-	if err := checkMVCCHistory(hist); err != nil {
-		bump("mutation_detected", 1)
-		return sum, fmt.Errorf("stale-read mutation detected (as it must be): %w", err)
+	if err := lincheck.CheckSI(hist.writes, hist.reads); err != nil {
+		opt.count("mutation_detected", 1)
+		return fmt.Errorf("stale-read mutation detected (as it must be): %w", err)
 	}
-	return sum, nil
+	return nil
 }

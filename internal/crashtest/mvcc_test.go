@@ -16,7 +16,7 @@ import (
 // under rotating adversaries, and the journaled-counter + snapshot-sweep
 // verification after each one.
 func TestMVCCCampaign(t *testing.T) {
-	opt := DefaultConcurrentOptions()
+	opt := Default(MVCC)
 	opt.Seed = uint64(randtest.Seed(t, 11))
 	if testing.Short() {
 		opt.Points = 4
@@ -24,7 +24,8 @@ func TestMVCCCampaign(t *testing.T) {
 	reg := obs.NewRegistry()
 	opt.Obs = reg
 
-	sum, err := RunMVCC(opt, false)
+	res, err := Run(opt)
+	sum, _ := res.(MVCCSummary)
 	if err != nil {
 		t.Fatalf("mvcc campaign: %v", err)
 	}
@@ -49,15 +50,17 @@ func TestMVCCCampaign(t *testing.T) {
 // harshest policy, because everything acknowledged is durable by
 // construction.
 func TestMVCCQuiescentDurability(t *testing.T) {
-	opt := DefaultConcurrentOptions()
+	opt := Default(MVCC)
 	opt.Seed = uint64(randtest.Seed(t, 3))
 	opt.Points = 1 // only the unarmed baseline
 	opt.Policies = []nvmsim.Kind{nvmsim.DropAll}
-	sum, err := RunMVCC(opt, false)
+	res, err := Run(opt)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	if sum.Completed != 1 || sum.Fired != 0 || sum.AckedBatches == 0 {
+	// The baseline is never armed, so it counts as neither fired nor
+	// completed.
+	if sum := res.(MVCCSummary); sum.Points != 1 || sum.Completed != 0 || sum.Fired != 0 || sum.AckedBatches == 0 {
 		t.Fatalf("baseline summary off: %+v", sum)
 	}
 }
@@ -68,7 +71,7 @@ func TestMVCCQuiescentDurability(t *testing.T) {
 // first call returned. The verifier must reject the half that became
 // durable; the same crash against the unsplit batch must pass.
 func TestMVCCSplitBatchCaught(t *testing.T) {
-	opt := DefaultConcurrentOptions()
+	opt := Default(MVCC)
 	opt.Seed = uint64(randtest.Seed(t, 13))
 	tag := mvBatchTag | 1
 	ops := []objstore.BatchOp{{Key: 1, Val: tag}, {Key: 2, Val: tag}}
@@ -137,10 +140,11 @@ func TestMVCCSplitBatchCaught(t *testing.T) {
 // TestMVCCStaleMutationCaught proves the campaign's SI checker catches the
 // frozen-pin bug injection — the mutation mode must FAIL.
 func TestMVCCStaleMutationCaught(t *testing.T) {
-	opt := DefaultConcurrentOptions()
+	opt := Default(MVCC)
 	opt.Seed = uint64(randtest.Seed(t, 12))
 	opt.Points = 1
-	_, err := RunMVCC(opt, true)
+	opt.Mutation = StaleRead
+	_, err := Run(opt)
 	if err == nil {
 		t.Fatal("stale-read mutation went undetected — the harness cannot catch the bug it exists for")
 	}
@@ -152,9 +156,14 @@ func TestMVCCStaleMutationCaught(t *testing.T) {
 
 // TestMVCCCampaignRejectsBadOptions pins the option validation.
 func TestMVCCCampaignRejectsBadOptions(t *testing.T) {
-	opt := DefaultConcurrentOptions()
+	opt := Default(MVCC)
 	opt.Workers = 0
-	if _, err := RunMVCC(opt, false); err == nil {
+	if _, err := Run(opt); err == nil {
 		t.Fatal("zero workers accepted")
+	}
+	opt = Default(MVCC)
+	opt.Mutation = SplitBrain
+	if _, err := Run(opt); err == nil || !strings.Contains(err.Error(), "has no mutation") {
+		t.Fatalf("a cluster mutation on the mvcc campaign: %v", err)
 	}
 }

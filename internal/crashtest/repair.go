@@ -2,12 +2,12 @@ package crashtest
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 
 	"potgo/internal/nvmsim"
 	"potgo/internal/objstore"
-	"potgo/internal/obs"
 	"potgo/internal/pmem"
 )
 
@@ -19,271 +19,206 @@ import (
 // Optionally each round arms a power failure in the middle of the scrub
 // itself: repairs are plain persistent writes of the true bytes, so a
 // torn or dropped repair must be re-repairable after recovery.
-type RepairOptions struct {
-	// Seed drives the workload, the fault placement and the crash points.
-	Seed uint64 `json:"seed"`
-	// Shards is the sharded heap's lock-shard count.
-	Shards int `json:"shards"`
-	// Keys is the keyspace the workload settles before faults start.
-	Keys int `json:"keys"`
-	// Ops is the number of workload operations (puts/deletes) beyond the
-	// initial fill.
-	Ops int `json:"ops"`
-	// K is the number of single-bit faults injected per round.
-	K int `json:"k"`
-	// Mode picks the fault flavor: detect (payload bits, caught by
-	// VerifyOnRead) or silent (checksum words and parity lines, found
-	// only by scrubbing).
-	Mode pmem.CorruptMode `json:"mode"`
-	// Rounds is the number of corrupt-scrub-verify cycles.
-	Rounds int `json:"rounds"`
-	// CrashMidScrub arms a power failure inside each round's scrub pass
-	// (round 0 stays unarmed to measure the scrub's event span). After
-	// the crash the world is recovered, re-scrubbed and verified as
-	// usual.
-	CrashMidScrub bool `json:"crash_mid_scrub"`
-	// NoParity sabotages parity maintenance for a second overwrite pass
-	// before the baseline — the CI mutation check: with stale parity the
-	// campaign MUST fail (unrepairable faults), so a green run under
-	// NoParity means the harness proves nothing.
-	NoParity bool `json:"no_parity"`
-	// Policies rotate across crash points.
-	Policies []nvmsim.Kind `json:"-"`
-	// Obs, when non-nil, receives campaign counters under
-	// "crashtest.repair.".
-	Obs *obs.Registry `json:"-"`
-}
 
-// DefaultRepairOptions returns the CI smoke configuration.
-func DefaultRepairOptions() RepairOptions {
-	return RepairOptions{
-		Seed:     1,
-		Shards:   4,
-		Keys:     96,
-		Ops:      200,
-		K:        4,
-		Mode:     pmem.CorruptDetect,
-		Rounds:   3,
-		Policies: []nvmsim.Kind{nvmsim.DropAll, nvmsim.KeepRandom, nvmsim.Torn},
-	}
-}
-
-// RepairSummary reports one repair campaign.
+// RepairSummary reports one repair campaign. Its points are rounds, and
+// its span is the baseline scrub's.
 type RepairSummary struct {
-	Rounds         int `json:"rounds"`
-	Injected       int `json:"injected"`
-	Repaired       int `json:"repaired"`
-	ParityRepaired int `json:"parity_repaired"`
-	Unrepairable   int `json:"unrepairable"`
-	// Fired counts rounds whose armed mid-scrub crash actually hit;
-	// Completed counts armed rounds whose scrub finished first.
-	Fired     int    `json:"fired"`
-	Completed int    `json:"completed"`
-	ScrubSpan uint64 `json:"scrub_event_span"`
+	Tally
+	Injected       int
+	Repaired       int
+	ParityRepaired int
+	Unrepairable   int
 }
 
-// scrubAllCatching runs a synchronous scrub pass, converting an armed
-// power failure into a (stats-so-far, crashed=true) return.
-func scrubAllCatching(sh *pmem.Sharded) (st pmem.ScrubStats, crashed bool, err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, ok := nvmsim.AsCrashSignal(r); !ok {
-			panic(r)
-		}
-		crashed = true
-		err = nil
-	}()
-	st, err = sh.ScrubAll()
-	return st, false, err
+// MarshalJSON renders the summary under the repair campaign's own names:
+// rounds for points, scrub_event_span for the span.
+func (s RepairSummary) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Rounds         int    `json:"rounds"`
+		Injected       int    `json:"injected"`
+		Repaired       int    `json:"repaired"`
+		ParityRepaired int    `json:"parity_repaired"`
+		Unrepairable   int    `json:"unrepairable"`
+		Fired          int    `json:"fired"`
+		Completed      int    `json:"completed"`
+		ScrubSpan      uint64 `json:"scrub_event_span"`
+	}{s.Points, s.Injected, s.Repaired, s.ParityRepaired, s.Unrepairable, s.Fired, s.Completed, s.Span})
 }
 
-// RunRepair runs the corrupt-scrub-verify campaign.
-func RunRepair(opt RepairOptions) (RepairSummary, error) {
-	if opt.Shards <= 0 || opt.Keys <= 0 || opt.K <= 0 || opt.Rounds <= 0 {
-		return RepairSummary{}, fmt.Errorf("crashtest: repair options need positive shards/keys/k/rounds")
-	}
-	if len(opt.Policies) == 0 {
-		opt.Policies = []nvmsim.Kind{nvmsim.DropAll}
-	}
-	var bump func(name string, d uint64)
-	if opt.Obs != nil {
-		bump = func(name string, d uint64) { opt.Obs.Counter("crashtest.repair." + name).Add(d) }
-	} else {
-		bump = func(string, uint64) {}
-	}
-	sum := RepairSummary{Rounds: opt.Rounds}
+func (s RepairSummary) String() string {
+	return fmt.Sprintf("%d rounds, %d faults injected, %d repaired + %d parity, %d crashes fired, scrub span %d events",
+		s.Points, s.Injected, s.Repaired, s.ParityRepaired, s.Fired, s.Span)
+}
 
+// repairCampaign is the repair campaign on the point loop. Its one world
+// lives across the rounds: each round injects faults, scrubs (the
+// workload the loop may crash), and checks the store against the
+// pre-fault baseline.
+type repairCampaign struct {
+	opt      Options
+	sum      *RepairSummary
+	sh       *pmem.Sharded
+	kv       *objstore.KV
+	model    map[uint64]uint64 // the logical contents, key by key
+	baseline map[string][]byte // every pool's durable bytes before any fault
+	faults   []pmem.Corruption // this round's
+	st       pmem.ScrubStats   // this round's scrub
+	crashed  bool
+}
+
+// newRepairCampaign settles a fault-tolerant KV under a seeded workload —
+// fill the keyspace, then churn it — and takes the baseline. Under the
+// NoParity mutation a second churn then runs with parity maintenance
+// sabotaged, so later faults in rewritten lines are detectable yet
+// unrepairable: the campaign MUST fail.
+func newRepairCampaign(opt Options, sum *RepairSummary) (*repairCampaign, error) {
 	sh, err := pmem.NewSharded(pmem.NewStore(), opt.Shards, int64(opt.Seed))
 	if err != nil {
-		return sum, err
+		return nil, err
 	}
 	kv, err := objstore.CreateKVFT(sh, "rp")
 	if err != nil {
-		return sum, err
+		return nil, err
 	}
-
-	// Seeded workload: fill the keyspace, then churn it. The model map is
-	// the logical ground truth every verification pass replays.
+	c := &repairCampaign{opt: opt, sum: sum, sh: sh, kv: kv, model: make(map[uint64]uint64, opt.KeySpace)}
 	rng := rand.New(rand.NewSource(int64(mix64(opt.Seed ^ 0xfa01d))))
-	model := make(map[uint64]uint64, opt.Keys)
-	for k := 1; k <= opt.Keys; k++ {
+	for k := 1; k <= opt.KeySpace; k++ {
 		v := rng.Uint64()
 		if _, err := kv.Put(uint64(k), v); err != nil {
-			return sum, fmt.Errorf("fill Put(%d): %w", k, err)
+			return nil, fmt.Errorf("fill Put(%d): %w", k, err)
 		}
-		model[uint64(k)] = v
+		c.model[uint64(k)] = v
 	}
 	churn := func(ops int) error {
 		for i := 0; i < ops; i++ {
-			key := uint64(rng.Intn(opt.Keys) + 1)
+			key := uint64(rng.Intn(opt.KeySpace) + 1)
 			if rng.Intn(5) == 0 {
 				if _, err := kv.Delete(key); err != nil {
 					return fmt.Errorf("Delete(%d): %w", key, err)
 				}
-				delete(model, key)
+				delete(c.model, key)
 				continue
 			}
 			v := rng.Uint64()
 			if _, err := kv.Put(key, v); err != nil {
 				return fmt.Errorf("Put(%d): %w", key, err)
 			}
-			model[key] = v
+			c.model[key] = v
 		}
 		return nil
 	}
 	if err := churn(opt.Ops); err != nil {
-		return sum, err
+		return nil, err
 	}
-	if opt.NoParity {
-		// Mutation check: from here on commits keep checksums current but
-		// let the parity column go stale, so later faults in rewritten
-		// lines are detectable yet unrepairable.
+	if opt.Mutation == NoParity {
 		sh.MutateNoParity(true)
-		if err := churn(opt.Keys * 2); err != nil {
-			return sum, err
+		if err := churn(opt.KeySpace * 2); err != nil {
+			return nil, err
 		}
 	}
 	if err := sh.SyncAll(); err != nil {
-		return sum, err
+		return nil, err
 	}
-	baseline := sh.Heap().Store.DumpBytes()
+	c.baseline = sh.Heap().Store.DumpBytes()
 	sh.SetVerifyOnRead(true)
-	h := sh.Heap()
+	return c, nil
+}
 
-	verify := func(round int) error {
-		if err := sh.SyncAll(); err != nil {
-			return err
-		}
-		dump := h.Store.DumpBytes()
-		for name, want := range baseline {
-			got, ok := dump[name]
-			if !ok {
-				return fmt.Errorf("round %d: pool %q missing from post-repair dump", round, name)
-			}
-			if !bytes.Equal(got, want) {
-				off := 0
-				for off < len(want) && off < len(got) && got[off] == want[off] {
-					off++
-				}
-				return fmt.Errorf("round %d: pool %q diverges from baseline at byte %d", round, name, off)
-			}
-		}
-		for key := uint64(1); key <= uint64(opt.Keys); key++ {
-			v, ok, err := kv.Get(key)
-			if err != nil {
-				return fmt.Errorf("round %d: Get(%d): %w", round, key, err)
-			}
-			want, present := model[key]
-			if ok != present || (ok && v != want) {
-				return fmt.Errorf("round %d: Get(%d) = %d,%v, model says %d,%v",
-					round, key, v, ok, want, present)
-			}
-		}
-		return nil
+func (c *repairCampaign) begin(point int) ([]*nvmsim.Domain, int, error) {
+	faults, err := c.sh.CorruptObjects(c.opt.K, c.opt.Mode, mix64(c.opt.Seed^uint64(point)^0xc0))
+	if err != nil {
+		return nil, 0, fmt.Errorf("inject: %w", err)
 	}
+	c.faults = faults
+	c.sum.Injected += len(faults)
+	return []*nvmsim.Domain{c.sh.Heap().NV}, 0, nil
+}
 
-	for round := 0; round < opt.Rounds; round++ {
-		faults, err := sh.CorruptObjects(opt.K, opt.Mode, mix64(opt.Seed^uint64(round)^0xc0))
-		if err != nil {
-			return sum, fmt.Errorf("round %d: inject: %w", round, err)
-		}
-		sum.Injected += len(faults)
+func (c *repairCampaign) run(int) (err error) {
+	c.crashed, err = catchCrash(func() (err error) {
+		c.st, err = c.sh.ScrubAll()
+		return err
+	})
+	return err
+}
 
-		armed := false
-		if opt.CrashMidScrub && round > 0 {
-			span := sum.ScrubSpan
-			if span == 0 {
-				span = 1
-			}
-			armAt := h.NV.Events() + 1 + mix64(opt.Seed^uint64(round))%span
-			h.NV.Arm(armAt)
-			armed = true
+func (c *repairCampaign) fired() bool { return c.crashed }
+
+// verify recovers from a mid-scrub crash and scrubs again, then requires
+// every fault repaired and the store byte-identical to the baseline, its
+// contents equal to the model under VerifyOnRead.
+func (c *repairCampaign) verify(fired bool, pol nvmsim.Policy) error {
+	sh := c.sh
+	if fired {
+		if _, err := sh.Crash(pol); err != nil {
+			return fmt.Errorf("crash: %w", err)
 		}
-		startE := h.NV.Events()
-		st, crashed, err := scrubAllCatching(sh)
+		// Mount-time reads (log replay, tree root priming) run before
+		// the post-crash scrub has cleaned the media, so checksum
+		// verification stands down across the reattach and is re-armed
+		// once the scrub comes back clean — the model-equality pass below
+		// still runs fully verified.
+		sh.SetVerifyOnRead(false)
+		kv, err := objstore.OpenKV(sh, "rp")
 		if err != nil {
-			return sum, fmt.Errorf("round %d: scrub: %w", round, err)
+			return fmt.Errorf("reattach: %w", err)
 		}
-		if round == 0 {
-			sum.ScrubSpan = h.NV.Events() - startE
-			if opt.CrashMidScrub && sum.ScrubSpan == 0 {
-				return sum, fmt.Errorf("crashtest: baseline scrub produced no persistence events to crash into")
-			}
+		c.kv = kv
+		// Re-scrub from scratch: completed repairs are idempotent (they
+		// rewrote the true bytes parity still vouches for), torn ones are
+		// just corruption found again.
+		if c.st, err = sh.ScrubAll(); err != nil {
+			return fmt.Errorf("post-crash scrub: %w", err)
 		}
-		h.NV.Disarm()
-		if crashed {
-			sum.Fired++
-			bump("fired", 1)
-			pol := nvmsim.Policy{
-				Kind: opt.Policies[round%len(opt.Policies)],
-				Seed: mix64(opt.Seed ^ uint64(round) ^ 0xcc),
-			}
-			if _, err := sh.Crash(pol); err != nil {
-				return sum, fmt.Errorf("round %d: crash: %w", round, err)
-			}
-			// Mount-time reads (log replay, tree root priming) run before
-			// the post-crash scrub has cleaned the media, so checksum
-			// verification stands down across the reattach and is
-			// re-armed once the scrub comes back clean — the
-			// model-equality pass below still runs fully verified.
-			sh.SetVerifyOnRead(false)
-			kv, err = objstore.OpenKV(sh, "rp")
-			if err != nil {
-				return sum, fmt.Errorf("round %d: reattach: %w", round, err)
-			}
-			// Re-scrub from scratch: completed repairs are idempotent
-			// (they rewrote the true bytes parity still vouches for),
-			// torn ones are just corruption found again.
-			st, err = sh.ScrubAll()
-			if err != nil {
-				return sum, fmt.Errorf("round %d: post-crash scrub: %w", round, err)
-			}
-			sh.SetVerifyOnRead(true)
-			// The reattach may have cached root pointers read off corrupt
-			// media; flush the volatile layer now that the bytes are true.
-			if err := kv.Reprime(); err != nil {
-				return sum, fmt.Errorf("round %d: reprime: %w", round, err)
-			}
-		} else if armed {
-			sum.Completed++
-			bump("completed", 1)
+		sh.SetVerifyOnRead(true)
+		// The reattach may have cached root pointers read off corrupt
+		// media; flush the volatile layer now that the bytes are true.
+		if err := kv.Reprime(); err != nil {
+			return fmt.Errorf("reprime: %w", err)
 		}
-		sum.Repaired += st.Repaired
-		sum.ParityRepaired += st.ParityRepaired
-		sum.Unrepairable += st.Unrepairable
-		bump("repaired", uint64(st.Repaired))
-		bump("parity_repaired", uint64(st.ParityRepaired))
-		bump("unrepairable", uint64(st.Unrepairable))
-		if st.Unrepairable > 0 {
-			return sum, fmt.Errorf("round %d: %d unrepairable faults (injected %v)", round, st.Unrepairable, faults)
-		}
-		if err := verify(round); err != nil {
-			return sum, err
-		}
-		bump("rounds", 1)
 	}
-	return sum, nil
+	st := c.st
+	c.sum.Repaired += st.Repaired
+	c.sum.ParityRepaired += st.ParityRepaired
+	c.sum.Unrepairable += st.Unrepairable
+	c.opt.count("repaired", uint64(st.Repaired))
+	c.opt.count("parity_repaired", uint64(st.ParityRepaired))
+	c.opt.count("unrepairable", uint64(st.Unrepairable))
+	if st.Unrepairable > 0 {
+		return fmt.Errorf("%d unrepairable faults (injected %v)", st.Unrepairable, c.faults)
+	}
+	if err := sh.SyncAll(); err != nil {
+		return err
+	}
+	dump := sh.Heap().Store.DumpBytes()
+	for name, want := range c.baseline {
+		if got := dump[name]; !bytes.Equal(got, want) {
+			off := 0
+			for off < len(want) && off < len(got) && got[off] == want[off] {
+				off++
+			}
+			return fmt.Errorf("pool %q (%d of %d bytes dumped) diverges from baseline at byte %d", name, len(got), len(want), off)
+		}
+	}
+	for key := uint64(1); key <= uint64(c.opt.KeySpace); key++ {
+		v, ok, err := c.kv.Get(key)
+		if err != nil {
+			return fmt.Errorf("Get(%d): %w", key, err)
+		}
+		if want, present := c.model[key]; ok != present || (ok && v != want) {
+			return fmt.Errorf("Get(%d) = %d,%v, model says %d,%v", key, v, ok, want, present)
+		}
+	}
+	return nil
+}
+
+func (c *repairCampaign) end() {}
+
+// runRepair runs the corrupt-scrub-verify campaign.
+func runRepair(opt Options) (sum RepairSummary, err error) {
+	c, err := newRepairCampaign(opt, &sum)
+	if err == nil {
+		err = runPoints(opt, c, &sum.Tally, opt.CrashMidScrub)
+	}
+	return sum, err
 }
