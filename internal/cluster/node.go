@@ -280,18 +280,22 @@ func (n *Node) peer(id uint32) *peerStream {
 	return ps
 }
 
-// Close tears down the node's replication streams.
+// Close tears down the node's replication streams. It takes the streams
+// out of the map and releases peersMu before it takes any stream's lock:
+// peersMu and a stream lock are never held together (replicate holds its
+// stream locks across a round trip).
 func (n *Node) Close() {
 	n.peersMu.Lock()
-	defer n.peersMu.Unlock()
-	for id, ps := range n.peers {
+	peers := n.peers
+	n.peers = nil
+	n.peersMu.Unlock()
+	for _, ps := range peers {
 		ps.mu.Lock()
 		if ps.conn != nil {
 			ps.conn.Close()
 			ps.conn = nil
 		}
 		ps.mu.Unlock()
-		delete(n.peers, id)
 	}
 }
 
@@ -463,22 +467,30 @@ func (n *Node) apply(req *potserve.Request, resp *potserve.Response) (entry pots
 // stream locks are held across it, taken in member order (every membership
 // list is built sorted by id), so two bursts on one node cannot deadlock;
 // the one that waited finds its entries confirmed by the other's frame and
-// sends nothing.
+// sends nothing. The streams are looked up before the first stream lock is
+// taken: the lookup takes peersMu, which is never held with a stream lock.
 func (n *Node) replicate(seq, epoch uint64) {
 	t := n.Topology()
+	var buf [8]*peerStream
+	streams := buf[:0]
 	for _, tn := range t.Wire.Nodes {
-		if tn.ID == n.ID || !tn.Alive {
-			continue
+		var ps *peerStream
+		if tn.ID != n.ID && tn.Alive {
+			ps = n.peer(tn.ID)
 		}
-		ps := n.peer(tn.ID)
-		ps.mu.Lock()
-		ps.sent = ps.known < seq && n.repSend(ps, tn.Addr, epoch)
+		streams = append(streams, ps)
 	}
-	for _, tn := range t.Wire.Nodes {
-		if tn.ID == n.ID || !tn.Alive {
+	for i, tn := range t.Wire.Nodes {
+		if ps := streams[i]; ps != nil {
+			ps.mu.Lock()
+			ps.sent = ps.known < seq && n.repSend(ps, tn.Addr, epoch)
+		}
+	}
+	for i, tn := range t.Wire.Nodes {
+		ps := streams[i]
+		if ps == nil {
 			continue
 		}
-		ps := n.peer(tn.ID)
 		if ps.sent && n.repRecv(ps, tn.ID) {
 			n.pushBacklog(ps, tn, seq, epoch)
 		}

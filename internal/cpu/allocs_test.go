@@ -11,8 +11,9 @@ import (
 )
 
 // TestHotPathAllocs gates the simulator's per-instruction path at zero
-// allocations: a model consuming a full chunk, and an emitter filling a
-// chunk and handing it to the model.
+// allocations: a model consuming a full chunk, an emitter filling a chunk
+// and handing it to the model, and Compute blocks filling chunks through a
+// stack-attached emitter.
 func TestHotPathAllocs(t *testing.T) {
 	newModel := map[string]func(Config, *Machine) timingModel{
 		"inorder": func(c Config, m *Machine) timingModel { return NewInOrder(c, m) },
@@ -57,6 +58,18 @@ func TestHotPathAllocs(t *testing.T) {
 			emitChunk() // allocates the emitter's chunk
 			if n := testing.AllocsPerRun(10, emitChunk); n != 0 {
 				t.Errorf("%d emits into a chunk-owning emitter allocate %.1f times", len(chunk), n)
+			}
+
+			blocks := emit.New(c, emit.Base)
+			blocks.AttachStack(r.Base, 4096)
+			computeFill := func() {
+				for n := 0; n < trace.ChunkSize; n += 1 + n%41 {
+					blocks.Compute(1+n%41, 3, 4)
+				}
+			}
+			computeFill() // allocates the emitter's chunk
+			if n := testing.AllocsPerRun(10, computeFill); n != 0 {
+				t.Errorf("a chunk of Compute blocks allocates %.1f times", n)
 			}
 			if _, err := c.Result(); err != nil {
 				t.Fatal(err)

@@ -69,7 +69,7 @@ func (c *InOrder) Consume(chunk []isa.Instr) {
 loop:
 	for i := range chunk {
 		in := &chunk[i]
-		res.Mix.Record(in)
+		res.Mix.ByOp[in.Op]++
 
 		start := cycle
 		if t := regReady[in.Src1]; t > start {
@@ -97,6 +97,9 @@ loop:
 			// Direct jumps/calls are BTB hits: no penalty.
 
 		case isa.Branch:
+			if in.Taken {
+				res.Mix.Taken++
+			}
 			if c.pred.predict(in.PC, in.Taken) {
 				cycle = start + 1 + cfg.MispredictPenalty
 				res.BranchStallCycles += cfg.MispredictPenalty
@@ -168,6 +171,7 @@ loop:
 		}
 	}
 	c.cycle, c.storeDone = cycle, storeDone
+	res.Mix.Tally()
 }
 
 // Result returns the timing of the trace consumed so far, or the simulation

@@ -31,6 +31,33 @@ func (s slotClock) take(earliest uint64) uint64 {
 	return t
 }
 
+// commitClock is slotClock for a stage whose grants never go backwards
+// (in-order commit). Each take grants max(earliest, the previous grant),
+// one cycle later if the last W grants all fell in that cycle: the only
+// case in which the sorted clock's earliest slot lies past the request. So
+// a (cycle, used) pair replaces the W slots, and for requests that never
+// go backwards it grants exactly what slotClock does
+// (TestCommitClockMatchesSlotClock).
+type commitClock struct {
+	cycle, used, width uint64 // latest grant, grants in that cycle, W
+}
+
+func newCommitClock(width int) commitClock { return commitClock{width: uint64(width)} }
+
+// take grants the first cycle at or after both earliest and the previous
+// grant that holds fewer than W grants.
+func (c *commitClock) take(earliest uint64) uint64 {
+	if earliest > c.cycle {
+		c.cycle, c.used = earliest, 0
+	}
+	if c.used == c.width {
+		c.cycle++
+		c.used = 0
+	}
+	c.used++
+	return c.cycle
+}
+
 // sqEntry is a store-queue entry used for store-to-load forwarding.
 type sqEntry struct {
 	va    uint64
@@ -118,7 +145,10 @@ type OutOfOrder struct {
 	regReady [isa.NumRegs]uint64
 	l1Lat    uint64
 
-	fetchSlots, issueSlots, commitSlots slotClock
+	// Fetch and issue requests go backwards, so those stages keep the
+	// sorted slot clock; commit is in order.
+	fetchSlots, issueSlots slotClock
+	commit                 commitClock
 
 	// The window rings hold each entry's release cycle; robPos, lqPos and
 	// sqPos are the entries the next instruction, load and store/CLWB
@@ -130,7 +160,6 @@ type OutOfOrder struct {
 	robPos, lqPos, sqPos    int
 
 	dispatchFloor uint64 // branch-redirect floor
-	lastCommit    uint64
 	storeDrainMax uint64
 
 	res Result
@@ -140,17 +169,17 @@ type OutOfOrder struct {
 // NewOutOfOrder builds an out-of-order core over m.
 func NewOutOfOrder(cfg Config, m *Machine) *OutOfOrder {
 	return &OutOfOrder{
-		cfg:         cfg,
-		m:           m,
-		pred:        newPredictor(cfg.PredictorEntries),
-		l1Lat:       m.Hier.Config().L1Latency,
-		fetchSlots:  newSlotClock(cfg.FetchWidth),
-		issueSlots:  newSlotClock(cfg.IssueWidth),
-		commitSlots: newSlotClock(cfg.CommitWidth),
-		robRing:     make([]uint64, cfg.ROB),
-		lqRing:      make([]uint64, cfg.LQ),
-		sqRing:      make([]uint64, cfg.SQ),
-		sq:          make([]sqEntry, cfg.SQ),
+		cfg:        cfg,
+		m:          m,
+		pred:       newPredictor(cfg.PredictorEntries),
+		l1Lat:      m.Hier.Config().L1Latency,
+		fetchSlots: newSlotClock(cfg.FetchWidth),
+		issueSlots: newSlotClock(cfg.IssueWidth),
+		commit:     newCommitClock(cfg.CommitWidth),
+		robRing:    make([]uint64, cfg.ROB),
+		lqRing:     make([]uint64, cfg.LQ),
+		sqRing:     make([]uint64, cfg.SQ),
+		sq:         make([]sqEntry, cfg.SQ),
 	}
 }
 
@@ -168,7 +197,7 @@ func (c *OutOfOrder) Consume(chunk []isa.Instr) {
 		l1Lat         = c.l1Lat
 		fetchSlots    = c.fetchSlots
 		issueSlots    = c.issueSlots
-		commitSlots   = c.commitSlots
+		commits       = c.commit
 		robRing       = c.robRing
 		lqRing        = c.lqRing
 		sqRing        = c.sqRing
@@ -178,13 +207,12 @@ func (c *OutOfOrder) Consume(chunk []isa.Instr) {
 		lqPos         = c.lqPos
 		sqPos         = c.sqPos
 		dispatchFloor = c.dispatchFloor
-		lastCommit    = c.lastCommit
 		storeDrainMax = c.storeDrainMax
 	)
 loop:
 	for i := range chunk {
 		in := &chunk[i]
-		res.Mix.Record(in)
+		res.Mix.ByOp[in.Op]++
 		isLoad, isStore := in.Op.IsLoad(), in.Op.IsStore()
 
 		// Dispatch: front-end pacing, redirect floor, window occupancy.
@@ -231,6 +259,9 @@ loop:
 
 		case isa.Branch:
 			complete = issue + 1
+			if in.Taken {
+				res.Mix.Taken++
+			}
 			if c.pred.predict(in.PC, in.Taken) {
 				redirect := complete + cfg.MispredictPenalty
 				if redirect > dispatchFloor {
@@ -283,8 +314,7 @@ loop:
 		}
 
 		// In-order commit, width-limited.
-		commit := commitSlots.take(max(complete, lastCommit))
-		lastCommit = commit
+		commit := commits.take(complete)
 
 		if m.Tracer != nil {
 			m.Tracer.OoO(in.Op.String(), dispatch-cfg.FrontendDepth, dispatch, issue, complete, commit)
@@ -313,14 +343,15 @@ loop:
 		}
 	}
 	c.robPos, c.lqPos, c.sqPos = robPos, lqPos, sqPos
-	c.dispatchFloor, c.lastCommit, c.storeDrainMax = dispatchFloor, lastCommit, storeDrainMax
+	c.commit, c.dispatchFloor, c.storeDrainMax = commits, dispatchFloor, storeDrainMax
+	res.Mix.Tally()
 }
 
 // Result returns the timing of the trace consumed so far, or the simulation
 // error that stopped it.
 func (c *OutOfOrder) Result() (Result, error) {
 	res := c.res
-	res.Cycles = c.lastCommit
+	res.Cycles = c.commit.cycle
 	res.finish(c.m, c.pred)
 	return res, c.err
 }

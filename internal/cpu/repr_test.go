@@ -43,6 +43,29 @@ func TestSlotClockMatchesScan(t *testing.T) {
 	}
 }
 
+// TestCommitClockMatchesSlotClock holds the two-word commit clock to the
+// sorted slot clock over random request sequences that never go backwards:
+// long runs of equal requests that fill a cycle's W grants and spill into
+// the next, small steps and large jumps.
+func TestCommitClockMatchesSlotClock(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for width := 1; width <= 8; width++ {
+		clock, ref := newCommitClock(width), newSlotClock(width)
+		var now uint64
+		for i := 0; i < 20000; i++ {
+			switch rng.Intn(6) {
+			case 0:
+				now += uint64(rng.Intn(3))
+			case 1:
+				now += uint64(rng.Intn(200))
+			}
+			if got, want := clock.take(now), ref.take(now); got != want {
+				t.Fatalf("width %d, take %d (earliest %d): commit clock grants %d, slot clock %d", width, i, now, got, want)
+			}
+		}
+	}
+}
+
 // TestYoungestConflictFilter holds the granule-filtered store-queue search
 // to the plain one over random store, CLWB and load streams: rings that
 // wrap, zero-size accesses, ranges that straddle two granules and

@@ -65,7 +65,7 @@ type Emitter struct {
 	chunk    []isa.Instr // trace.ChunkSize entries, allocated at the first emit
 	n        int         // instructions in chunk not yet handed over
 	mode     Mode
-	next     int
+	next     regCursor
 	count    uint64
 	paused   bool
 	detached bool
@@ -76,9 +76,7 @@ type Emitter struct {
 	// instruction mix carries the ~25% memory-operation share of real
 	// compiled code (spills, locals, call frames) instead of being pure
 	// ALU. The region cycles like a hot stack: it stays L1-resident.
-	stackBase uint64
-	stackSize uint64
-	stackOff  uint64
+	stack stackCursor
 
 	// persistObs, when set, observes every CLWB and SFence — even while
 	// emission is paused, because durability is a property of the
@@ -113,10 +111,36 @@ const (
 	tempHi = isa.NumRegs
 )
 
+// regCursor is the next temporary register to hand out.
+type regCursor int
+
+// take returns the cursor's register and advances it.
+func (r *regCursor) take() isa.Reg {
+	v := *r
+	if *r++; *r == tempHi {
+		*r = tempLo
+	}
+	return isa.Reg(v)
+}
+
+// stackCursor is the attached stack region and the offset of its next
+// slot; a zero size means no stack is attached.
+type stackCursor struct{ base, size, off uint64 }
+
+// slot returns the next stack-frame address, cycling through the region
+// line by line so frames stay hot in the L1.
+func (s *stackCursor) slot() uint64 {
+	va := s.base + s.off
+	if s.off += 8; s.off >= s.size {
+		s.off = 0
+	}
+	return va
+}
+
 // AttachStack gives the emitter a mapped region to place stack-frame
 // traffic in (see the Emitter doc). Without it, Compute emits pure ALU.
 func (e *Emitter) AttachStack(base, size uint64) {
-	e.stackBase, e.stackSize = base, size&^7
+	e.stack.base, e.stack.size = base, size&^7
 }
 
 // Mode returns the compilation mode.
@@ -132,12 +156,7 @@ func (e *Emitter) Temp() isa.Reg {
 	if e.detached {
 		return isa.Reg(tempLo)
 	}
-	r := e.next
-	e.next++
-	if e.next == tempHi {
-		e.next = tempLo
-	}
-	return isa.Reg(r)
+	return e.next.take()
 }
 
 // Pause suspends instruction emission: library calls still execute
@@ -293,7 +312,14 @@ const computeILP = 3
 
 // Compute emits n single-cycle ALU instructions seeded by the given
 // sources, structured as computeILP parallel chains with a final join, and
-// returns the register holding the final value.
+// returns the register holding the final value. With a stack attached,
+// some of the chain steps are frame reloads and spills instead.
+//
+// When the whole block fits in the current chunk, computeBlock writes it
+// there in one pass; otherwise (paused, before the first emission, or
+// across a hand-off) computeEach emits it one instruction at a time. Both
+// produce the same instructions and hand the chunk over at the same
+// instruction (TestComputeBlockMatchesEach).
 func (e *Emitter) Compute(n int, srcs ...isa.Reg) isa.Reg {
 	if e.detached {
 		return isa.RZ
@@ -311,6 +337,15 @@ func (e *Emitter) Compute(n int, srcs ...isa.Reg) isa.Reg {
 	if len(srcs) > 1 {
 		s2 = srcs[1]
 	}
+	if !e.paused && e.chunk != nil && n <= len(e.chunk)-e.n {
+		return e.computeBlock(n, s1, s2)
+	}
+	return e.computeEach(n, s1, s2)
+}
+
+// computeEach is Compute's general path: it emits the block of n ≥ 1
+// instructions one at a time.
+func (e *Emitter) computeEach(n int, s1, s2 isa.Reg) isa.Reg {
 	if n <= 2 {
 		dst := e.Temp()
 		e.ALU(dst, s1, s2)
@@ -337,14 +372,14 @@ func (e *Emitter) Compute(n int, srcs ...isa.Reg) isa.Reg {
 		c := i % chains
 		nd := e.Temp()
 		switch {
-		case e.stackSize > 0 && i%4 == 3:
+		case e.stack.size > 0 && i%4 == 3:
 			// A reload from the frame (dependent like any ALU op).
-			e.Load(nd, heads[c], e.stackSlot(), 8)
-		case e.stackSize > 0 && i%8 == 6 && emitted+2 <= n-(chains-1):
+			e.Load(nd, heads[c], e.stack.slot(), 8)
+		case e.stack.size > 0 && i%8 == 6 && emitted+2 <= n-(chains-1):
 			// A spill to the frame; the chain continues through an
 			// ALU op so the value keeps flowing. Two instructions,
 			// two budget slots.
-			e.Store(isa.RZ, e.stackSlot(), 8, heads[c])
+			e.Store(isa.RZ, e.stack.slot(), 8, heads[c])
 			emitted++
 			e.ALU(nd, heads[c], isa.RZ)
 		default:
@@ -369,15 +404,70 @@ func (e *Emitter) Compute(n int, srcs ...isa.Reg) isa.Reg {
 	return dst
 }
 
-// stackSlot returns the next stack-frame address, cycling through the
-// attached region line by line so frames stay hot in the L1.
-func (e *Emitter) stackSlot() uint64 {
-	va := e.stackBase + e.stackOff
-	e.stackOff += 8
-	if e.stackOff >= e.stackSize {
-		e.stackOff = 0
+// computeBlock is computeEach for a block that fits in the current chunk:
+// it writes the block straight into the chunk, keeps the register and
+// stack cursors in locals and steps the chain index without a division,
+// then hands the chunk over if the block filled it, as emit would have
+// after its last instruction.
+//
+//potlint:noalloc
+func (e *Emitter) computeBlock(n int, s1, s2 isa.Reg) isa.Reg {
+	blk := e.chunk[e.n : e.n+n]
+	reg, st := e.next, e.stack
+	var dst isa.Reg
+	if n <= 2 {
+		dst = reg.take()
+		blk[0] = isa.Instr{Op: isa.ALU, Dst: dst, Src1: s1, Src2: s2}
+		if n == 2 {
+			nd := reg.take()
+			blk[1] = isa.Instr{Op: isa.ALU, Dst: nd, Src1: dst}
+			dst = nd
+		}
+	} else {
+		chains := min(computeILP, n-1)
+		var heads [computeILP]isa.Reg
+		for c := range chains {
+			heads[c] = reg.take()
+			blk[c] = isa.Instr{Op: isa.ALU, Dst: heads[c], Src1: s1, Src2: s2}
+		}
+		k, budget, stack := chains, n-(chains-1), st.size > 0
+		for i, c := 0, 0; k < budget; i++ {
+			nd, h := reg.take(), heads[c]
+			switch {
+			case stack && i&3 == 3:
+				blk[k] = isa.Instr{Addr: st.slot(), Op: isa.Load, Dst: nd, Src1: h, Size: 8}
+			case stack && i&7 == 6 && k+2 <= budget:
+				blk[k] = isa.Instr{Addr: st.slot(), Op: isa.Store, Src2: h, Size: 8}
+				k++
+				blk[k] = isa.Instr{Op: isa.ALU, Dst: nd, Src1: h}
+			default:
+				blk[k] = isa.Instr{Op: isa.ALU, Dst: nd, Src1: h}
+			}
+			heads[c] = nd
+			k++
+			if c++; c == chains {
+				c = 0
+			}
+		}
+		dst = heads[0]
+		for c := 1; c < chains && k < n; c++ {
+			nd := reg.take()
+			blk[k] = isa.Instr{Op: isa.ALU, Dst: nd, Src1: dst, Src2: heads[c]}
+			dst = nd
+			k++
+		}
+		for ; k < n; k++ {
+			nd := reg.take()
+			blk[k] = isa.Instr{Op: isa.ALU, Dst: nd, Src1: dst}
+			dst = nd
+		}
 	}
-	return va
+	e.next, e.stack.off = reg, st.off
+	e.count += uint64(n)
+	if e.n += n; e.n == len(e.chunk) {
+		e.Flush()
+	}
+	return dst
 }
 
 // labelPC hashes a static-branch label to a stable synthetic PC (FNV-1a,

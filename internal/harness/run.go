@@ -150,6 +150,34 @@ func RunObserved(spec RunSpec, ro RunObs) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
+	tm, err := newTimedMachine(spec, ro)
+	if err != nil {
+		return RunResult{}, err
+	}
+	out, h, werr := runWorkload(spec, ops, keyRange, tm.as, tm.model, tm.potTable, tm.tr)
+	res, err := tm.model.Result()
+	if err != nil {
+		return RunResult{}, fmt.Errorf("harness: %s: simulation: %w", spec.Label(), err)
+	}
+	if werr != nil {
+		return RunResult{}, fmt.Errorf("harness: %s: workload: %w", spec.Label(), werr)
+	}
+	out.CPU = res
+	out.publish(ro.Metrics, tm.tr, h)
+	return out, nil
+}
+
+// timedMachine is the simulated machine a timed run assembles before its
+// workload starts: the address space, the timing model over it and, for
+// OPT, the POT and the translation hardware (nil otherwise).
+type timedMachine struct {
+	as       *vm.AddressSpace
+	model    timingModel
+	potTable *pot.Table
+	tr       *core.Translator
+}
+
+func newTimedMachine(spec RunSpec, ro RunObs) (timedMachine, error) {
 	as := vm.NewAddressSpace(spec.Seed ^ 0x5eed)
 	memCfg := mem.DefaultConfig()
 	memCfg.NextLinePrefetch = spec.Prefetch
@@ -159,16 +187,16 @@ func RunObserved(spec RunSpec, ro RunObs) (RunResult, error) {
 		machine.Tracer = obs.NewPipelineTracer(ro.Trace, traceEvery)
 	}
 
-	var potTable *pot.Table
-	var tr *core.Translator
+	tm := timedMachine{as: as}
 	if spec.Opt {
 		entries := spec.POTEntries
 		if entries == 0 {
 			entries = pot.DefaultEntries
 		}
-		potTable, err = pot.New(as, entries)
+		var err error
+		tm.potTable, err = pot.New(as, entries)
 		if err != nil {
-			return RunResult{}, err
+			return timedMachine{}, err
 		}
 		size := spec.POLBSize
 		switch {
@@ -177,33 +205,23 @@ func RunObserved(spec RunSpec, ro RunObs) (RunResult, error) {
 		case size == 0:
 			size = polb.DefaultEntries
 		}
-		tr = core.New(core.Config{
+		tm.tr = core.New(core.Config{
 			Design:         spec.Design,
 			POLBSize:       size,
 			POLBSets:       spec.POLBSets,
 			POTWalkLatency: spec.POTWalk,
 			Ideal:          spec.Ideal,
 			ProbeWalk:      spec.ProbeWalk,
-		}, potTable, as)
-		tr.SetWalker(hier)
-		machine.Translator = tr
+		}, tm.potTable, as)
+		tm.tr.SetWalker(hier)
+		machine.Translator = tm.tr
 	}
 
-	var model timingModel = cpu.NewOutOfOrder(cpu.DefaultConfig(), machine)
+	tm.model = cpu.NewOutOfOrder(cpu.DefaultConfig(), machine)
 	if spec.Core == InOrder {
-		model = cpu.NewInOrder(cpu.DefaultConfig(), machine)
+		tm.model = cpu.NewInOrder(cpu.DefaultConfig(), machine)
 	}
-	out, h, werr := runWorkload(spec, ops, keyRange, as, model, potTable, tr)
-	res, err := model.Result()
-	if err != nil {
-		return RunResult{}, fmt.Errorf("harness: %s: simulation: %w", spec.Label(), err)
-	}
-	if werr != nil {
-		return RunResult{}, fmt.Errorf("harness: %s: workload: %w", spec.Label(), werr)
-	}
-	out.CPU = res
-	out.publish(ro.Metrics, tr, h)
-	return out, nil
+	return tm, nil
 }
 
 // timingModel is what a run needs of cpu.InOrder and cpu.OutOfOrder: the

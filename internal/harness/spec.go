@@ -99,7 +99,7 @@ var labels = sync.OnceValue(func() map[string]RunSpec {
 					s := RunSpec{Bench: bench, Pattern: pat, Core: core,
 						Opt: bits&1 != 0, FixedMap: bits&2 != 0, Ideal: bits&4 != 0,
 						Design: polb.Design(bits >> 3 & 1), Tx: bits&16 == 0, FT: bits&32 != 0}
-					if s.check() == nil && (s.Opt || s.Design == polb.Pipelined) {
+					if s.check() == nil {
 						m[s.Label()] = s
 					}
 				}
@@ -120,6 +120,8 @@ func (s RunSpec) check() error {
 		return errors.New("OPT and FIXED are mutually exclusive")
 	case s.Ideal && !s.Opt:
 		return errors.New("ideal translation needs OPT")
+	case s.Design != polb.Pipelined && !s.Opt:
+		return errors.New("a POLB design needs OPT")
 	case s.TPCC && s.Bench != TPCCBench:
 		return errors.New("tpcc=test needs the TPCC benchmark")
 	case s.Ops < 0 || s.POLBSets < 0 || s.POTEntries < 0:

@@ -51,11 +51,10 @@ func randomSpec(rng *rand.Rand) RunSpec {
 	}
 }
 
-// TestSpecRoundTrip checks ParseSpec(s.String()) against every spec Run
-// accepts, up to the fields Run does not read (a BASE or FIXED run ignores
-// the POLB design). Round-tripping makes String injective on what Run
-// reads, which is what the Suite's cache keys rely on; the map below checks
-// that directly as well.
+// TestSpecRoundTrip checks ParseSpec(s.String()) == s for every spec Run
+// accepts. Round-tripping makes String injective on the specs Run accepts,
+// which is what the Suite's cache keys rely on; the map below checks that
+// directly as well.
 func TestSpecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	names := map[string]RunSpec{}
@@ -66,22 +65,18 @@ func TestSpecRoundTrip(t *testing.T) {
 			continue
 		}
 		valid++
-		read := s
-		if !read.Opt {
-			read.Design = 0
-		}
 		name := s.String()
 		got, err := ParseSpec(name)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
-		if got != read {
-			t.Fatalf("ParseSpec(%q) = %+v, want %+v", name, got, read)
+		if got != s {
+			t.Fatalf("ParseSpec(%q) = %+v, want %+v", name, got, s)
 		}
-		if prev, ok := names[name]; ok && prev != read {
-			t.Fatalf("%+v and %+v are both named %q", prev, read, name)
+		if prev, ok := names[name]; ok && prev != s {
+			t.Fatalf("%+v and %+v are both named %q", prev, s, name)
 		}
-		names[name] = read
+		names[name] = s
 	}
 	if valid < 2000 {
 		t.Fatalf("only %d of the drawn specs were valid", valid)
@@ -141,6 +136,7 @@ func TestRunRejectsContradictions(t *testing.T) {
 		{Bench: "LL", Tx: true, Opt: true, FixedMap: true, Ops: 5},
 		{Bench: "LL", Tx: true, Ideal: true, Ops: 5},
 		{Bench: "LL", Tx: true, TPCC: true, Ops: 5},
+		{Bench: "LL", Tx: true, Design: polb.Parallel, Ops: 5},
 	} {
 		if _, err := Run(s); err == nil {
 			t.Errorf("Run(%+v) succeeded", s)

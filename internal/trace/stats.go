@@ -7,7 +7,9 @@ import (
 	"potgo/internal/isa"
 )
 
-// Stats accumulates dynamic instruction-mix statistics for a trace.
+// Stats accumulates dynamic instruction-mix statistics for a trace. A
+// consumer counts ByOp, and Taken for each conditional branch, as it goes,
+// and calls Tally to bring Total and Branches up to date.
 type Stats struct {
 	// ByOp counts dynamic instructions per class.
 	ByOp [16]uint64
@@ -18,16 +20,13 @@ type Stats struct {
 	Branches, Taken uint64
 }
 
-// Record accounts for one instruction.
-func (s *Stats) Record(in *isa.Instr) {
-	s.Total++
-	s.ByOp[in.Op]++
-	if in.Op == isa.Branch {
-		s.Branches++
-		if in.Taken {
-			s.Taken++
-		}
+// Tally derives Total and Branches from ByOp.
+func (s *Stats) Tally() {
+	s.Total = 0
+	for _, n := range s.ByOp {
+		s.Total += n
 	}
+	s.Branches = s.ByOp[isa.Branch]
 }
 
 // String renders the instruction mix.

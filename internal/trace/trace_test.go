@@ -34,19 +34,21 @@ func TestDiscard(t *testing.T) {
 
 func TestStatsAccumulation(t *testing.T) {
 	var s Stats
-	s.Record(&isa.Instr{Op: isa.Load})
-	s.Record(&isa.Instr{Op: isa.NVLoad})
-	s.Record(&isa.Instr{Op: isa.Store})
-	s.Record(&isa.Instr{Op: isa.NVStore})
-	s.Record(&isa.Instr{Op: isa.CLWB})
-	s.Record(&isa.Instr{Op: isa.ALU})
+	for _, op := range []isa.Op{isa.Load, isa.NVLoad, isa.Store, isa.NVStore, isa.CLWB, isa.ALU, isa.Branch, isa.Branch} {
+		s.ByOp[op]++
+	}
+	s.Taken++
+	s.Tally()
 	for _, op := range []isa.Op{isa.Load, isa.NVLoad, isa.Store, isa.NVStore, isa.CLWB, isa.ALU} {
 		if s.ByOp[op] != 1 {
 			t.Errorf("ByOp[%s] = %d", op, s.ByOp[op])
 		}
 	}
-	if s.Total != 6 {
-		t.Errorf("Total = %d", s.Total)
+	if s.Total != 8 || s.Branches != 2 || s.Taken != 1 {
+		t.Errorf("Total, Branches, Taken = %d, %d, %d; want 8, 2, 1", s.Total, s.Branches, s.Taken)
+	}
+	if s.Tally(); s.Total != 8 {
+		t.Errorf("a second Tally moved Total to %d", s.Total)
 	}
 	if s.String() == "" {
 		t.Error("String must render")
