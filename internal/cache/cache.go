@@ -142,9 +142,6 @@ func (c *Cache) Invalidate(addr uint64) {
 // Flush empties the cache, keeping statistics.
 func (c *Cache) Flush() { clear(c.tags) }
 
-// ResetStats zeroes the counters (e.g. after a warm-up phase).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Stats returns the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

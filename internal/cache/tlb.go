@@ -41,8 +41,5 @@ func (t *TLB) Access(va uint64) (penalty uint64) {
 // Stats returns hit/miss counters.
 func (t *TLB) Stats() Stats { return t.c.Stats() }
 
-// ResetStats zeroes the counters.
-func (t *TLB) ResetStats() { t.c.ResetStats() }
-
 // Flush empties the TLB (context switch / pool unmap).
 func (t *TLB) Flush() { t.c.Flush() }

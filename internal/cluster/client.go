@@ -115,16 +115,6 @@ func (c *Client) Close() {
 	}
 }
 
-// conn returns a connection to the member owning key.
-func (c *Client) conn(key uint64) (*potserve.Client, uint32, error) {
-	id, ok := c.topo.Owner(key)
-	if !ok {
-		return nil, 0, errors.New("cluster: empty topology")
-	}
-	pc, err := c.connTo(id)
-	return pc, id, err
-}
-
 // connTo returns (dialing if needed) a connection to one member.
 func (c *Client) connTo(id uint32) (*potserve.Client, error) {
 	if pc, ok := c.conns[id]; ok {
@@ -163,69 +153,35 @@ func retriable(err error) bool {
 	return !errors.Is(err, potserve.ErrCorrupt)
 }
 
-// route runs op against the owner of key, refreshing and re-routing on
-// redirects and connection errors.
-func (c *Client) route(key uint64, op func(*potserve.Client) error) error {
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		pc, id, err := c.conn(key)
-		if err != nil {
-			lastErr = err
-			if rerr := c.Refresh(); rerr != nil {
-				return rerr
-			}
-			continue
-		}
-		err = op(pc)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retriable(err) {
-			return err
-		}
-		if !errors.Is(err, potserve.ErrNotOwner) {
-			c.drop(id) // transport error: the connection is gone
-		}
-		if rerr := c.Refresh(); rerr != nil {
-			return rerr
-		}
+// one runs a single request as a one-request Pipeline and turns a failure
+// status into its error: StatusErr is a *potserve.ServerError (a quorum
+// refusal among them), StatusCorrupt potserve.ErrCorrupt.
+func (c *Client) one(req potserve.Request) (potserve.Response, error) {
+	resps, err := c.Pipeline([]potserve.Request{req})
+	if err != nil {
+		return potserve.Response{}, err
 	}
-	return fmt.Errorf("cluster: giving up after %d attempts: %w", maxAttempts, lastErr)
+	switch resp := resps[0]; resp.Status {
+	case potserve.StatusErr:
+		return resp, &potserve.ServerError{Msg: resp.Msg}
+	case potserve.StatusCorrupt:
+		return resp, potserve.ErrCorrupt
+	default:
+		return resp, nil
+	}
 }
 
 // Get fetches a key from its owner; ok reports presence.
 func (c *Client) Get(key uint64) (val uint64, ok bool, err error) {
-	err = c.route(key, func(pc *potserve.Client) error {
-		var e error
-		val, ok, e = pc.Get(key)
-		return e
-	})
-	return val, ok, err
+	resp, err := c.one(potserve.Request{Op: potserve.OpGet, Key: key})
+	return resp.Val, err == nil && resp.Status == potserve.StatusOK, err
 }
 
 // Put upserts a key through its owner; created reports whether it was
 // absent.
 func (c *Client) Put(key, val uint64) (created bool, err error) {
-	err = c.route(key, func(pc *potserve.Client) error {
-		var e error
-		created, e = pc.Put(key, val)
-		return e
-	})
-	return created, err
-}
-
-// Delete removes a key through its owner; existed reports whether it was
-// present.
-//
-//potlint:allow unusedexport kept for TestClusterBasic
-func (c *Client) Delete(key uint64) (existed bool, err error) {
-	err = c.route(key, func(pc *potserve.Client) error {
-		var e error
-		existed, e = pc.Delete(key)
-		return e
-	})
-	return existed, err
+	resp, err := c.one(potserve.Request{Op: potserve.OpPut, Key: key, Val: val})
+	return resp.Created, err
 }
 
 // Scan returns up to max pairs with key >= from, ascending, merged across
@@ -292,7 +248,7 @@ func (c *Client) Pipeline(reqs []potserve.Request) ([]potserve.Response, error) 
 			return nil, rerr
 		}
 	}
-	return nil, fmt.Errorf("cluster: pipeline giving up after %d attempts: %w", maxAttempts, lastErr)
+	return nil, fmt.Errorf("cluster: giving up after %d attempts: %w", maxAttempts, lastErr)
 }
 
 func (c *Client) pipelineOnce(reqs []potserve.Request) ([]potserve.Response, error) {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"potgo/internal/potserve"
@@ -51,8 +53,8 @@ func TestClusterBasic(t *testing.T) {
 			t.Fatalf("get %d: val=%d ok=%v err=%v", key, val, ok, err)
 		}
 	}
-	if existed, err := c.Delete(7); err != nil || !existed {
-		t.Fatalf("delete: existed=%v err=%v", existed, err)
+	if resps, err := c.Pipeline([]potserve.Request{{Op: potserve.OpDel, Key: 7}}); err != nil || resps[0].Status != potserve.StatusOK {
+		t.Fatalf("delete: %+v err=%v", resps, err)
 	}
 	if _, ok, _ := c.Get(7); ok {
 		t.Fatal("deleted key still present")
@@ -128,8 +130,33 @@ func TestClusterNotOwnerRedirect(t *testing.T) {
 	if _, err := pc.Put(key, 1); err != potserve.ErrNotOwner {
 		t.Fatalf("wrong-member put: %v, want ErrNotOwner", err)
 	}
-	if _, _, err := pc.Get(key); err != potserve.ErrNotOwner {
-		t.Fatalf("wrong-member get: %v, want ErrNotOwner", err)
+	resps, err := pc.PipelineAppend([]potserve.Request{{Op: potserve.OpGet, Key: key}}, nil)
+	if err != nil || resps[0].Status != potserve.StatusNotOwner {
+		t.Fatalf("wrong-member get: %+v err=%v, want StatusNotOwner", resps, err)
+	}
+}
+
+// TestClusterPutQuorumRefusal: a write its owner cannot get to quorum comes
+// back from the routing client as a *potserve.ServerError naming the
+// quorum, on the first attempt, not as a re-routed retry or an ack.
+func TestClusterPutQuorumRefusal(t *testing.T) {
+	cl := newTestCluster(t, 2)
+	c, err := DialCluster(cl.Addrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys := ownedKeys(t, cl.Topology(), 0, 2)
+	// One write first, so the refused one meets an established stream to
+	// the peer that is about to go down, not a refused dial.
+	if _, err := c.Put(keys[0], 1); err != nil {
+		t.Fatalf("warm-up put: %v", err)
+	}
+	cl.Members[1].Srv.Close()
+	created, err := c.Put(keys[1], 2)
+	var se *potserve.ServerError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "quorum") || created {
+		t.Fatalf("put without quorum: created=%v err=%v, want a quorum ServerError", created, err)
 	}
 }
 

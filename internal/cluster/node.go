@@ -299,7 +299,7 @@ func (n *Node) Close() {
 	}
 }
 
-// Exec implements potserve.Backend: a burst of one.
+// Exec runs one request as a burst of one.
 func (n *Node) Exec(req *potserve.Request, resp *potserve.Response) {
 	reqs, resps := [1]potserve.Request{*req}, [1]potserve.Response{*resp}
 	n.ExecBurst(reqs[:], resps[:])
@@ -313,7 +313,7 @@ func refuse(resps []potserve.Response, msg string) {
 	}
 }
 
-// ExecBurst implements potserve.BurstBackend. The requests run in order —
+// ExecBurst implements potserve.Backend. The requests run in order —
 // reads serve locally after an ownership check, replication ops run the
 // follower state machine, writes are applied locally — then the burst's
 // writes are replicated once and each is settled by its own entry. A crash

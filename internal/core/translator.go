@@ -284,11 +284,3 @@ func (t *Translator) InvalidatePool(p oid.PoolID) { t.polb.InvalidatePool(p) }
 
 // Stats snapshots translation counters.
 func (t *Translator) Stats() Stats { return t.stats }
-
-// ResetStats zeroes counters (and the POLB's own counters) after warm-up.
-//
-//potlint:allow unusedexport kept for TestResetStats
-func (t *Translator) ResetStats() {
-	t.stats = Stats{}
-	t.polb.ResetStats()
-}

@@ -213,21 +213,6 @@ func TestNoPOLBAlwaysWalks(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	f := newFixture(t, 2)
-	tr := New(DefaultConfig(polb.Pipelined), f.table, f.as)
-	tr.Translate(oid.New(2, 0))
-	tr.ResetStats()
-	if tr.Stats().Translations != 0 || tr.POLB().Stats().Accesses() != 0 {
-		t.Error("ResetStats must zero translator and POLB counters")
-	}
-	// POLB contents survive: next translation hits.
-	res, _ := tr.Translate(oid.New(2, 8))
-	if !res.POLBHit {
-		t.Error("POLB contents must survive stats reset")
-	}
-}
-
 func TestPOLBMissRateEmpty(t *testing.T) {
 	var s Stats
 	if s.POLBMissRate() != 0 {

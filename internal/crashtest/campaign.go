@@ -182,10 +182,23 @@ func checkKeys(view string, get func(uint64) (uint64, bool, error), model map[ui
 			return fmt.Errorf("%s: get %d: %w", view, key, err)
 		}
 		if want, wantOK := model[key]; ok != wantOK || (ok && val != want) {
-			return fmt.Errorf("%s: key %d reads (%d,%v), the model says (%d,%v)", view, key, val, ok, want, wantOK)
+			return &keyMismatch{view: view, key: key, val: val, ok: ok, want: want, wantOK: wantOK}
 		}
 	}
 	return nil
+}
+
+// keyMismatch is a read that disagrees with the model. It names the key,
+// so a cluster point can add that key's trail to the report.
+type keyMismatch struct {
+	view       string
+	key        uint64
+	val, want  uint64
+	ok, wantOK bool
+}
+
+func (e *keyMismatch) Error() string {
+	return fmt.Sprintf("%s: key %d reads (%d,%v), the model says (%d,%v)", e.view, e.key, e.val, e.ok, e.want, e.wantOK)
 }
 
 // checkScan scans past the end of the key range through scan and requires

@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -221,6 +222,17 @@ func verifyClusterState(cl *cluster.Cluster, survivors []*cluster.Member, model 
 	return nil
 }
 
+// withTrail adds the failing key's trail (lincheck.ClusterTrail) to a
+// read that disagreed with the merged-log model; other errors pass as they
+// are.
+func withTrail(err error, writes []lincheck.ClusterWrite, entries []lincheck.ClusterEntry) error {
+	var km *keyMismatch
+	if !errors.As(err, &km) {
+		return err
+	}
+	return fmt.Errorf("%w\n%s", err, lincheck.ClusterTrail(km.key, writes, entries))
+}
+
 // membersExcept lists cl's members but the one whose node is id.
 func membersExcept(cl *cluster.Cluster, id uint32) []*cluster.Member {
 	var out []*cluster.Member
@@ -321,7 +333,7 @@ func (c *clusterCampaign) verify(fired bool, pol nvmsim.Policy) error {
 	}
 	// Layer 2: replayed model == routed view == every survivor replica.
 	if err := verifyClusterState(cl, survivors, lincheck.ReplayCluster(entries), c.opt); err != nil {
-		return err
+		return withTrail(err, writes, entries)
 	}
 	// Layer 3: the victim's corpse, power-cycled under pol, recovers to
 	// the committed prefixes of its journals.

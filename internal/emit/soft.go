@@ -182,11 +182,6 @@ func (st *SoftTranslator) Lookup(pool oid.PoolID) (uint64, bool) {
 // Stats returns oid_direct instrumentation.
 func (st *SoftTranslator) Stats() SoftStats { return st.stats }
 
-// ResetStats zeroes instrumentation.
-//
-//potlint:allow unusedexport kept for TestSoftPredictorMissRatePatterns
-func (st *SoftTranslator) ResetStats() { st.stats = SoftStats{} }
-
 // Translate is oid_direct (paper Figure 3): it emits the dynamic instruction
 // sequence for translating o and returns the virtual address along with the
 // register holding it. oidReg is the register that holds the ObjectID value

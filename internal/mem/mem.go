@@ -173,16 +173,3 @@ func (h *Hierarchy) Stats() Stats {
 		Prefetches: h.prefetches,
 	}
 }
-
-// ResetStats zeroes all counters (keeps cache contents: post-warm-up
-// measurement).
-//
-//potlint:allow unusedexport kept for TestStatsAndReset
-func (h *Hierarchy) ResetStats() {
-	h.l1d.ResetStats()
-	h.l2.ResetStats()
-	h.l3.ResetStats()
-	h.dtlb.ResetStats()
-	h.clwbs = 0
-	h.prefetches = 0
-}

@@ -90,22 +90,16 @@ func TestCLWB(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
+func TestStatsAccumulate(t *testing.T) {
 	h, r, _ := setup(t)
 	h.DataAccess(r.Base)
 	s := h.Stats()
 	if s.L1D.Accesses() == 0 || s.DTLB.Accesses() == 0 {
 		t.Errorf("stats must accumulate: %+v", s)
 	}
-	h.ResetStats()
-	s = h.Stats()
-	if s.L1D.Accesses() != 0 || s.CLWBs != 0 {
-		t.Error("ResetStats must zero counters")
-	}
-	// But contents survive reset: warm access is still a hit.
-	lat, _ := h.DataAccess(r.Base)
-	if lat != 3 {
-		t.Errorf("contents must survive ResetStats, latency = %d", lat)
+	// A warm access is an L1 hit.
+	if lat, _ := h.DataAccess(r.Base); lat != 3 {
+		t.Errorf("warm access latency = %d, want 3", lat)
 	}
 }
 

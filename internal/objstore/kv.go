@@ -349,58 +349,23 @@ func (kv *KV) getRepair(s *kvShard, key uint64, derefErr error) (uint64, bool, e
 // overwrite path — the steady state of a bounded-keyspace workload — is
 // allocation-free end to end; only inserts (tree growth) allocate.
 func (kv *KV) Put(key, val uint64) (created bool, err error) {
-	s := kv.shardOf(key)
-	kv.sh.LockPool(s.pool.ID())
-	defer kv.sh.UnlockPool(s.pool.ID())
-	jlen := len(s.journal)
-	t, err := kv.sh.Heap().Begin(s.pool)
-	if err != nil {
-		return false, err
-	}
-	s.wctx.Bind(t)
-	updated, err := s.tree.UpdateFast(&s.wctx, key, val)
-	if err == nil && !updated {
-		created = true
-		err = s.tree.Insert(&s.wctx, key, val)
-	}
-	if err == nil && kv.journaled {
-		err = kv.journalOp(s, BatchOp{Key: key, Val: val})
-	}
-	if err != nil {
-		// An aborted op must not leave a dead journal entry behind: later
-		// committed ops would land after it and misalign every replay
-		// prefix. (A crashed commit is different — its entries stay as the
-		// uncommitted journal tail, the shard's last op or batch.)
-		if kv.journaled && len(s.journal) > jlen {
-			s.journal = s.journal[:jlen]
-		}
-		return false, abort(t, err, s)
-	}
-	return created, t.Commit()
+	existed, err := kv.one(BatchOp{Key: key, Val: val})
+	return err == nil && !existed, err
 }
 
 // Delete removes key, reporting whether it was present.
 func (kv *KV) Delete(key uint64) (existed bool, err error) {
-	s := kv.shardOf(key)
+	return kv.one(BatchOp{Key: key, Del: true})
+}
+
+// one runs a single op as a one-shard batch under that shard's write lock,
+// reporting whether the key was present before it.
+func (kv *KV) one(op BatchOp) (existed bool, err error) {
+	s := kv.shardOf(op.Key)
 	kv.sh.LockPool(s.pool.ID())
 	defer kv.sh.UnlockPool(s.pool.ID())
-	jlen := len(s.journal)
-	t, err := kv.sh.Heap().Begin(s.pool)
-	if err != nil {
-		return false, err
-	}
-	s.wctx.Bind(t)
-	existed, err = s.tree.Remove(&s.wctx, key)
-	if err == nil && kv.journaled {
-		err = kv.journalOp(s, BatchOp{Key: key, Del: true})
-	}
-	if err != nil {
-		if kv.journaled && len(s.journal) > jlen {
-			s.journal = s.journal[:jlen]
-		}
-		return false, abort(t, err, s)
-	}
-	return existed, t.Commit()
+	shards, ops := [1]*kvShard{s}, [1]BatchOp{op}
+	return kv.runBatch(shards[:], ops[:])
 }
 
 // Scan returns up to max key/value pairs with key >= from, in ascending
@@ -512,25 +477,40 @@ func (kv *KV) Batch(ops []BatchOp) error {
 	}
 	kv.sh.LockShardMask(heapMask)
 	defer kv.sh.UnlockShardMask(heapMask)
-	return kv.runBatch(shards, ops)
+	_, err := kv.runBatch(shards, ops)
+	return err
 }
 
 // runBatch applies ops in one transaction whose undo log lives in the
-// first shard's pool. The caller holds every shard's write lock; shards
-// lists the involved shards in index order.
-func (kv *KV) runBatch(shards []*kvShard, ops []BatchOp) error {
+// first shard's pool, reporting whether the last op's key was present
+// before it ran. The caller holds every shard's write lock; shards lists
+// the involved shards in index order. It is the one write path: Put and
+// Delete are one-op batches.
+func (kv *KV) runBatch(shards []*kvShard, ops []BatchOp) (existed bool, err error) {
 	t, err := kv.sh.Heap().Begin(shards[0].pool)
 	if err != nil {
-		return err
+		return false, err
 	}
 	for _, s := range shards {
 		s.wctx.Bind(t)
 		s.jmark = len(s.journal)
 	}
-	if err := kv.applyBatch(ops); err != nil {
-		return abort(t, err, shards...)
+	for _, op := range ops {
+		if existed, err = kv.applyBatchOp(op); err != nil {
+			// An aborted batch must not leave dead journal entries behind:
+			// later committed ops would land after them and misalign every
+			// replay prefix. (A crashed commit is different — its entries
+			// stay as the uncommitted journal tail, the shard's last op or
+			// batch.)
+			if kv.journaled {
+				for _, s := range shards {
+					s.journal = s.journal[:s.jmark]
+				}
+			}
+			return false, abort(t, err, shards...)
+		}
 	}
-	return t.Commit()
+	return existed, t.Commit()
 }
 
 // abort rolls t back after err, then drops and re-primes the root cache of
@@ -552,46 +532,19 @@ func abort(t *pmem.Tx, err error, shards ...*kvShard) error {
 	return err
 }
 
-// applyBatch runs the ops through the already-bound per-shard write ctxs,
-// journaling each one in journaled mode. On error the caller aborts the
-// transaction; the journal entries the batch appended are dropped here, for
-// the reason Put drops its own.
-func (kv *KV) applyBatch(ops []BatchOp) error {
-	for _, op := range ops {
-		if err := kv.applyBatchOp(op); err != nil {
-			if kv.journaled {
-				for _, op := range ops {
-					s := kv.shardOf(op.Key)
-					s.journal = s.journal[:s.jmark]
-				}
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-func (kv *KV) applyBatchOp(op BatchOp) error {
+// applyBatchOp runs one op through its shard's already-bound write ctx,
+// journaling it in journaled mode, and reports whether the key was present.
+func (kv *KV) applyBatchOp(op BatchOp) (existed bool, err error) {
 	s := kv.shardOf(op.Key)
 	if op.Del {
-		if _, err := s.tree.Remove(&s.wctx, op.Key); err != nil {
-			return err
-		}
-	} else {
-		updated, err := s.tree.UpdateFast(&s.wctx, op.Key, op.Val)
-		if err != nil {
-			return err
-		}
-		if !updated {
-			if err := s.tree.Insert(&s.wctx, op.Key, op.Val); err != nil {
-				return err
-			}
-		}
+		existed, err = s.tree.Remove(&s.wctx, op.Key)
+	} else if existed, err = s.tree.UpdateFast(&s.wctx, op.Key, op.Val); err == nil && !existed {
+		err = s.tree.Insert(&s.wctx, op.Key, op.Val)
 	}
-	if kv.journaled {
-		return kv.journalOp(s, op)
+	if err == nil && kv.journaled {
+		err = kv.journalOp(s, op)
 	}
-	return nil
+	return existed, err
 }
 
 // batchSlow is Batch for stores sharded past the 64-bit mask, locking the
@@ -609,7 +562,10 @@ func (kv *KV) batchSlow(ops []BatchOp) error {
 			ids = append(ids, s.pool.ID())
 		}
 	}
-	return kv.sh.Update(ids, func() error { return kv.runBatch(shards, ops) })
+	return kv.sh.Update(ids, func() error {
+		_, err := kv.runBatch(shards, ops)
+		return err
+	})
 }
 
 // Check runs every shard tree's invariant sweep and returns the total key

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"potgo/internal/isa"
+	"potgo/internal/nvmsim"
 	"potgo/internal/oid"
 )
 
@@ -104,6 +105,14 @@ type Tx struct {
 // nested transactions are not supported, matching the reduced API of paper
 // Table 1.
 func (h *Heap) Begin(p *Pool) (*Tx, error) {
+	// A poisoned domain is a machine whose power is off: answer with the
+	// crash signal its next event would raise. Checked first, because a
+	// handler the crash unwound mid-transaction left its Tx registered, and
+	// the test below would turn the crash into a plain refusal. Not an
+	// event, so no event index moves.
+	if h.NV.Poisoned() {
+		panic(&nvmsim.CrashSignal{Event: h.NV.Events(), Poisoned: true})
+	}
 	if _, ok := h.open[p.b.id]; !ok {
 		return nil, fmt.Errorf("pmem: tx_begin on closed pool %q", p.b.name)
 	}

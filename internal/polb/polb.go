@@ -231,9 +231,6 @@ func (p *POLB) Len() int {
 // Stats returns hit/miss counters.
 func (p *POLB) Stats() Stats { return p.stats }
 
-// ResetStats zeroes the counters (after warm-up).
-func (p *POLB) ResetStats() { p.stats = Stats{} }
-
 // TagBits returns the tag width in bits for the design, and DataBits the
 // data width, used for the hardware-cost arithmetic in paper §5.1 (a
 // 32-entry Pipelined POLB has a 32×32-bit tag array and 32×64-bit data

@@ -135,10 +135,6 @@ func TestFlushAndStats(t *testing.T) {
 	if p.Len() != 0 {
 		t.Error("flush must empty")
 	}
-	p.ResetStats()
-	if p.Stats().Accesses() != 0 {
-		t.Error("reset must zero")
-	}
 	var empty Stats
 	if empty.MissRate() != 0 {
 		t.Error("empty miss rate is 0")

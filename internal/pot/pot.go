@@ -329,8 +329,3 @@ func (t *Table) Lookup(pool oid.PoolID) (vbase uint64, ok bool) {
 
 // Stats returns walk statistics.
 func (t *Table) Stats() Stats { return t.stats }
-
-// ResetStats zeroes walk statistics.
-//
-//potlint:allow unusedexport kept for TestStats
-func (t *Table) ResetStats() { t.stats = Stats{} }

@@ -173,10 +173,6 @@ func TestStats(t *testing.T) {
 	if s.Walks != 2 || s.Misses != 1 || s.Probes < 2 {
 		t.Errorf("stats = %+v", s)
 	}
-	tab.ResetStats()
-	if tab.Stats().Walks != 0 {
-		t.Error("ResetStats must zero")
-	}
 }
 
 // Property: after a random sequence of inserts and removes, the table agrees

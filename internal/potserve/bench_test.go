@@ -9,13 +9,14 @@ import "testing"
 func BenchmarkPingPipe(b *testing.B) {
 	_, kv := newBenchStore(b)
 	c := newPipeClient(b, kv)
-	if err := c.Ping(); err != nil {
+	ping := Request{Op: OpPing}
+	if _, err := c.Do(ping); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Ping(); err != nil {
+		if _, err := c.Do(ping); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -30,7 +31,7 @@ func BenchmarkGetPipe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Get(1); err != nil {
+		if _, err := c.Do(Request{Op: OpGet, Key: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

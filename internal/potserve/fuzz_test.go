@@ -30,7 +30,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Op: OpTopo},
 	}
 	for _, req := range seedReqs {
-		body, err := AppendRequest(nil, req)
+		body, err := appendRequest(nil, req)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panicking is the bug being hunted
 		}
-		enc, err := AppendRequest(nil, req)
+		enc, err := appendRequest(nil, req)
 		if err != nil {
 			t.Fatalf("decoded request does not re-encode: %+v: %v", req, err)
 		}
@@ -113,11 +113,11 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(OpTopo, []byte{StatusOK, 0, 0, 0, 0, 0, 0, 0, 5, 0, 1, 0, 0, 0, 0, 9, 0, 0})       // bad alive byte
 
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {
-		resp, err := DecodeResponse(op, body)
+		resp, err := decodeResponse(op, body)
 		if err != nil {
 			return
 		}
-		enc, err := AppendResponse(nil, op, resp)
+		enc, err := appendResponse(nil, op, resp)
 		if err != nil {
 			t.Fatalf("decoded response does not re-encode: op %d %+v: %v", op, resp, err)
 		}

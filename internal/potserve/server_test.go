@@ -46,16 +46,28 @@ func dial(t *testing.T, s *potserve.Server) *potserve.Client {
 	return c
 }
 
+// get and del are one GET or DEL round trip, answered as (value, present)
+// and (was present).
+func get(c *potserve.Client, key uint64) (uint64, bool, error) {
+	resp, err := c.Do(potserve.Request{Op: potserve.OpGet, Key: key})
+	return resp.Val, err == nil && resp.Status == potserve.StatusOK, err
+}
+
+func del(c *potserve.Client, key uint64) (bool, error) {
+	resp, err := c.Do(potserve.Request{Op: potserve.OpDel, Key: key})
+	return err == nil && resp.Status == potserve.StatusOK, err
+}
+
 // TestServerBasic drives every op end-to-end through one connection.
 func TestServerBasic(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, _ := newServer(t, reg)
 	c := dial(t, s)
 
-	if err := c.Ping(); err != nil {
+	if _, err := c.Do(potserve.Request{Op: potserve.OpPing}); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if _, ok, err := c.Get(1); err != nil || ok {
+	if _, ok, err := get(c, 1); err != nil || ok {
 		t.Fatalf("get absent: ok=%v err=%v", ok, err)
 	}
 	if created, err := c.Put(1, 100); err != nil || !created {
@@ -64,17 +76,18 @@ func TestServerBasic(t *testing.T) {
 	if created, err := c.Put(1, 101); err != nil || created {
 		t.Fatalf("put overwrite: created=%v err=%v", created, err)
 	}
-	if val, ok, err := c.Get(1); err != nil || !ok || val != 101 {
+	if val, ok, err := get(c, 1); err != nil || !ok || val != 101 {
 		t.Fatalf("get: val=%d ok=%v err=%v", val, ok, err)
 	}
-	if existed, err := c.Delete(1); err != nil || !existed {
+	if existed, err := del(c, 1); err != nil || !existed {
 		t.Fatalf("delete: existed=%v err=%v", existed, err)
 	}
-	if existed, err := c.Delete(1); err != nil || existed {
+	if existed, err := del(c, 1); err != nil || existed {
 		t.Fatalf("delete absent: existed=%v err=%v", existed, err)
 	}
 
-	if err := c.Tx([]objstore.BatchOp{{Key: 10, Val: 1}, {Key: 11, Val: 2}, {Key: 12, Val: 3}}); err != nil {
+	tx := []objstore.BatchOp{{Key: 10, Val: 1}, {Key: 11, Val: 2}, {Key: 12, Val: 3}}
+	if _, err := c.Do(potserve.Request{Op: potserve.OpTx, Ops: tx}); err != nil {
 		t.Fatalf("tx: %v", err)
 	}
 	kvs, err := c.Scan(10, 100)
@@ -108,7 +121,7 @@ func TestServerPipelined(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		reqs = append(reqs, potserve.Request{Op: potserve.OpGet, Key: i})
 	}
-	resps, err := c.Pipeline(reqs)
+	resps, err := c.PipelineAppend(reqs, nil)
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
@@ -148,7 +161,7 @@ func TestServerMalformedFrame(t *testing.T) {
 
 	// The stream is still framed: a well-formed request must now succeed.
 	c := potserve.NewClient(conn)
-	if err := c.Ping(); err != nil {
+	if _, err := c.Do(potserve.Request{Op: potserve.OpPing}); err != nil {
 		t.Fatalf("ping after malformed frame: %v", err)
 	}
 }
@@ -170,21 +183,21 @@ func TestServerTxOverflowKeepsServing(t *testing.T) {
 		ops[i] = objstore.BatchOp{Key: uint64(4 + i), Val: 1}
 	}
 	var serr *potserve.ServerError
-	if err := c.Tx(ops); !errors.As(err, &serr) || !strings.Contains(serr.Msg, "full") {
+	if _, err := c.Do(potserve.Request{Op: potserve.OpTx, Ops: ops}); !errors.As(err, &serr) || !strings.Contains(serr.Msg, "full") {
 		t.Fatalf("oversized tx: got %v, want a log-full ServerError", err)
 	}
 	for k := uint64(0); k < 4; k++ {
-		if v, ok, err := c.Get(k); err != nil || !ok || v != k+100 {
+		if v, ok, err := get(c, k); err != nil || !ok || v != k+100 {
 			t.Fatalf("get %d after aborted tx: val=%d ok=%v err=%v", k, v, ok, err)
 		}
 	}
-	if _, ok, err := c.Get(4); err != nil || ok {
+	if _, ok, err := get(c, 4); err != nil || ok {
 		t.Fatalf("get of an aborted key: ok=%v err=%v", ok, err)
 	}
 	if created, err := c.Put(5, 55); err != nil || !created {
 		t.Fatalf("put after aborted tx: created=%v err=%v", created, err)
 	}
-	if v, ok, err := c.Get(5); err != nil || !ok || v != 55 {
+	if v, ok, err := get(c, 5); err != nil || !ok || v != 55 {
 		t.Fatalf("get after put: val=%d ok=%v err=%v", v, ok, err)
 	}
 	if n, err := kv.Check(); err != nil || n != 5 {
@@ -236,7 +249,7 @@ func TestServerConcurrentClients(t *testing.T) {
 					}
 					model[key] = val
 				case 2:
-					if _, err := c.Delete(key); err != nil {
+					if _, err := del(c, key); err != nil {
 						errs[w] = err
 						return
 					}
@@ -258,7 +271,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	for w, model := range models {
 		total += len(model)
 		for key, want := range model {
-			val, ok, err := c.Get(key)
+			val, ok, err := get(c, key)
 			if err != nil || !ok || val != want {
 				t.Fatalf("client %d key %d: val=%d ok=%v err=%v, want %d", w, key, val, ok, err, want)
 			}
@@ -320,7 +333,7 @@ func TestServerCorruptStatus(t *testing.T) {
 	sawCorrupt := 0
 	lastGood := uint64(0)
 	for k := uint64(0); k < nkeys; k++ {
-		v, ok, err := c.Get(k)
+		v, ok, err := get(c, k)
 		if err != nil {
 			if !errors.Is(err, potserve.ErrCorrupt) {
 				t.Fatalf("Get(%d): %v", k, err)
@@ -338,7 +351,7 @@ func TestServerCorruptStatus(t *testing.T) {
 	}
 	t.Logf("%d keys answered StatusCorrupt", sawCorrupt)
 	// The connection is still in sync after corrupt answers.
-	if v, ok, err := c.Get(lastGood); err != nil || !ok || v != lastGood+2000 {
+	if v, ok, err := get(c, lastGood); err != nil || !ok || v != lastGood+2000 {
 		t.Fatalf("healthy Get after corrupt answers = %d,%v,%v", v, ok, err)
 	}
 }

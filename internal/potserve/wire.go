@@ -216,7 +216,7 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 func AppendRequestFrame(dst []byte, req Request) ([]byte, error) {
 	hdr := len(dst)
 	dst = append(dst, 0, 0, 0, 0) //potlint:allow noalloc amortized growth of the caller-owned batch buffer
-	out, err := AppendRequest(dst, req)
+	out, err := appendRequest(dst, req)
 	if err != nil {
 		return dst[:hdr], err
 	}
@@ -234,7 +234,7 @@ func AppendRequestFrame(dst []byte, req Request) ([]byte, error) {
 func AppendResponseFrame(dst []byte, op byte, resp Response) ([]byte, error) {
 	hdr := len(dst)
 	dst = append(dst, 0, 0, 0, 0) //potlint:allow noalloc amortized growth of the caller-owned batch buffer
-	out, err := AppendResponse(dst, op, resp)
+	out, err := appendResponse(dst, op, resp)
 	if err != nil {
 		return dst[:hdr], err
 	}
@@ -326,10 +326,10 @@ func (r *reader) done() error {
 	return r.err
 }
 
-// AppendRequest appends req's wire encoding (frame body only) to dst.
+// appendRequest appends req's wire encoding (frame body only) to dst.
 //
 //potlint:noalloc
-func AppendRequest(dst []byte, req Request) ([]byte, error) {
+func appendRequest(dst []byte, req Request) ([]byte, error) {
 	dst = append(dst, req.Op) //potlint:allow noalloc amortized growth of the caller-owned buffer
 	switch req.Op {
 	case OpGet, OpDel:
@@ -500,11 +500,11 @@ func DecodeRequestInto(body []byte, req *Request) error {
 	return nil
 }
 
-// AppendResponse appends resp's wire encoding (frame body only) to dst. The
-// originating op selects the payload shape, mirroring DecodeResponse.
+// appendResponse appends resp's wire encoding (frame body only) to dst. The
+// originating op selects the payload shape, mirroring DecodeResponseInto.
 //
 //potlint:noalloc
-func AppendResponse(dst []byte, op byte, resp Response) ([]byte, error) {
+func appendResponse(dst []byte, op byte, resp Response) ([]byte, error) {
 	dst = append(dst, resp.Status) //potlint:allow noalloc amortized growth of the caller-owned buffer
 	if resp.Status == StatusErr {
 		return append(dst, resp.Msg...), nil //potlint:allow noalloc error responses are the cold path
@@ -564,30 +564,11 @@ func AppendResponse(dst []byte, op byte, resp Response) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeResponse decodes one response frame body for a request of the given
-// op. It never panics on malformed input.
-func DecodeResponse(op byte, body []byte) (Response, error) {
-	var resp Response
-	if err := DecodeResponseInto(op, body, &resp); err != nil {
-		return Response{}, err
-	}
-	// Canonical form: absent scan results / log entries are nil slices.
-	if len(resp.KVs) == 0 {
-		resp.KVs = nil
-	}
-	if len(resp.Entries) == 0 {
-		resp.Entries = nil
-	}
-	if len(resp.Topo.Nodes) == 0 {
-		resp.Topo.Nodes = nil
-	}
-	return resp, nil
-}
-
-// DecodeResponseInto is DecodeResponse reusing resp's KVs capacity as the
-// scan scratch. On return resp.KVs always carries the scratch (possibly
-// length 0); the decoded pairs are invalidated by the next call with the
-// same Response.
+// DecodeResponseInto decodes one response frame body for a request of the
+// given op into resp, reusing its KVs and Entries capacity as scratch. It
+// never panics on malformed input. On return resp.KVs and resp.Entries
+// always carry the scratch (possibly length 0); the decoded pairs and
+// entries are invalidated by the next call with the same Response.
 //
 //potlint:noalloc
 func DecodeResponseInto(op byte, body []byte, resp *Response) error {

@@ -24,6 +24,23 @@ func decodeRequest(body []byte) (Request, error) {
 	return req, err
 }
 
+// decodeResponse is decodeRequest for responses: absent scan results, log
+// entries and topology nodes are nil slices.
+func decodeResponse(op byte, body []byte) (Response, error) {
+	var resp Response
+	err := DecodeResponseInto(op, body, &resp)
+	if len(resp.KVs) == 0 {
+		resp.KVs = nil
+	}
+	if len(resp.Entries) == 0 {
+		resp.Entries = nil
+	}
+	if len(resp.Topo.Nodes) == 0 {
+		resp.Topo.Nodes = nil
+	}
+	return resp, err
+}
+
 // overLimitTx is a TX body of MaxTxOps+1 puts: it fits under MaxFrame, so
 // only the op-count limit can refuse it.
 func overLimitTx() []byte {
@@ -49,7 +66,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpPing},
 	}
 	for _, want := range cases {
-		body, err := AppendRequest(nil, want)
+		body, err := appendRequest(nil, want)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", want, err)
 		}
@@ -82,11 +99,11 @@ func TestResponseRoundTrip(t *testing.T) {
 		{OpGet, Response{Status: StatusErr, Msg: "pool exhausted"}},
 	}
 	for _, tc := range cases {
-		body, err := AppendResponse(nil, tc.op, tc.resp)
+		body, err := appendResponse(nil, tc.op, tc.resp)
 		if err != nil {
 			t.Fatalf("encode op %d %+v: %v", tc.op, tc.resp, err)
 		}
-		got, err := DecodeResponse(tc.op, body)
+		got, err := decodeResponse(tc.op, body)
 		if err != nil {
 			t.Fatalf("decode op %d %+v: %v", tc.op, tc.resp, err)
 		}
@@ -135,7 +152,7 @@ func TestDecodeResponseRejectsMalformed(t *testing.T) {
 		"ping trailing":       {OpPing, []byte{StatusOK, 0}},
 	}
 	for name, tc := range cases {
-		if _, err := DecodeResponse(tc.op, tc.body); err == nil {
+		if _, err := decodeResponse(tc.op, tc.body); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
